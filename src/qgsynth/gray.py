@@ -46,15 +46,18 @@ def gray_code(n, i):
 
 
 def fwht(a):
-    """In-place fast Walsh-Hadamard transform of a length-2^k array."""
+    """Fast Walsh-Hadamard transform of a length-2^k array (a new array).
+
+    Stage h pairs each block's halves x, y into (x + y, x - y) for all
+    blocks at once through a (-1, 2, h) view."""
     a = np.array(a, dtype=float)
     h = 1
     while h < len(a):
-        for start in range(0, len(a), h * 2):
-            x = a[start : start + h].copy()
-            y = a[start + h : start + 2 * h].copy()
-            a[start : start + h] = x + y
-            a[start + h : start + 2 * h] = x - y
+        v = a.reshape(-1, 2, h)
+        x = v[:, 0].copy()
+        y = v[:, 1]
+        v[:, 0] = x + y
+        v[:, 1] = x - y
         h *= 2
     return a
 
@@ -80,14 +83,9 @@ def solve_phase_coefficients(theta):
 
 
 def phase_from_coefficients(alpha):
-    """Inverse map: theta(x) = sum_s alpha_s parity(s & x)."""
+    """Inverse map: theta(x) = sum_s alpha_s parity(s & x).
+
+    parity(s & x) = (1 - (-1)^<s,x>) / 2, so theta = (sum(alpha) - W alpha) / 2
+    with W the Walsh-Hadamard transform; the s = 0 term cancels."""
     alpha = np.asarray(alpha, dtype=float)
-    size = len(alpha)
-    theta = np.zeros(size)
-    for x in range(size):
-        acc = 0.0
-        for s in range(1, size):
-            if (s & x).bit_count() & 1:
-                acc += alpha[s]
-        theta[x] = acc
-    return theta
+    return 0.5 * (alpha.sum() - fwht(alpha))

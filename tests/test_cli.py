@@ -114,3 +114,33 @@ def test_graph_info(files, capsys):
     assert run_command(["graph", "info", "--graph", files["path10"]]) == 0
     text = capsys.readouterr().out
     assert "path" in text
+
+
+# CSVs written by `qgsynth bench` before it stopped verifying (seed 5)
+_BENCH_CSV = {
+    "diag": ["task,graph_kind,n,m,depth,size,two_qubit,bound_max,ratio,seed",
+             "diag,path,2,6,31,45,42,2.0,12.4,5",
+             "diag,path,3,9,94,117,110,3.0,26.894843,5",
+             "diag,path,4,12,338,421,406,4.0,67.6,5",
+             "diag,path,5,15,506,697,666,5.656854,69.727182,5"],
+    "qsp": ["task,graph_kind,n,m,depth,size,two_qubit,bound_max,ratio,seed",
+            "qsp,path,2,6,97,140,126,2.0,38.8,5",
+            "qsp,path,3,9,352,450,414,3.0,100.712605,5",
+            "qsp,path,4,12,1360,1772,1694,4.0,272.0,5",
+            "qsp,path,5,15,2544,3446,3286,5.656854,350.565123,5"],
+}
+
+
+@pytest.mark.parametrize("task", ["diag", "qsp"])
+def test_bench_counts_without_verifying(task, tmp_path, monkeypatch, capsys):
+    from qgsynth import sim
+
+    def no_verify(*args, **kwargs):
+        raise AssertionError("bench must not verify")
+
+    monkeypatch.setattr(sim, "verify_target", no_verify)
+    out = tmp_path / "b.csv"
+    assert run_command(["bench", "--task", task, "--graph-kind", "path",
+                        "--n-start", "2", "--n-stop", "5", "--m-rule", "3n",
+                        "--seed", "5", "--out", str(out)]) == 0
+    assert out.read_bytes() == ("\r\n".join(_BENCH_CSV[task]) + "\r\n").encode()

@@ -1,10 +1,17 @@
 """Simulator, target verification, and report assembly.
 
-Oracles: dense matrix products built directly from gate_matrix.
+Oracles: dense matrix products built directly from gate_matrix, and the
+per-gate reference engine in reference_sim.py.
 """
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_sim as ref
+from qgsynth import sim
 from qgsynth.circuit import Circuit, gate_matrix
 from qgsynth.graphs import path_graph, complete_graph
 from qgsynth.sim import (
@@ -216,3 +223,223 @@ def test_report_cheap_path_for_phase_circuits():
     c, _, _ = synth_diag_ancilla(g, spec, m=m)
     rep = assemble_report(c, g, target=spec, m=m, backend="ancilla")
     assert isinstance(rep["residual"], float) and rep["residual"] <= 1e-8
+
+
+# -- the array engine against the per-gate reference ------------------------
+
+_ALL_GATES = ["cx", "swap", "x", "r", "rz", "s", "sdg", "h", "ry"]
+_PHASE_TYPE = ["cx", "swap", "x", "r", "rz", "s", "sdg"]
+
+
+@st.composite
+def circuits(draw, names=_ALL_GATES, max_gates=24):
+    """(circuit, n, m): random gates from `names` on n inputs and m ancilla."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 2))
+    nq = n + m
+    c = Circuit(nq, m)
+    for _ in range(draw(st.integers(0, max_gates))):
+        name = draw(st.sampled_from(names if nq > 1 else
+                                    [g for g in names if g not in ("cx", "swap")]))
+        if name in ("cx", "swap"):
+            a = draw(st.integers(1, nq))
+            b = draw(st.integers(1, nq - 1))
+            c.add(name, (a, b if b < a else b + 1))
+        else:
+            q = draw(st.integers(1, nq))
+            p = (draw(st.floats(-math.pi, math.pi))
+                 if name in ("r", "rz", "ry") else None)
+            c.add(name, (q,), p)
+    return c, n, m
+
+
+def _diagonal_closure(c):
+    """c followed by its CNOT/SWAP/X gates in reverse: a diagonal circuit
+    whenever c is phase-type."""
+    d = Circuit(c.n, c.ancilla, c.gates)
+    d.extend([g for g in reversed(c.gates) if g[0] in ("cx", "swap", "x")])
+    return d
+
+
+def _agree(new, old, tol=1e-9):
+    """verify_target results agree.  On a circuit that is not exact both
+    report residual 1, and the new check, which looks at every input, may
+    find an ancilla left dirty that the reference's first failing input
+    missed."""
+    (res, ok), (res_ref, ok_ref) = new, old
+    assert type(res) is float and res >= 0.0
+    assert isinstance(ok, bool)
+    assert abs(res - max(0.0, res_ref)) <= tol
+    assert ok == ok_ref or (res == 1.0 and not ok)
+
+
+@given(circuits(), st.integers(0, 2**5 - 1))
+@settings(max_examples=150, deadline=None)
+def test_engine_matches_reference_on_random_circuits(case, seed):
+    c, n, m = case
+    nq = c.n
+    rng = np.random.default_rng(seed)
+    basis = int(rng.integers(0, 1 << nq))
+    got = np.zeros(1 << nq, dtype=complex)
+    for b, a in sparse_run(c, basis).items():
+        got[b] = a
+    assert np.max(np.abs(got - ref.dense_state(c, basis))) < 1e-12
+    assert np.max(np.abs(simulate(c) - ref.dense_state(c))) < 1e-12
+    want = np.stack([ref.dense_state(c, b) for b in range(1 << nq)], axis=1)
+    assert np.max(np.abs(simulate(c, mode="unitary") - want)) < 1e-12
+
+    v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    state = StateSpec(n, v / np.linalg.norm(v))
+    _agree(verify_target(c, state, m), ref.verify_target(c, state, m))
+    unitary = UnitarySpec(n, np.linalg.qr(rng.normal(size=(1 << n, 1 << n)))[0])
+    _agree(verify_target(c, unitary, m), ref.verify_target(c, unitary, m))
+    diag = DiagonalSpec(n, rng.uniform(0, 2 * np.pi, 1 << n))
+    _agree(verify_target(c, diag, m), ref.verify_target(c, diag, m))
+
+
+@given(circuits(names=_PHASE_TYPE, max_gates=30), st.booleans(),
+       st.integers(0, 2**5 - 1))
+@settings(max_examples=150, deadline=None)
+def test_symbolic_diagonal_check_matches_reference(case, close, seed):
+    c, n, m = case
+    if close:
+        c = _diagonal_closure(c)
+    # the reference's own phases as the target, then perturbed
+    phases = np.array([ref.run_phase_basis(c, x << m)[1] for x in range(1 << n)])
+    theta = phases - phases[0]
+    rng = np.random.default_rng(seed)
+    for t in (theta, theta + rng.uniform(-1e-3, 1e-3, 1 << n)):
+        spec = DiagonalSpec(n, t)
+        _agree(verify_target(c, spec, m), ref.verify_target(c, spec, m))
+    if close:
+        res, ok = verify_target(c, DiagonalSpec(n, theta), m)
+        assert res <= 1e-9 and ok
+
+
+def test_engine_slices_and_batches_agree(monkeypatch):
+    # tiny bounds force several column batches and parity-matrix slices
+    monkeypatch.setattr(sim, "_BATCH", 4)
+    monkeypatch.setattr(sim, "_SLICE", 3)
+    rng = np.random.default_rng(21)
+    for n in (3, 4):
+        c = random_circ(rng, n, 30)
+        c.add("x", (1,))
+        c.add("s", (n,))
+        want = np.stack([ref.dense_state(c, b) for b in range(1 << n)], axis=1)
+        assert np.max(np.abs(simulate(c, mode="unitary") - want)) < 1e-12
+
+
+def test_state_residual_is_a_clamped_python_float():
+    from qgsynth.states import qsp_synthesize
+
+    rng = np.random.default_rng(1)
+    for n in (2, 3, 4, 5):
+        v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        v /= np.linalg.norm(v)
+        c, rep = qsp_synthesize(path_graph(n), StateSpec(n, v), 0)
+        assert type(rep["residual"]) is float and 0.0 <= rep["residual"] <= 1e-9
+        json.dumps(rep)
+    # a target a hair above unit norm makes 1 - |<v|out>| negative
+    res, ok = verify_target(Circuit(1), StateSpec(1, np.array([1 + 1e-13, 0])))
+    assert type(res) is float and res == 0.0 and ok is True
+
+
+# -- negative cases: each breaks exactness and must be caught ---------------
+
+def _diag_case(m):
+    from qgsynth.diag_ancilla import synth_diag_auto
+
+    rng = np.random.default_rng(31 + m)
+    n = 4
+    spec = DiagonalSpec(n, rng.uniform(0, 2 * np.pi, 1 << n))
+    c, rep = synth_diag_auto(path_graph(n + m), spec, m)
+    assert rep["residual"] <= 1e-9 and rep["ancilla_restored"]
+    return c, spec, m
+
+
+def _caught(c, spec, m):
+    res, ok = verify_target(c, spec, m)
+    res_ref, ok_ref = ref.verify_target(c, spec, m)
+    assert res > 1e-9 or not ok
+    assert res_ref > 1e-9 or not ok_ref
+    return res, ok
+
+
+@pytest.mark.parametrize("m", [0, 12])
+def test_dropped_cnot_is_caught(m):
+    c, spec, m = _diag_case(m)
+    k = next(i for i, g in enumerate(c.gates) if g[0] == "cx")
+    bad = Circuit(c.n, c.ancilla, c.gates[:k] + c.gates[k + 1:])
+    res, _ = _caught(bad, spec, m)
+    assert res == 1.0
+
+
+def test_perturbed_angle_is_caught():
+    c, spec, m = _diag_case(0)
+    k = next(i for i, g in enumerate(c.gates) if g[0] in ("r", "rz"))
+    name, qs, p = c.gates[k]
+    bad = Circuit(c.n, c.ancilla, c.gates)
+    bad.gates[k] = (name, qs, p + 1e-6)
+    res, ok = _caught(bad, spec, m)
+    assert 1e-7 < res < 1e-5 and ok
+
+
+def test_ancilla_left_at_one_is_caught():
+    c, spec, m = _diag_case(12)
+    bad = Circuit(c.n, c.ancilla, c.gates)
+    bad.add("x", (spec.n + 3,))
+    _, ok = _caught(bad, spec, m)
+    assert not ok
+
+
+def test_input_left_as_parity_is_caught():
+    c, spec, m = _diag_case(12)
+    bad = Circuit(c.n, c.ancilla, c.gates)
+    bad.add("cx", (1, 2))
+    res, ok = _caught(bad, spec, m)
+    assert res == 1.0 and ok
+
+
+def test_ancilla_holding_input_parity_is_not_restored():
+    c, spec, m = _diag_case(12)
+    bad = Circuit(c.n, c.ancilla, c.gates)
+    bad.add("cx", (1, spec.n + 1))
+    res, ok = verify_target(bad, spec, m)
+    assert res == 1.0 and not ok
+
+
+# -- verified sizes: exact checks at the sizes synthesis reaches -------------
+
+@pytest.mark.parametrize("n, m", [(14, 0), (12, 192)])
+def test_verified_diagonal_on_path(n, m):
+    from qgsynth.diag_ancilla import synth_diag_auto
+
+    rng = np.random.default_rng(40 + n)
+    spec = DiagonalSpec(n, rng.uniform(0, 2 * np.pi, 1 << n))
+    c, rep = synth_diag_auto(path_graph(n + m), spec, m, verify=True)
+    assert type(rep["residual"]) is float and rep["residual"] <= 1e-9
+    assert rep["ancilla_restored"] is True
+
+
+def test_verified_qsp_on_star_12():
+    from qgsynth.graphs import star_graph
+    from qgsynth.states import qsp_synthesize
+
+    rng = np.random.default_rng(41)
+    n = 12
+    v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    v /= np.linalg.norm(v)
+    c, rep = qsp_synthesize(star_graph(n), StateSpec(n, v), 0, verify=True)
+    assert type(rep["residual"]) is float and rep["residual"] <= 1e-9
+    assert rep["ancilla_restored"] is True
+
+
+def test_sparse_index_width():
+    c = Circuit(64)
+    c.add("x", (1,))
+    c.add("h", (64,))
+    state = sparse_run(c)
+    assert sorted(state) == [1 << 63, (1 << 63) | 1]
+    assert all(abs(a - 2 ** -0.5) < 1e-15 for a in state.values())
+    with pytest.raises(sim.TooLarge):
+        sparse_run(Circuit(65))

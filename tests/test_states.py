@@ -224,6 +224,26 @@ def test_gus_on_path_is_exact():
     assert res <= 1e-7 and ok
 
 
+def test_gus_verify_switch(monkeypatch):
+    from qgsynth import sim
+    from qgsynth.circuit import circuit_to_json
+
+    rng = np.random.default_rng(53)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    g = path_graph(3)
+    c, report = gus_synthesize(g, UnitarySpec(2, q), 1)
+    assert report["residual"] <= 1e-9 and report["ancilla_restored"] is True
+
+    def no_verify(*args, **kwargs):
+        raise AssertionError("verify=False must not verify")
+
+    monkeypatch.setattr(sim, "verify_target", no_verify)
+    c2, report2 = gus_synthesize(g, UnitarySpec(2, q), 1, verify=False)
+    assert report2["residual"] is None and report2["ancilla_restored"] is None
+    assert circuit_to_json(c2) == circuit_to_json(c)
+    assert report2["ucg_count"] == report["ucg_count"] == 3
+
+
 def test_gus_rejects_non_unitary_and_large_n():
     with pytest.raises(DecompositionFailure):
         UnitarySpec(2, np.ones((4, 4)))
