@@ -45,7 +45,6 @@ from .linear import (
     multi_controlled_x,
     route_cnot,
     route_cnot_gates,
-    synth_linear_f2,
     synth_permutation,
 )
 from .sim import (

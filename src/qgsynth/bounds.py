@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
-from .circuit import Circuit, TWO_QUBIT, to_layered_form, LayeredCircuit
+from .circuit import Circuit, TWO_QUBIT, to_layered_form
 from .graphs import (brickwall_row_length, brickwall_vertical_columns,
                      grid_graph)
+from .linear import cnot_along
 
 
 class BridgeInvalid(ValueError):
@@ -87,24 +88,6 @@ def _norm(u, v):
     return (u, v) if u < v else (v, u)
 
 
-def _cnot_along(path):
-    """CNOT(path[0] -> path[-1]) from nearest-neighbor CNOTs on the path,
-    restoring all intermediate qubits (same sweeps as route_cnot_gates)."""
-    d = len(path) - 1
-    if d == 1:
-        return [("cx", (path[0], path[1]), None)]
-    gates = []
-    for i in range(d - 1, 0, -1):
-        gates.append(("cx", (path[i], path[i + 1]), None))
-    for i in range(0, d):
-        gates.append(("cx", (path[i], path[i + 1]), None))
-    for i in range(d - 2, 0, -1):
-        gates.append(("cx", (path[i], path[i + 1]), None))
-    for i in range(0, d - 1):
-        gates.append(("cx", (path[i], path[i + 1]), None))
-    return gates
-
-
 def transform_circuit(c, g, gp, bridge):
     """Rewrite a circuit valid under gp into one valid under g.
 
@@ -134,7 +117,7 @@ def transform_circuit(c, g, gp, bridge):
             path = paths[key]
             if path[0] != u:
                 path = path[::-1]
-            out.gates.extend(_cnot_along(path))
+            out.gates.extend(cnot_along(path))
         else:
             out.gates.append((name, qs, p))
     out.meta["bridge_classes"] = bridge.c

@@ -172,10 +172,6 @@ class Circuit:
         return self.metrics()[0]
 
 
-def compose_inverse(c):
-    return c.inverse()
-
-
 def validate_connectivity(c, g):
     """Every 2-qubit gate whose pair is not a graph edge."""
     bad = []
@@ -303,11 +299,3 @@ def circuit_from_json(obj):
         except ValueError as e:
             raise ParseError(f"gate {i}: {e}") from None
     return c
-
-
-def dumps(c):
-    return json.dumps(circuit_to_json(c))
-
-
-def loads(text):
-    return circuit_from_json(text)

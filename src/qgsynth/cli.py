@@ -25,7 +25,7 @@ from .diag import DiagonalSpec, synth_diag_noancilla
 from .diag_ancilla import synth_diag_auto
 from .graphs import build_graph, explicit_graph, graph_to_json, path_graph, \
     star_graph, tree_graph
-from .sim import assemble_report, verify_target
+from .sim import assemble_report
 from .states import (StateSpec, UcgSpec, UnitarySpec, gus_synthesize,
                      qsp_synthesize, synth_ucg)
 

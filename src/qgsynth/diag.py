@@ -24,7 +24,6 @@ import numpy as np
 
 from .circuit import Circuit
 from .graphs import (
-    ConstraintGraph,
     TooLargeForExactExpansion,
     dfs_labeling,
     expander_cascade,
@@ -211,13 +210,9 @@ def routed_gray_walk(g, spec, order=None, skip_zero_levels=False):
         order = sorted(range(1, n + 1), key=lambda v: (dist[v], v))
     alpha = solve_phase_coefficients(spec.theta)
     c = Circuit(n)
-    cache = {}
 
     def emit_cnot(j1, j2):
-        u, v = order[j1 - 1], order[j2 - 1]
-        if (u, v) not in cache:
-            cache[(u, v)] = route_cnot_gates(g, u, v)
-        c.gates.extend(cache[(u, v)])
+        c.gates.extend(route_cnot_gates(g, order[j1 - 1], order[j2 - 1]))
 
     # remap masks so virtual bit j reads the qubit at order[j-1]
     def angle_of(virt):
@@ -237,25 +232,6 @@ def routed_gray_walk(g, spec, order=None, skip_zero_levels=False):
 # ---------------------------------------------------------------------------
 
 
-def _f2_inv(mat):
-    r = mat.shape[0]
-    aug = np.concatenate([mat.copy(), np.eye(r, dtype=np.uint8)], axis=1)
-    for col in range(r):
-        piv = None
-        for row in range(col, r):
-            if aug[row, col]:
-                piv = row
-                break
-        if piv is None:
-            raise ValueError("singular transition matrix")
-        if piv != col:
-            aug[[piv, col]] = aug[[col, piv]]
-        for row in range(r):
-            if row != col and aug[row, col]:
-                aug[row] ^= aug[col]
-    return aug[:, r:]
-
-
 def _framework(g, spec, split, cp1_emitter, backend):
     """Control/target register pipeline: for each cover set, re-express the
     target register, then sweep all control prefixes by Gray codes while
@@ -268,12 +244,9 @@ def _framework(g, spec, split, cp1_emitter, backend):
     alpha = solve_phase_coefficients(spec.theta)
     cover = independent_cover(r_t)
     codes = {j: gray_code(r_c, j) for j in set(split.gray_plan)}
-    cache = {}
 
     def routed(circ, u, v):
-        if (u, v) not in cache:
-            cache[(u, v)] = route_cnot_gates(g, u, v)
-        circ.gates.extend(cache[(u, v)])
+        circ.gates.extend(route_cnot_gates(g, u, v))
 
     cbit = [1 << (n - v) for v in split.cverts]
     tbit = [1 << (n - v) for v in split.tverts]
@@ -303,7 +276,11 @@ def _framework(g, spec, split, cp1_emitter, backend):
             [[(t >> (r_t - 1 - i)) & 1 for i in range(r_t)] for t in tset],
             dtype=np.uint8,
         )
-        M = (Yk @ _f2_inv(Y)) % 2
+        # Y^-1 applies to the identity the row ops that reduce Y
+        Yinv = np.eye(r_t, dtype=np.uint8)
+        for src, dst in _f2_reduce(list(Y)):
+            Yinv[dst] ^= Yinv[src]
+        M = (Yk @ Yinv) % 2
         if not np.array_equal(M, np.eye(r_t, dtype=np.uint8)):
             ops = _f2_reduce([M[i].copy() for i in range(r_t)])
             for src, dst in reversed(ops):
@@ -376,14 +353,10 @@ def _framework(g, spec, split, cp1_emitter, backend):
     return out
 
 
-def _routed_pair_emitter(g, cache=None):
-    cache = {} if cache is None else cache
-
+def _routed_pair_emitter(g):
     def emit(circ, pairs):
         for u, v in pairs:
-            if (u, v) not in cache:
-                cache[(u, v)] = route_cnot_gates(g, u, v)
-            circ.gates.extend(cache[(u, v)])
+            circ.gates.extend(route_cnot_gates(g, u, v))
 
     return emit
 
@@ -394,7 +367,6 @@ def _cascade_emitter(g, casc):
     vertex of the final set picks up the control bit; interior values are
     restored because each matching is replayed."""
     seeds = list(casc.sets[0])
-    cache = {}
 
     def emit(circ, pairs):
         control = pairs[0][0]
@@ -403,9 +375,7 @@ def _cascade_emitter(g, casc):
             for u, v in m:
                 circ.cx(u, v)
         for v in seeds:
-            if (control, v) not in cache:
-                cache[(control, v)] = route_cnot_gates(g, control, v)
-            circ.gates.extend(cache[(control, v)])
+            circ.gates.extend(route_cnot_gates(g, control, v))
         for m in casc.matchings:
             for u, v in m:
                 circ.cx(u, v)
@@ -416,12 +386,9 @@ def _cascade_emitter(g, casc):
 def _chain_emitter(g, tverts):
     """Shared-control multi-target CNOT as a routed ladder along the target
     chain (accumulate down, inject, sweep back up)."""
-    cache = {}
 
     def link(circ, u, v):
-        if (u, v) not in cache:
-            cache[(u, v)] = route_cnot_gates(g, u, v)
-        circ.gates.extend(cache[(u, v)])
+        circ.gates.extend(route_cnot_gates(g, u, v))
 
     def emit(circ, pairs):
         control = pairs[0][0]
@@ -563,16 +530,9 @@ def synth_diag_noancilla(g, spec, strategy="auto", verify=True):
     per-strategy register split; returns (circuit, report).
 
     verify=False skips the simulation residual (counting-only runs)."""
-    if g.n != spec.n:
-        raise ValueError("graph size must equal qubit count")
-    if strategy == "auto":
-        strategy = _auto_strategy(g)
-    elif strategy in _STRATEGY_KINDS and g.kind not in _STRATEGY_KINDS[strategy]:
-        raise StrategyGraphMismatch(f"{strategy} strategy on {g.kind} graph")
-
-    c, backend = _dispatch(g, spec, strategy)
+    c = _dispatch(g, spec, strategy)
     report = assemble_report(c, g, spec if verify else None, m=0,
-                             backend=backend)
+                             backend=c.meta["backend"])
     report["ell"] = c.meta.get("ell")
     return c, report
 
@@ -582,48 +542,48 @@ def _is_complete(g):
 
 
 def _auto_strategy(g):
-    if g.kind == "path":
-        return "path"
-    if g.kind == "grid":
-        return "grid"
-    if g.kind == "tree":
-        return "tree"
-    if g.kind == "star":
-        return "star"
+    if g.kind in ("path", "grid", "tree", "star"):
+        return g.kind
     if _is_complete(g):
         return "complete"
     return "general"
 
 
-def _dispatch(g, spec, strategy):
+def _dispatch(g, spec, strategy="auto"):
+    """The no-ancilla circuit of `strategy` on g (no report); the strategy
+    that actually ran is in circuit.meta["backend"]."""
+    if g.n != spec.n:
+        raise ValueError("graph size must equal qubit count")
+    if strategy == "auto":
+        strategy = _auto_strategy(g)
+    elif strategy in _STRATEGY_KINDS and g.kind not in _STRATEGY_KINDS[strategy]:
+        raise StrategyGraphMismatch(f"{strategy} strategy on {g.kind} graph")
+
     if strategy == "complete":
         if not _is_complete(g):
             raise StrategyGraphMismatch("complete strategy on sparse graph")
         c = synth_diag_gray_walk(spec)
         c.meta["backend"] = "complete"
-        return c, "complete"
+        return c
 
     if strategy == "path":
         split = _path_split(list(range(1, g.n + 1)))
         if split is None:
             return _fallback(g, spec, "path-walk")
-        c = _framework(g, spec, split, _routed_pair_emitter(g), "path")
-        return c, "path"
+        return _framework(g, spec, split, _routed_pair_emitter(g), "path")
 
     if strategy == "grid":
         order = hamiltonian_path_grid(g.params["dims"])
         split = _path_split(order)
         if split is None:
             return _fallback(g, spec, "grid-walk")
-        c = _framework(g, spec, split, _routed_pair_emitter(g), "grid")
-        return c, "grid"
+        return _framework(g, spec, split, _routed_pair_emitter(g), "grid")
 
     if strategy == "tree":
         if g.params.get("arity") == 2:
             split = _tree2_split(g)
             if split is not None:
-                c = _framework(g, spec, split, _routed_pair_emitter(g), "tree2")
-                return c, "tree2"
+                return _framework(g, spec, split, _routed_pair_emitter(g), "tree2")
         return _fallback(g, spec, "tree-walk")
 
     if strategy == "star":
@@ -633,15 +593,13 @@ def _dispatch(g, spec, strategy):
         split, casc = _expander_split(g)
         if split is None:
             return _fallback(g, spec, "expander-walk")
-        c = _framework(g, spec, split, _cascade_emitter(g, casc), "expander")
-        return c, "expander"
+        return _framework(g, spec, split, _cascade_emitter(g, casc), "expander")
 
     if strategy == "general":
         split = _general_split(g)
         if split is None:
             return _fallback(g, spec, "general-walk")
-        c = _framework(g, spec, split, _chain_emitter(g, split.tverts), "general")
-        return c, "general"
+        return _framework(g, spec, split, _chain_emitter(g, split.tverts), "general")
 
     raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -649,4 +607,4 @@ def _dispatch(g, spec, strategy):
 def _fallback(g, spec, backend):
     c = routed_gray_walk(g, spec)
     c.meta["backend"] = backend
-    return c, backend
+    return c

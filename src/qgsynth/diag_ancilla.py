@@ -10,15 +10,13 @@ re-fans single bits through the matching cascade instead of keeping copies.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import Circuit
-from .diag import DiagonalSpec, synth_diag_noancilla
-from .diag import _is_complete as _diag_is_complete
+from .diag import DiagonalSpec, _auto_strategy, _dispatch, _is_complete
 from .graphs import (
-    ConstraintGraph,
     GrowthStalled,
     expander_cascade,
     explicit_graph,
@@ -272,37 +270,32 @@ def build_layout(g, n, m):
 
 
 class _Router:
-    """Routed-CNOT emitter with a distance/path cache and a record of which
-    copy vertex currently holds which input bit."""
+    """Distance memo plus, per input bit, the copy vertices currently
+    holding it (in assignment order)."""
 
     def __init__(self, g, r_inp):
         self.g = g
         self.r_inp = r_inp
-        self.holding = {}  # vertex -> input-bit index
+        self.holders = {}  # input-bit index -> copy vertices
         self._dist = {}
-        self._routes = {}
 
     def dist(self, u, v):
         if u not in self._dist:
             self._dist[u] = self.g.bfs_dist(u)
         return self._dist[u][v]
 
-    def cnot(self, circ, u, v):
-        key = (u, v)
-        if key not in self._routes:
-            self._routes[key] = route_cnot_gates(self.g, u, v)
-        circ.gates.extend(self._routes[key])
+    def hold(self, v, bit):
+        self.holders.setdefault(bit, []).append(v)
 
     def source(self, bit, near):
         """Closest vertex currently holding x_bit (the input qubit always
-        qualifies)."""
+        qualifies; the earliest holder wins a tie)."""
         best = self.r_inp[bit - 1]
         bd = self.dist(near, best)
-        for v, b in self.holding.items():
-            if b == bit:
-                d = self.dist(near, v)
-                if d < bd:
-                    best, bd = v, d
+        for v in self.holders.get(bit, ()):
+            d = self.dist(near, v)
+            if d < bd:
+                best, bd = v, d
         return best
 
 
@@ -313,8 +306,8 @@ def _stage_sufcopy(g, layout, rt):
     for blk in layout.sub_registers:
         for idx, v in enumerate(blk.copy_slots):
             bit = n - p + 1 + (idx % p)
-            rt.cnot(c, rt.source(bit, v), v)
-            rt.holding[v] = bit
+            c.gates.extend(route_cnot_gates(g, rt.source(bit, v), v))
+            rt.hold(v, bit)
     return c
 
 
@@ -326,25 +319,25 @@ def _stage_grayinit(g, layout, rt):
         t = k - 1
         for j in range(1, p + 1):
             if (t >> (p - j)) & 1:
-                rt.cnot(c, rt.source(n - p + j, v), v)
+                c.gates.extend(route_cnot_gates(g, rt.source(n - p + j, v), v))
     return c
 
 
 def _stage_precopy(g, layout, rt, sufcopy):
     c = Circuit(g.n)
     c.gates.extend(reversed(sufcopy.gates))  # all CNOTs: reversal inverts
-    rt.holding.clear()
+    rt.holders.clear()
     npf = len(layout.r_inp) - layout.p
     for blk in layout.sub_registers:
         for idx, v in enumerate(blk.copy_slots):
             bit = (idx % npf) + 1
-            rt.cnot(c, rt.source(bit, v), v)
-            rt.holding[v] = bit
+            c.gates.extend(route_cnot_gates(g, rt.source(bit, v), v))
+            rt.hold(v, bit)
         if layout.tau:
             for idx, v in enumerate(blk.aux_slots):
                 bit = (idx % layout.tau) + 1
-                rt.cnot(c, rt.source(bit, v), v)
-                rt.holding[v] = bit
+                c.gates.extend(route_cnot_gates(g, rt.source(bit, v), v))
+                rt.hold(v, bit)
     return c
 
 
@@ -361,7 +354,7 @@ def _stage_graycycle(g, layout, alpha, rt):
         # U_Gen: advance every target's prefix codeword by one Gray step
         for k, v in enumerate(layout.r_targ, start=1):
             h = codes[layout.ell_plan[k - 1]].flips[jn - 1]
-            rt.cnot(c, rt.source(h, v), v)
+            c.gates.extend(route_cnot_gates(g, rt.source(h, v), v))
         # rotation layer
         for k, v in enumerate(layout.r_targ, start=1):
             cw = codes[layout.ell_plan[k - 1]].codewords[jn - 1]
@@ -382,11 +375,8 @@ def _stage_inverse(g, sufcopy, grayinit, precopy):
     return c
 
 
-def synth_diag_ancilla(g, spec, m, verify=True):
-    """5-stage ancilla-assisted circuit for diag(e^{i theta}) on the first
-    spec.n qubits of g; returns (circuit, StageTrace, report)."""
-    if not isinstance(spec, DiagonalSpec):
-        spec = DiagonalSpec(int(np.log2(len(spec))), spec)
+def _ancilla_pipeline(g, spec, m):
+    """The 5-stage circuit (no report) and its StageTrace."""
     layout = build_layout(g, spec.n, m)
     alpha = solve_phase_coefficients(spec.theta)
     rt = _Router(g, layout.r_inp)
@@ -407,12 +397,23 @@ def synth_diag_ancilla(g, spec, m, verify=True):
     c = trace.circuit(g.n)
     c.meta.update(backend=f"ancilla-{layout.kind}", p=layout.p,
                   tau=layout.tau, wasted=layout.wasted)
-    report = assemble_report(
-        c, g, target=spec if verify else None, m=g.n - spec.n,
-        backend=f"ancilla-{layout.kind}",
-        extra={"p": layout.p, "tau": layout.tau, "wasted": layout.wasted,
-               "stages": trace.table()},
-    )
+    return c, trace
+
+
+def _ancilla_fields(c, trace):
+    return {"p": c.meta["p"], "tau": c.meta["tau"],
+            "wasted": c.meta["wasted"], "stages": trace.table()}
+
+
+def synth_diag_ancilla(g, spec, m, verify=True):
+    """5-stage ancilla-assisted circuit for diag(e^{i theta}) on the first
+    spec.n qubits of g; returns (circuit, StageTrace, report)."""
+    if not isinstance(spec, DiagonalSpec):
+        spec = DiagonalSpec(int(np.log2(len(spec))), spec)
+    c, trace = _ancilla_pipeline(g, spec, m)
+    report = assemble_report(c, g, target=spec if verify else None,
+                             m=g.n - spec.n, backend=c.meta["backend"],
+                             extra=_ancilla_fields(c, trace))
     return c, trace, report
 
 
@@ -501,7 +502,7 @@ def choose_backend(g, n, m):
     """Deterministic dispatch between the ancilla frameworks and the
     no-ancilla strategies of diag.py."""
     if m <= 0:
-        return f"noancilla-{_core_strategy(g)}"
+        return f"noancilla-{_auto_strategy(g)}"
     if g.kind == "path":
         return "ancilla-path" if m >= 3 * n else "noancilla-path"
     if g.kind == "grid":
@@ -512,17 +513,9 @@ def choose_backend(g, n, m):
         return "noancilla-tree"
     if g.kind == "star":
         return "noancilla-star"
-    if g.params.get("complete") or _diag_is_complete(g):
+    if _is_complete(g):
         return "ancilla-expander" if m >= n else "noancilla-complete"
     return "noancilla-general"
-
-
-def _core_strategy(g):
-    if g.kind in ("path", "grid", "tree", "star"):
-        return g.kind
-    if g.params.get("complete") or _diag_is_complete(g):
-        return "complete"
-    return "general"
 
 
 def _induced_subgraph(g, n):
@@ -537,6 +530,37 @@ def _induced_subgraph(g, n):
     return sub
 
 
+def _auto_circuit(g, spec, m):
+    """Circuit of the backend choose_backend picks, with its fallbacks
+    (expander -> no cascade, ancilla layout -> InsufficientAncilla) to the
+    no-ancilla strategy on the induced subgraph of vertices 1..n.
+
+    Returns (circuit, backend, report extras, StageTrace of the 5-stage
+    pipeline or None); no report and no stage table is built."""
+    n = spec.n
+    backend = choose_backend(g, n, m)
+    if backend == "ancilla-expander":
+        casc = _auto_cascade(g, n, m)
+        if casc is not None:
+            c = synth_diag_expander_ancilla(g, spec, m, casc)
+            return c, backend, {"decision": backend}, None
+        backend = f"noancilla-{_auto_strategy(g)}"
+    if backend.startswith("ancilla-"):
+        try:
+            c, trace = _ancilla_pipeline(g, spec, m)
+        except InsufficientAncilla:
+            backend = f"noancilla-{_auto_strategy(g)}"
+        else:
+            return c, c.meta["backend"], {"decision": backend}, trace
+
+    csub = _dispatch(_induced_subgraph(g, n), spec)
+    c = Circuit(g.n)
+    c.gates.extend(csub.gates)
+    c.meta.update(csub.meta)
+    return c, backend, {"decision": backend,
+                        "core_backend": csub.meta.get("backend")}, None
+
+
 def synth_diag_auto(g, spec, m, verify=True):
     """Dispatch per choose_backend; returns (circuit, report) with the
     decision recorded in the report.
@@ -544,36 +568,11 @@ def synth_diag_auto(g, spec, m, verify=True):
     verify=False skips the simulation residual (counting-only runs)."""
     if not isinstance(spec, DiagonalSpec):
         spec = DiagonalSpec(int(np.log2(len(spec))), spec)
-    n = spec.n
-    backend = choose_backend(g, n, m)
-
-    if backend == "ancilla-expander":
-        casc = _auto_cascade(g, n, m)
-        if casc is None:
-            backend = f"noancilla-{_core_strategy(g)}"
-        else:
-            c = synth_diag_expander_ancilla(g, spec, m, casc)
-            report = assemble_report(c, g, target=spec if verify else None,
-                                     m=g.n - n, backend=backend,
-                                     extra={"decision": backend})
-            return c, report
-    if backend.startswith("ancilla-"):
-        try:
-            c, _, report = synth_diag_ancilla(g, spec, m, verify=verify)
-            report["decision"] = backend
-            return c, report
-        except InsufficientAncilla:
-            backend = f"noancilla-{_core_strategy(g)}"
-
-    sub = _induced_subgraph(g, n)
-    csub, report = synth_diag_noancilla(sub, spec, verify=False)
-    c = Circuit(g.n)
-    c.gates.extend(csub.gates)
-    c.meta.update(csub.meta)
+    c, backend, extra, trace = _auto_circuit(g, spec, m)
+    if trace is not None:
+        extra = {**_ancilla_fields(c, trace), **extra}
     report = assemble_report(c, g, target=spec if verify else None,
-                             m=g.n - n, backend=backend,
-                             extra={"decision": backend,
-                                    "core_backend": csub.meta.get("backend")})
+                             m=g.n - spec.n, backend=backend, extra=extra)
     return c, report
 
 

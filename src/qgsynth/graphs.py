@@ -1,4 +1,4 @@
-"""Constraint graphs: construction, queries, matchings, expansion, cascades.
+"""Constraint graphs: construction, queries, expansion, cascades.
 
 Vertices are 1-based integers.  A graph is immutable after construction and
 carries a `kind` tag (path/grid/tree/star/brickwall/explicit) plus the
@@ -10,8 +10,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import networkx as nx
 
 
 class DisconnectedGraph(ValueError):
@@ -47,6 +45,12 @@ class ConstraintGraph:
             adj[u].add(v)
             adj[v].add(u)
         object.__setattr__(self, "_adj", {v: tuple(sorted(s)) for v, s in adj.items()})
+        object.__setattr__(
+            self, "_pairs", frozenset(self.edges | {(v, u) for u, v in self.edges})
+        )
+        # routed-CNOT gate tuples keyed by (control, target); filled by
+        # linear.route_cnot_gates, the one routing primitive
+        object.__setattr__(self, "_routes", {})
         # connectivity check (BFS from 1)
         if self.n > 0:
             seen = {1}
@@ -64,7 +68,7 @@ class ConstraintGraph:
         return self._adj[v]
 
     def has_edge(self, u, v):
-        return (min(u, v), max(u, v)) in self.edges
+        return (u, v) in self._pairs
 
     def bfs_dist(self, src):
         """Distances from src to every vertex."""
@@ -77,9 +81,6 @@ class ConstraintGraph:
                     dist[w] = dist[u] + 1
                     q.append(w)
         return dist
-
-    def diameter(self):
-        return max(max(self.bfs_dist(v).values()) for v in range(1, self.n + 1))
 
     def center(self):
         """A vertex of minimum eccentricity (lowest index on ties)."""
@@ -269,15 +270,6 @@ def shortest_path(g, u, v):
     while prev[path[-1]] is not None:
         path.append(prev[path[-1]])
     return path[::-1]
-
-
-def max_matching(g):
-    """A maximum-cardinality matching, as a set of (u, v) edges."""
-    G = nx.Graph()
-    G.add_nodes_from(range(1, g.n + 1))
-    G.add_edges_from(g.edges)
-    m = nx.max_weight_matching(G, maxcardinality=True)
-    return {_norm_edge(u, v) for u, v in m}
 
 
 _EXPANSION_CACHE = {}

@@ -3,13 +3,16 @@
 All builders emit gates only on graph edges and restore every qubit they
 borrow: a routed CNOT equals the ideal CNOT as a unitary, so compositions of
 these primitives can be reasoned about as if the graph were complete.
+
+`cnot_along` is the one routing sweep: it turns any vertex path into the
+nearest-neighbour CNOTs of CNOT(path[0] -> path[-1]).  `route_cnot_gates`
+applies it to a shortest path and caches the gate tuple on the graph, so
+every synthesis routine that routes on one graph shares one route cache.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .circuit import Circuit
 from .graphs import shortest_path
@@ -31,18 +34,18 @@ class InsufficientScratch(ValueError):
     pass
 
 
-def route_cnot_gates(g, u, v):
-    """Gate list for CNOT(u -> v) routed along a shortest path.
+def cnot_along(path):
+    """CNOT(path[0] -> path[-1]) from CNOTs on consecutive path vertices.
 
-    Uses <= 4d(u,v) CNOTs (4d-4 for d >= 2, 1 for d = 1); all intermediate
-    qubits are restored, so the net unitary is exactly CNOT(u -> v).
+    Uses 4d-4 CNOTs for d = len(path) - 1 >= 2 and 1 for d = 1; all
+    intermediate qubits are restored, so the net unitary is exactly the
+    CNOT between the endpoints.
     """
-    path = shortest_path(g, u, v)
     d = len(path) - 1
     if d == 0:
         raise ValueError("control equals target")
     if d == 1:
-        return [("cx", (u, v), None)]
+        return [("cx", (path[0], path[1]), None)]
     gates = []
     # forward difference sweep, accumulate sweep, then the two restoring
     # sweeps; only q_d keeps the x_0 contribution
@@ -54,6 +57,18 @@ def route_cnot_gates(g, u, v):
         gates.append(("cx", (path[i], path[i + 1]), None))
     for i in range(0, d - 1):
         gates.append(("cx", (path[i], path[i + 1]), None))
+    return gates
+
+
+def route_cnot_gates(g, u, v):
+    """Gate tuple for CNOT(u -> v) routed along a shortest path of g.
+
+    Uses <= 4d(u,v) CNOTs.  The tuple is built once per (u, v) and kept in
+    the graph's route cache; repeat calls return the same object.
+    """
+    gates = g._routes.get((u, v))
+    if gates is None:
+        gates = g._routes[(u, v)] = tuple(cnot_along(shortest_path(g, u, v)))
     return gates
 
 
@@ -82,65 +97,6 @@ def fanout(g, control, targets):
     return c
 
 
-def fanout_routed(g, control, targets):
-    """Fanout along an arbitrary target sequence with every link routed.
-    Same telescoping ladder as `fanout`, but each link is a routed CNOT, so
-    the sequence need not be a graph path."""
-    c = Circuit(g.n)
-    t = len(targets)
-    for i in range(t - 1, 0, -1):
-        c.gates.extend(route_cnot_gates(g, targets[i - 1], targets[i]))
-    c.gates.extend(route_cnot_gates(g, control, targets[0]))
-    for i in range(1, t):
-        c.gates.extend(route_cnot_gates(g, targets[i - 1], targets[i]))
-    return c
-
-
-def fanout_cascade(g, control, cascade):
-    """XOR the control bit into every vertex of the cascade's final boundary
-    layer Gamma(S_{l-1}), restoring all other cascade qubits.
-
-    Works with dirty interior qubits by running the matching cascade twice,
-    once with the control injected into the seed layer and once without; the
-    two passes cancel everywhere except for the injected bit at the final
-    layer.  Requires the control to sit outside the modified vertices."""
-    if cascade.length < 2:
-        raise ValueError("cascade has no boundary layer to hit")
-    seeds = list(cascade.sets[0])
-    touched = set(seeds)
-    for gm in cascade.gammas:
-        touched.update(gm)
-    if control in touched:
-        raise ValueError("control inside cascade region")
-    c = Circuit(g.n)
-
-    def inject():
-        for v in seeds:
-            c.gates.extend(route_cnot_gates(g, control, v))
-
-    def forward():
-        for m in cascade.matchings:
-            for u, v in m:
-                c.cx(u, v)
-
-    def unwind_interior():
-        # reverse-order undo of every layer but the last restores all
-        # intermediate boundary layers (each parent unchanged since its use)
-        for m in reversed(cascade.matchings[:-1]):
-            for u, v in m:
-                c.cx(u, v)
-
-    # the final layer accumulates its ancestor chain once with the control
-    # bit injected and once without; the difference is exactly the control
-    inject()
-    forward()
-    unwind_interior()
-    inject()
-    forward()
-    unwind_interior()
-    return c
-
-
 def _f2_reduce(mat):
     """Gauss-Jordan over F2; returns the row ops (src, dst) that reduce mat
     to the identity, or raises SingularMatrix."""
@@ -153,8 +109,6 @@ def _f2_reduce(mat):
         ops.append((src, dst))
 
     for col in range(n):
-        bit = np.zeros(n, dtype=np.uint8)
-        bit[col] = 1
         piv = None
         for r in range(col, n):
             if a[r][col]:
@@ -171,22 +125,6 @@ def _f2_reduce(mat):
             if r != col and a[r][col]:
                 add_row(col, r)
     return ops
-
-
-def synth_linear_f2(g, mat):
-    """CNOT circuit for the invertible F2 map |x> -> |Mx> (M[i][j]: output
-    bit i gets input bit j), with every row operation routed on g."""
-    mat = np.asarray(mat, dtype=np.uint8) % 2
-    n = mat.shape[0]
-    if mat.shape != (n, n) or n != g.n:
-        raise ValueError("matrix shape mismatch")
-    ops = _f2_reduce([mat[i].copy() for i in range(n)])
-    c = Circuit(g.n)
-    # reduction is I = E_t..E_1 M, so M = E_1..E_t (row adds self-inverse);
-    # circuit applies gates left-to-right as E_last..E_first, hence reversed.
-    for src, dst in reversed(ops):
-        c.gates.extend(route_cnot_gates(g, src + 1, dst + 1))
-    return c
 
 
 def synth_permutation(g, perm):

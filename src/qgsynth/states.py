@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cossin
 
 from .circuit import Circuit, gate_matrix
 from .diag import DiagonalSpec
-from .diag_ancilla import InsufficientAncilla, synth_diag_auto
+from .diag_ancilla import InsufficientAncilla, _auto_circuit
 from .graphs import explicit_graph, tree_graph
 from .linear import multi_controlled_x, copy_register, route_cnot_gates, \
     synth_permutation
@@ -166,9 +166,10 @@ def retarget_last(V):
 def synth_ucg(g, V, m):
     """Compile a UCG on the first V.n qubits of g with m ancilla.
 
-    The three diagonal factors go through the automatic diagonal dispatch;
-    the fixed single-qubit gates land on the target vertex.  Targets other
-    than the last qubit are conjugated by a swap network first.
+    The three diagonal factors go through the automatic diagonal dispatch
+    (circuits only, no report); the fixed single-qubit gates land on the
+    target vertex.  Targets other than the last qubit are conjugated by a
+    swap network first.
     """
     n = V.n
     c = Circuit(g.n)
@@ -189,8 +190,7 @@ def synth_ucg(g, V, m):
     def emit_diag(spec):
         if np.max(np.abs(spec.theta)) <= 1e-14:
             return
-        sub, _ = synth_diag_auto(g, spec, m, verify=False)
-        c.extend(sub)
+        c.extend(_auto_circuit(g, spec, m)[0])
 
     emit_diag(lam1)
     if np.max(np.abs(lam2.theta)) > 1e-14:

@@ -42,6 +42,21 @@ def test_path_pipeline_exact():
         assert_exact(c, g, spec, m)
 
 
+def test_auto_ancilla_report_matches_pipeline_report():
+    # the dispatcher builds the pipeline itself, so its report must carry
+    # the same fields and stage table as synth_diag_ancilla's, plus decision
+    rng = np.random.default_rng(32)
+    for g, n in ((path_graph(4 + 16), 4), (tree_graph(2, n=31), 4)):
+        spec = random_spec(rng, n)
+        c, report = synth_diag_auto(g, spec, g.n - n)
+        c2, trace, report2 = synth_diag_ancilla(g, spec, g.n - n)
+        assert c.gates == c2.gates
+        assert list(report) == list(report2) + ["decision"]
+        assert {k: report[k] for k in report2} == report2
+        assert report["stages"] == trace.table()
+        assert sum(s["size"] for s in report["stages"]) == report["size"]
+
+
 def test_tree_pipeline_exact():
     rng = np.random.default_rng(32)
     n = 3

@@ -1,0 +1,121 @@
+"""Golden circuits: a fixed set of seeded requests must keep emitting the
+same gates.
+
+Each digest is the SHA-256 of the circuit's JSON gate list (name, qubits,
+angles rounded to 9 decimals), so a refactor that is meant to leave the
+output unchanged fails here on the first gate it moves.  Together the
+requests cover every no-ancilla strategy, the induced-subgraph fallback of
+the automatic dispatch, the ancilla pipelines on path, grid and tree, the
+ancilla expander variant, and QSP on star and path graphs with and without
+the breadth-first relabel.  GUS is left out: `scipy.linalg.cossin` output
+depends on the LAPACK build.
+"""
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from qgsynth.circuit import circuit_to_json
+from qgsynth.diag import DiagonalSpec, synth_diag_noancilla
+from qgsynth.diag_ancilla import synth_diag_auto
+from qgsynth.graphs import (
+    complete_graph,
+    explicit_graph,
+    grid_graph,
+    path_graph,
+    star_graph,
+    tree_graph,
+)
+from qgsynth.states import StateSpec, qsp_synthesize
+
+
+def _digest(c):
+    gates = [
+        [g["g"], g["q"], [round(x, 9) + 0.0 for x in g.get("p", [])]]
+        for g in circuit_to_json(c)["gates"]
+    ]
+    blob = json.dumps([c.n, c.ancilla, gates], separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _spec(n, seed):
+    rng = np.random.default_rng(seed)
+    return DiagonalSpec(n, rng.uniform(0, 2 * np.pi, size=1 << n))
+
+
+def _state(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return StateSpec(n, a / np.linalg.norm(a))
+
+
+def _noancilla(g, seed):
+    return synth_diag_noancilla(g, _spec(g.n, seed), verify=False)[0]
+
+
+def _auto(g, n, seed):
+    return synth_diag_auto(g, _spec(n, seed), g.n - n, verify=False)[0]
+
+
+def _qsp(g, n, seed):
+    return qsp_synthesize(g, _state(n, seed), g.n - n, verify=False)[0]
+
+
+REQUESTS = {
+    "noanc-path": lambda: _noancilla(path_graph(7), 1),
+    "noanc-grid": lambda: _noancilla(grid_graph([2, 3]), 2),
+    "noanc-tree2": lambda: _noancilla(tree_graph(2, n=7), 3),
+    "noanc-star-walk": lambda: _noancilla(star_graph(5), 4),
+    "noanc-complete": lambda: _noancilla(complete_graph(5), 5),
+    "noanc-general": lambda: _noancilla(
+        explicit_graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)]), 6),
+    "auto-induced-fallback": lambda: _auto(grid_graph([3, 3]), 4, 7),
+    "auto-ancilla-path": lambda: _auto(path_graph(4 + 16), 4, 8),
+    "auto-ancilla-grid": lambda: _auto(grid_graph([8, 10]), 2, 9),
+    "auto-ancilla-tree": lambda: _auto(tree_graph(2, n=31), 4, 10),
+    "auto-ancilla-expander": lambda: _auto(complete_graph(8), 3, 11),
+    "qsp-star": lambda: _qsp(star_graph(4), 4, 12),
+    "qsp-path": lambda: _qsp(path_graph(5), 3, 13),
+    "qsp-bfs-relabel": lambda: _qsp(
+        explicit_graph(4, [(1, 3), (3, 2), (2, 4)]), 3, 14),
+}
+
+GOLDEN = {
+    "auto-ancilla-expander": "aedfb0602229d24a",
+    "auto-ancilla-grid": "2dbf341bddf7a463",
+    "auto-ancilla-path": "4ec0295eb5fb6d78",
+    "auto-ancilla-tree": "7021e288605d187f",
+    "auto-induced-fallback": "b82afbd33c071662",
+    "noanc-complete": "272215dddcd58ce1",
+    "noanc-general": "7b96777a581b9ffb",
+    "noanc-grid": "f82e7345b8f808e5",
+    "noanc-path": "26849d596075c01d",
+    "noanc-star-walk": "0711440b9dfef710",
+    "noanc-tree2": "0130d3deca420598",
+    "qsp-bfs-relabel": "edb669a8cb866f6f",
+    "qsp-path": "ebff5f7b0c2b59df",
+    "qsp-star": "c278b49db1ed8b81",
+}
+
+BACKENDS = {
+    "noanc-path": "path",
+    "noanc-grid": "grid",
+    "noanc-tree2": "tree2",
+    "noanc-star-walk": "star-walk",
+    "noanc-complete": "complete",
+    "noanc-general": "general",
+    "auto-induced-fallback": "general",
+    "auto-ancilla-path": "ancilla-path",
+    "auto-ancilla-grid": "ancilla-grid",
+    "auto-ancilla-tree": "ancilla-tree",
+    "auto-ancilla-expander": "ancilla-expander",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REQUESTS))
+def test_golden_circuit(name):
+    c = REQUESTS[name]()
+    if name in BACKENDS:
+        assert c.meta.get("backend") == BACKENDS[name]
+    assert _digest(c) == GOLDEN[name]

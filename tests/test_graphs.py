@@ -88,6 +88,17 @@ def test_brickwall_rejects_even_b2():
         brickwall_graph(1, 1, 2, 4)
 
 
+def test_has_edge_is_symmetric_on_every_family():
+    for g in (path_graph(5), grid_graph([2, 3]), tree_graph(2, n=7),
+              tree_graph(3, depth=2), star_graph(5), complete_graph(4),
+              brickwall_graph(1, 2, 3, 3),
+              explicit_graph(4, [(3, 1), (2, 4), (4, 3)])):
+        for u in range(1, g.n + 1):
+            for v in range(1, g.n + 1):
+                want = (min(u, v), max(u, v)) in g.edges
+                assert g.has_edge(u, v) == g.has_edge(v, u) == want
+
+
 def test_shortest_path_endpoints():
     g = grid_graph([3, 3])
     p = shortest_path(g, 1, 9)

@@ -5,6 +5,7 @@ from qgsynth.circuit import Circuit
 from qgsynth.graphs import (grid_graph, path_graph, shortest_path, star_graph,
                             tree_graph)
 from qgsynth.linear import (
+    cnot_along,
     copy_register,
     fanout,
     multi_controlled_x,
@@ -43,6 +44,23 @@ def test_routed_cnot_gate_budget():
         g = path_graph(dist + 1)
         gates = route_cnot_gates(g, 1, dist + 1)
         assert len(gates) <= 4 * dist
+
+
+def test_route_cache_returns_one_tuple_per_pair():
+    g = grid_graph([3, 3])
+    for u, v in [(1, 9), (9, 1), (2, 3), (5, 7)]:
+        first = route_cnot_gates(g, u, v)
+        assert type(first) is tuple
+        assert route_cnot_gates(g, u, v) is first
+        assert first == tuple(cnot_along(shortest_path(g, u, v)))
+
+
+def test_route_cnot_rejects_equal_endpoints():
+    g = path_graph(3)
+    route_cnot_gates(g, 1, 3)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            route_cnot_gates(g, 2, 2)
 
 
 def test_routed_cnot_restores_any_intermediate_state():

@@ -410,7 +410,7 @@ def test_ancilla_holding_input_parity_is_not_restored():
 
 # -- verified sizes: exact checks at the sizes synthesis reaches -------------
 
-@pytest.mark.parametrize("n, m", [(14, 0), (12, 192)])
+@pytest.mark.parametrize("n, m", [(14, 0), (12, 192), (16, 0), (14, 192)])
 def test_verified_diagonal_on_path(n, m):
     from qgsynth.diag_ancilla import synth_diag_auto
 

@@ -252,3 +252,46 @@ def test_gus_rejects_non_unitary_and_large_n():
     q, _ = np.linalg.qr(z)
     with pytest.raises(ValueError):
         gus_synthesize(complete_graph(6), UnitarySpec(6, q), m=0)
+
+
+def test_each_entry_point_builds_one_report(monkeypatch):
+    # synthesis below the public entry points is pure: the diagonals of a
+    # UCG cascade and the auto dispatch's fallbacks build no report
+    import qgsynth.diag as diag
+    import qgsynth.diag_ancilla as diag_ancilla
+    import qgsynth.states as states
+    from qgsynth.diag import DiagonalSpec
+
+    calls = []
+    real = states.assemble_report
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for mod in (diag, diag_ancilla, states):
+        monkeypatch.setattr(mod, "assemble_report", counting)
+    rng = np.random.default_rng(5)
+
+    def diag_spec(n):
+        return DiagonalSpec(n, rng.uniform(0, 2 * np.pi, 1 << n))
+
+    def state(n):
+        v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        return StateSpec(n, v / np.linalg.norm(v))
+
+    runs = [
+        lambda: diag_ancilla.synth_diag_auto(path_graph(16), diag_spec(4), 12),
+        lambda: diag_ancilla.synth_diag_auto(grid_graph([3, 3]), diag_spec(4), 5),
+        lambda: diag_ancilla.synth_diag_auto(complete_graph(8), diag_spec(3), 5),
+        lambda: diag_ancilla.synth_diag_ancilla(path_graph(16), diag_spec(4), 12),
+        lambda: diag.synth_diag_noancilla(star_graph(4), diag_spec(4)),
+        lambda: qsp_synthesize(star_graph(4), state(4), 0),
+        lambda: qsp_synthesize(path_graph(6), state(3), 3),
+        lambda: gus_synthesize(path_graph(3), UnitarySpec(
+            2, np.linalg.qr(rng.normal(size=(4, 4)))[0]), 1),
+    ]
+    for run in runs:
+        calls.clear()
+        circuit = run()[0]
+        assert calls == [circuit]
