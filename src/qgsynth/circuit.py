@@ -2,8 +2,11 @@
 
 Gates are stored as plain tuples (name, qubits, param) to keep circuits with
 ~10^6 gates cheap.  `param` is an angle for r/rz/ry, a 2x2 ndarray for u2,
-and None otherwise.  Qubits are 1-based, matching graph vertices; ancilla are
-the trailing `ancilla` qubits by convention.
+and None otherwise; `qubits` is a tuple.  Qubits are 1-based, matching graph
+vertices; ancilla are the trailing `ancilla` qubits by convention.
+
+Depth, size, two-qubit count and the connectivity audit come from one pass
+over the gates, `_scan`; metrics, audit and synthesis report are its views.
 """
 
 from __future__ import annotations
@@ -146,40 +149,39 @@ class Circuit:
     def metrics(self):
         """(depth, size, two_qubit_count) with greedy ASAP layering after
         macro expansion."""
-        last = [0] * (self.n + 1)
-        size = 0
-        twoq = 0
-        for name, qs, _ in self.gates:
-            if name == "swap":
-                size += 3
-                twoq += 3
-                a, b = qs
-                lay = max(last[a], last[b]) + 3
-                last[a] = last[b] = lay
-            elif name == "cx":
-                size += 1
-                twoq += 1
-                a, b = qs
-                lay = max(last[a], last[b]) + 1
-                last[a] = last[b] = lay
-            else:
-                size += 1
-                (q,) = qs
-                last[q] += 1
-        return max(last), size, twoq
+        return _scan(self)[:3]
 
-    def depth(self):
-        return self.metrics()[0]
+
+def _scan(c, pairs=None):
+    """(depth, size, two_qubit_count, off-edge gates) in one pass: ASAP
+    layers, a SWAP as 3 CNOTs; with `pairs` (every edge in both orientations)
+    each 2-qubit gate whose pair is not in it, in gate order."""
+    last = [0] * (c.n + 1)
+    twoq = swaps = 0
+    bad = []
+    for gate in c.gates:
+        qs = gate[1]
+        if len(qs) == 1:
+            last[qs[0]] += 1
+            continue
+        a, b = qs
+        lay = last[a]
+        lb = last[b]
+        if lb > lay:
+            lay = lb
+        if gate[0] == "swap":
+            swaps += 1
+            lay += 2
+        last[a] = last[b] = lay + 1
+        twoq += 1
+        if pairs is not None and qs not in pairs:
+            bad.append(gate)
+    return max(last), len(c.gates) + 2 * swaps, twoq + 2 * swaps, bad
 
 
 def validate_connectivity(c, g):
     """Every 2-qubit gate whose pair is not a graph edge."""
-    bad = []
-    for gate in c.gates:
-        name, qs, _ = gate
-        if name in TWO_QUBIT and not g.has_edge(*qs):
-            bad.append(gate)
-    return bad
+    return _scan(c, g._pairs)[3]
 
 
 class LayeredCircuit:

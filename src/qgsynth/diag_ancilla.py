@@ -9,6 +9,7 @@ Hamiltonian path) and binary trees; expanders use a 3-stage variant that
 re-fans single bits through the matching cascade instead of keeping copies.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -270,33 +271,31 @@ def build_layout(g, n, m):
 
 
 class _Router:
-    """Distance memo plus, per input bit, the copy vertices currently
-    holding it (in assignment order)."""
+    """Per input bit, the nearest holder of it seen from every vertex, and
+    its distance.  A new holder takes only the vertices strictly closer to
+    it, so the input qubit (the seed), then the earliest holder, wins ties."""
 
     def __init__(self, g, r_inp):
-        self.g = g
         self.r_inp = r_inp
-        self.holders = {}  # input-bit index -> copy vertices
-        self._dist = {}
+        self._row = functools.cache(g.bfs_dist)  # vertex -> BFS distances
+        self.clear()
 
-    def dist(self, u, v):
-        if u not in self._dist:
-            self._dist[u] = self.g.bfs_dist(u)
-        return self._dist[u][v]
+    def clear(self):
+        """Forget every copy: each bit is held by its input qubit alone."""
+        # input-bit index -> ({vertex: nearest holder}, {vertex: its distance})
+        self._near = {bit: (dict.fromkeys(self._row(u), u), dict(self._row(u)))
+                      for bit, u in enumerate(self.r_inp, start=1)}
 
     def hold(self, v, bit):
-        self.holders.setdefault(bit, []).append(v)
+        src, dist = self._near[bit]
+        for w, d in self._row(v).items():
+            if d < dist[w]:
+                dist[w] = d
+                src[w] = v
 
     def source(self, bit, near):
-        """Closest vertex currently holding x_bit (the input qubit always
-        qualifies; the earliest holder wins a tie)."""
-        best = self.r_inp[bit - 1]
-        bd = self.dist(near, best)
-        for v in self.holders.get(bit, ()):
-            d = self.dist(near, v)
-            if d < bd:
-                best, bd = v, d
-        return best
+        """Closest vertex currently holding x_bit."""
+        return self._near[bit][0][near]
 
 
 def _stage_sufcopy(g, layout, rt):
@@ -326,7 +325,7 @@ def _stage_grayinit(g, layout, rt):
 def _stage_precopy(g, layout, rt, sufcopy):
     c = Circuit(g.n)
     c.gates.extend(reversed(sufcopy.gates))  # all CNOTs: reversal inverts
-    rt.holders.clear()
+    rt.clear()
     npf = len(layout.r_inp) - layout.p
     for blk in layout.sub_registers:
         for idx, v in enumerate(blk.copy_slots):
@@ -520,14 +519,15 @@ def choose_backend(g, n, m):
 
 def _induced_subgraph(g, n):
     """Connected induced subgraph on vertices 1..n, typed so diag.py can
-    pick its native strategy when the shape survives the restriction."""
+    pick its native strategy when the shape survives the restriction.  A
+    whole path or tree is g itself, so its route cache carries over."""
+    if g.kind in ("path", "tree") and n == g.n:
+        return g
     if g.kind == "path":
         return path_graph(n)
     if g.kind == "tree":
         return tree_graph(g.params.get("arity", 2), n=n)
-    edges = [(u, v) for u, v in g.edges if u <= n and v <= n]
-    sub = explicit_graph(n, edges)
-    return sub
+    return explicit_graph(n, [(u, v) for u, v in g.edges if u <= n and v <= n])
 
 
 def _auto_circuit(g, spec, m):

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .circuit import gate_matrix, validate_connectivity
+from .circuit import _scan, gate_matrix
 from .gray import phase_from_coefficients
 
 STATE_QUBIT_CAP = 24
@@ -311,15 +311,12 @@ def verify_target(c, target, m=None):
 
 
 def assemble_report(c, g, target=None, m=None, backend="", extra=None):
-    depth, size, twoq = c.metrics()
+    depth, size, twoq, bad = _scan(c, g._pairs)
     report = {
         "depth": depth,
         "size": size,
         "two_qubit": twoq,
-        "violations": [
-            {"g": name, "q": list(qs)}
-            for name, qs, _ in validate_connectivity(c, g)
-        ],
+        "violations": [{"g": name, "q": list(qs)} for name, qs, _ in bad],
         "backend": backend,
         "residual": None,
         "ancilla_restored": None,

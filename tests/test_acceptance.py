@@ -18,7 +18,7 @@ from qgsynth.bounds import (
     lightcone_profile,
     transform_circuit,
 )
-from qgsynth.circuit import Circuit, to_layered_form
+from qgsynth.circuit import Circuit, to_layered_form, validate_connectivity
 from qgsynth.diag import DiagonalSpec, solve_phase_coefficients, synth_diag_noancilla
 from qgsynth.diag_ancilla import (
     _auto_cascade,
@@ -37,7 +37,7 @@ from qgsynth.graphs import (
 )
 from qgsynth.gray import gray_code
 from qgsynth.linear import copy_register, fanout, route_cnot
-from qgsynth.sim import sparse_run, validate_connectivity, verify_target
+from qgsynth.sim import sparse_run, verify_target
 from qgsynth.states import (
     StateSpec,
     UcgSpec,

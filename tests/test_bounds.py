@@ -13,7 +13,7 @@ from qgsynth.bounds import (
     max_matching_size,
     transform_circuit,
 )
-from qgsynth.circuit import Circuit, to_layered_form
+from qgsynth.circuit import Circuit, to_layered_form, validate_connectivity
 from qgsynth.diag import DiagonalSpec, synth_diag_noancilla
 from qgsynth.graphs import (
     brickwall_graph,
@@ -23,7 +23,7 @@ from qgsynth.graphs import (
     star_graph,
     tree_graph,
 )
-from qgsynth.sim import simulate, validate_connectivity
+from qgsynth.sim import simulate
 from qgsynth.states import StateSpec, qsp_synthesize
 
 

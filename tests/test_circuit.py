@@ -2,18 +2,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_report as ref
 from conftest import distance_up_to_phase
 from qgsynth.circuit import (
     Circuit,
     ParseError,
+    _scan,
     circuit_from_json,
     circuit_to_json,
     gate_matrix,
     to_layered_form,
     validate_connectivity,
 )
-from qgsynth.graphs import path_graph
-from qgsynth.sim import simulate
+from qgsynth.diag import DiagonalSpec
+from qgsynth.diag_ancilla import synth_diag_auto
+from qgsynth.graphs import explicit_graph, path_graph
+from qgsynth.sim import assemble_report, simulate
 
 
 def small_random_circuit(rng, n, length):
@@ -92,3 +96,64 @@ def test_rotation_matrices_are_unitary(angle):
     for name in ("r", "rz", "ry"):
         m = gate_matrix(name, angle)
         assert np.max(np.abs(m.conj().T @ m - np.eye(2))) < 1e-12
+
+
+# -- the fused report scan against the two reference loops -----------------
+
+_ONE_QUBIT = ["r", "rz", "ry", "h", "s", "sdg", "x", "u2"]
+
+
+@st.composite
+def circuits_on_graphs(draw):
+    """(circuit, graph): a random connected graph on up to 8 vertices (a
+    random spanning tree plus extra edges) and gates from every kind, with
+    2-qubit pairs drawn both from its edges and from anywhere."""
+    n = draw(st.integers(1, 8))
+    edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+    if n > 1:
+        for _ in range(draw(st.integers(0, n))):
+            a = draw(st.integers(1, n - 1))
+            edges.add((a, draw(st.integers(a + 1, n))))
+    g = explicit_graph(n, sorted(edges))
+    on_graph = sorted(g._pairs)
+    c = Circuit(n)
+    for _ in range(draw(st.integers(0, 40))):
+        name = draw(st.sampled_from(_ONE_QUBIT + (["cx", "swap"] if n > 1 else [])))
+        if name in ("cx", "swap"):
+            if draw(st.booleans()):
+                pair = draw(st.sampled_from(on_graph))
+            else:
+                a = draw(st.integers(1, n))
+                b = draw(st.integers(1, n - 1))
+                pair = (a, b if b < a else b + 1)
+            c.add(name, pair)
+        else:
+            q = draw(st.integers(1, n))
+            p = {"r": 0.3, "rz": -0.7, "ry": 1.1, "u2": np.eye(2)}.get(name)
+            c.add(name, (q,), p)
+    return c, g
+
+
+@given(circuits_on_graphs())
+@settings(max_examples=200, deadline=None)
+def test_scan_matches_reference_loops(case):
+    c, g = case
+    want = ref.metrics(c)
+    bad = ref.validate_connectivity(c, g)
+    assert _scan(c, g._pairs) == (*want, bad)
+    assert _scan(c) == (*want, [])
+    assert c.metrics() == want
+    assert validate_connectivity(c, g) == bad
+
+
+def test_report_lists_the_one_offgraph_cnot():
+    g = path_graph(5)
+    rng = np.random.default_rng(41)
+    c, rep = synth_diag_auto(g, DiagonalSpec(5, rng.uniform(0, 6, 32)), 0,
+                             verify=False)
+    assert rep["violations"] == []
+    c.cx(1, 4)
+    c.swap(4, 5)
+    rep = assemble_report(c, g)
+    assert rep["violations"] == [{"g": "cx", "q": [1, 4]}]
+    assert (rep["depth"], rep["size"], rep["two_qubit"]) == ref.metrics(c)

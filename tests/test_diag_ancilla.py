@@ -6,6 +6,7 @@ import pytest
 from qgsynth.diag import DiagonalSpec
 from qgsynth.diag_ancilla import (
     InsufficientAncilla,
+    _Router,
     build_layout,
     choose_backend,
     synth_diag_ancilla,
@@ -146,3 +147,67 @@ def test_auto_with_ancilla_beats_hard_cases_on_depth():
     spec = random_spec(rng, n)
     c, _, report = synth_diag_ancilla(g, spec, m)
     assert report["depth"] <= 64 * (1 << n)
+
+
+def _holder_scan(g, r_inp, holders, bit, near):
+    """The nearest holder by a scan over every holder of the bit: the input
+    qubit first, then the holders in assignment order; strictly closer
+    wins, so the earliest wins a tie."""
+    dist = g.bfs_dist(near)
+    best = r_inp[bit - 1]
+    for v in holders.get(bit, ()):
+        if dist[v] < dist[best]:
+            best = v
+    return best
+
+
+@pytest.mark.parametrize("g", [path_graph(23), grid_graph([4, 5]),
+                               tree_graph(2, n=27)], ids=lambda g: g.kind)
+def test_router_source_matches_holder_scan(g):
+    rng = np.random.default_rng(38)
+    r_inp = [int(v) for v in rng.choice(np.arange(1, g.n + 1), 4, replace=False)]
+    rt = _Router(g, r_inp)
+    holders = {}
+    ties = 0
+    for step in range(400):
+        bit = int(rng.integers(1, 5))
+        v = int(rng.integers(1, g.n + 1))
+        if step % 150 == 149:
+            rt.clear()
+            holders.clear()
+        elif rng.random() < 0.3:
+            rt.hold(v, bit)
+            holders.setdefault(bit, []).append(v)
+        else:
+            want = _holder_scan(g, r_inp, holders, bit, v)
+            assert rt.source(bit, v) == want
+            dist = g.bfs_dist(v)
+            ties += sum(dist[u] == dist[want]
+                        for u in holders.get(bit, ()) if u != want)
+    assert ties > 0  # the tie-break was exercised
+
+
+@pytest.mark.parametrize("g, n", [(path_graph(3 + 9), 3),
+                                  (grid_graph([8, 10]), 2),
+                                  (tree_graph(2, n=31), 4)],
+                         ids=["path", "grid", "tree"])
+def test_stage_table_sums_to_report(g, n):
+    spec = random_spec(np.random.default_rng(39), n)
+    c, report = synth_diag_auto(g, spec, g.n - n, verify=False)
+    assert report["backend"].startswith("ancilla-")
+    stages = report["stages"]
+    assert len(stages) == 5
+    assert sum(s["size"] for s in stages) == report["size"]
+    assert sum(s["two_qubit"] for s in stages) == report["two_qubit"]
+
+
+def test_route_cache_survives_whole_graph_calls():
+    # with m = 0 the no-ancilla strategy runs on the path itself, not on a
+    # rebuilt copy, so the routes of the first call serve the second
+    g = path_graph(14)
+    spec = random_spec(np.random.default_rng(40), 14)
+    synth_diag_auto(g, spec, 0, verify=False)
+    cached = len(g._routes)
+    assert cached > 0
+    synth_diag_auto(g, spec, 0, verify=False)
+    assert len(g._routes) == cached
