@@ -5,8 +5,10 @@ Gates are stored as plain tuples (name, qubits, param) to keep circuits with
 and None otherwise; `qubits` is a tuple.  Qubits are 1-based, matching graph
 vertices; ancilla are the trailing `ancilla` qubits by convention.
 
-Depth, size, two-qubit count and the connectivity audit come from one pass
-over the gates, `_scan`; metrics, audit and synthesis report are its views.
+A pipeline builds one circuit and calls `mark(name)` at the end of each
+stage.  Depth, size, two-qubit count, the connectivity audit and the
+per-stage rows come from one pass over the gates, `_scan`; metrics, audit
+and synthesis report are its views.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from itertools import islice
 
 import numpy as np
 
@@ -110,6 +113,10 @@ class Circuit:
     def swap(self, a, b):
         self.add("swap", (a, b))
 
+    def mark(self, name):
+        """End stage `name` here: the gates since the previous mark are its."""
+        self.meta.setdefault("marks", []).append((name, len(self.gates)))
+
     def extend(self, other):
         if isinstance(other, Circuit):
             self.gates.extend(other.gates)
@@ -153,30 +160,47 @@ class Circuit:
 
 
 def _scan(c, pairs=None):
-    """(depth, size, two_qubit_count, off-edge gates) in one pass: ASAP
-    layers, a SWAP as 3 CNOTs; with `pairs` (every edge in both orientations)
-    each 2-qubit gate whose pair is not in it, in gate order."""
+    """(depth, size, two_qubit_count, off-edge gates, stage rows) in one
+    pass: ASAP layers, a SWAP as 3 CNOTs; with `pairs` (every edge in both
+    orientations) each 2-qubit gate whose pair is not in it, in gate order.
+
+    A marked circuit gets one row per stage with the depth, size and
+    two-qubit count it adds; the depth added is the growth of the ASAP
+    frontier, so every column sums to the total.  Gates after the last mark
+    form a row named None; an unmarked circuit has no rows."""
+    marks = c.meta.get("marks", [])
     last = [0] * (c.n + 1)
     twoq = swaps = 0
     bad = []
-    for gate in c.gates:
-        qs = gate[1]
-        if len(qs) == 1:
-            last[qs[0]] += 1
-            continue
-        a, b = qs
-        lay = last[a]
-        lb = last[b]
-        if lb > lay:
-            lay = lb
-        if gate[0] == "swap":
-            swaps += 1
-            lay += 2
-        last[a] = last[b] = lay + 1
-        twoq += 1
-        if pairs is not None and qs not in pairs:
-            bad.append(gate)
-    return max(last), len(c.gates) + 2 * swaps, twoq + 2 * swaps, bad
+    rows = []
+    gates = iter(c.gates)
+    start = front0 = size0 = twoq0 = 0  # gate index and totals at the last mark
+    for stage, end in (*marks, (None, len(c.gates))):
+        for gate in islice(gates, end - start):
+            qs = gate[1]
+            if len(qs) == 1:
+                last[qs[0]] += 1
+                continue
+            a, b = qs
+            lay = last[a]
+            lb = last[b]
+            if lb > lay:
+                lay = lb
+            if gate[0] == "swap":
+                swaps += 1
+                lay += 2
+            last[a] = last[b] = lay + 1
+            twoq += 1
+            if pairs is not None and qs not in pairs:
+                bad.append(gate)
+        if marks and (stage is not None or end > start):
+            front = max(last)
+            rows.append({"stage": stage, "depth": front - front0,
+                         "size": end + 2 * swaps - size0,
+                         "two_qubit": twoq + 2 * swaps - twoq0})
+            front0, size0, twoq0 = front, end + 2 * swaps, twoq + 2 * swaps
+        start = end
+    return max(last), len(c.gates) + 2 * swaps, twoq + 2 * swaps, bad, rows
 
 
 def validate_connectivity(c, g):

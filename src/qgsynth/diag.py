@@ -237,6 +237,8 @@ def _framework(g, spec, split, cp1_emitter, backend):
     target register, then sweep all control prefixes by Gray codes while
     rotating; finish by undoing the register rewrites and applying the
     control-only diagonal via a routed walk over the control vertices.
+    The stages are marked gen_k and gray_k for cover set k, reset and
+    lambda_rc.
 
     Every nonzero n-bit mask receives its angle exactly once (asserted)."""
     n = spec.n
@@ -244,9 +246,10 @@ def _framework(g, spec, split, cp1_emitter, backend):
     alpha = solve_phase_coefficients(spec.theta)
     cover = independent_cover(r_t)
     codes = {j: gray_code(r_c, j) for j in set(split.gray_plan)}
+    out = Circuit(n)
 
-    def routed(circ, u, v):
-        circ.gates.extend(route_cnot_gates(g, u, v))
+    def routed(u, v):
+        out.gates.extend(route_cnot_gates(g, u, v))
 
     cbit = [1 << (n - v) for v in split.cverts]
     tbit = [1 << (n - v) for v in split.tverts]
@@ -266,12 +269,10 @@ def _framework(g, spec, split, cp1_emitter, backend):
         return s
 
     seen = set()
-    stages = []
     Y = np.eye(r_t, dtype=np.uint8)
     gen_ops = []
 
     for k, tset in enumerate(cover.sets, 1):
-        gen = Circuit(n)
         Yk = np.array(
             [[(t >> (r_t - 1 - i)) & 1 for i in range(r_t)] for t in tset],
             dtype=np.uint8,
@@ -284,17 +285,16 @@ def _framework(g, spec, split, cp1_emitter, backend):
         if not np.array_equal(M, np.eye(r_t, dtype=np.uint8)):
             ops = _f2_reduce([M[i].copy() for i in range(r_t)])
             for src, dst in reversed(ops):
-                routed(gen, split.tverts[src], split.tverts[dst])
+                routed(split.tverts[src], split.tverts[dst])
                 gen_ops.append((src, dst))
         Y = Yk
-        stages.append((f"gen_{k}", gen))
+        out.mark(f"gen_{k}")
 
-        gray = Circuit(n)
         # phase 1: zero prefix
         for i, t in enumerate(tset):
             if cover.owner[t] == k:
                 s = pmask_t(t)
-                gray.r(split.tverts[i], alpha[s])
+                out.r(split.tverts[i], alpha[s])
                 assert s not in seen
                 seen.add(s)
         # phases 2..2^{r_c} walk every prefix; the wrap phase closes the cycle
@@ -305,7 +305,7 @@ def _framework(g, spec, split, cp1_emitter, backend):
                 code = codes[split.gray_plan[i]]
                 h = code.flips[pp - 1]
                 pairs.append((split.cverts[h - 1], split.tverts[i]))
-            cp1_emitter(gray, pairs)
+            cp1_emitter(out, pairs)
             if pp == 1:
                 break
             for i, t in enumerate(tset):
@@ -313,21 +313,18 @@ def _framework(g, spec, split, cp1_emitter, backend):
                     continue
                 cw = codes[split.gray_plan[i]].codewords[p - 1]
                 s = pmask_c(cw) | pmask_t(t)
-                gray.r(split.tverts[i], alpha[s])
+                out.r(split.tverts[i], alpha[s])
                 assert s not in seen
                 seen.add(s)
-        stages.append((f"gray_{k}", gray))
+        out.mark(f"gray_{k}")
 
     # reset: structural inverse of the register rewrites (routed CNOTs are
     # self-inverse row additions)
-    reset = Circuit(n)
     for src, dst in reversed(gen_ops):
-        routed(reset, split.tverts[src], split.tverts[dst])
-    stages.append(("reset", reset))
+        routed(split.tverts[src], split.tverts[dst])
+    out.mark("reset")
 
     # control-register diagonal via a routed walk over cverts
-    lam = Circuit(n)
-
     def lam_angle(virt):
         s = pmask_c(virt)
         assert s not in seen
@@ -337,17 +334,12 @@ def _framework(g, spec, split, cp1_emitter, backend):
     _diag_walk(
         r_c,
         lam_angle,
-        lambda q, a: lam.r(split.cverts[q - 1], a),
-        lambda j1, j2: routed(lam, split.cverts[j1 - 1], split.cverts[j2 - 1]),
+        lambda q, a: out.r(split.cverts[q - 1], a),
+        lambda j1, j2: routed(split.cverts[j1 - 1], split.cverts[j2 - 1]),
     )
-    stages.append(("lambda_rc", lam))
+    out.mark("lambda_rc")
 
     assert len(seen) == 2**n - 1
-    out = Circuit(n)
-    for _, sc in stages:
-        out.gates.extend(sc.gates)
-    out.meta["stages"] = stages
-    out.meta["split"] = split
     out.meta["ell"] = cover.ell
     out.meta["backend"] = backend
     return out

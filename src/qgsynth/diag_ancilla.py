@@ -3,10 +3,11 @@
 The main pipeline splits the phase function theta(x) = sum_s alpha_s <s,x>
 by suffix: with p suffix bits, 2^p borrowed target qubits each track one
 suffix pattern t_k, and a Gray cycle over the 2^{n-p} prefixes visits every
-nonzero s exactly once.  Five stages: suffix copy, Gray initial, prefix
-copy, Gray cycle, inverse.  Layouts exist for paths, grids (along a
-Hamiltonian path) and binary trees; expanders use a 3-stage variant that
-re-fans single bits through the matching cascade instead of keeping copies.
+nonzero s exactly once.  Five stages, each marked on the one circuit:
+suffix-copy, gray-init, prefix-copy, gray-cycle, inverse.  Layouts exist
+for paths, grids (along a Hamiltonian path) and binary trees; expanders use
+a 3-stage variant (gray-init, gray-cycle, inverse) that re-fans single bits
+through the matching cascade instead of keeping copies.
 """
 
 import functools
@@ -75,27 +76,6 @@ class RegisterLayout:
             raise ValueError("target register must have 2^p qubits")
         if len(self.ell_plan) != 1 << self.p:
             raise ValueError("ell_plan length mismatch")
-
-
-@dataclass
-class StageTrace:
-    """Per-stage circuits; their concatenation is the emitted circuit."""
-
-    stages: list  # (name, Circuit) in emission order
-
-    def table(self):
-        out = []
-        for name, c in self.stages:
-            depth, size, twoq = c.metrics()
-            out.append({"stage": name, "depth": depth, "size": size,
-                        "two_qubit": twoq})
-        return out
-
-    def circuit(self, n):
-        c = Circuit(n)
-        for _, sc in self.stages:
-            c.gates.extend(sc.gates)
-        return c
 
 
 def _aux_width(n_pre):
@@ -298,8 +278,7 @@ class _Router:
         return self._near[bit][0][near]
 
 
-def _stage_sufcopy(g, layout, rt):
-    c = Circuit(g.n)
+def _stage_sufcopy(c, g, layout, rt):
     n = len(layout.r_inp)
     p = layout.p
     for blk in layout.sub_registers:
@@ -307,11 +286,9 @@ def _stage_sufcopy(g, layout, rt):
             bit = n - p + 1 + (idx % p)
             c.gates.extend(route_cnot_gates(g, rt.source(bit, v), v))
             rt.hold(v, bit)
-    return c
 
 
-def _stage_grayinit(g, layout, rt):
-    c = Circuit(g.n)
+def _stage_grayinit(c, g, layout, rt):
     n = len(layout.r_inp)
     p = layout.p
     for k, v in enumerate(layout.r_targ, start=1):
@@ -319,12 +296,11 @@ def _stage_grayinit(g, layout, rt):
         for j in range(1, p + 1):
             if (t >> (p - j)) & 1:
                 c.gates.extend(route_cnot_gates(g, rt.source(n - p + j, v), v))
-    return c
 
 
-def _stage_precopy(g, layout, rt, sufcopy):
-    c = Circuit(g.n)
-    c.gates.extend(reversed(sufcopy.gates))  # all CNOTs: reversal inverts
+def _stage_precopy(c, g, layout, rt, sufcopy_end):
+    # the suffix copies are all CNOTs: reversing their slice inverts them
+    c.gates.extend(reversed(c.gates[:sufcopy_end]))
     rt.clear()
     npf = len(layout.r_inp) - layout.p
     for blk in layout.sub_registers:
@@ -337,11 +313,9 @@ def _stage_precopy(g, layout, rt, sufcopy):
                 bit = (idx % layout.tau) + 1
                 c.gates.extend(route_cnot_gates(g, rt.source(bit, v), v))
                 rt.hold(v, bit)
-    return c
 
 
-def _stage_graycycle(g, layout, alpha, rt):
-    c = Circuit(g.n)
+def _stage_graycycle(c, g, layout, alpha, rt):
     n = len(layout.r_inp)
     p = layout.p
     npf = n - p
@@ -363,63 +337,58 @@ def _stage_graycycle(g, layout, alpha, rt):
             if s:
                 c.r(v, alpha[s])
     assert len(seen) == 1 << n
-    return c
-
-
-def _stage_inverse(g, sufcopy, grayinit, precopy):
-    c = Circuit(g.n)
-    c.gates.extend(reversed(precopy.gates))
-    c.gates.extend(reversed(grayinit.gates))
-    c.gates.extend(reversed(sufcopy.gates))
-    return c
 
 
 def _ancilla_pipeline(g, spec, m):
-    """The 5-stage circuit (no report) and its StageTrace."""
+    """The 5-stage circuit, with its stages marked (no report)."""
     layout = build_layout(g, spec.n, m)
     alpha = solve_phase_coefficients(spec.theta)
     rt = _Router(g, layout.r_inp)
+    c = Circuit(g.n)
 
-    suf = _stage_sufcopy(g, layout, rt)
-    gri = _stage_grayinit(g, layout, rt)
-    pre = _stage_precopy(g, layout, rt, suf)
-    cyc = _stage_graycycle(g, layout, alpha, rt)
-    inv = _stage_inverse(g, suf, gri, pre)
+    _stage_sufcopy(c, g, layout, rt)
+    c.mark("suffix-copy")
+    sufcopy_end = len(c.gates)
+    _stage_grayinit(c, g, layout, rt)
+    c.mark("gray-init")
+    _stage_precopy(c, g, layout, rt, sufcopy_end)
+    c.mark("prefix-copy")
+    copies_end = len(c.gates)
+    _stage_graycycle(c, g, layout, alpha, rt)
+    c.mark("gray-cycle")
+    # undo the copies and Gray initial: all CNOTs, so reversal inverts
+    c.gates.extend(reversed(c.gates[:copies_end]))
+    c.mark("inverse")
 
-    trace = StageTrace([
-        ("suffix-copy", suf),
-        ("gray-init", gri),
-        ("prefix-copy", pre),
-        ("gray-cycle", cyc),
-        ("inverse", inv),
-    ])
-    c = trace.circuit(g.n)
     c.meta.update(backend=f"ancilla-{layout.kind}", p=layout.p,
                   tau=layout.tau, wasted=layout.wasted)
-    return c, trace
+    return c
 
 
-def _ancilla_fields(c, trace):
-    return {"p": c.meta["p"], "tau": c.meta["tau"],
-            "wasted": c.meta["wasted"], "stages": trace.table()}
+def _ancilla_fields(c):
+    return {"p": c.meta["p"], "tau": c.meta["tau"], "wasted": c.meta["wasted"]}
 
 
 def synth_diag_ancilla(g, spec, m, verify=True):
     """5-stage ancilla-assisted circuit for diag(e^{i theta}) on the first
-    spec.n qubits of g; returns (circuit, StageTrace, report)."""
+    spec.n qubits of g; returns (circuit, stage table, report).  The stage
+    table is report["stages"]: per stage, the depth, size and two-qubit
+    count it adds, summing to the report's totals."""
     if not isinstance(spec, DiagonalSpec):
         spec = DiagonalSpec(int(np.log2(len(spec))), spec)
-    c, trace = _ancilla_pipeline(g, spec, m)
+    c = _ancilla_pipeline(g, spec, m)
     report = assemble_report(c, g, target=spec if verify else None,
                              m=g.n - spec.n, backend=c.meta["backend"],
-                             extra=_ancilla_fields(c, trace))
-    return c, trace, report
+                             extra=_ancilla_fields(c))
+    return c, report["stages"], report
 
 
 def synth_diag_expander_ancilla(g, spec, m, cascade):
     """3-stage expander variant: no persistent copies; each Gray step fans
     one input bit out through the matching cascade, applies a matched CNOT
-    layer plus rotations, then unwinds the fanout."""
+    layer plus rotations, then unwinds the fanout.  The stages are marked
+    gray-init, gray-cycle and inverse; the swaps that move input qubits out
+    of the cascade count in the first and the last."""
     if not isinstance(spec, DiagonalSpec):
         spec = DiagonalSpec(int(np.log2(len(spec))), spec)
     n = spec.n
@@ -471,6 +440,7 @@ def synth_diag_expander_ancilla(g, spec, m, cascade):
                 grayinit.append(("cx", (partners[w], w), None))
         grayinit.extend(reversed(fg))
     c.gates.extend(grayinit)
+    c.mark("gray-init")
 
     code = gray_code(npf, 1)
     cycle = 1 << npf
@@ -490,9 +460,11 @@ def synth_diag_expander_ancilla(g, spec, m, cascade):
                 c.r(w, alpha[s])
         c.gates.extend(reversed(fg))
     assert len(seen) == 1 << n
+    c.mark("gray-cycle")
 
     c.gates.extend(reversed(grayinit))
     c.gates.extend(relabel.inverse().gates)
+    c.mark("inverse")
     c.meta.update(backend="ancilla-expander", p=p)
     return c
 
@@ -520,8 +492,9 @@ def choose_backend(g, n, m):
 def _induced_subgraph(g, n):
     """Connected induced subgraph on vertices 1..n, typed so diag.py can
     pick its native strategy when the shape survives the restriction.  A
-    whole path or tree is g itself, so its route cache carries over."""
-    if g.kind in ("path", "tree") and n == g.n:
+    whole path, tree or explicit graph is g itself, so its route cache
+    carries over."""
+    if g.kind in ("path", "tree", "explicit") and n == g.n:
         return g
     if g.kind == "path":
         return path_graph(n)
@@ -535,30 +508,28 @@ def _auto_circuit(g, spec, m):
     (expander -> no cascade, ancilla layout -> InsufficientAncilla) to the
     no-ancilla strategy on the induced subgraph of vertices 1..n.
 
-    Returns (circuit, backend, report extras, StageTrace of the 5-stage
-    pipeline or None); no report and no stage table is built."""
+    Returns (circuit, backend, report extras); no report is built."""
     n = spec.n
     backend = choose_backend(g, n, m)
     if backend == "ancilla-expander":
         casc = _auto_cascade(g, n, m)
         if casc is not None:
             c = synth_diag_expander_ancilla(g, spec, m, casc)
-            return c, backend, {"decision": backend}, None
+            return c, backend, {"decision": backend}
         backend = f"noancilla-{_auto_strategy(g)}"
     if backend.startswith("ancilla-"):
         try:
-            c, trace = _ancilla_pipeline(g, spec, m)
+            c = _ancilla_pipeline(g, spec, m)
         except InsufficientAncilla:
             backend = f"noancilla-{_auto_strategy(g)}"
         else:
-            return c, c.meta["backend"], {"decision": backend}, trace
+            return c, c.meta["backend"], {**_ancilla_fields(c),
+                                          "decision": backend}
 
-    csub = _dispatch(_induced_subgraph(g, n), spec)
-    c = Circuit(g.n)
-    c.gates.extend(csub.gates)
-    c.meta.update(csub.meta)
+    c = _dispatch(_induced_subgraph(g, n), spec)
+    c.n = g.n
     return c, backend, {"decision": backend,
-                        "core_backend": csub.meta.get("backend")}, None
+                        "core_backend": c.meta.get("backend")}
 
 
 def synth_diag_auto(g, spec, m, verify=True):
@@ -568,9 +539,7 @@ def synth_diag_auto(g, spec, m, verify=True):
     verify=False skips the simulation residual (counting-only runs)."""
     if not isinstance(spec, DiagonalSpec):
         spec = DiagonalSpec(int(np.log2(len(spec))), spec)
-    c, backend, extra, trace = _auto_circuit(g, spec, m)
-    if trace is not None:
-        extra = {**_ancilla_fields(c, trace), **extra}
+    c, backend, extra = _auto_circuit(g, spec, m)
     report = assemble_report(c, g, target=spec if verify else None,
                              m=g.n - spec.n, backend=backend, extra=extra)
     return c, report

@@ -311,7 +311,7 @@ def verify_target(c, target, m=None):
 
 
 def assemble_report(c, g, target=None, m=None, backend="", extra=None):
-    depth, size, twoq, bad = _scan(c, g._pairs)
+    depth, size, twoq, bad, stages = _scan(c, g._pairs)
     report = {
         "depth": depth,
         "size": size,
@@ -335,6 +335,8 @@ def assemble_report(c, g, target=None, m=None, backend="", extra=None):
             report["ancilla_restored"] = restored
         else:
             report["residual"] = "not simulated"
+    if stages:
+        report["stages"] = stages
     if extra:
         report.update(extra)
     return report

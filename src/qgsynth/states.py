@@ -290,7 +290,8 @@ def qsp_synthesize(g, v, m, verify=True):
     stage j runs, so every stage sees the full remaining register as
     ancilla.  On graphs whose natural labeling has disconnected prefixes
     the cascade runs in breadth-first coordinates and a final swap network
-    moves the state onto qubits 1..n.
+    moves the state onto qubits 1..n.  The stages are marked ucg_1..ucg_n,
+    then relabel for the swap network.
     """
     if not isinstance(v, StateSpec):
         v = StateSpec(int(np.log2(len(v))), v)
@@ -312,10 +313,12 @@ def qsp_synthesize(g, v, m, verify=True):
         else:
             c.extend(_map_gates(cj, {i + 1: o for i, o in enumerate(order)},
                                 g.n))
+        c.mark(f"ucg_{j}")
     if not natural:
         c.extend(synth_permutation(g, {o: i + 1 for i, o in enumerate(order)}))
+        c.mark("relabel")
     report = assemble_report(c, g, target=v if verify else None, m=m,
-                             backend="qsp-cascade", extra={"stages": n})
+                             backend="qsp-cascade")
     return c, report
 
 
@@ -550,8 +553,8 @@ def unitary_to_ucgs(U):
 
 def gus_synthesize(g, U, m, verify=True):
     """Compile an arbitrary unitary on the first n qubits of g through the
-    UCG sequence; exact up to global phase.  verify=False skips the
-    simulation residual (counting-only runs)."""
+    UCG sequence, one marked stage ucg_k per UCG; exact up to global phase.
+    verify=False skips the simulation residual (counting-only runs)."""
     if not isinstance(U, UnitarySpec):
         U = UnitarySpec(int(np.log2(len(U))), U)
     n = U.n
@@ -559,8 +562,9 @@ def gus_synthesize(g, U, m, verify=True):
         raise ValueError("dense demultiplexing is guarded to n <= 5")
     ucgs = unitary_to_ucgs(U)
     c = Circuit(g.n)
-    for V in ucgs:
+    for k, V in enumerate(ucgs, start=1):
         c.extend(synth_ucg(g, V, m))
+        c.mark(f"ucg_{k}")
     report = assemble_report(c, g, target=U if verify else None, m=m,
                              backend="gus-demux",
                              extra={"ucg_count": len(ucgs)})

@@ -140,10 +140,43 @@ def test_scan_matches_reference_loops(case):
     c, g = case
     want = ref.metrics(c)
     bad = ref.validate_connectivity(c, g)
-    assert _scan(c, g._pairs) == (*want, bad)
-    assert _scan(c) == (*want, [])
+    assert _scan(c, g._pairs)[:4] == (*want, bad)
+    assert _scan(c)[:4] == (*want, [])
     assert c.metrics() == want
     assert validate_connectivity(c, g) == bad
+
+
+@given(circuits_on_graphs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_stage_rows_match_reference_slices(case, data):
+    # each row adds its slice's size and CNOTs and the growth of the
+    # prefix depth; gates after the last mark form a row named None
+    c, g = case
+    ends = sorted(data.draw(st.lists(st.integers(0, len(c.gates)),
+                                     min_size=1, max_size=6)))
+    marked = Circuit(c.n)
+    for k, end in enumerate(ends):
+        marked.gates.extend(c.gates[len(marked.gates):end])
+        marked.mark(f"s{k}")
+    marked.gates.extend(c.gates[len(marked.gates):])
+    names = [f"s{k}" for k in range(len(ends))]
+    if ends[-1] < len(c.gates):
+        ends.append(len(c.gates))
+        names.append(None)
+
+    depth, size, twoq, bad, rows = _scan(marked, g._pairs)
+    assert (depth, size, twoq) == ref.metrics(c)
+    assert bad == ref.validate_connectivity(c, g)
+    assert [r["stage"] for r in rows] == names
+    start = 0
+    for row, end in zip(rows, ends):
+        piece, prefix, before = (Circuit(c.n, gates=gs) for gs in (
+            c.gates[start:end], c.gates[:end], c.gates[:start]))
+        assert (row["size"], row["two_qubit"]) == ref.metrics(piece)[1:]
+        assert row["depth"] == ref.metrics(prefix)[0] - ref.metrics(before)[0]
+        start = end
+    for col, total in (("depth", depth), ("size", size), ("two_qubit", twoq)):
+        assert sum(r[col] for r in rows) == total
 
 
 def test_report_lists_the_one_offgraph_cnot():

@@ -7,6 +7,7 @@ from qgsynth.diag import DiagonalSpec
 from qgsynth.diag_ancilla import (
     InsufficientAncilla,
     _Router,
+    _induced_subgraph,
     build_layout,
     choose_backend,
     synth_diag_ancilla,
@@ -14,6 +15,7 @@ from qgsynth.diag_ancilla import (
 )
 from qgsynth.graphs import (
     complete_graph,
+    explicit_graph,
     grid_graph,
     path_graph,
     star_graph,
@@ -50,11 +52,11 @@ def test_auto_ancilla_report_matches_pipeline_report():
     for g, n in ((path_graph(4 + 16), 4), (tree_graph(2, n=31), 4)):
         spec = random_spec(rng, n)
         c, report = synth_diag_auto(g, spec, g.n - n)
-        c2, trace, report2 = synth_diag_ancilla(g, spec, g.n - n)
+        c2, table, report2 = synth_diag_ancilla(g, spec, g.n - n)
         assert c.gates == c2.gates
         assert list(report) == list(report2) + ["decision"]
         assert {k: report[k] for k in report2} == report2
-        assert report["stages"] == trace.table()
+        assert report["stages"] == table
         assert sum(s["size"] for s in report["stages"]) == report["size"]
 
 
@@ -202,12 +204,16 @@ def test_stage_table_sums_to_report(g, n):
 
 
 def test_route_cache_survives_whole_graph_calls():
-    # with m = 0 the no-ancilla strategy runs on the path itself, not on a
-    # rebuilt copy, so the routes of the first call serve the second
-    g = path_graph(14)
-    spec = random_spec(np.random.default_rng(40), 14)
-    synth_diag_auto(g, spec, 0, verify=False)
-    cached = len(g._routes)
-    assert cached > 0
-    synth_diag_auto(g, spec, 0, verify=False)
-    assert len(g._routes) == cached
+    # with m = 0 the no-ancilla strategy runs on the graph itself, not on a
+    # rebuilt copy, so the routes of the first call serve the second; every
+    # CNOT of the Gray walk on a complete graph is an edge, so it routes none
+    cycle = explicit_graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)])
+    for g, routed in ((path_graph(14), True), (complete_graph(8), False),
+                      (cycle, True)):
+        assert _induced_subgraph(g, g.n) is g
+        spec = random_spec(np.random.default_rng(40), g.n)
+        synth_diag_auto(g, spec, 0, verify=False)
+        cached = len(g._routes)
+        assert (cached > 0) == routed
+        synth_diag_auto(g, spec, 0, verify=False)
+        assert len(g._routes) == cached
