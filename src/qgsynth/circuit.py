@@ -162,7 +162,8 @@ class Circuit:
 def _scan(c, pairs=None):
     """(depth, size, two_qubit_count, off-edge gates, stage rows) in one
     pass: ASAP layers, a SWAP as 3 CNOTs; with `pairs` (every edge in both
-    orientations) each 2-qubit gate whose pair is not in it, in gate order.
+    orientations) each 2-qubit gate whose pair is not in it, in gate order,
+    tested against per-vertex neighbour sets built from `pairs` once.
 
     A marked circuit gets one row per stage with the depth, size and
     two-qubit count it adds; the depth added is the growth of the ASAP
@@ -173,6 +174,12 @@ def _scan(c, pairs=None):
     twoq = swaps = 0
     bad = []
     rows = []
+    nbr = None
+    if pairs is not None:
+        nbr = [set() for _ in range(c.n + 1)]
+        for a, b in pairs:
+            if a <= c.n:
+                nbr[a].add(b)
     gates = iter(c.gates)
     start = front0 = size0 = twoq0 = 0  # gate index and totals at the last mark
     for stage, end in (*marks, (None, len(c.gates))):
@@ -191,7 +198,7 @@ def _scan(c, pairs=None):
                 lay += 2
             last[a] = last[b] = lay + 1
             twoq += 1
-            if pairs is not None and qs not in pairs:
+            if nbr is not None and b not in nbr[a]:
                 bad.append(gate)
         if marks and (stage is not None or end > start):
             front = max(last)

@@ -9,7 +9,10 @@ Two families of constructions live here:
   onto the target register in phases C_1..C_l, undoes the register scramble,
   and finishes with a control-register-only diagonal.  Per-graph strategies
   choose the register split, the Gray-code schedule and how each parallel
-  CNOT step is realised on the graph.
+  CNOT step is realised on the graph.  The sweep reads per-code tables
+  (flip vertex and control mask of every Gray phase) built once per call,
+  and each parallel CNOT step is emitted once and replayed in every cover
+  set.
 
 All emitted two-qubit gates lie on graph edges; routed CNOTs restore every
 intermediate qubit, so each strategy is exact for every angle vector.
@@ -232,6 +235,15 @@ def routed_gray_walk(g, spec, order=None, skip_zero_levels=False):
 # ---------------------------------------------------------------------------
 
 
+def _spread(bits):
+    """Table over the words of a len(bits)-bit register (bit 1 = MSB): the
+    n-bit mask that sets bits[j] wherever the word sets bit j + 1."""
+    tab = np.zeros(1, dtype=np.int64)
+    for b in bits:
+        tab = (tab[:, None] | np.array([0, b])).ravel()
+    return tab
+
+
 def _framework(g, spec, split, cp1_emitter, backend):
     """Control/target register pipeline: for each cover set, re-express the
     target register, then sweep all control prefixes by Gray codes while
@@ -240,35 +252,33 @@ def _framework(g, spec, split, cp1_emitter, backend):
     The stages are marked gen_k and gray_k for cover set k, reset and
     lambda_rc.
 
-    Every nonzero n-bit mask receives its angle exactly once (asserted)."""
+    The sweep is table-driven.  Each Gray code of the plan gives a
+    flip-vertex table and a control-mask table (the n-bit mask of codeword
+    p); `cp1_emitter(pairs)` returns the gates of one parallel CNOT step,
+    and the step of each Gray phase is emitted once and replayed in every
+    cover set.  Each owned target slot reads its 2^r_c angles from alpha
+    in one indexed gather.  Every nonzero n-bit mask receives its angle
+    exactly once (asserted)."""
     n = spec.n
     r_c, r_t = split.r_c, split.r_t
     alpha = solve_phase_coefficients(spec.theta)
     cover = independent_cover(r_t)
+    ctab = _spread([1 << (n - v) for v in split.cverts])
+    ttab = _spread([1 << (n - v) for v in split.tverts])
     codes = {j: gray_code(r_c, j) for j in set(split.gray_plan)}
+    flipv = {j: [split.cverts[h - 1] for h in code.flips]
+             for j, code in codes.items()}
+    cmask = {j: ctab[list(code.codewords)] for j, code in codes.items()}
+    steps = [cp1_emitter([(flipv[j][p], tv) for j, tv in
+                          zip(split.gray_plan, split.tverts)])
+             for p in range(1 << r_c)]
     out = Circuit(n)
+    gates = out.gates
 
     def routed(u, v):
-        out.gates.extend(route_cnot_gates(g, u, v))
+        gates.extend(route_cnot_gates(g, u, v))
 
-    cbit = [1 << (n - v) for v in split.cverts]
-    tbit = [1 << (n - v) for v in split.tverts]
-
-    def pmask_c(cmask):
-        s = 0
-        for j in range(r_c):
-            if (cmask >> (r_c - 1 - j)) & 1:
-                s |= cbit[j]
-        return s
-
-    def pmask_t(tmask):
-        s = 0
-        for i in range(r_t):
-            if (tmask >> (r_t - 1 - i)) & 1:
-                s |= tbit[i]
-        return s
-
-    seen = set()
+    masks = []  # the masks rotated in each Gray sweep
     Y = np.eye(r_t, dtype=np.uint8)
     gen_ops = []
 
@@ -290,32 +300,21 @@ def _framework(g, spec, split, cp1_emitter, backend):
         Y = Yk
         out.mark(f"gen_{k}")
 
-        # phase 1: zero prefix
+        # step p flips the bit that leads to codeword p, then each owned
+        # slot rotates by that codeword's mask; replaying step 0 closes the
+        # cycle
+        owned = []
         for i, t in enumerate(tset):
             if cover.owner[t] == k:
-                s = pmask_t(t)
-                out.r(split.tverts[i], alpha[s])
-                assert s not in seen
-                seen.add(s)
-        # phases 2..2^{r_c} walk every prefix; the wrap phase closes the cycle
-        for p in range(2, 2**r_c + 2):
-            pp = p if p <= 2**r_c else 1
-            pairs = []
-            for i in range(r_t):
-                code = codes[split.gray_plan[i]]
-                h = code.flips[pp - 1]
-                pairs.append((split.cverts[h - 1], split.tverts[i]))
-            cp1_emitter(out, pairs)
-            if pp == 1:
-                break
-            for i, t in enumerate(tset):
-                if cover.owner[t] != k:
-                    continue
-                cw = codes[split.gray_plan[i]].codewords[p - 1]
-                s = pmask_c(cw) | pmask_t(t)
-                out.r(split.tverts[i], alpha[s])
-                assert s not in seen
-                seen.add(s)
+                s = cmask[split.gray_plan[i]] | ttab[t]
+                masks.append(s)
+                owned.append(((split.tverts[i],), alpha[s].tolist()))
+        for p in range(1 << r_c):
+            if p:
+                gates.extend(steps[p])
+            for q, ang in owned:
+                gates.append(("r", q, ang[p]))
+        gates.extend(steps[0])
         out.mark(f"gray_{k}")
 
     # reset: structural inverse of the register rewrites (routed CNOTs are
@@ -325,11 +324,11 @@ def _framework(g, spec, split, cp1_emitter, backend):
     out.mark("reset")
 
     # control-register diagonal via a routed walk over cverts
+    lam_words = []
+
     def lam_angle(virt):
-        s = pmask_c(virt)
-        assert s not in seen
-        seen.add(s)
-        return alpha[s]
+        lam_words.append(virt)
+        return alpha[ctab[virt]]
 
     _diag_walk(
         r_c,
@@ -339,16 +338,17 @@ def _framework(g, spec, split, cp1_emitter, backend):
     )
     out.mark("lambda_rc")
 
-    assert len(seen) == 2**n - 1
+    hits = np.bincount(np.concatenate([*masks, ctab[lam_words]]),
+                       minlength=1 << n)
+    assert hits[0] == 0 and (hits[1:] == 1).all()
     out.meta["ell"] = cover.ell
     out.meta["backend"] = backend
     return out
 
 
 def _routed_pair_emitter(g):
-    def emit(circ, pairs):
-        for u, v in pairs:
-            circ.gates.extend(route_cnot_gates(g, u, v))
+    def emit(pairs):
+        return [gate for u, v in pairs for gate in route_cnot_gates(g, u, v)]
 
     return emit
 
@@ -359,38 +359,31 @@ def _cascade_emitter(g, casc):
     vertex of the final set picks up the control bit; interior values are
     restored because each matching is replayed."""
     seeds = list(casc.sets[0])
+    up = [("cx", (u, v), None) for m in casc.matchings for u, v in m]
+    down = [("cx", (u, v), None) for m in reversed(casc.matchings)
+            for u, v in m]
 
-    def emit(circ, pairs):
+    def emit(pairs):
         control = pairs[0][0]
         assert all(u == control for u, _ in pairs)
-        for m in reversed(casc.matchings):
-            for u, v in m:
-                circ.cx(u, v)
-        for v in seeds:
-            circ.gates.extend(route_cnot_gates(g, control, v))
-        for m in casc.matchings:
-            for u, v in m:
-                circ.cx(u, v)
+        return down + [gate for v in seeds
+                       for gate in route_cnot_gates(g, control, v)] + up
 
     return emit
 
 
 def _chain_emitter(g, tverts):
     """Shared-control multi-target CNOT as a routed ladder along the target
-    chain (accumulate down, inject, sweep back up)."""
+    chain (accumulate down, inject, sweep back up); the two ladders are
+    routed once and only the injection depends on the control."""
+    links = [route_cnot_gates(g, u, v) for u, v in zip(tverts, tverts[1:])]
+    down = [gate for link in reversed(links) for gate in link]
+    up = [gate for link in links for gate in link]
 
-    def link(circ, u, v):
-        circ.gates.extend(route_cnot_gates(g, u, v))
-
-    def emit(circ, pairs):
+    def emit(pairs):
         control = pairs[0][0]
         assert all(u == control for u, _ in pairs)
-        t = len(tverts)
-        for i in range(t - 1, 0, -1):
-            link(circ, tverts[i - 1], tverts[i])
-        link(circ, control, tverts[0])
-        for i in range(1, t):
-            link(circ, tverts[i - 1], tverts[i])
+        return down + list(route_cnot_gates(g, control, tverts[0])) + up
 
     return emit
 

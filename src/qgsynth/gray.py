@@ -8,6 +8,7 @@ sum_k s_k 2^(n-k).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,7 +37,10 @@ class GrayCode:
     codewords: tuple  # integers, bit 1 = MSB; c_1 = 0
 
 
+@lru_cache(maxsize=None)
 def gray_code(n, i):
+    """The (n, i) Gray code, memoised since it is pure and immutable; a
+    cached code of width n holds 2 * 2^n integers for the process's life."""
     size = 1 << n
     flips = tuple(gray_index(i, j, n) for j in range(1, size + 1))
     words = [0]

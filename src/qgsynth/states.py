@@ -6,6 +6,10 @@ single-qubit gates, an n-qubit state is a cascade of n UCGs of growing
 width, and a general unitary is a sequence of 2^n - 1 UCGs obtained by
 recursive cosine-sine demultiplexing.  A separate unary-encoded route
 serves binary trees with enough ancilla to hold one qubit per basis state.
+
+Branch work is batched: a state's cascade builds each stage's branch array
+with array arithmetic, and a UCG's ZYZ angles come from one computation
+over all of its branches.
 """
 
 from __future__ import annotations
@@ -36,10 +40,14 @@ class DecompositionFailure(ValueError):
 class UcgSpec:
     """Block-diagonal gate applying branches[z] to the target qubit for
     every control word z (the non-target qubits read most significant
-    first)."""
+    first).
+
+    Any array-like of 2x2 matrices is accepted; it is stored as one
+    (2^(n-1), 2, 2) complex array and checked for unitarity in one batched
+    product."""
 
     n: int
-    branches: list
+    branches: np.ndarray
     target: int = 0
 
     def __post_init__(self):
@@ -47,18 +55,27 @@ class UcgSpec:
             self.target = self.n
         if not 1 <= self.target <= self.n:
             raise ValueError(f"target {self.target} out of range")
-        if len(self.branches) != 1 << (self.n - 1):
+        count = 1 << (self.n - 1)
+        if len(self.branches) != count:
             raise ValueError(
-                f"expected {1 << (self.n - 1)} branches, got "
-                f"{len(self.branches)}"
+                f"expected {count} branches, got {len(self.branches)}"
             )
-        self.branches = [np.asarray(b, dtype=complex) for b in self.branches]
-        eye = np.eye(2)
-        for i, b in enumerate(self.branches):
-            if b.shape != (2, 2):
-                raise ValueError("branches must be 2x2")
-            if np.max(np.abs(b.conj().T @ b - eye)) > 1e-12:
-                raise ValueError(f"branch {i} is not unitary")
+        try:
+            br = np.asarray(self.branches, dtype=complex)
+        except ValueError:  # ragged: matrices of different shapes
+            br = None
+        if br is None or br.shape != (count, 2, 2):
+            raise ValueError("branches must be 2x2")
+        err = np.abs(br.conj().transpose(0, 2, 1) @ br - np.eye(2))
+        bad = err.max(axis=(1, 2)) > 1e-12
+        if bad.any():
+            raise ValueError(f"branch {bad.argmax()} is not unitary")
+        self.branches = br
+
+    def __eq__(self, other):
+        return (isinstance(other, UcgSpec) and self.n == other.n
+                and self.target == other.target
+                and np.array_equal(self.branches, other.branches))
 
 
 @dataclass
@@ -92,22 +109,28 @@ class UnitarySpec:
 
 # -- UCG -> diagonals -------------------------------------------------------
 
+def zyz_angles_batch(u):
+    """Euler angles (a, b, c, d), each an array over the stack u of 2x2
+    unitaries, with u[k] = e^{ia[k]} Rz(b[k]) Ry(c[k]) Rz(d[k])."""
+    x = np.asarray(u, dtype=complex).reshape(-1, 4)  # u00 u01 u10 u11
+    det = x[:, 0] * x[:, 3] - x[:, 1] * x[:, 2]
+    a = 0.5 * np.arctan2(det.imag, det.real)
+    v = x[:, [0, 2, 3]] * np.exp(-1j * a)[:, None]  # v00 v10 v11
+    m00, m10 = np.abs(v[:, :2]).T
+    _, bmd, bpd = 2.0 * np.arctan2(v.imag, v.real).T
+    c = 2.0 * np.arctan2(m10, m00)
+    b, d = (bpd + bmd) / 2.0, (bpd - bmd) / 2.0
+    # a (near-)zero column entry leaves one phase free: put it all in b
+    anti = m00 < 1e-12
+    diag = (m10 < 1e-12) & ~anti
+    b[anti], b[diag] = bmd[anti], bpd[diag]
+    d[anti | diag] = 0.0
+    return a, b, c, d
+
+
 def zyz_angles(u):
     """Euler angles (a, b, c, d) with u = e^{ia} Rz(b) Ry(c) Rz(d)."""
-    u = np.asarray(u, dtype=complex)
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    a = 0.5 * cmath.phase(det)
-    v = u * cmath.exp(-1j * a)
-    c = 2.0 * math.atan2(abs(v[1, 0]), abs(v[0, 0]))
-    if abs(v[0, 0]) < 1e-12:
-        b, d = 2.0 * cmath.phase(v[1, 0]), 0.0
-    elif abs(v[1, 0]) < 1e-12:
-        b, d = 2.0 * cmath.phase(v[1, 1]), 0.0
-    else:
-        bpd = 2.0 * cmath.phase(v[1, 1])
-        bmd = 2.0 * cmath.phase(v[1, 0])
-        b, d = (bpd + bmd) / 2.0, (bpd - bmd) / 2.0
-    return a, b, c, d
+    return tuple(float(x[0]) for x in zyz_angles_batch(np.asarray(u)[None]))
 
 
 #: target-qubit gates between the three diagonals: apply the first pair
@@ -126,22 +149,14 @@ def ucg_to_diagonals(V):
     if V.target != V.n:
         raise ValueError("ucg_to_diagonals expects target on the last qubit")
     n = V.n
-    th1 = np.zeros(1 << n)
-    th2 = np.zeros(1 << n)
-    th3 = np.zeros(1 << n)
-    for z, br in enumerate(V.branches):
-        a, b, c, d = zyz_angles(br)
-        base = a - (b + c + d) / 2.0
-        th1[2 * z + 1] = d
-        th2[2 * z + 1] = c
-        th3[2 * z] = base
-        th3[2 * z + 1] = base + b
-    return (
-        DiagonalSpec(n, th1),
-        DiagonalSpec(n, th2),
-        DiagonalSpec(n, th3),
-        UCG_MID_GATES,
-    )
+    a, b, c, d = zyz_angles_batch(V.branches)
+    # th[f, z, t]: angle of factor f on control word z, target bit t
+    th = np.zeros((3, len(a), 2))
+    th[0, :, 1] = d
+    th[1, :, 1] = c
+    th[2, :, 0] = a - (b + c + d) / 2.0
+    th[2, :, 1] = th[2, :, 0] + b
+    return (*(DiagonalSpec(n, f.ravel()) for f in th), UCG_MID_GATES)
 
 
 def retarget_last(V):
@@ -150,17 +165,10 @@ def retarget_last(V):
     n, t = V.n, V.target
     if t == n:
         return V
-    nb = n - 1
-    out = [None] * (1 << nb)
-    for idx in range(1 << nb):
-        q = [(idx >> (nb - i)) & 1 for i in range(1, n)]
-        z = 0
-        for j in range(1, n + 1):
-            if j == t:
-                continue
-            z = (z << 1) | (q[t - 1] if j == n else q[j - 1])
-        out[idx] = V.branches[z]
-    return UcgSpec(n, out, n)
+    # one axis per control bit: the new last control is old qubit n, whose
+    # bit moves into qubit t's place
+    tensor = V.branches.reshape((2,) * (n - 1) + (2, 2))
+    return UcgSpec(n, np.moveaxis(tensor, n - 2, t - 1).reshape(-1, 2, 2), n)
 
 
 def synth_ucg(g, V, m):
@@ -226,27 +234,15 @@ def state_to_ucgs(v):
         mags[j] = np.sqrt(sq[0::2] + sq[1::2])
     specs = []
     for j in range(1, n + 1):
-        branches = []
-        for w in range(1 << (j - 1)):
-            cw = mags[j - 1][w]
-            if cw <= 1e-15:
-                branches.append(np.eye(2, dtype=complex))
-                continue
-            if j < n:
-                a0 = mags[j][2 * w] / cw
-                a1 = mags[j][2 * w + 1] / cw
-                branches.append(
-                    np.array([[a0, -a1], [a1, a0]], dtype=complex)
-                )
-            else:
-                p = amp[2 * w] / cw
-                q = amp[2 * w + 1] / cw
-                branches.append(
-                    np.array(
-                        [[p, -np.conj(q)], [q, np.conj(p)]], dtype=complex
-                    )
-                )
-        specs.append(UcgSpec(j, branches, j))
+        cw = mags[j - 1]
+        live = cw > 1e-15
+        # branch w maps |0> to the normalised pair (p, q) below prefix w
+        col = (mags[j] if j < n else amp).reshape(-1, 2) / np.where(
+            live, cw, 1.0)[:, None]
+        p, q = col[:, 0], col[:, 1]
+        br = np.stack([p, -np.conj(q), q, np.conj(p)], axis=1).reshape(-1, 2, 2)
+        br[~live] = np.eye(2)
+        specs.append(UcgSpec(j, br, j))
     return specs
 
 

@@ -45,6 +45,34 @@ def random_ucg(rng, n, target=None):
                    target or n)
 
 
+def test_ucg_spec_rejects_bad_branches():
+    rng = np.random.default_rng(40)
+    good = [random_su2(rng) for _ in range(4)]
+    with pytest.raises(ValueError, match="expected 4 branches, got 3"):
+        UcgSpec(3, good[:3])
+    with pytest.raises(ValueError, match="branches must be 2x2"):
+        UcgSpec(3, good[:3] + [np.eye(3)])
+    with pytest.raises(ValueError, match="branches must be 2x2"):
+        UcgSpec(3, np.zeros((4, 3, 3)))
+    for k in range(4):
+        bad = list(good)
+        bad[k] = 1.5 * bad[k]
+        bad[3] = 2.0 * bad[3]  # only the first non-unitary branch is named
+        with pytest.raises(ValueError, match=f"^branch {k} is not unitary$"):
+            UcgSpec(3, bad)
+
+
+def test_ucg_spec_list_and_array_agree():
+    rng = np.random.default_rng(39)
+    branches = [random_su2(rng) for _ in range(4)]
+    V, W = UcgSpec(3, branches), UcgSpec(3, np.array(branches))
+    assert V == W and V.branches.shape == (4, 2, 2)
+    assert V != UcgSpec(3, branches[::-1]) and V != UcgSpec(3, branches, 2)
+    assert np.array_equal(ucg_matrix(V), ucg_matrix(W))
+    # target 3: control word z acts on the basis pair 2z, 2z + 1
+    assert np.array_equal(ucg_matrix(V)[2:4, 2:4], branches[1])
+
+
 def test_zyz_reconstruction():
     rng = np.random.default_rng(41)
     for _ in range(20):
