@@ -26,12 +26,8 @@ from .graphs import (
     star_graph,
     tree_graph,
 )
-from .gray import GrayCode, gray_code
-from .diag import (
-    DiagonalSpec,
-    solve_phase_coefficients,
-    synth_diag_noancilla,
-)
+from .gray import GrayCode, gray_code, solve_phase_coefficients
+from .diag import DiagonalSpec, synth_diag_noancilla
 from .diag_ancilla import (
     InsufficientAncilla,
     choose_backend,

@@ -9,6 +9,12 @@ A pipeline builds one circuit and calls `mark(name)` at the end of each
 stage.  Depth, size, two-qubit count, the connectivity audit and the
 per-stage rows come from one pass over the gates, `_scan`; metrics, audit
 and synthesis report are its views.
+
+A diagonal's gates depend only on the graph, n and m; its angles enter as
+the Walsh coefficients alpha = solve_phase_coefficients(theta), one per
+rotation.  A diagonal builder therefore emits a `Template`: a circuit with
+an empty rotation slot wherever an angle goes.  `Template.bind(theta)`
+fills a copy, so one template serves every theta.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ import math
 from itertools import islice
 
 import numpy as np
+
+from .gray import solve_phase_coefficients
 
 ONE_QUBIT = {"r", "rz", "ry", "h", "s", "sdg", "x", "u2"}
 TWO_QUBIT = {"cx", "swap"}
@@ -157,6 +165,82 @@ class Circuit:
         """(depth, size, two_qubit_count) with greedy ASAP layering after
         macro expansion."""
         return _scan(self)[:3]
+
+
+class Template(Circuit):
+    """A diagonal's circuit with its rotation angles left as slots.
+
+    Slot k is the gate at index pos[k], an ("r", (q,), None) placeholder
+    whose angle is alpha[idx[k]] for the diagonal's `inputs` qubits.
+    Builders add slots with `rot` and `rots`; `seal` freezes them into
+    int32 arrays.  Slots on one qubit share one placeholder tuple.  The
+    report fields (`backend`, `extra`) and the gate scan do not depend on
+    the angles either, so a template cached on its graph carries them
+    too."""
+
+    __slots__ = ("inputs", "pos", "idx", "backend", "extra", "_empty",
+                 "_scanned")
+
+    def __init__(self, n, inputs):
+        super().__init__(n)
+        self.inputs = inputs
+        self.pos, self.idx = [], []
+        self.backend, self.extra = "", {}
+        self._empty = {}  # qubit -> its placeholder
+        self._scanned = None
+
+    def rot(self, q, s):
+        """Append a slot on qubit q for alpha[s]."""
+        self.pos.append(len(self.gates))
+        self.idx.append(s)
+        self.gates.append(self._empty.setdefault(q, ("r", (q,), None)))
+
+    def rots(self, qubits, idx):
+        """Append a run of slots, on qubits[j] for alpha[idx[j]]."""
+        start = len(self.gates)
+        self.pos.extend(range(start, start + len(qubits)))
+        self.idx.extend(idx)
+        self.gates.extend([self._empty.setdefault(q, ("r", (q,), None))
+                           for q in qubits])
+
+    def seal(self):
+        """Freeze the slots; every nonzero alpha index has exactly one."""
+        self.pos = np.array(self.pos, dtype=np.int32)
+        self.idx = np.array(self.idx, dtype=np.int32)
+        hits = np.bincount(self.idx, minlength=1 << self.inputs)
+        assert len(hits) == 1 << self.inputs
+        assert hits[0] == 0 and (hits[1:] == 1).all()
+        self._empty = None
+        return self
+
+    def bind(self, theta):
+        """A new Circuit: this template with every slot rotating by its
+        coefficient of theta."""
+        alpha = solve_phase_coefficients(theta)
+        gates = self.gates.copy()
+        for p, a in zip(self.pos.tolist(), alpha[self.idx].tolist()):
+            gates[p] = ("r", gates[p][1], a)
+        c = Circuit(self.n, self.ancilla)
+        c.gates = gates
+        c.meta = dict(self.meta)
+        if "marks" in c.meta:
+            c.meta["marks"] = list(c.meta["marks"])
+        return c
+
+    def scan(self, g):
+        """`_scan` against g's edges, computed once."""
+        if self._scanned is None:
+            self._scanned = _scan(self, g._pairs)
+        return self._scanned
+
+
+def cached_template(g, key, build):
+    """g's template under `key`, built by `build()` on the first call.  The
+    cache lives on the graph and dies with it."""
+    t = g._templates.get(key)
+    if t is None:
+        t = g._templates[key] = build()
+    return t
 
 
 def _scan(c, pairs=None):

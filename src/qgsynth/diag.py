@@ -10,9 +10,12 @@ Two families of constructions live here:
   and finishes with a control-register-only diagonal.  Per-graph strategies
   choose the register split, the Gray-code schedule and how each parallel
   CNOT step is realised on the graph.  The sweep reads per-code tables
-  (flip vertex and control mask of every Gray phase) built once per call,
-  and each parallel CNOT step is emitted once and replayed in every cover
-  set.
+  (flip vertex and control mask of every Gray phase) built once per
+  template, and each parallel CNOT step is emitted once and replayed in
+  every cover set.
+
+Every builder emits a `Template` whose rotations are slots, since the gates
+do not depend on the angles; the public entry points bind theta to it.
 
 All emitted two-qubit gates lie on graph edges; routed CNOTs restore every
 intermediate qubit, so each strategy is exact for every angle vector.
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import Template, cached_template
 from .graphs import (
     TooLargeForExactExpansion,
     dfs_labeling,
@@ -33,7 +36,7 @@ from .graphs import (
     hamiltonian_path_grid,
     vertex_expansion,
 )
-from .gray import gray_code, solve_phase_coefficients
+from .gray import gray_code
 from .linear import _f2_reduce, route_cnot_gates
 from .sim import assemble_report
 
@@ -149,85 +152,66 @@ def independent_cover(r_t):
 # ---------------------------------------------------------------------------
 
 
-def _diag_walk(n_bits, angle_of, emit_rot, emit_cnot, skip_zero_levels=False):
-    """Emit the standard diagonal decomposition over n_bits virtual qubits.
+def _diag_walk(n_bits, emit_rot, emit_cnot):
+    """Emit the standard diagonal decomposition over n_bits virtual qubits;
+    emit_rot(k, s) rotates virtual qubit k by the angle of virtual mask s.
 
     Level k handles every mask whose lowest-numbered support reaches bit k
     (bits k+1..n zero, bit k set): walk a (k-1)-bit Gray code on the prefix
     while rotating virtual qubit k.  Masks use bit 1 as MSB."""
     if n_bits == 0:
         return
-    top = 1 << (n_bits - 1)
-    levels = []
-    levels.append((1, [top]))
+    emit_rot(1, 1 << (n_bits - 1))
     for k in range(2, n_bits + 1):
         bit_k = 1 << (n_bits - k)
-        masks = [bit_k]
+        shift = n_bits - k + 1
         code = gray_code(k - 1, 1)
-        for p in range(2, 2 ** (k - 1) + 1):
-            cw = code.codewords[p - 1]
-            masks.append((cw << (n_bits - k + 1)) | bit_k)
-        levels.append((k, masks))
-
-    emit_rot(1, angle_of(top))
-    for k, masks in levels[1:]:
-        if skip_zero_levels and all(abs(angle_of(m)) < 1e-14 for m in masks):
-            continue
-        code = gray_code(k - 1, 1)
-        emit_rot(k, angle_of(masks[0]))
-        for p in range(2, 2 ** (k - 1) + 1):
-            emit_cnot(code.flips[p - 1], k)
-            emit_rot(k, angle_of(masks[p - 1]))
+        emit_rot(k, bit_k)
+        for p in range(1, 2 ** (k - 1)):
+            emit_cnot(code.flips[p], k)
+            emit_rot(k, (code.codewords[p] << shift) | bit_k)
         emit_cnot(code.flips[0], k)
 
 
-def synth_diag_gray_walk(spec, skip_zero_levels=False):
-    """Unconstrained circuit for diag(e^{i theta}): exactly 2^n - 1
-    rotations and at most 2^n CNOTs, assuming full connectivity."""
-    n = spec.n
+def _gray_walk_template(n):
     if n > 20:
         raise ValueError("n too large for dense angle solve")
-    alpha = solve_phase_coefficients(spec.theta)
-    c = Circuit(n)
-    _diag_walk(
-        n,
-        lambda s: alpha[s],
-        lambda q, a: c.r(q, a),
-        lambda ctl, tgt: c.cx(ctl, tgt),
-        skip_zero_levels=skip_zero_levels,
-    )
-    return c
+    t = Template(n, n)
+    _diag_walk(n, t.rot, lambda ctl, tgt: t.gates.append(("cx", (ctl, tgt), None)))
+    return t.seal()
 
 
-def routed_gray_walk(g, spec, order=None, skip_zero_levels=False):
-    """Gray-walk diagonal with every CNOT routed on g.  ``order`` maps
-    virtual bit j to vertex order[j-1]; the default places the most active
-    control (virtual bit 1) at the graph center and sorts the rest by
-    distance from it."""
-    n = spec.n
-    if g.n != n:
-        raise ValueError("graph size mismatch")
+def synth_diag_gray_walk(spec):
+    """Unconstrained circuit for diag(e^{i theta}): exactly 2^n - 1
+    rotations and at most 2^n CNOTs, assuming full connectivity."""
+    return _gray_walk_template(spec.n).bind(spec.theta)
+
+
+def _routed_walk_template(g, order=None):
+    n = g.n
     if order is None:
         center = g.center()
         dist = g.bfs_dist(center)
         order = sorted(range(1, n + 1), key=lambda v: (dist[v], v))
-    alpha = solve_phase_coefficients(spec.theta)
-    c = Circuit(n)
+    t = Template(n, n)
+    # virtual bit j reads the qubit at order[j-1]
+    real = _spread([1 << (n - v) for v in order]).tolist()
 
     def emit_cnot(j1, j2):
-        c.gates.extend(route_cnot_gates(g, order[j1 - 1], order[j2 - 1]))
+        t.gates.extend(route_cnot_gates(g, order[j1 - 1], order[j2 - 1]))
 
-    # remap masks so virtual bit j reads the qubit at order[j-1]
-    def angle_of(virt):
-        s = 0
-        for j in range(1, n + 1):
-            if (virt >> (n - j)) & 1:
-                s |= 1 << (n - order[j - 1])
-        return alpha[s]
+    _diag_walk(n, lambda q, virt: t.rot(order[q - 1], real[virt]), emit_cnot)
+    return t.seal()
 
-    _diag_walk(n, angle_of, lambda q, a: c.r(order[q - 1], a),
-               emit_cnot, skip_zero_levels=skip_zero_levels)
-    return c
+
+def routed_gray_walk(g, spec, order=None):
+    """Gray-walk diagonal with every CNOT routed on g.  ``order`` maps
+    virtual bit j to vertex order[j-1]; the default places the most active
+    control (virtual bit 1) at the graph center and sorts the rest by
+    distance from it."""
+    if g.n != spec.n:
+        raise ValueError("graph size mismatch")
+    return _routed_walk_template(g, order).bind(spec.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -244,41 +228,38 @@ def _spread(bits):
     return tab
 
 
-def _framework(g, spec, split, cp1_emitter, backend):
+def _framework(g, split, cp1_emitter, backend):
     """Control/target register pipeline: for each cover set, re-express the
     target register, then sweep all control prefixes by Gray codes while
     rotating; finish by undoing the register rewrites and applying the
     control-only diagonal via a routed walk over the control vertices.
     The stages are marked gen_k and gray_k for cover set k, reset and
-    lambda_rc.
+    lambda_rc.  Returns the sealed template.
 
     The sweep is table-driven.  Each Gray code of the plan gives a
     flip-vertex table and a control-mask table (the n-bit mask of codeword
     p); `cp1_emitter(pairs)` returns the gates of one parallel CNOT step,
     and the step of each Gray phase is emitted once and replayed in every
-    cover set.  Each owned target slot reads its 2^r_c angles from alpha
-    in one indexed gather.  Every nonzero n-bit mask receives its angle
-    exactly once (asserted)."""
-    n = spec.n
-    r_c, r_t = split.r_c, split.r_t
-    alpha = solve_phase_coefficients(spec.theta)
+    cover set.  The owned target slots of a sweep rotate in one run per
+    step, and the 2^r_c masks of each slot come from one table lookup."""
+    n = g.n
+    r_t = split.r_t
     cover = independent_cover(r_t)
     ctab = _spread([1 << (n - v) for v in split.cverts])
     ttab = _spread([1 << (n - v) for v in split.tverts])
-    codes = {j: gray_code(r_c, j) for j in set(split.gray_plan)}
+    codes = {j: gray_code(split.r_c, j) for j in set(split.gray_plan)}
     flipv = {j: [split.cverts[h - 1] for h in code.flips]
              for j, code in codes.items()}
     cmask = {j: ctab[list(code.codewords)] for j, code in codes.items()}
     steps = [cp1_emitter([(flipv[j][p], tv) for j, tv in
                           zip(split.gray_plan, split.tverts)])
-             for p in range(1 << r_c)]
-    out = Circuit(n)
+             for p in range(1 << split.r_c)]
+    out = Template(n, n)
     gates = out.gates
 
     def routed(u, v):
         gates.extend(route_cnot_gates(g, u, v))
 
-    masks = []  # the masks rotated in each Gray sweep
     Y = np.eye(r_t, dtype=np.uint8)
     gen_ops = []
 
@@ -303,17 +284,14 @@ def _framework(g, spec, split, cp1_emitter, backend):
         # step p flips the bit that leads to codeword p, then each owned
         # slot rotates by that codeword's mask; replaying step 0 closes the
         # cycle
-        owned = []
-        for i, t in enumerate(tset):
-            if cover.owner[t] == k:
-                s = cmask[split.gray_plan[i]] | ttab[t]
-                masks.append(s)
-                owned.append(((split.tverts[i],), alpha[s].tolist()))
-        for p in range(1 << r_c):
+        owned = [i for i, t in enumerate(tset) if cover.owner[t] == k]
+        qubits = [split.tverts[i] for i in owned]
+        masks = np.reshape([cmask[split.gray_plan[i]] | ttab[tset[i]]
+                            for i in owned], (len(owned), 1 << split.r_c))
+        for p, row in enumerate(masks.T.tolist()):
             if p:
                 gates.extend(steps[p])
-            for q, ang in owned:
-                gates.append(("r", q, ang[p]))
+            out.rots(qubits, row)
         gates.extend(steps[0])
         out.mark(f"gray_{k}")
 
@@ -324,26 +302,16 @@ def _framework(g, spec, split, cp1_emitter, backend):
     out.mark("reset")
 
     # control-register diagonal via a routed walk over cverts
-    lam_words = []
-
-    def lam_angle(virt):
-        lam_words.append(virt)
-        return alpha[ctab[virt]]
-
+    control = ctab.tolist()
     _diag_walk(
-        r_c,
-        lam_angle,
-        lambda q, a: out.r(split.cverts[q - 1], a),
+        split.r_c,
+        lambda q, virt: out.rot(split.cverts[q - 1], control[virt]),
         lambda j1, j2: routed(split.cverts[j1 - 1], split.cverts[j2 - 1]),
     )
     out.mark("lambda_rc")
-
-    hits = np.bincount(np.concatenate([*masks, ctab[lam_words]]),
-                       minlength=1 << n)
-    assert hits[0] == 0 and (hits[1:] == 1).all()
     out.meta["ell"] = cover.ell
     out.meta["backend"] = backend
-    return out
+    return out.seal()
 
 
 def _routed_pair_emitter(g):
@@ -512,12 +480,17 @@ _STRATEGY_KINDS = {
 
 def synth_diag_noancilla(g, spec, strategy="auto", verify=True):
     """Connectivity-respecting circuit for diag(e^{i theta}) on g, with a
-    per-strategy register split; returns (circuit, report).
+    per-strategy register split; returns (circuit, report).  The template
+    of (g, strategy) is built once and cached on g.
 
     verify=False skips the simulation residual (counting-only runs)."""
-    c = _dispatch(g, spec, strategy)
+    if g.n != spec.n:
+        raise ValueError("graph size must equal qubit count")
+    t = cached_template(g, ("noancilla", strategy),
+                        lambda: _dispatch(g, strategy))
+    c = t.bind(spec.theta)
     report = assemble_report(c, g, spec if verify else None, m=0,
-                             backend=c.meta["backend"])
+                             backend=c.meta["backend"], scan=t.scan(g))
     report["ell"] = c.meta.get("ell")
     return c, report
 
@@ -534,11 +507,9 @@ def _auto_strategy(g):
     return "general"
 
 
-def _dispatch(g, spec, strategy="auto"):
-    """The no-ancilla circuit of `strategy` on g (no report); the strategy
-    that actually ran is in circuit.meta["backend"]."""
-    if g.n != spec.n:
-        raise ValueError("graph size must equal qubit count")
+def _dispatch(g, strategy="auto"):
+    """The sealed no-ancilla template of `strategy` for a diagonal on all of
+    g; the strategy that actually ran is in its meta["backend"]."""
     if strategy == "auto":
         strategy = _auto_strategy(g)
     elif strategy in _STRATEGY_KINDS and g.kind not in _STRATEGY_KINDS[strategy]:
@@ -547,49 +518,49 @@ def _dispatch(g, spec, strategy="auto"):
     if strategy == "complete":
         if not _is_complete(g):
             raise StrategyGraphMismatch("complete strategy on sparse graph")
-        c = synth_diag_gray_walk(spec)
-        c.meta["backend"] = "complete"
-        return c
+        t = _gray_walk_template(g.n)
+        t.meta["backend"] = "complete"
+        return t
 
     if strategy == "path":
         split = _path_split(list(range(1, g.n + 1)))
         if split is None:
-            return _fallback(g, spec, "path-walk")
-        return _framework(g, spec, split, _routed_pair_emitter(g), "path")
+            return _fallback(g, "path-walk")
+        return _framework(g, split, _routed_pair_emitter(g), "path")
 
     if strategy == "grid":
         order = hamiltonian_path_grid(g.params["dims"])
         split = _path_split(order)
         if split is None:
-            return _fallback(g, spec, "grid-walk")
-        return _framework(g, spec, split, _routed_pair_emitter(g), "grid")
+            return _fallback(g, "grid-walk")
+        return _framework(g, split, _routed_pair_emitter(g), "grid")
 
     if strategy == "tree":
         if g.params.get("arity") == 2:
             split = _tree2_split(g)
             if split is not None:
-                return _framework(g, spec, split, _routed_pair_emitter(g), "tree2")
-        return _fallback(g, spec, "tree-walk")
+                return _framework(g, split, _routed_pair_emitter(g), "tree2")
+        return _fallback(g, "tree-walk")
 
     if strategy == "star":
-        return _fallback(g, spec, "star-walk")
+        return _fallback(g, "star-walk")
 
     if strategy == "expander":
         split, casc = _expander_split(g)
         if split is None:
-            return _fallback(g, spec, "expander-walk")
-        return _framework(g, spec, split, _cascade_emitter(g, casc), "expander")
+            return _fallback(g, "expander-walk")
+        return _framework(g, split, _cascade_emitter(g, casc), "expander")
 
     if strategy == "general":
         split = _general_split(g)
         if split is None:
-            return _fallback(g, spec, "general-walk")
-        return _framework(g, spec, split, _chain_emitter(g, split.tverts), "general")
+            return _fallback(g, "general-walk")
+        return _framework(g, split, _chain_emitter(g, split.tverts), "general")
 
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _fallback(g, spec, backend):
-    c = routed_gray_walk(g, spec)
-    c.meta["backend"] = backend
-    return c
+def _fallback(g, backend):
+    t = _routed_walk_template(g)
+    t.meta["backend"] = backend
+    return t

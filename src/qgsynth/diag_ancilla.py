@@ -16,10 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import Circuit, Template, cached_template
 from .diag import DiagonalSpec, _auto_strategy, _dispatch, _is_complete
 from .graphs import (
     GrowthStalled,
+    InvalidParameters,
+    TooLargeForExactExpansion,
     expander_cascade,
     explicit_graph,
     hamiltonian_path_grid,
@@ -27,7 +29,7 @@ from .graphs import (
     tree_graph,
     vertex_expansion,
 )
-from .gray import gray_code, solve_phase_coefficients
+from .gray import gray_code
 from .linear import route_cnot_gates, synth_permutation
 from .sim import assemble_report
 
@@ -315,36 +317,31 @@ def _stage_precopy(c, g, layout, rt, sufcopy_end):
                 rt.hold(v, bit)
 
 
-def _stage_graycycle(c, g, layout, alpha, rt):
+def _stage_graycycle(c, g, layout, rt):
     n = len(layout.r_inp)
     p = layout.p
-    npf = n - p
-    codes = {l: gray_code(npf, l) for l in set(layout.ell_plan)}
-    cycle = 1 << npf
-    seen = set()
+    codes = {l: gray_code(n - p, l) for l in set(layout.ell_plan)}
+    plan = [codes[l] for l in layout.ell_plan]
+    cycle = 1 << (n - p)
     for j in range(1, cycle + 1):
         jn = j + 1 if j < cycle else 1
         # U_Gen: advance every target's prefix codeword by one Gray step
-        for k, v in enumerate(layout.r_targ, start=1):
-            h = codes[layout.ell_plan[k - 1]].flips[jn - 1]
+        for code, v in zip(plan, layout.r_targ):
+            h = code.flips[jn - 1]
             c.gates.extend(route_cnot_gates(g, rt.source(h, v), v))
-        # rotation layer
-        for k, v in enumerate(layout.r_targ, start=1):
-            cw = codes[layout.ell_plan[k - 1]].codewords[jn - 1]
-            s = (cw << p) | (k - 1)
-            assert s not in seen, (j, k, s)
-            seen.add(s)
+        # rotation layer: target k + 1 holds the mask (codeword << p) | k
+        for k, (code, v) in enumerate(zip(plan, layout.r_targ)):
+            s = (code.codewords[jn - 1] << p) | k
             if s:
-                c.r(v, alpha[s])
-    assert len(seen) == 1 << n
+                c.rot(v, s)
 
 
-def _ancilla_pipeline(g, spec, m):
-    """The 5-stage circuit, with its stages marked (no report)."""
-    layout = build_layout(g, spec.n, m)
-    alpha = solve_phase_coefficients(spec.theta)
+def _ancilla_pipeline(g, n, m):
+    """The sealed 5-stage template, with its stages marked and its report
+    fields set (no report)."""
+    layout = build_layout(g, n, m)
     rt = _Router(g, layout.r_inp)
-    c = Circuit(g.n)
+    c = Template(g.n, n)
 
     _stage_sufcopy(c, g, layout, rt)
     c.mark("suffix-copy")
@@ -354,32 +351,32 @@ def _ancilla_pipeline(g, spec, m):
     _stage_precopy(c, g, layout, rt, sufcopy_end)
     c.mark("prefix-copy")
     copies_end = len(c.gates)
-    _stage_graycycle(c, g, layout, alpha, rt)
+    _stage_graycycle(c, g, layout, rt)
     c.mark("gray-cycle")
     # undo the copies and Gray initial: all CNOTs, so reversal inverts
     c.gates.extend(reversed(c.gates[:copies_end]))
     c.mark("inverse")
 
-    c.meta.update(backend=f"ancilla-{layout.kind}", p=layout.p,
-                  tau=layout.tau, wasted=layout.wasted)
-    return c
-
-
-def _ancilla_fields(c):
-    return {"p": c.meta["p"], "tau": c.meta["tau"], "wasted": c.meta["wasted"]}
+    c.backend = c.meta["backend"] = f"ancilla-{layout.kind}"
+    c.extra = {"p": layout.p, "tau": layout.tau, "wasted": layout.wasted}
+    c.meta.update(c.extra)
+    return c.seal()
 
 
 def synth_diag_ancilla(g, spec, m, verify=True):
     """5-stage ancilla-assisted circuit for diag(e^{i theta}) on the first
     spec.n qubits of g; returns (circuit, stage table, report).  The stage
     table is report["stages"]: per stage, the depth, size and two-qubit
-    count it adds, summing to the report's totals."""
+    count it adds, summing to the report's totals.  The template of
+    (g, n, m) is built once and cached on g."""
     if not isinstance(spec, DiagonalSpec):
         spec = DiagonalSpec(int(np.log2(len(spec))), spec)
-    c = _ancilla_pipeline(g, spec, m)
+    t = cached_template(g, ("ancilla", spec.n, m),
+                        lambda: _ancilla_pipeline(g, spec.n, m))
+    c = t.bind(spec.theta)
     report = assemble_report(c, g, target=spec if verify else None,
-                             m=g.n - spec.n, backend=c.meta["backend"],
-                             extra=_ancilla_fields(c))
+                             m=g.n - spec.n, backend=t.backend, extra=t.extra,
+                             scan=t.scan(g))
     return c, report["stages"], report
 
 
@@ -391,7 +388,10 @@ def synth_diag_expander_ancilla(g, spec, m, cascade):
     of the cascade count in the first and the last."""
     if not isinstance(spec, DiagonalSpec):
         spec = DiagonalSpec(int(np.log2(len(spec))), spec)
-    n = spec.n
+    return _expander_template(g, spec.n, cascade).bind(spec.theta)
+
+
+def _expander_template(g, n, cascade):
     if cascade.length < 2 or not cascade.matchings:
         raise GrowthStalled("cascade too shallow for an ancilla layout")
     s_final = set(cascade.sets[-1])
@@ -416,7 +416,6 @@ def synth_diag_expander_ancilla(g, spec, m, cascade):
     p = min(int(math.log2(len(targ))), n - 1)
     targ = targ[:1 << p]
     npf = n - p
-    alpha = solve_phase_coefficients(spec.theta)
 
     def fan_gates(bit):
         gates = []
@@ -428,7 +427,7 @@ def synth_diag_expander_ancilla(g, spec, m, cascade):
                 gates.append(("cx", (u, w), None))
         return gates
 
-    c = Circuit(g.n)
+    c = Template(g.n, n)
     c.gates.extend(relabel.gates)
 
     grayinit = []
@@ -444,7 +443,6 @@ def synth_diag_expander_ancilla(g, spec, m, cascade):
 
     code = gray_code(npf, 1)
     cycle = 1 << npf
-    seen = set()
     for j in range(1, cycle + 1):
         jn = j + 1 if j < cycle else 1
         h = code.flips[jn - 1]
@@ -452,21 +450,18 @@ def synth_diag_expander_ancilla(g, spec, m, cascade):
         c.gates.extend(fg)
         for w in targ:
             c.cx(partners[w], w)
-        for k, w in enumerate(targ, start=1):
-            s = (code.codewords[jn - 1] << p) | (k - 1)
-            assert s not in seen, (j, k, s)
-            seen.add(s)
+        for k, w in enumerate(targ):
+            s = (code.codewords[jn - 1] << p) | k
             if s:
-                c.r(w, alpha[s])
+                c.rot(w, s)
         c.gates.extend(reversed(fg))
-    assert len(seen) == 1 << n
     c.mark("gray-cycle")
 
     c.gates.extend(reversed(grayinit))
     c.gates.extend(relabel.inverse().gates)
     c.mark("inverse")
     c.meta.update(backend="ancilla-expander", p=p)
-    return c
+    return c.seal()
 
 
 def choose_backend(g, n, m):
@@ -503,33 +498,40 @@ def _induced_subgraph(g, n):
     return explicit_graph(n, [(u, v) for u, v in g.edges if u <= n and v <= n])
 
 
-def _auto_circuit(g, spec, m):
-    """Circuit of the backend choose_backend picks, with its fallbacks
-    (expander -> no cascade, ancilla layout -> InsufficientAncilla) to the
-    no-ancilla strategy on the induced subgraph of vertices 1..n.
+def _auto_template(g, n, m):
+    """Sealed template of the backend choose_backend picks for an n-qubit
+    diagonal with m ancilla on g, built once and cached on g; its
+    `backend` and `extra` hold the report fields.
 
-    Returns (circuit, backend, report extras); no report is built."""
-    n = spec.n
+    The fallbacks (expander -> no cascade, ancilla layout ->
+    InsufficientAncilla) go to the no-ancilla strategy on the induced
+    subgraph of vertices 1..n."""
+    return cached_template(g, ("auto", n, m), lambda: _build_auto(g, n, m))
+
+
+def _build_auto(g, n, m):
     backend = choose_backend(g, n, m)
     if backend == "ancilla-expander":
         casc = _auto_cascade(g, n, m)
         if casc is not None:
-            c = synth_diag_expander_ancilla(g, spec, m, casc)
-            return c, backend, {"decision": backend}
+            t = _expander_template(g, n, casc)
+            t.backend, t.extra = backend, {"decision": backend}
+            return t
         backend = f"noancilla-{_auto_strategy(g)}"
     if backend.startswith("ancilla-"):
         try:
-            c = _ancilla_pipeline(g, spec, m)
+            t = _ancilla_pipeline(g, n, m)
         except InsufficientAncilla:
             backend = f"noancilla-{_auto_strategy(g)}"
         else:
-            return c, c.meta["backend"], {**_ancilla_fields(c),
-                                          "decision": backend}
+            t.extra = {**t.extra, "decision": backend}
+            return t
 
-    c = _dispatch(_induced_subgraph(g, n), spec)
-    c.n = g.n
-    return c, backend, {"decision": backend,
-                        "core_backend": c.meta.get("backend")}
+    t = _dispatch(_induced_subgraph(g, n))
+    t.n = g.n
+    t.backend = backend
+    t.extra = {"decision": backend, "core_backend": t.meta.get("backend")}
+    return t
 
 
 def synth_diag_auto(g, spec, m, verify=True):
@@ -539,9 +541,11 @@ def synth_diag_auto(g, spec, m, verify=True):
     verify=False skips the simulation residual (counting-only runs)."""
     if not isinstance(spec, DiagonalSpec):
         spec = DiagonalSpec(int(np.log2(len(spec))), spec)
-    c, backend, extra = _auto_circuit(g, spec, m)
+    t = _auto_template(g, spec.n, m)
+    c = t.bind(spec.theta)
     report = assemble_report(c, g, target=spec if verify else None,
-                             m=g.n - spec.n, backend=backend, extra=extra)
+                             m=g.n - spec.n, backend=t.backend, extra=t.extra,
+                             scan=t.scan(g))
     return c, report
 
 
@@ -550,7 +554,7 @@ def _auto_cascade(g, n, m):
     free for the input register."""
     try:
         h = vertex_expansion(g)
-    except Exception:
+    except TooLargeForExactExpansion:
         return None
     if h <= 0:
         return None
@@ -561,7 +565,7 @@ def _auto_cascade(g, n, m):
         s = min(seed, max(1, target - 1))
         try:
             casc = expander_cascade(g, s, target)
-        except Exception:
+        except (InvalidParameters, GrowthStalled):
             continue
         if len(casc.sets[-1]) <= g.n - n and casc.length >= 2:
             return casc

@@ -51,6 +51,12 @@ class ConstraintGraph:
         # routed-CNOT gate tuples keyed by (control, target); filled by
         # linear.route_cnot_gates, the one routing primitive
         object.__setattr__(self, "_routes", {})
+        # diagonal templates (circuit.Template: gates with empty rotation
+        # slots, slot arrays, report fields, gate scan) keyed by entry point
+        # and what the gates depend on, e.g. ("auto", n, m); filled by
+        # circuit.cached_template.  Angles are bound per call, never kept.
+        # Both caches live on the graph, so they die with it.
+        object.__setattr__(self, "_templates", {})
         # connectivity check (BFS from 1)
         if self.n > 0:
             seen = {1}

@@ -310,8 +310,12 @@ def verify_target(c, target, m=None):
     return float(np.max(np.abs(out - ph * u))), restored
 
 
-def assemble_report(c, g, target=None, m=None, backend="", extra=None):
-    depth, size, twoq, bad, stages = _scan(c, g._pairs)
+def assemble_report(c, g, target=None, m=None, backend="", extra=None,
+                    scan=None):
+    """The report of c on g.  `scan` is a `_scan(c, g._pairs)` result
+    computed earlier (a cached template's); verification always runs on c
+    itself."""
+    depth, size, twoq, bad, stages = scan or _scan(c, g._pairs)
     report = {
         "depth": depth,
         "size": size,
@@ -336,7 +340,7 @@ def assemble_report(c, g, target=None, m=None, backend="", extra=None):
         else:
             report["residual"] = "not simulated"
     if stages:
-        report["stages"] = stages
+        report["stages"] = [dict(row) for row in stages]
     if extra:
         report.update(extra)
     return report

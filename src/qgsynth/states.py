@@ -23,7 +23,7 @@ from scipy.linalg import cossin
 
 from .circuit import Circuit, gate_matrix
 from .diag import DiagonalSpec
-from .diag_ancilla import InsufficientAncilla, _auto_circuit
+from .diag_ancilla import InsufficientAncilla, _auto_template
 from .graphs import explicit_graph, tree_graph
 from .linear import multi_controlled_x, copy_register, route_cnot_gates, \
     synth_permutation
@@ -174,10 +174,10 @@ def retarget_last(V):
 def synth_ucg(g, V, m):
     """Compile a UCG on the first V.n qubits of g with m ancilla.
 
-    The three diagonal factors go through the automatic diagonal dispatch
-    (circuits only, no report); the fixed single-qubit gates land on the
-    target vertex.  Targets other than the last qubit are conjugated by a
-    swap network first.
+    The three diagonal factors bind their angles to the one template of the
+    automatic diagonal dispatch for (g, n, m), cached on g (no report); the
+    fixed single-qubit gates land on the target vertex.  Targets other than
+    the last qubit are conjugated by a swap network first.
     """
     n = V.n
     c = Circuit(g.n)
@@ -198,7 +198,7 @@ def synth_ucg(g, V, m):
     def emit_diag(spec):
         if np.max(np.abs(spec.theta)) <= 1e-14:
             return
-        c.extend(_auto_circuit(g, spec, m)[0])
+        c.extend(_auto_template(g, n, m).bind(spec.theta))
 
     emit_diag(lam1)
     if np.max(np.abs(lam2.theta)) > 1e-14:

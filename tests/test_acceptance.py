@@ -19,13 +19,14 @@ from qgsynth.bounds import (
     transform_circuit,
 )
 from qgsynth.circuit import Circuit, to_layered_form, validate_connectivity
-from qgsynth.diag import DiagonalSpec, solve_phase_coefficients, synth_diag_noancilla
+from qgsynth.diag import DiagonalSpec, synth_diag_noancilla
 from qgsynth.diag_ancilla import (
     _auto_cascade,
     synth_diag_ancilla,
     synth_diag_auto,
     synth_diag_expander_ancilla,
 )
+from qgsynth.gray import solve_phase_coefficients
 from qgsynth.graphs import (
     brickwall_graph,
     build_graph,

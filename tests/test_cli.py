@@ -116,18 +116,18 @@ def test_graph_info(files, capsys):
     assert "path" in text
 
 
-# CSVs written by `qgsynth bench` before it stopped verifying (seed 5)
+# CSVs written by `qgsynth bench` (seed 5); ratio is depth / bound_max
 _BENCH_CSV = {
     "diag": ["task,graph_kind,n,m,depth,size,two_qubit,bound_max,ratio,seed",
-             "diag,path,2,6,31,45,42,2.0,12.4,5",
-             "diag,path,3,9,94,117,110,3.0,26.894843,5",
-             "diag,path,4,12,338,421,406,4.0,67.6,5",
-             "diag,path,5,15,506,697,666,5.656854,69.727182,5"],
+             "diag,path,2,6,31,45,42,2.0,15.5,5",
+             "diag,path,3,9,94,117,110,3.0,31.333333,5",
+             "diag,path,4,12,338,421,406,4.0,84.5,5",
+             "diag,path,5,15,506,697,666,5.656854,89.449008,5"],
     "qsp": ["task,graph_kind,n,m,depth,size,two_qubit,bound_max,ratio,seed",
-            "qsp,path,2,6,97,140,126,2.0,38.8,5",
-            "qsp,path,3,9,352,450,414,3.0,100.712605,5",
-            "qsp,path,4,12,1360,1772,1694,4.0,272.0,5",
-            "qsp,path,5,15,2544,3446,3286,5.656854,350.565123,5"],
+            "qsp,path,2,6,97,140,126,2.0,48.5,5",
+            "qsp,path,3,9,352,450,414,3.0,117.333333,5",
+            "qsp,path,4,12,1360,1772,1694,4.0,340.0,5",
+            "qsp,path,5,15,2544,3446,3286,5.656854,449.719913,5"],
 }
 
 

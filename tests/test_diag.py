@@ -5,9 +5,9 @@ import pytest
 from qgsynth.diag import (
     DiagonalSpec,
     StrategyGraphMismatch,
-    solve_phase_coefficients,
     synth_diag_noancilla,
 )
+from qgsynth.gray import solve_phase_coefficients
 from qgsynth.graphs import (
     build_graph,
     complete_graph,

@@ -217,3 +217,35 @@ def test_route_cache_survives_whole_graph_calls():
         assert (cached > 0) == routed
         synth_diag_auto(g, spec, 0, verify=False)
         assert len(g._routes) == cached
+
+
+@pytest.mark.parametrize("name", ["expander_cascade", "vertex_expansion"])
+def test_cascade_bug_is_not_a_fallback(name, monkeypatch):
+    # only the cascade's own refusals mean "no cascade"; any other error
+    # propagates instead of silently picking (and caching) the fallback
+    from qgsynth import diag_ancilla
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(diag_ancilla, name, broken)
+    g = complete_graph(6)
+    with pytest.raises(TypeError, match="bug"):
+        synth_diag_auto(g, random_spec(np.random.default_rng(42), 3), 3)
+    assert g._templates == {}
+
+
+def test_cascade_refusal_falls_back():
+    from qgsynth.graphs import GrowthStalled
+
+    g = complete_graph(6)
+    spec = random_spec(np.random.default_rng(43), 3)
+
+    def stalled(*args, **kwargs):
+        raise GrowthStalled("no growth")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("qgsynth.diag_ancilla.expander_cascade", stalled)
+        _, report = synth_diag_auto(g, spec, 3)
+    assert report["decision"] == "noancilla-complete"
+    assert report["residual"] <= 1e-8

@@ -1,0 +1,197 @@
+"""Per-graph diagonal templates: a warm call binds new angles to the cached
+template and must give exactly what a cold call on a fresh graph gives,
+without re-entering a builder; returned objects are the caller's own, and
+the cache dies with its graph."""
+import gc
+import json
+import weakref
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_state, random_unitary
+from qgsynth import diag, diag_ancilla, graphs, linear, states
+from qgsynth.circuit import Template, circuit_to_json
+from qgsynth.diag import DiagonalSpec, synth_diag_noancilla
+from qgsynth.diag_ancilla import synth_diag_ancilla, synth_diag_auto
+from qgsynth.graphs import (
+    complete_graph,
+    explicit_graph,
+    grid_graph,
+    path_graph,
+    star_graph,
+    tree_graph,
+)
+from qgsynth.states import StateSpec, UnitarySpec, gus_synthesize, qsp_synthesize
+
+# (graph family, n) -> fresh graph; m is the rest of the graph
+FAMILIES = {
+    "path": lambda n: path_graph(n),
+    "grid": lambda n: grid_graph([2, n // 2]) if n % 2 == 0 else grid_graph([n]),
+    "tree2": lambda n: tree_graph(2, n=n),
+    "star": lambda n: star_graph(n),
+    "complete": lambda n: complete_graph(n),
+    "explicit": lambda n: explicit_graph(
+        n, [(v, v + 1) for v in range(1, n)] + [(1, n)]),
+    "ancilla-path": lambda n: path_graph(4 * n),
+    "ancilla-grid": lambda n: grid_graph([8, 10]),
+    "ancilla-tree": lambda n: tree_graph(2, n=31),
+    "expander": lambda n: complete_graph(2 * n),
+}
+
+# builders that a warm call must not enter
+BUILDERS = [(diag, "_framework"), (diag, "_diag_walk"),
+            (diag_ancilla, "_ancilla_pipeline"),
+            (diag_ancilla, "_expander_template")]
+ROUTERS = [diag, diag_ancilla, linear, states]
+
+
+@contextmanager
+def counting(targets):
+    """Count calls of each (module, name) while active."""
+    counts = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for mod, name in targets:
+            fn = getattr(mod, name)
+            counts.setdefault(name, 0)
+
+            def wrapper(*args, _fn=fn, _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            mp.setattr(mod, name, wrapper)
+        yield counts
+
+
+def spec(n, seed):
+    return DiagonalSpec(n, np.random.default_rng(seed).uniform(0, 7, 1 << n))
+
+
+def dump(c):
+    return json.dumps(circuit_to_json(c))
+
+
+def without_residual(report):
+    return {k: v for k, v in report.items() if k != "residual"}
+
+
+def entry_points(family, n, g):
+    """(name, call(g, spec)) pairs that run this family's template."""
+    calls = [("auto", lambda g, s: synth_diag_auto(g, s, g.n - n))]
+    if g.n == n:
+        calls.append(("noancilla", lambda g, s: synth_diag_noancilla(g, s)))
+    if family in ("ancilla-path", "ancilla-grid", "ancilla-tree"):
+        # (circuit, stage table, report) -> (circuit, report)
+        calls.append(("ancilla",
+                      lambda g, s: synth_diag_ancilla(g, s, g.n - n)[::2]))
+    return calls
+
+
+@given(family=st.sampled_from(sorted(FAMILIES)), n=st.integers(2, 5),
+       seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)))
+@settings(max_examples=40, deadline=None)
+def test_warm_call_equals_cold_call(family, n, seeds):
+    if family == "ancilla-grid":
+        n = min(n, 2)  # grid(8x10) holds m >= 36n only for n = 2
+    warm_g = FAMILIES[family](n)
+    for name, call in entry_points(family, n, warm_g):
+        call(warm_g, spec(n, seeds[0]))
+        with counting(BUILDERS + [(m, "route_cnot_gates") for m in ROUTERS]) as counts:
+            warm_c, warm_r = call(warm_g, spec(n, seeds[1]))
+        assert set(counts.values()) == {0}, (name, counts)
+        cold_c, cold_r = call(FAMILIES[family](n), spec(n, seeds[1]))
+        assert dump(warm_c) == dump(cold_c)
+        assert without_residual(warm_r) == without_residual(cold_r)
+        assert warm_r["residual"] <= 1e-8
+    if family.startswith("ancilla-"):
+        assert warm_r["backend"] == family
+    if family == "expander":
+        assert warm_r["backend"] == "ancilla-expander"
+
+
+def test_gus_builds_each_key_once():
+    # the 7 UCGs of an n = 3 unitary are all 3-qubit: their nonzero
+    # diagonal factors share the one template ("auto", 3, 0)
+    g = path_graph(3)
+    U = UnitarySpec(3, random_unitary(np.random.default_rng(5), 8))
+    with counting([(diag_ancilla, "_build_auto")]) as counts:
+        _, report = gus_synthesize(g, U, 0)
+    assert counts == {"_build_auto": 1}
+    assert list(g._templates) == [("auto", 3, 0)]
+    assert report["residual"] <= 1e-8
+
+
+def test_qsp_factors_share_one_key_per_ucg():
+    g = star_graph(4)
+    with counting([(diag_ancilla, "_build_auto")]) as counts:
+        qsp_synthesize(g, StateSpec(4, random_state(np.random.default_rng(6), 4)), 0)
+    # UCG j >= 2 has three diagonal factors on (j, 4 - j); UCG 1 has none
+    assert counts == {"_build_auto": 3}
+    assert sorted(g._templates) == [("auto", j, 4 - j) for j in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("make, n", [(lambda: path_graph(12), 3),
+                                     (lambda: path_graph(7), 7)],
+                         ids=["ancilla", "noancilla"])
+def test_mutating_results_leaves_the_next_call_alone(make, n):
+    g = make()
+    s = spec(n, 8)
+    c, report = synth_diag_auto(g, s, g.n - n)
+    want_c, want_r = dump(c), json.dumps(report)
+    c.gates[0] = ("x", (1,), None)
+    c.gates.append(("x", (2,), None))
+    c.meta["marks"].append(("extra", 0))
+    c.meta["backend"] = "changed"
+    report["stages"][0]["depth"] = -1
+    report["stages"].append({"stage": "extra"})
+    c2, report2 = synth_diag_auto(g, s, g.n - n)
+    assert dump(c2) == want_c
+    assert json.dumps(report2) == want_r
+    assert c2.meta["backend"] != "changed"
+    assert c2.meta["marks"][-1] != ("extra", 0)
+
+
+def test_cache_dies_with_its_graph():
+    g = path_graph(12)
+    synth_diag_auto(g, spec(3, 9), 9)
+    assert g._templates
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+
+
+def _live(kind):
+    gc.collect()
+    return sum(isinstance(o, kind) for o in gc.get_objects())
+
+
+def test_relabelled_hosts_do_not_accumulate():
+    # breadth-first order 1, 3, 2, 4, 5: each call runs its cascade on a
+    # freshly relabelled host graph, whose templates must die with it
+    g = explicit_graph(5, [(1, 3), (3, 2), (2, 4), (4, 5)])
+    v = StateSpec(3, random_state(np.random.default_rng(10), 3))
+    hosts = []
+    build = states.explicit_graph
+
+    def record(*args):
+        host = build(*args)
+        hosts.append(weakref.ref(host))
+        return host
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(states, "explicit_graph", record)
+        qsp_synthesize(g, v, 2)
+        graphs_before, templates_before = (_live(graphs.ConstraintGraph),
+                                           _live(Template))
+        for _ in range(19):
+            _, report = qsp_synthesize(g, v, 2)
+    assert report["residual"] <= 1e-8
+    assert len(hosts) == 20
+    assert _live(graphs.ConstraintGraph) == graphs_before
+    assert _live(Template) == templates_before
+    assert all(ref() is None for ref in hosts)
+    assert g._templates == {}
