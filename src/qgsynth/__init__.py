@@ -46,6 +46,7 @@ from .linear import (
 from .sim import (
     TooLarge,
     assemble_report,
+    f2_matrix,
     simulate,
     ucg_matrix,
     verify_target,

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import networkx as nx
 
 from .circuit import Circuit, TWO_QUBIT, to_layered_form
-from .graphs import (brickwall_row_length, brickwall_vertical_columns,
-                     grid_graph)
+from .graphs import (brickwall_chains, brickwall_row_length,
+                     brickwall_vertical_columns, grid_graph)
 from .linear import cnot_along
 
 
@@ -147,19 +147,7 @@ def brickwall_embedding(bw):
     def row_v(r, c):
         return r * width + c + 1
 
-    # reconstruct the subdivision chains in construction order (matching
-    # brickwall_graph's vertex numbering)
-    chains = {}
-    nxt = (n1 + 1) * width + 1
-    for gap in range(n1):
-        for col in brickwall_vertical_columns(gap, n1, n2, b2):
-            chain = [row_v(gap, col)]
-            for _ in range(b1 - 2):
-                chain.append(nxt)
-                nxt += 1
-            chain.append(row_v(gap + 1, col))
-            chains[(gap, col)] = chain
-
+    chains = brickwall_chains(n1, n2, b1, b2)
     classes = {}
     contracted = {}
     for gap in range(n1):

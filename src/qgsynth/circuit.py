@@ -235,8 +235,9 @@ class Template(Circuit):
 
 
 def cached_template(g, key, build):
-    """g's template under `key`, built by `build()` on the first call.  The
-    cache lives on the graph and dies with it."""
+    """g's template (or other per-graph object) under `key`, built by
+    `build()` on the first call.  The cache lives on the graph and dies
+    with it."""
     t = g._templates.get(key)
     if t is None:
         t = g._templates[key] = build()

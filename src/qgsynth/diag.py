@@ -1,24 +1,21 @@
-"""Diagonal-unitary synthesis without ancilla qubits.
+"""Diagonal unitaries without ancilla qubits.
 
-Two families of constructions live here:
+The multiplexed-rotation walk (`_diag_walk`: 2^n - 1 rotations, a Gray
+code per level) realises any diagonal; `_walk` lays it on graph vertices
+and routes its CNOTs.  On top of it sits a connectivity-aware pipeline: it
+splits the qubits into a control and a target register, sweeps
+Gray-coded parities onto the target register in phases C_1..C_l, undoes
+the register rewrites, and ends with the walk over the control register.
+A strategy picks the register split and how a parallel CNOT step is laid
+on the graph; a strategy with no split on g falls back to the walk over
+all of g, reported as backend "<strategy>-walk".
 
-* ``synth_diag_gray_walk`` -- the unconstrained multiplexed-rotation walk
-  (2^n - 1 rotations, 2^n - 2 CNOTs) that assumes all-to-all connectivity.
-* ``synth_diag_noancilla`` -- a connectivity-aware pipeline that splits the
-  qubits into a control and a target register, sweeps Gray-coded parities
-  onto the target register in phases C_1..C_l, undoes the register scramble,
-  and finishes with a control-register-only diagonal.  Per-graph strategies
-  choose the register split, the Gray-code schedule and how each parallel
-  CNOT step is realised on the graph.  The sweep reads per-code tables
-  (flip vertex and control mask of every Gray phase) built once per
-  template, and each parallel CNOT step is emitted once and replayed in
-  every cover set.
-
-Every builder emits a `Template` whose rotations are slots, since the gates
-do not depend on the angles; the public entry points bind theta to it.
-
-All emitted two-qubit gates lie on graph edges; routed CNOTs restore every
-intermediate qubit, so each strategy is exact for every angle vector.
+Every builder emits a `Template` whose rotations are slots, since the
+gates do not depend on the angles.  Each diagonal entry point, here and in
+diag_ancilla, binds theta to its cached template and builds the report in
+`_bind_report`.  Every two-qubit gate lies on a graph edge, and routed
+CNOTs restore every intermediate qubit, so each strategy is exact for
+every angle vector.
 """
 
 from __future__ import annotations
@@ -143,8 +140,7 @@ def independent_cover(r_t):
             owner.setdefault(v, k)
             uncovered.discard(v)
         sets.append(cur)
-    cover = IndependentCover(r_t, sets, owner)
-    return cover
+    return IndependentCover(r_t, sets, owner)
 
 
 # ---------------------------------------------------------------------------
@@ -173,52 +169,6 @@ def _diag_walk(n_bits, emit_rot, emit_cnot):
         emit_cnot(code.flips[0], k)
 
 
-def _gray_walk_template(n):
-    if n > 20:
-        raise ValueError("n too large for dense angle solve")
-    t = Template(n, n)
-    _diag_walk(n, t.rot, lambda ctl, tgt: t.gates.append(("cx", (ctl, tgt), None)))
-    return t.seal()
-
-
-def synth_diag_gray_walk(spec):
-    """Unconstrained circuit for diag(e^{i theta}): exactly 2^n - 1
-    rotations and at most 2^n CNOTs, assuming full connectivity."""
-    return _gray_walk_template(spec.n).bind(spec.theta)
-
-
-def _routed_walk_template(g, order=None):
-    n = g.n
-    if order is None:
-        center = g.center()
-        dist = g.bfs_dist(center)
-        order = sorted(range(1, n + 1), key=lambda v: (dist[v], v))
-    t = Template(n, n)
-    # virtual bit j reads the qubit at order[j-1]
-    real = _spread([1 << (n - v) for v in order]).tolist()
-
-    def emit_cnot(j1, j2):
-        t.gates.extend(route_cnot_gates(g, order[j1 - 1], order[j2 - 1]))
-
-    _diag_walk(n, lambda q, virt: t.rot(order[q - 1], real[virt]), emit_cnot)
-    return t.seal()
-
-
-def routed_gray_walk(g, spec, order=None):
-    """Gray-walk diagonal with every CNOT routed on g.  ``order`` maps
-    virtual bit j to vertex order[j-1]; the default places the most active
-    control (virtual bit 1) at the graph center and sorts the rest by
-    distance from it."""
-    if g.n != spec.n:
-        raise ValueError("graph size mismatch")
-    return _routed_walk_template(g, order).bind(spec.theta)
-
-
-# ---------------------------------------------------------------------------
-# No-ancilla framework engine
-# ---------------------------------------------------------------------------
-
-
 def _spread(bits):
     """Table over the words of a len(bits)-bit register (bit 1 = MSB): the
     n-bit mask that sets bits[j] wherever the word sets bit j + 1."""
@@ -226,6 +176,30 @@ def _spread(bits):
     for b in bits:
         tab = (tab[:, None] | np.array([0, b])).ravel()
     return tab
+
+
+def _walk(t, g, verts):
+    """Append to t the walk over `verts` (virtual bit j on verts[j-1]),
+    every CNOT routed on g; on an edge that is the single CNOT."""
+    real = _spread([1 << (g.n - v) for v in verts]).tolist()
+    _diag_walk(
+        len(verts),
+        lambda q, virt: t.rot(verts[q - 1], real[virt]),
+        lambda j1, j2: t.gates.extend(
+            route_cnot_gates(g, verts[j1 - 1], verts[j2 - 1])),
+    )
+
+
+def _seal(t, backend, ell=None):
+    """Seal t with its report fields: the backend and the cover size."""
+    t.backend = t.meta["backend"] = backend
+    t.extra = {"ell": ell}
+    return t.seal()
+
+
+# ---------------------------------------------------------------------------
+# No-ancilla framework engine
+# ---------------------------------------------------------------------------
 
 
 def _framework(g, split, cp1_emitter, backend):
@@ -301,17 +275,10 @@ def _framework(g, split, cp1_emitter, backend):
         routed(split.tverts[src], split.tverts[dst])
     out.mark("reset")
 
-    # control-register diagonal via a routed walk over cverts
-    control = ctab.tolist()
-    _diag_walk(
-        split.r_c,
-        lambda q, virt: out.rot(split.cverts[q - 1], control[virt]),
-        lambda j1, j2: routed(split.cverts[j1 - 1], split.cverts[j2 - 1]),
-    )
+    # control-register diagonal: the walk over the control vertices
+    _walk(out, g, split.cverts)
     out.mark("lambda_rc")
-    out.meta["ell"] = cover.ell
-    out.meta["backend"] = backend
-    return out.seal()
+    return _seal(out, backend, cover.ell)
 
 
 def _routed_pair_emitter(g):
@@ -470,12 +437,21 @@ def _expander_split(g):
 # Dispatcher
 # ---------------------------------------------------------------------------
 
-_STRATEGY_KINDS = {
-    "path": {"path"},
-    "grid": {"grid"},
-    "tree": {"tree"},
-    "star": {"star"},
-}
+
+def _as_spec(spec):
+    """spec itself, or the DiagonalSpec of an array of 2^n angles."""
+    if isinstance(spec, DiagonalSpec):
+        return spec
+    return DiagonalSpec(int(np.log2(len(spec))), spec)
+
+
+def _bind_report(g, t, spec, verify):
+    """(circuit, report) of template t on g bound to spec; verify=False
+    skips the simulation residual."""
+    c = t.bind(spec.theta)
+    report = assemble_report(c, g, spec if verify else None, m=g.n - spec.n,
+                             backend=t.backend, extra=t.extra, scan=t.scan(g))
+    return c, report
 
 
 def synth_diag_noancilla(g, spec, strategy="auto", verify=True):
@@ -488,11 +464,7 @@ def synth_diag_noancilla(g, spec, strategy="auto", verify=True):
         raise ValueError("graph size must equal qubit count")
     t = cached_template(g, ("noancilla", strategy),
                         lambda: _dispatch(g, strategy))
-    c = t.bind(spec.theta)
-    report = assemble_report(c, g, spec if verify else None, m=0,
-                             backend=c.meta["backend"], scan=t.scan(g))
-    report["ell"] = c.meta.get("ell")
-    return c, report
+    return _bind_report(g, t, spec, verify)
 
 
 def _is_complete(g):
@@ -509,58 +481,46 @@ def _auto_strategy(g):
 
 def _dispatch(g, strategy="auto"):
     """The sealed no-ancilla template of `strategy` for a diagonal on all of
-    g; the strategy that actually ran is in its meta["backend"]."""
+    g; the backend that actually ran is its `backend`.  A strategy without
+    a register split on g falls back to the walk named f"{strategy}-walk",
+    with the most active control at the graph center and the other bits
+    by distance from it."""
     if strategy == "auto":
         strategy = _auto_strategy(g)
-    elif strategy in _STRATEGY_KINDS and g.kind not in _STRATEGY_KINDS[strategy]:
+    if strategy in ("path", "grid", "tree", "star") and g.kind != strategy:
         raise StrategyGraphMismatch(f"{strategy} strategy on {g.kind} graph")
-
+    split = casc = None
     if strategy == "complete":
         if not _is_complete(g):
             raise StrategyGraphMismatch("complete strategy on sparse graph")
-        t = _gray_walk_template(g.n)
-        t.meta["backend"] = "complete"
-        return t
-
+        if g.n > 20:
+            raise ValueError("n too large for dense angle solve")
+        t = Template(g.n, g.n)
+        _walk(t, g, list(range(1, g.n + 1)))
+        return _seal(t, "complete")
     if strategy == "path":
         split = _path_split(list(range(1, g.n + 1)))
-        if split is None:
-            return _fallback(g, "path-walk")
-        return _framework(g, split, _routed_pair_emitter(g), "path")
-
-    if strategy == "grid":
-        order = hamiltonian_path_grid(g.params["dims"])
-        split = _path_split(order)
-        if split is None:
-            return _fallback(g, "grid-walk")
-        return _framework(g, split, _routed_pair_emitter(g), "grid")
-
-    if strategy == "tree":
-        if g.params.get("arity") == 2:
-            split = _tree2_split(g)
-            if split is not None:
-                return _framework(g, split, _routed_pair_emitter(g), "tree2")
-        return _fallback(g, "tree-walk")
-
-    if strategy == "star":
-        return _fallback(g, "star-walk")
-
-    if strategy == "expander":
+    elif strategy == "grid":
+        split = _path_split(hamiltonian_path_grid(g.params["dims"]))
+    elif strategy == "tree" and g.params.get("arity") == 2:
+        split = _tree2_split(g)
+    elif strategy == "expander":
         split, casc = _expander_split(g)
-        if split is None:
-            return _fallback(g, "expander-walk")
-        return _framework(g, split, _cascade_emitter(g, casc), "expander")
-
-    if strategy == "general":
+    elif strategy == "general":
         split = _general_split(g)
-        if split is None:
-            return _fallback(g, "general-walk")
-        return _framework(g, split, _chain_emitter(g, split.tverts), "general")
+    elif strategy not in ("tree", "star"):
+        raise ValueError(f"unknown strategy {strategy!r}")
 
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def _fallback(g, backend):
-    t = _routed_walk_template(g)
-    t.meta["backend"] = backend
-    return t
+    if split is None:
+        dist = g.bfs_dist(g.center())
+        t = Template(g.n, g.n)
+        _walk(t, g, sorted(range(1, g.n + 1), key=lambda v: (dist[v], v)))
+        return _seal(t, f"{strategy}-walk")
+    if casc is not None:
+        emitter = _cascade_emitter(g, casc)
+    elif strategy == "general":
+        emitter = _chain_emitter(g, split.tverts)
+    else:
+        emitter = _routed_pair_emitter(g)
+    return _framework(g, split, emitter,
+                      "tree2" if strategy == "tree" else strategy)

@@ -10,14 +10,13 @@ a 3-stage variant (gray-init, gray-cycle, inverse) that re-fans single bits
 through the matching cascade instead of keeping copies.
 """
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .circuit import Circuit, Template, cached_template
-from .diag import DiagonalSpec, _auto_strategy, _dispatch, _is_complete
+from .diag import _as_spec, _auto_strategy, _bind_report, _dispatch
 from .graphs import (
     GrowthStalled,
     InvalidParameters,
@@ -31,7 +30,6 @@ from .graphs import (
 )
 from .gray import gray_code
 from .linear import route_cnot_gates, synth_permutation
-from .sim import assemble_report
 
 
 class InsufficientAncilla(ValueError):
@@ -369,14 +367,10 @@ def synth_diag_ancilla(g, spec, m, verify=True):
     table is report["stages"]: per stage, the depth, size and two-qubit
     count it adds, summing to the report's totals.  The template of
     (g, n, m) is built once and cached on g."""
-    if not isinstance(spec, DiagonalSpec):
-        spec = DiagonalSpec(int(np.log2(len(spec))), spec)
+    spec = _as_spec(spec)
     t = cached_template(g, ("ancilla", spec.n, m),
                         lambda: _ancilla_pipeline(g, spec.n, m))
-    c = t.bind(spec.theta)
-    report = assemble_report(c, g, target=spec if verify else None,
-                             m=g.n - spec.n, backend=t.backend, extra=t.extra,
-                             scan=t.scan(g))
+    c, report = _bind_report(g, t, spec, verify)
     return c, report["stages"], report
 
 
@@ -386,8 +380,7 @@ def synth_diag_expander_ancilla(g, spec, m, cascade):
     layer plus rotations, then unwinds the fanout.  The stages are marked
     gray-init, gray-cycle and inverse; the swaps that move input qubits out
     of the cascade count in the first and the last."""
-    if not isinstance(spec, DiagonalSpec):
-        spec = DiagonalSpec(int(np.log2(len(spec))), spec)
+    spec = _as_spec(spec)
     return _expander_template(g, spec.n, cascade).bind(spec.theta)
 
 
@@ -464,24 +457,25 @@ def _expander_template(g, n, cascade):
     return c.seal()
 
 
+# per no-ancilla strategy, the ancilla backend and the factor f: the
+# backend is chosen once m >= f * n (binary trees only for "tree")
+_ANCILLA_BACKENDS = {
+    "path": ("ancilla-path", 3),
+    "grid": ("ancilla-grid", 36),
+    "tree": ("ancilla-tree", 3),
+    "complete": ("ancilla-expander", 1),
+}
+
+
 def choose_backend(g, n, m):
     """Deterministic dispatch between the ancilla frameworks and the
     no-ancilla strategies of diag.py."""
-    if m <= 0:
-        return f"noancilla-{_auto_strategy(g)}"
-    if g.kind == "path":
-        return "ancilla-path" if m >= 3 * n else "noancilla-path"
-    if g.kind == "grid":
-        return "ancilla-grid" if m >= 36 * n else "noancilla-grid"
-    if g.kind == "tree":
-        if g.params.get("arity") == 2 and m >= 3 * n:
-            return "ancilla-tree"
-        return "noancilla-tree"
-    if g.kind == "star":
-        return "noancilla-star"
-    if _is_complete(g):
-        return "ancilla-expander" if m >= n else "noancilla-complete"
-    return "noancilla-general"
+    strategy = _auto_strategy(g)
+    backend, factor = _ANCILLA_BACKENDS.get(strategy, (None, 0))
+    if (backend and m > 0 and m >= factor * n
+            and (strategy != "tree" or g.params.get("arity") == 2)):
+        return backend
+    return f"noancilla-{strategy}"
 
 
 def _induced_subgraph(g, n):
@@ -510,27 +504,24 @@ def _auto_template(g, n, m):
 
 
 def _build_auto(g, n, m):
-    backend = choose_backend(g, n, m)
-    if backend == "ancilla-expander":
+    decision = choose_backend(g, n, m)
+    t = None
+    if decision == "ancilla-expander":
         casc = _auto_cascade(g, n, m)
         if casc is not None:
             t = _expander_template(g, n, casc)
-            t.backend, t.extra = backend, {"decision": backend}
-            return t
-        backend = f"noancilla-{_auto_strategy(g)}"
-    if backend.startswith("ancilla-"):
-        try:
+    elif decision.startswith("ancilla-"):
+        with contextlib.suppress(InsufficientAncilla):
             t = _ancilla_pipeline(g, n, m)
-        except InsufficientAncilla:
-            backend = f"noancilla-{_auto_strategy(g)}"
-        else:
-            t.extra = {**t.extra, "decision": backend}
-            return t
+    if t is not None:
+        t.backend, t.extra = decision, {**t.extra, "decision": decision}
+        return t
 
+    decision = f"noancilla-{_auto_strategy(g)}"
     t = _dispatch(_induced_subgraph(g, n))
     t.n = g.n
-    t.backend = backend
-    t.extra = {"decision": backend, "core_backend": t.meta.get("backend")}
+    t.backend, t.extra = decision, {"decision": decision,
+                                    "core_backend": t.backend}
     return t
 
 
@@ -539,14 +530,8 @@ def synth_diag_auto(g, spec, m, verify=True):
     decision recorded in the report.
 
     verify=False skips the simulation residual (counting-only runs)."""
-    if not isinstance(spec, DiagonalSpec):
-        spec = DiagonalSpec(int(np.log2(len(spec))), spec)
-    t = _auto_template(g, spec.n, m)
-    c = t.bind(spec.theta)
-    report = assemble_report(c, g, target=spec if verify else None,
-                             m=g.n - spec.n, backend=t.backend, extra=t.extra,
-                             scan=t.scan(g))
-    return c, report
+    spec = _as_spec(spec)
+    return _bind_report(g, _auto_template(g, spec.n, m), spec, verify)
 
 
 def _auto_cascade(g, n, m):
@@ -554,7 +539,7 @@ def _auto_cascade(g, n, m):
     free for the input register."""
     try:
         h = vertex_expansion(g)
-    except TooLargeForExactExpansion:
+    except (TooLargeForExactExpansion, InvalidParameters):
         return None
     if h <= 0:
         return None

@@ -53,22 +53,16 @@ class ConstraintGraph:
         object.__setattr__(self, "_routes", {})
         # diagonal templates (circuit.Template: gates with empty rotation
         # slots, slot arrays, report fields, gate scan) keyed by entry point
-        # and what the gates depend on, e.g. ("auto", n, m); filled by
-        # circuit.cached_template.  Angles are bound per call, never kept.
-        # Both caches live on the graph, so they die with it.
+        # and what the gates depend on, e.g. ("auto", n, m), plus the
+        # breadth-first relabelled host of states.qsp_synthesize under
+        # ("host",); filled by circuit.cached_template.  Angles are bound
+        # per call, never kept.  Both caches live on the graph, so they die
+        # with it.
         object.__setattr__(self, "_templates", {})
-        # connectivity check (BFS from 1)
         if self.n > 0:
-            seen = {1}
-            q = deque([1])
-            while q:
-                u = q.popleft()
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        q.append(w)
-            if len(seen) != self.n:
-                raise DisconnectedGraph(f"{self.n - len(seen)} unreachable vertices")
+            reached = len(self.bfs_dist(1))
+            if reached != self.n:
+                raise DisconnectedGraph(f"{self.n - reached} unreachable vertices")
 
     def neighbors(self, v):
         return self._adj[v]
@@ -186,6 +180,22 @@ def brickwall_vertical_columns(gap, n1, n2, b2):
     return [w // 2 + k * w for k in range(n2)]
 
 
+def brickwall_chains(n1, n2, b1, b2):
+    """The vertical brick sides, keyed by (gap, column): each a vertex chain
+    from row `gap` to row gap + 1 through b1 - 2 subdivision vertices,
+    which are numbered after the rows in key order."""
+    width = brickwall_row_length(n2, b2)
+    chains = {}
+    nxt = (n1 + 1) * width + 1
+    for gap in range(n1):
+        for col in brickwall_vertical_columns(gap, n1, n2, b2):
+            chains[(gap, col)] = [gap * width + col + 1,
+                                  *range(nxt, nxt + b1 - 2),
+                                  (gap + 1) * width + col + 1]
+            nxt += b1 - 2
+    return chains
+
+
 def brickwall_graph(n1, n2, b1, b2):
     """Layered brick lattice: n1 layers of n2 bricks; each brick has b2
     vertices per horizontal side and b1 per vertical side (endpoints
@@ -194,30 +204,13 @@ def brickwall_graph(n1, n2, b1, b2):
     if n1 < 1 or n2 < 1 or b1 < 2 or b2 < 3 or b2 % 2 == 0:
         raise InvalidParameters("brickwall needs n1,n2>=1, b1>=2, b2>=3 odd")
     width = brickwall_row_length(n2, b2)
-    nrows = n1 + 1
-
-    def row_v(r, c):
-        return r * width + c + 1
-
-    edges = set()
-    for r in range(nrows):
-        for c in range(width - 1):
-            edges.add(_norm_edge(row_v(r, c), row_v(r, c + 1)))
-    nxt = nrows * width + 1
-    mids = {}  # (gap, col) -> list of interior vertex ids, top to bottom
-    for gap in range(n1):
-        for col in brickwall_vertical_columns(gap, n1, n2, b2):
-            chain = [row_v(gap, col)]
-            for _ in range(b1 - 2):
-                chain.append(nxt)
-                nxt += 1
-            chain.append(row_v(gap + 1, col))
-            for a, b in zip(chain, chain[1:]):
-                edges.add(_norm_edge(a, b))
-            mids[(gap, col)] = chain
-    n = nxt - 1
+    chains = brickwall_chains(n1, n2, b1, b2)
+    edges = {(v, v + 1) for r in range(n1 + 1)
+             for v in range(r * width + 1, (r + 1) * width)}
+    edges.update(_norm_edge(a, b) for chain in chains.values()
+                 for a, b in zip(chain, chain[1:]))
     return ConstraintGraph(
-        n,
+        (n1 + 1) * width + len(chains) * (b1 - 2),
         frozenset(edges),
         "brickwall",
         {"n1": n1, "n2": n2, "b1": b1, "b2": b2},
@@ -283,9 +276,12 @@ _EXPANSION_CACHE = {}
 
 def vertex_expansion(g):
     """Exact vertex expansion min_{0<|S|<n/2} |boundary(S)|/|S| (brute force;
-    closed form for complete graphs, memoized by edge set)."""
+    closed form for complete graphs, memoized by edge set).  Below 3
+    vertices no S qualifies, so the expansion is undefined."""
     if g.n > 24:
         raise TooLargeForExactExpansion(f"|V|={g.n} > 24")
+    if g.n < 3:
+        raise InvalidParameters(f"vertex expansion needs |V| >= 3, got {g.n}")
     n = g.n
     key = (n, frozenset(_norm_edge(u, v) for u, v in g.edges))
     if key in _EXPANSION_CACHE:

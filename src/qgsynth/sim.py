@@ -330,10 +330,11 @@ def assemble_report(c, g, target=None, m=None, backend="", extra=None,
         if m is None:
             m = c.n - n
         # a diagonal realized by a phase-type circuit is checked in
-        # O(G + n 2^n) without simulation, so only n is capped for it
-        cheap = (n <= STATE_QUBIT_CAP and hasattr(target, "theta")
-                 and is_phase_circuit(c))
-        if n + m <= STATE_QUBIT_CAP or cheap:
+        # O(G + n 2^n) without simulation, so only n is capped for it;
+        # is_phase_circuit (a pass over the gates) runs only above the cap
+        if n + m <= STATE_QUBIT_CAP or (
+                n <= STATE_QUBIT_CAP and hasattr(target, "theta")
+                and is_phase_circuit(c)):
             residual, restored = verify_target(c, target, m)
             report["residual"] = residual
             report["ancilla_restored"] = restored

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cossin
 
-from .circuit import Circuit, gate_matrix
+from .circuit import Circuit, cached_template, gate_matrix
 from .diag import DiagonalSpec
 from .diag_ancilla import InsufficientAncilla, _auto_template
 from .graphs import explicit_graph, tree_graph
@@ -254,22 +254,7 @@ def _prefix_order(g):
     """
     if g.kind in ("path", "grid", "tree", "star"):
         return list(range(1, g.n + 1))
-    adj = {v: [] for v in range(1, g.n + 1)}
-    for a, b in g.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    order, seen = [1], {1}
-    queue = [1]
-    while queue:
-        u = queue.pop(0)
-        for w in sorted(adj[u]):
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-                queue.append(w)
-    if len(order) != g.n:
-        raise ValueError("constraint graph is disconnected")
-    return order
+    return list(g.bfs_dist(1))
 
 
 def _map_gates(c, where, size):
@@ -285,9 +270,10 @@ def qsp_synthesize(g, v, m, verify=True):
     Cascade of synth_ucg stages; qubits j+1..n+m still hold |0> while
     stage j runs, so every stage sees the full remaining register as
     ancilla.  On graphs whose natural labeling has disconnected prefixes
-    the cascade runs in breadth-first coordinates and a final swap network
-    moves the state onto qubits 1..n.  The stages are marked ucg_1..ucg_n,
-    then relabel for the swap network.
+    the cascade runs in breadth-first coordinates, on a relabelled host
+    graph kept in g's cache, and a final swap network moves the state onto
+    qubits 1..n.  The stages are marked ucg_1..ucg_n, then relabel for the
+    swap network.
     """
     if not isinstance(v, StateSpec):
         v = StateSpec(int(np.log2(len(v))), v)
@@ -300,7 +286,8 @@ def qsp_synthesize(g, v, m, verify=True):
         host = g
     else:
         pos = {vtx: i + 1 for i, vtx in enumerate(order)}
-        host = explicit_graph(g.n, [(pos[a], pos[b]) for a, b in g.edges])
+        host = cached_template(g, ("host",), lambda: explicit_graph(
+            g.n, [(pos[a], pos[b]) for a, b in g.edges]))
     c = Circuit(g.n)
     for j, V in enumerate(state_to_ucgs(v), start=1):
         cj = synth_ucg(host, V, g.n - j)

@@ -9,8 +9,10 @@ from qgsynth.diag import (
 )
 from qgsynth.gray import solve_phase_coefficients
 from qgsynth.graphs import (
+    InvalidParameters,
     build_graph,
     complete_graph,
+    explicit_graph,
     grid_graph,
     path_graph,
     star_graph,
@@ -105,3 +107,24 @@ def test_walsh_coefficients_reconstruct_angles():
             if (x & s).bit_count() % 2 == 1:
                 rebuilt[x] += alpha[s]
     assert np.max(np.abs(rebuilt - theta)) < 1e-9
+
+
+# 8-vertex 4-regular circulant: v joined to v +- 1 and v +- 2 (mod 8)
+CIRCULANT = explicit_graph(8, [(v, (v + d - 1) % 8 + 1)
+                               for v in range(1, 9) for d in (1, 2)])
+
+
+@pytest.mark.parametrize("g", [complete_graph(6), complete_graph(8), CIRCULANT],
+                         ids=["K6", "K8", "circulant8"])
+def test_expander_strategy_is_exact(g):
+    rng = np.random.default_rng(28)
+    _, report = check_diag(g, random_spec(rng, g.n), strategy="expander")
+    assert report["backend"] == "expander"
+    assert report["ell"] >= 1
+
+
+def test_expander_strategy_needs_three_vertices():
+    rng = np.random.default_rng(29)
+    with pytest.raises(InvalidParameters):
+        synth_diag_noancilla(complete_graph(2), random_spec(rng, 2),
+                             strategy="expander")

@@ -206,15 +206,14 @@ def test_stage_table_sums_to_report(g, n):
 def test_route_cache_survives_whole_graph_calls():
     # with m = 0 the no-ancilla strategy runs on the graph itself, not on a
     # rebuilt copy, so the routes of the first call serve the second; every
-    # CNOT of the Gray walk on a complete graph is an edge, so it routes none
+    # walk CNOT goes through the route cache, on a complete graph too
     cycle = explicit_graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)])
-    for g, routed in ((path_graph(14), True), (complete_graph(8), False),
-                      (cycle, True)):
+    for g in (path_graph(14), complete_graph(8), cycle):
         assert _induced_subgraph(g, g.n) is g
         spec = random_spec(np.random.default_rng(40), g.n)
         synth_diag_auto(g, spec, 0, verify=False)
         cached = len(g._routes)
-        assert (cached > 0) == routed
+        assert cached > 0
         synth_diag_auto(g, spec, 0, verify=False)
         assert len(g._routes) == cached
 
@@ -249,3 +248,17 @@ def test_cascade_refusal_falls_back():
         _, report = synth_diag_auto(g, spec, 3)
     assert report["decision"] == "noancilla-complete"
     assert report["residual"] <= 1e-8
+
+
+def test_auto_on_two_vertices_falls_back_to_the_walk():
+    # m >= n on a complete graph asks for the expander backend, but vertex
+    # expansion is undefined on two vertices: no cascade, so the one qubit
+    # gets the complete-graph walk
+    g = complete_graph(2)
+    spec = DiagonalSpec(1, [0.0, 1.3])
+    c, report = synth_diag_auto(g, spec, m=1)
+    assert report["decision"] == "noancilla-complete"
+    assert report["core_backend"] == "complete"
+    assert report["violations"] == []
+    assert report["residual"] <= 1e-12 and report["ancilla_restored"]
+    assert verify_target(c, spec, m=1)[0] <= 1e-12

@@ -1,7 +1,9 @@
 import pytest
 
 from qgsynth.graphs import (
+    DisconnectedGraph,
     InvalidParameters,
+    brickwall_chains,
     brickwall_graph,
     brickwall_row_length,
     build_graph,
@@ -13,6 +15,7 @@ from qgsynth.graphs import (
     shortest_path,
     star_graph,
     tree_graph,
+    vertex_expansion,
 )
 
 
@@ -118,3 +121,38 @@ def test_build_graph_round_trip():
 def test_build_graph_unknown_kind():
     with pytest.raises(InvalidParameters):
         build_graph({"kind": "torus", "n": 4})
+
+
+def test_disconnected_graph_is_refused():
+    with pytest.raises(DisconnectedGraph, match="2 unreachable vertices"):
+        explicit_graph(4, [(1, 2), (3, 4)])
+
+
+@pytest.mark.parametrize("params", [(1, 1, 3, 3), (2, 2, 3, 5), (3, 2, 4, 3),
+                                    (2, 1, 2, 5)])
+def test_brickwall_chains_are_the_vertical_sides(params):
+    n1, n2, b1, b2 = params
+    g = brickwall_graph(*params)
+    width = brickwall_row_length(n2, b2)
+    rows = (n1 + 1) * width
+    chains = brickwall_chains(*params)
+    interior = [v for chain in chains.values() for v in chain[1:-1]]
+    # the subdivision vertices are numbered after the rows, in key order
+    assert interior == list(range(rows + 1, g.n + 1))
+    for (gap, col), chain in chains.items():
+        assert len(chain) == b1
+        assert (chain[0], chain[-1]) == (gap * width + col + 1,
+                                         (gap + 1) * width + col + 1)
+    # every edge is a row edge or a step along a chain
+    row_edges = {(v, v + 1) for r in range(n1 + 1)
+                 for v in range(r * width + 1, (r + 1) * width)}
+    walked = {tuple(sorted(e)) for chain in chains.values()
+              for e in zip(chain, chain[1:])}
+    assert g.edges == row_edges | walked
+
+
+@pytest.mark.parametrize("g", [path_graph(1), path_graph(2), complete_graph(2)],
+                         ids=["K1", "P2", "K2"])
+def test_vertex_expansion_needs_three_vertices(g):
+    with pytest.raises(InvalidParameters, match="needs"):
+        vertex_expansion(g)

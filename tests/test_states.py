@@ -298,7 +298,8 @@ def test_each_entry_point_builds_one_report(monkeypatch):
         return real(*args, **kwargs)
 
     for mod in (diag, diag_ancilla, states):
-        monkeypatch.setattr(mod, "assemble_report", counting)
+        if hasattr(mod, "assemble_report"):  # patch it where it is imported
+            monkeypatch.setattr(mod, "assemble_report", counting)
     rng = np.random.default_rng(5)
 
     def diag_spec(n):
