@@ -15,6 +15,11 @@ the Walsh coefficients alpha = solve_phase_coefficients(theta), one per
 rotation.  A diagonal builder therefore emits a `Template`: a circuit with
 an empty rotation slot wherever an angle goes.  `Template.bind(theta)`
 fills a copy, so one template serves every theta.
+
+`_scan` reads only gate names and qubits, never angles, so its result is
+cached wherever the gates are fixed: a template keeps its own
+(`Template.scan`), and a UCG cascade's lives in its graph's cache under the
+cascade's skeleton key (see states.py).
 """
 
 from __future__ import annotations
@@ -235,9 +240,9 @@ class Template(Circuit):
 
 
 def cached_template(g, key, build):
-    """g's template (or other per-graph object) under `key`, built by
-    `build()` on the first call.  The cache lives on the graph and dies
-    with it."""
+    """g's template (or other per-graph object: a relabelled host graph, a
+    cascade's `_scan` result) under `key`, built by `build()` on the first
+    call.  The cache lives on the graph and dies with it."""
     t = g._templates.get(key)
     if t is None:
         t = g._templates[key] = build()

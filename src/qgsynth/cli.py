@@ -72,17 +72,21 @@ def _load_angles(path):
     return DiagonalSpec(int(obj["n"]), np.asarray(obj["theta"], dtype=float))
 
 
+def _verified(report):
+    """A report passes: no off-graph gate, a simulated residual within
+    VERIFY_THRESHOLD and the ancilla restored."""
+    res = report["residual"]
+    return (not report["violations"] and isinstance(res, float)
+            and res <= VERIFY_THRESHOLD and bool(report["ancilla_restored"]))
+
+
 def _emit(args, circuit, report):
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(circuit_to_json(circuit), fh)
-    print(json.dumps({k: v for k, v in report.items() if k != "profile"},
-                     default=str, indent=2))
-    if getattr(args, "verify", False):
-        res = report.get("residual")
-        if (report.get("violations") or not isinstance(res, float)
-                or res > VERIFY_THRESHOLD):
-            return 1
+    print(json.dumps(report, default=str, indent=2))
+    if getattr(args, "verify", False) and not _verified(report):
+        return 1
     return 0
 
 
@@ -123,10 +127,7 @@ def _cmd_verify(args):
         target = _load_unitary(args.unitary)
     rep = assemble_report(c, g, target=target, m=args.m, backend="verify")
     print(json.dumps(rep, default=str, indent=2))
-    ok = (not rep["violations"] and isinstance(rep["residual"], float)
-          and rep["residual"] <= VERIFY_THRESHOLD
-          and rep["ancilla_restored"])
-    return 0 if ok else 1
+    return 0 if _verified(rep) else 1
 
 
 def _cmd_bound(args):

@@ -10,6 +10,12 @@ serves binary trees with enough ancilla to hold one qubit per basis state.
 Branch work is batched: a state's cascade builds each stage's branch array
 with array arithmetic, and a UCG's ZYZ angles come from one computation
 over all of its branches.
+
+A cascade's gates, up to their angles, follow from the graph, n, m and
+which pieces each UCG emitted; `synth_ucg` records the latter as its
+circuit's `meta["skeleton"]`.  The cascade's gate scan (depth, size,
+CNOTs, connectivity audit, stage rows) is therefore cached on the graph
+under ("scan", backend, n, m, skeletons), so a warm call scans nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cossin
 
-from .circuit import Circuit, cached_template, gate_matrix
+from .circuit import Circuit, _scan, cached_template, gate_matrix
 from .diag import DiagonalSpec
 from .diag_ancilla import InsufficientAncilla, _auto_template
 from .graphs import explicit_graph, tree_graph
@@ -178,40 +184,59 @@ def synth_ucg(g, V, m):
     automatic diagonal dispatch for (g, n, m), cached on g (no report); the
     fixed single-qubit gates land on the target vertex.  Targets other than
     the last qubit are conjugated by a swap network first.
+
+    `meta["skeleton"]` is (n, target, emitted): emitted flags the three
+    pieces that were not skipped as all-zero, the rz/ry/rz for n = 1 and
+    the diagonal factors otherwise (the mid gates go with the second).
+    With g and m it fixes every gate but the angles.
     """
-    n = V.n
+    n, target = V.n, V.target
     c = Circuit(g.n)
     if n == 1:
         _, b, cc, d = zyz_angles(V.branches[0])
-        for name, ang in (("rz", d), ("ry", cc), ("rz", b)):
-            if abs(ang) > 1e-14:
+        emitted = tuple(abs(ang) > 1e-14 for ang in (d, cc, b))
+        for name, ang, on in zip(("rz", "ry", "rz"), (d, cc, b), emitted):
+            if on:
                 c.add(name, (1,), ang)
         c.meta["backend"] = "ucg"
+        c.meta["skeleton"] = (n, target, emitted)
         return c
     perm = None
-    if V.target != n:
-        perm = synth_permutation(g, {V.target: n, n: V.target})
+    if target != n:
+        perm = synth_permutation(g, {target: n, n: target})
         c.extend(perm)
         V = retarget_last(V)
     lam1, lam2, lam3, (mid1, mid2) = ucg_to_diagonals(V)
+    emitted = tuple(bool(np.max(np.abs(lam.theta)) > 1e-14)
+                    for lam in (lam1, lam2, lam3))
 
-    def emit_diag(spec):
-        if np.max(np.abs(spec.theta)) <= 1e-14:
-            return
-        c.extend(_auto_template(g, n, m).bind(spec.theta))
+    def emit_diag(lam):
+        c.extend(_auto_template(g, n, m).bind(lam.theta))
 
-    emit_diag(lam1)
-    if np.max(np.abs(lam2.theta)) > 1e-14:
+    if emitted[0]:
+        emit_diag(lam1)
+    if emitted[1]:
         for name in mid1:
             c.add(name, (n,))
         emit_diag(lam2)
         for name in mid2:
             c.add(name, (n,))
-    emit_diag(lam3)
+    if emitted[2]:
+        emit_diag(lam3)
     if perm is not None:
         c.extend(perm.inverse())
     c.meta["backend"] = "ucg"
+    c.meta["skeleton"] = (n, target, emitted)
     return c
+
+
+def _cascade_report(c, g, skeletons, n, m, target, backend, extra=None):
+    """assemble_report of the cascade c on g, with the gate scan cached on g
+    under its skeleton key: only the first call for a key scans c."""
+    scan = cached_template(g, ("scan", backend, n, m, tuple(skeletons)),
+                           lambda: _scan(c, g._pairs))
+    return assemble_report(c, g, target=target, m=m, backend=backend,
+                           extra=extra, scan=scan)
 
 
 # -- QSP via a UCG cascade --------------------------------------------------
@@ -289,8 +314,10 @@ def qsp_synthesize(g, v, m, verify=True):
         host = cached_template(g, ("host",), lambda: explicit_graph(
             g.n, [(pos[a], pos[b]) for a, b in g.edges]))
     c = Circuit(g.n)
+    skeletons = []
     for j, V in enumerate(state_to_ucgs(v), start=1):
         cj = synth_ucg(host, V, g.n - j)
+        skeletons.append(cj.meta["skeleton"])
         if natural:
             c.extend(cj)
         else:
@@ -300,8 +327,8 @@ def qsp_synthesize(g, v, m, verify=True):
     if not natural:
         c.extend(synth_permutation(g, {o: i + 1 for i, o in enumerate(order)}))
         c.mark("relabel")
-    report = assemble_report(c, g, target=v if verify else None, m=m,
-                             backend="qsp-cascade")
+    report = _cascade_report(c, g, skeletons, n, m, v if verify else None,
+                             "qsp-cascade")
     return c, report
 
 
@@ -545,10 +572,12 @@ def gus_synthesize(g, U, m, verify=True):
         raise ValueError("dense demultiplexing is guarded to n <= 5")
     ucgs = unitary_to_ucgs(U)
     c = Circuit(g.n)
+    skeletons = []
     for k, V in enumerate(ucgs, start=1):
-        c.extend(synth_ucg(g, V, m))
+        ck = synth_ucg(g, V, m)
+        skeletons.append(ck.meta["skeleton"])
+        c.extend(ck)
         c.mark(f"ucg_{k}")
-    report = assemble_report(c, g, target=U if verify else None, m=m,
-                             backend="gus-demux",
-                             extra={"ucg_count": len(ucgs)})
+    report = _cascade_report(c, g, skeletons, n, m, U if verify else None,
+                             "gus-demux", extra={"ucg_count": len(ucgs)})
     return c, report

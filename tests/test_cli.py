@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from qgsynth import cli
 from qgsynth.cli import run_command
 
 
@@ -81,6 +82,34 @@ def test_verify_detects_wrong_target(files, tmp_path, capsys):
          "--angles", bad]
     )
     assert rc == 1
+
+
+def test_leaked_ancilla_fails_synth_and_verify_alike(files, monkeypatch,
+                                                      capsys):
+    # a residual within the threshold does not pass when the ancilla are
+    # not restored, in `synth --verify` as in `verify`
+    def leaking(fn):
+        def run(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            report = out if isinstance(out, dict) else out[-1]
+            report["ancilla_restored"] = False
+            return out
+        return run
+
+    out = str(files["tmp"] / "c.json")
+    synth = ["synth", "diag", "--graph", files["path3"], "--angles",
+             files["angles"], "--out", out, "--verify"]
+    verify = ["verify", "--graph", files["path3"], "--circuit", out,
+              "--angles", files["angles"]]
+    assert run_command(synth) == 0
+    assert run_command(verify) == 0
+    for name in ("synth_diag_auto", "synth_diag_noancilla", "assemble_report"):
+        monkeypatch.setattr(cli, name, leaking(getattr(cli, name)))
+    capsys.readouterr()
+    assert run_command(synth) == 1
+    assert json.loads(capsys.readouterr().out)["residual"] <= 1e-8
+    assert run_command(verify) == 1
+    assert json.loads(capsys.readouterr().out)["residual"] <= 1e-8
 
 
 def test_bad_arguments_exit_2(files, capsys):

@@ -66,6 +66,22 @@ def counting(targets):
         yield counts
 
 
+@contextmanager
+def recording_skeletons():
+    """The meta["skeleton"] of every synth_ucg circuit while active."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        synth = states.synth_ucg
+
+        def record(*args):
+            c = synth(*args)
+            seen.append(c.meta["skeleton"])
+            return c
+
+        mp.setattr(states, "synth_ucg", record)
+        yield seen
+
+
 def spec(n, seed):
     return DiagonalSpec(n, np.random.default_rng(seed).uniform(0, 7, 1 << n))
 
@@ -114,23 +130,31 @@ def test_warm_call_equals_cold_call(family, n, seeds):
 
 def test_gus_builds_each_key_once():
     # the 7 UCGs of an n = 3 unitary are all 3-qubit: their nonzero
-    # diagonal factors share the one template ("auto", 3, 0)
+    # diagonal factors share the one template ("auto", 3, 0); the cascade
+    # scan is kept under one key beside it
     g = path_graph(3)
     U = UnitarySpec(3, random_unitary(np.random.default_rng(5), 8))
-    with counting([(diag_ancilla, "_build_auto")]) as counts:
+    with counting([(diag_ancilla, "_build_auto")]) as counts, \
+            recording_skeletons() as skeletons:
         _, report = gus_synthesize(g, U, 0)
     assert counts == {"_build_auto": 1}
-    assert list(g._templates) == [("auto", 3, 0)]
+    assert len(skeletons) == 7
+    assert list(g._templates) == [("auto", 3, 0),
+                                  ("scan", "gus-demux", 3, 0, tuple(skeletons))]
     assert report["residual"] <= 1e-8
 
 
 def test_qsp_factors_share_one_key_per_ucg():
     g = star_graph(4)
-    with counting([(diag_ancilla, "_build_auto")]) as counts:
+    with counting([(diag_ancilla, "_build_auto")]) as counts, \
+            recording_skeletons() as skeletons:
         qsp_synthesize(g, StateSpec(4, random_state(np.random.default_rng(6), 4)), 0)
     # UCG j >= 2 has three diagonal factors on (j, 4 - j); UCG 1 has none
     assert counts == {"_build_auto": 3}
-    assert sorted(g._templates) == [("auto", j, 4 - j) for j in (2, 3, 4)]
+    assert len(skeletons) == 4
+    assert list(g._templates) == [
+        *(("auto", j, 4 - j) for j in (2, 3, 4)),
+        ("scan", "qsp-cascade", 4, 0, tuple(skeletons))]
 
 
 @pytest.mark.parametrize("make, n", [(lambda: path_graph(12), 3),
@@ -183,9 +207,11 @@ def test_relabelled_hosts_do_not_accumulate():
         hosts.append(weakref.ref(host))
         return host
 
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, \
+            recording_skeletons() as skeletons:
         mp.setattr(states, "explicit_graph", record)
         qsp_synthesize(g, v, 2)
+        first = tuple(skeletons)
         graphs_before, templates_before = (_live(graphs.ConstraintGraph),
                                            _live(Template))
         for _ in range(19):
@@ -194,7 +220,8 @@ def test_relabelled_hosts_do_not_accumulate():
         assert len(hosts) == 1
         assert _live(graphs.ConstraintGraph) == graphs_before
         assert _live(Template) == templates_before
-    assert list(g._templates) == [("host",)]
+    assert list(g._templates) == [("host",),
+                                  ("scan", "qsp-cascade", 3, 2, first)]
     assert hosts[0]() is g._templates[("host",)]
     del g
     gc.collect()
