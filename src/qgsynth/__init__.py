@@ -58,7 +58,6 @@ from .states import (
     UnitarySpec,
     gus_synthesize,
     qsp_synthesize,
-    qsp_tree_improved,
     state_to_ucgs,
     synth_ucg,
     ucg_to_diagonals,

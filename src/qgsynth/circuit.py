@@ -17,9 +17,9 @@ an empty rotation slot wherever an angle goes.  `Template.bind(theta)`
 fills a copy, so one template serves every theta.
 
 `_scan` reads only gate names and qubits, never angles, so its result is
-cached wherever the gates are fixed: a template keeps its own
-(`Template.scan`), and a UCG cascade's lives in its graph's cache under the
-cascade's skeleton key (see states.py).
+kept in the graph's memo wherever the gates are fixed: under the template's
+key for a diagonal, under the cascade's skeleton key for a UCG cascade (see
+`sim.assemble_report` and states.py).
 """
 
 from __future__ import annotations
@@ -179,12 +179,10 @@ class Template(Circuit):
     whose angle is alpha[idx[k]] for the diagonal's `inputs` qubits.
     Builders add slots with `rot` and `rots`; `seal` freezes them into
     int32 arrays.  Slots on one qubit share one placeholder tuple.  The
-    report fields (`backend`, `extra`) and the gate scan do not depend on
-    the angles either, so a template cached on its graph carries them
-    too."""
+    report fields (`backend`, `extra`) do not depend on the angles either,
+    so a template kept on its graph carries them too."""
 
-    __slots__ = ("inputs", "pos", "idx", "backend", "extra", "_empty",
-                 "_scanned")
+    __slots__ = ("inputs", "pos", "idx", "backend", "extra", "_empty")
 
     def __init__(self, n, inputs):
         super().__init__(n)
@@ -192,7 +190,6 @@ class Template(Circuit):
         self.pos, self.idx = [], []
         self.backend, self.extra = "", {}
         self._empty = {}  # qubit -> its placeholder
-        self._scanned = None
 
     def rot(self, q, s):
         """Append a slot on qubit q for alpha[s]."""
@@ -231,22 +228,6 @@ class Template(Circuit):
         if "marks" in c.meta:
             c.meta["marks"] = list(c.meta["marks"])
         return c
-
-    def scan(self, g):
-        """`_scan` against g's edges, computed once."""
-        if self._scanned is None:
-            self._scanned = _scan(self, g._pairs)
-        return self._scanned
-
-
-def cached_template(g, key, build):
-    """g's template (or other per-graph object: a relabelled host graph, a
-    cascade's `_scan` result) under `key`, built by `build()` on the first
-    call.  The cache lives on the graph and dies with it."""
-    t = g._templates.get(key)
-    if t is None:
-        t = g._templates[key] = build()
-    return t
 
 
 def _scan(c, pairs=None):

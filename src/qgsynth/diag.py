@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Template, cached_template
+from .circuit import Template
 from .graphs import (
     TooLargeForExactExpansion,
     dfs_labeling,
@@ -445,12 +445,14 @@ def _as_spec(spec):
     return DiagonalSpec(int(np.log2(len(spec))), spec)
 
 
-def _bind_report(g, t, spec, verify):
-    """(circuit, report) of template t on g bound to spec; verify=False
-    skips the simulation residual."""
+def _bind_report(g, key, build, spec, verify):
+    """(circuit, report) of g's template under `key`, built by `build()` on
+    first use, bound to spec; the gate scan is kept under ("scan", *key).
+    verify=False skips the simulation residual."""
+    t = g.cached(key, build)
     c = t.bind(spec.theta)
     report = assemble_report(c, g, spec if verify else None, m=g.n - spec.n,
-                             backend=t.backend, extra=t.extra, scan=t.scan(g))
+                             backend=t.backend, extra=t.extra, key=key)
     return c, report
 
 
@@ -462,9 +464,8 @@ def synth_diag_noancilla(g, spec, strategy="auto", verify=True):
     verify=False skips the simulation residual (counting-only runs)."""
     if g.n != spec.n:
         raise ValueError("graph size must equal qubit count")
-    t = cached_template(g, ("noancilla", strategy),
-                        lambda: _dispatch(g, strategy))
-    return _bind_report(g, t, spec, verify)
+    return _bind_report(g, ("noancilla", strategy),
+                        lambda: _dispatch(g, strategy), spec, verify)
 
 
 def _is_complete(g):

@@ -15,7 +15,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .circuit import Circuit, Template, cached_template
+from .circuit import Circuit, Template
 from .diag import _as_spec, _auto_strategy, _bind_report, _dispatch
 from .graphs import (
     GrowthStalled,
@@ -117,8 +117,10 @@ def _blocks_on_line(order, n, m_eff, p0):
 
 
 def _line_layout(g, n, m, order, p0, kind):
+    """Blocks along the ancilla vertices of `order`, inputs on 1..n."""
     m_eff = min(m, 3 * (1 << n))
-    p, tau, blocks = _blocks_on_line(order[n:n + m_eff], n, m_eff, p0)
+    line = [v for v in order if v > n]
+    p, tau, blocks = _blocks_on_line(line[:m_eff], n, m_eff, p0)
     npf = n - p
     r_targ, ell_plan = [], []
     for b in blocks:
@@ -128,7 +130,7 @@ def _line_layout(g, n, m, order, p0, kind):
             ell_plan.append((k - 1) % npf + 1)
     used = sum(2 * npf + tau for _ in blocks)
     return RegisterLayout(
-        r_inp=order[:n],
+        r_inp=list(range(1, n + 1)),
         r_copy=[v for b in blocks for v in b.copy_slots],
         r_targ=r_targ,
         r_aux=[v for b in blocks for v in b.aux_slots],
@@ -233,18 +235,14 @@ def build_layout(g, n, m):
             return _tree_layout(g, n, m)
         except InsufficientAncilla:
             # shallow trees cannot host complete subtree blocks; fall back
-            # to greedy blocks over a depth-first order of the ancilla
-            # region (the router keeps every CNOT on tree edges)
-            order = list(range(1, n + 1))
-            stack = [1]
+            # to greedy blocks over a depth-first order of the tree (the
+            # router keeps every CNOT on tree edges)
+            order, stack = [], [1]
             while stack:
                 v = stack.pop()
-                if v > g.n:
-                    continue
-                if v > n:
+                if v <= g.n:
                     order.append(v)
-                stack.append(2 * v + 1)
-                stack.append(2 * v)
+                    stack += (2 * v + 1, 2 * v)
             p0 = max(1, int(math.log2(max(2.0, min(m, 3 << n) / 3))))
             return _line_layout(g, n, m, order, p0, "tree")
     raise InsufficientAncilla(f"no ancilla layout for graph kind {g.kind!r}")
@@ -257,7 +255,9 @@ class _Router:
 
     def __init__(self, g, r_inp):
         self.r_inp = r_inp
-        self._row = functools.cache(g.bfs_dist)  # vertex -> BFS distances
+        # vertex -> BFS distances, scratch for one build: kept on g, the
+        # rows of a large ancilla graph would hold megabytes per graph
+        self._row = functools.cache(g.bfs_dist)
         self.clear()
 
     def clear(self):
@@ -368,9 +368,9 @@ def synth_diag_ancilla(g, spec, m, verify=True):
     count it adds, summing to the report's totals.  The template of
     (g, n, m) is built once and cached on g."""
     spec = _as_spec(spec)
-    t = cached_template(g, ("ancilla", spec.n, m),
-                        lambda: _ancilla_pipeline(g, spec.n, m))
-    c, report = _bind_report(g, t, spec, verify)
+    c, report = _bind_report(g, ("ancilla", spec.n, m),
+                             lambda: _ancilla_pipeline(g, spec.n, m),
+                             spec, verify)
     return c, report["stages"], report
 
 
@@ -481,8 +481,8 @@ def choose_backend(g, n, m):
 def _induced_subgraph(g, n):
     """Connected induced subgraph on vertices 1..n, typed so diag.py can
     pick its native strategy when the shape survives the restriction.  A
-    whole path, tree or explicit graph is g itself, so its route cache
-    carries over."""
+    whole path, tree or explicit graph is g itself, so its routes carry
+    over."""
     if g.kind in ("path", "tree", "explicit") and n == g.n:
         return g
     if g.kind == "path":
@@ -500,7 +500,7 @@ def _auto_template(g, n, m):
     The fallbacks (expander -> no cascade, ancilla layout ->
     InsufficientAncilla) go to the no-ancilla strategy on the induced
     subgraph of vertices 1..n."""
-    return cached_template(g, ("auto", n, m), lambda: _build_auto(g, n, m))
+    return g.cached(("auto", n, m), lambda: _build_auto(g, n, m))
 
 
 def _build_auto(g, n, m):
@@ -531,7 +531,8 @@ def synth_diag_auto(g, spec, m, verify=True):
 
     verify=False skips the simulation residual (counting-only runs)."""
     spec = _as_spec(spec)
-    return _bind_report(g, _auto_template(g, spec.n, m), spec, verify)
+    return _bind_report(g, ("auto", spec.n, m),
+                        lambda: _build_auto(g, spec.n, m), spec, verify)
 
 
 def _auto_cascade(g, n, m):

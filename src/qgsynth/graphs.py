@@ -3,6 +3,10 @@
 Vertices are 1-based integers.  A graph is immutable after construction and
 carries a `kind` tag (path/grid/tree/star/brickwall/explicit) plus the
 parameters it was built from, which the synthesis backends dispatch on.
+
+What the compiler derives from a graph alone (routes, diagonal templates,
+gate scans, the vertex expansion) is built once and kept in the graph's one
+memo, `ConstraintGraph.cached`; nothing is kept at module level.
 """
 
 from __future__ import annotations
@@ -48,21 +52,24 @@ class ConstraintGraph:
         object.__setattr__(
             self, "_pairs", frozenset(self.edges | {(v, u) for u, v in self.edges})
         )
-        # routed-CNOT gate tuples keyed by (control, target); filled by
-        # linear.route_cnot_gates, the one routing primitive
-        object.__setattr__(self, "_routes", {})
-        # diagonal templates (circuit.Template: gates with empty rotation
-        # slots, slot arrays, report fields, gate scan) keyed by entry point
-        # and what the gates depend on, e.g. ("auto", n, m), plus the
-        # breadth-first relabelled host of states.qsp_synthesize under
-        # ("host",); filled by circuit.cached_template.  Angles are bound
-        # per call, never kept.  Both caches live on the graph, so they die
-        # with it.
-        object.__setattr__(self, "_templates", {})
+        # the per-graph memo behind `cached`; it dies with the graph
+        object.__setattr__(self, "_memo", {})
         if self.n > 0:
             reached = len(self.bfs_dist(1))
             if reached != self.n:
                 raise DisconnectedGraph(f"{self.n - reached} unreachable vertices")
+
+    def cached(self, key, build):
+        """The object kept on this graph under `key`, built by `build()` on
+        first use.  Everything that depends on the graph alone is kept here:
+        routed CNOTs ("route", u, v), diagonal templates ("auto", n, m),
+        ("noancilla", strategy) and ("ancilla", n, m), the relabelled QSP
+        host ("host",), gate scans ("scan", ...) and the vertex expansion
+        ("expansion",).  Angles, circuits and reports are never kept."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+        return value
 
     def neighbors(self, v):
         return self._adj[v]
@@ -271,28 +278,24 @@ def shortest_path(g, u, v):
     return path[::-1]
 
 
-_EXPANSION_CACHE = {}
-
-
 def vertex_expansion(g):
     """Exact vertex expansion min_{0<|S|<n/2} |boundary(S)|/|S| (brute force;
-    closed form for complete graphs, memoized by edge set).  Below 3
-    vertices no S qualifies, so the expansion is undefined."""
+    closed form for complete graphs), kept on g.  Below 3 vertices no S
+    qualifies, so the expansion is undefined."""
     if g.n > 24:
         raise TooLargeForExactExpansion(f"|V|={g.n} > 24")
     if g.n < 3:
         raise InvalidParameters(f"vertex expansion needs |V| >= 3, got {g.n}")
+    return g.cached(("expansion",), lambda: _expansion(g))
+
+
+def _expansion(g):
     n = g.n
-    key = (n, frozenset(_norm_edge(u, v) for u, v in g.edges))
-    if key in _EXPANSION_CACHE:
-        return _EXPANSION_CACHE[key]
-    if n >= 3 and len(key[1]) == n * (n - 1) // 2:
+    if len(g._pairs) == n * (n - 1):
         # complete graph: every outside vertex is a boundary vertex, so the
         # minimum ratio is reached by the largest admissible S
         k = (n + 1) // 2 - 1
-        best = Fraction(n - k, k)
-        _EXPANSION_CACHE[key] = best
-        return best
+        return Fraction(n - k, k)
     nbr_mask = [0] * (n + 1)
     for v in range(1, n + 1):
         m = 0
@@ -313,9 +316,7 @@ def vertex_expansion(g):
         num = (out & ~s).bit_count()
         if best_num is None or num * best_den < best_num * size:
             best_num, best_den = num, size
-    best = Fraction(best_num, best_den)
-    _EXPANSION_CACHE[key] = best
-    return best
+    return Fraction(best_num, best_den)
 
 
 @dataclass

@@ -6,8 +6,8 @@ these primitives can be reasoned about as if the graph were complete.
 
 `cnot_along` is the one routing sweep: it turns any vertex path into the
 nearest-neighbour CNOTs of CNOT(path[0] -> path[-1]).  `route_cnot_gates`
-applies it to a shortest path and caches the gate tuple on the graph, so
-every synthesis routine that routes on one graph shares one route cache.
+applies it to a shortest path and keeps the gate tuple in the graph's memo,
+so every synthesis routine that routes on one graph shares its routes.
 """
 
 from __future__ import annotations
@@ -63,13 +63,11 @@ def cnot_along(path):
 def route_cnot_gates(g, u, v):
     """Gate tuple for CNOT(u -> v) routed along a shortest path of g.
 
-    Uses <= 4d(u,v) CNOTs.  The tuple is built once per (u, v) and kept in
-    the graph's route cache; repeat calls return the same object.
+    Uses <= 4d(u,v) CNOTs.  The tuple is built once per (u, v) and kept on
+    g under ("route", u, v); repeat calls return the same object.
     """
-    gates = g._routes.get((u, v))
-    if gates is None:
-        gates = g._routes[(u, v)] = tuple(cnot_along(shortest_path(g, u, v)))
-    return gates
+    return g.cached(("route", u, v),
+                    lambda: tuple(cnot_along(shortest_path(g, u, v))))
 
 
 def route_cnot(g, u, v):

@@ -311,11 +311,13 @@ def verify_target(c, target, m=None):
 
 
 def assemble_report(c, g, target=None, m=None, backend="", extra=None,
-                    scan=None):
-    """The report of c on g.  `scan` is a `_scan(c, g._pairs)` result
-    computed earlier (a cached template's); verification always runs on c
-    itself."""
-    depth, size, twoq, bad, stages = scan or _scan(c, g._pairs)
+                    key=None):
+    """The report of c on g.  With a `key`, the gate scan is kept on g under
+    ("scan", *key), so every circuit reported under one key must have the
+    same gates up to their angles; verification always runs on c itself."""
+    depth, size, twoq, bad, stages = (
+        _scan(c, g._pairs) if key is None
+        else g.cached(("scan", *key), lambda: _scan(c, g._pairs)))
     report = {
         "depth": depth,
         "size": size,

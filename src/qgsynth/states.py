@@ -13,9 +13,10 @@ over all of its branches.
 
 A cascade's gates, up to their angles, follow from the graph, n, m and
 which pieces each UCG emitted; `synth_ucg` records the latter as its
-circuit's `meta["skeleton"]`.  The cascade's gate scan (depth, size,
-CNOTs, connectivity audit, stage rows) is therefore cached on the graph
-under ("scan", backend, n, m, skeletons), so a warm call scans nothing.
+circuit's `meta["skeleton"]`.  The cascade's report therefore passes
+key=(backend, n, m, skeletons) to `assemble_report`, which keeps the gate
+scan (depth, size, CNOTs, connectivity audit, stage rows) in the graph's
+memo under ("scan", *key), so a warm call scans nothing.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cossin
 
-from .circuit import Circuit, _scan, cached_template, gate_matrix
+from .circuit import Circuit, gate_matrix
 from .diag import DiagonalSpec
-from .diag_ancilla import InsufficientAncilla, _auto_template
+from .diag_ancilla import _auto_template
 from .graphs import explicit_graph, tree_graph
 from .linear import multi_controlled_x, copy_register, route_cnot_gates, \
     synth_permutation
@@ -230,15 +231,6 @@ def synth_ucg(g, V, m):
     return c
 
 
-def _cascade_report(c, g, skeletons, n, m, target, backend, extra=None):
-    """assemble_report of the cascade c on g, with the gate scan cached on g
-    under its skeleton key: only the first call for a key scans c."""
-    scan = cached_template(g, ("scan", backend, n, m, tuple(skeletons)),
-                           lambda: _scan(c, g._pairs))
-    return assemble_report(c, g, target=target, m=m, backend=backend,
-                           extra=extra, scan=scan)
-
-
 # -- QSP via a UCG cascade --------------------------------------------------
 
 def state_to_ucgs(v):
@@ -296,7 +288,7 @@ def qsp_synthesize(g, v, m, verify=True):
     stage j runs, so every stage sees the full remaining register as
     ancilla.  On graphs whose natural labeling has disconnected prefixes
     the cascade runs in breadth-first coordinates, on a relabelled host
-    graph kept in g's cache, and a final swap network moves the state onto
+    graph kept in g's memo, and a final swap network moves the state onto
     qubits 1..n.  The stages are marked ucg_1..ucg_n, then relabel for the
     swap network.
     """
@@ -311,7 +303,7 @@ def qsp_synthesize(g, v, m, verify=True):
         host = g
     else:
         pos = {vtx: i + 1 for i, vtx in enumerate(order)}
-        host = cached_template(g, ("host",), lambda: explicit_graph(
+        host = g.cached(("host",), lambda: explicit_graph(
             g.n, [(pos[a], pos[b]) for a, b in g.edges]))
     c = Circuit(g.n)
     skeletons = []
@@ -327,8 +319,9 @@ def qsp_synthesize(g, v, m, verify=True):
     if not natural:
         c.extend(synth_permutation(g, {o: i + 1 for i, o in enumerate(order)}))
         c.mark("relabel")
-    report = _cascade_report(c, g, skeletons, n, m, v if verify else None,
-                             "qsp-cascade")
+    report = assemble_report(c, g, v if verify else None, m=m,
+                             backend="qsp-cascade",
+                             key=("qsp-cascade", n, m, tuple(skeletons)))
     return c, report
 
 
@@ -470,61 +463,6 @@ def unary_to_binary(n):
     return c
 
 
-def _prefix_width(n, m):
-    """Width of the unary-prepared prefix in the hybrid tree framework."""
-    if m <= (1 << n) // max(1, n**3):
-        return 0
-    if m >= (1 << (n + 1)) - 1:
-        t = n - math.ceil(math.log2(m + 1)) + 2
-    else:
-        t = n - 3 * math.ceil(math.log2(max(2, n)))
-    t = min(t, n)
-    while t >= 1 and (1 << (t + 1)) - 1 > n + m:
-        t -= 1
-    return max(t, 0)
-
-
-def _unary_prefix(v, t, size):
-    need = (1 << (t + 1)) - 1
-    if need > size:
-        raise InsufficientAncilla(
-            f"unary stage needs {need} tree vertices, host has {size}"
-        )
-    if t == v.n:
-        pre = v
-    else:
-        mags = np.linalg.norm(v.amplitudes.reshape(1 << t, -1), axis=1)
-        pre = StateSpec(t, mags.astype(complex))
-    out = Circuit(size)
-    out.gates.extend(unary_qsp_tree(pre).gates)
-    out.gates.extend(unary_to_binary(t).gates)
-    return out
-
-
-def qsp_tree_improved(v, m):
-    """QSP on the heap binary tree with n+m vertices: a t-qubit prefix is
-    prepared through the unary encoding (t from the ancilla-count case
-    split), the remaining qubits by the plain UCG cascade.  Falls back to
-    the pure cascade when the unary stage cannot be hosted."""
-    if not isinstance(v, StateSpec):
-        v = StateSpec(int(np.log2(len(v))), v)
-    n = v.n
-    host = tree_graph(2, n=n + m)
-    t = _prefix_width(n, m)
-    c = Circuit(n + m)
-    if t >= 1:
-        try:
-            c.extend(_unary_prefix(v, t, n + m))
-        except InsufficientAncilla:
-            t = 0
-    stages = state_to_ucgs(v)
-    for j in range(t + 1, n + 1):
-        c.extend(synth_ucg(host, stages[j - 1], n + m - j))
-    c.meta["backend"] = "qsp-tree-hybrid"
-    c.meta["prefix"] = t
-    return c
-
-
 # -- general unitaries ------------------------------------------------------
 
 def unitary_to_ucgs(U):
@@ -578,6 +516,8 @@ def gus_synthesize(g, U, m, verify=True):
         skeletons.append(ck.meta["skeleton"])
         c.extend(ck)
         c.mark(f"ucg_{k}")
-    report = _cascade_report(c, g, skeletons, n, m, U if verify else None,
-                             "gus-demux", extra={"ucg_count": len(ucgs)})
+    report = assemble_report(c, g, U if verify else None, m=m,
+                             backend="gus-demux",
+                             extra={"ucg_count": len(ucgs)},
+                             key=("gus-demux", n, m, tuple(skeletons)))
     return c, report

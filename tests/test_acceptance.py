@@ -45,7 +45,6 @@ from qgsynth.states import (
     UnitarySpec,
     gus_synthesize,
     qsp_synthesize,
-    qsp_tree_improved,
     synth_ucg,
     unary_qsp_tree,
     unary_to_binary,
@@ -373,17 +372,18 @@ def test_07_unary_tree_suite():
             ((b_out, a),) = state.items()
             assert abs(abs(a) - 1.0) < 1e-12
             assert b_out == x << (nv - n)
-    # hybrid preparation with the full ancilla tree
+    # cascade preparation with the full ancilla tree
     n = 3
     m = (1 << (n + 1)) - 1 - n  # 12: tree filled to all 15 vertices
     v = random_state(rng, n)
-    c = qsp_tree_improved(StateSpec(n, v), m)
+    c, _ = qsp_synthesize(tree_graph(2, n=n + m), StateSpec(n, v), m,
+                          verify=False)
     res, ok = verify_target(c, StateSpec(n, v), m=c.n - n)
     assert res <= 1e-9 and ok
     elapsed = time.time() - t0
     assert elapsed < 60.0
     print(f"\nPASS criterion 7: unary tree depth <= 3n+2 (macro) / 5n+2 "
-          f"(gates), infidelity {worst:.2e}; decoder exact; hybrid exact "
+          f"(gates), infidelity {worst:.2e}; decoder exact; tree cascade exact "
           f"({elapsed:.2f}s)")
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_state, random_unitary
-from qgsynth import circuit, sim, states
+from qgsynth import circuit, sim
 from qgsynth.circuit import _scan
 from qgsynth.graphs import (
     complete_graph,
@@ -70,7 +70,7 @@ def assert_fresh(c, g, report):
 
 
 def scan_keys(g):
-    return [k for k in g._templates if k[0] == "scan"]
+    return [k for k in g._memo if k[0] == "scan"]
 
 
 STATE_KINDS = ["generic", "basis", "real", "sparse"]
@@ -118,7 +118,7 @@ def test_gus_report_equals_fresh_scan(family, n, m, kinds, seeds):
 def counting_scans(mp):
     """Count `_scan` calls through every module that looks it up."""
     calls = []
-    for mod in (circuit, sim, states):
+    for mod in (circuit, sim):
         def wrapper(*args, _fn=mod._scan):
             calls.append(1)
             return _fn(*args)
@@ -149,12 +149,12 @@ def test_cold_call_scans_once_and_warm_call_never(task, make, n, draw):
 def test_generic_states_share_one_scan_entry():
     g = path_graph(7)
     rng = np.random.default_rng(12)
-    before = len(g._templates)
+    before = len(g._memo)
     qsp_synthesize(g, StateSpec(5, random_state(rng, 5)), 2, verify=False)
-    added = len(g._templates) - before
+    added = len(g._memo) - before
     for _ in range(19):
         qsp_synthesize(g, StateSpec(5, random_state(rng, 5)), 2, verify=False)
-    assert len(g._templates) - before == added
+    assert len(g._memo) - before == added
     assert len(scan_keys(g)) == 1
 
 

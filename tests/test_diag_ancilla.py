@@ -71,6 +71,20 @@ def test_tree_pipeline_exact():
     assert_exact(c, g, spec, m)
 
 
+@pytest.mark.parametrize("dims, n", [([80, 2], 3), ([80, 2], 4),
+                                     ([100, 2], 5), ([2, 40, 3], 4)])
+def test_grid_rows_shorter_than_n_keep_inputs_on_1_to_n(dims, n):
+    # the boustrophedon line leaves qubits 1..n after its first row, so
+    # the input register must not be read off the line's first n vertices
+    g = grid_graph(dims)
+    layout = build_layout(g, n, g.n - n)
+    assert layout.r_inp == list(range(1, n + 1))
+    spec = random_spec(np.random.default_rng(n), n)
+    _, report = synth_diag_auto(g, spec, g.n - n)
+    assert report["decision"] == "ancilla-grid"
+    assert report["residual"] <= 1e-8 and report["ancilla_restored"]
+
+
 def test_pipeline_inverse_restores_ancilla_exactly():
     # stronger than the residual check: every computational ancilla weight
     # must vanish on every basis input
@@ -203,6 +217,10 @@ def test_stage_table_sums_to_report(g, n):
     assert sum(s["two_qubit"] for s in stages) == report["two_qubit"]
 
 
+def routes(g):
+    return sum(key[0] == "route" for key in g._memo)
+
+
 def test_route_cache_survives_whole_graph_calls():
     # with m = 0 the no-ancilla strategy runs on the graph itself, not on a
     # rebuilt copy, so the routes of the first call serve the second; every
@@ -212,10 +230,10 @@ def test_route_cache_survives_whole_graph_calls():
         assert _induced_subgraph(g, g.n) is g
         spec = random_spec(np.random.default_rng(40), g.n)
         synth_diag_auto(g, spec, 0, verify=False)
-        cached = len(g._routes)
+        cached = routes(g)
         assert cached > 0
         synth_diag_auto(g, spec, 0, verify=False)
-        assert len(g._routes) == cached
+        assert routes(g) == cached
 
 
 @pytest.mark.parametrize("name", ["expander_cascade", "vertex_expansion"])
@@ -231,7 +249,8 @@ def test_cascade_bug_is_not_a_fallback(name, monkeypatch):
     g = complete_graph(6)
     with pytest.raises(TypeError, match="bug"):
         synth_diag_auto(g, random_spec(np.random.default_rng(42), 3), 3)
-    assert g._templates == {}
+    # at most the expansion, which the broken cascade did not touch
+    assert set(g._memo) <= {("expansion",)}
 
 
 def test_cascade_refusal_falls_back():

@@ -20,7 +20,6 @@ from qgsynth.states import (
     UnitarySpec,
     gus_synthesize,
     qsp_synthesize,
-    qsp_tree_improved,
     retarget_last,
     state_to_ucgs,
     synth_ucg,
@@ -209,13 +208,14 @@ def test_unary_to_binary_all_basis_inputs():
             assert b_out == x << (nv - n)
 
 
-def test_qsp_tree_improved_exact():
+def test_qsp_on_binary_trees_exact():
     rng = np.random.default_rng(49)
     n = 3
     for m in (0, 4, 15):
         v = rng.normal(size=8) + 1j * rng.normal(size=8)
         v /= np.linalg.norm(v)
-        c = qsp_tree_improved(StateSpec(n, v), m)
+        c, _ = qsp_synthesize(tree_graph(2, n=n + m), StateSpec(n, v), m,
+                              verify=False)
         res, ok = verify_target(c, StateSpec(n, v), m=c.n - n)
         assert res <= 1e-9 and ok
 

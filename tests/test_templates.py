@@ -4,6 +4,7 @@ without re-entering a builder; returned objects are the caller's own, and
 the cache dies with its graph."""
 import gc
 import json
+import sys
 import weakref
 from contextlib import contextmanager
 
@@ -128,6 +129,11 @@ def test_warm_call_equals_cold_call(family, n, seeds):
         assert warm_r["backend"] == "ancilla-expander"
 
 
+def kept(g):
+    """g's memo keys in insertion order, routes left out."""
+    return [k for k in g._memo if k[0] != "route"]
+
+
 def test_gus_builds_each_key_once():
     # the 7 UCGs of an n = 3 unitary are all 3-qubit: their nonzero
     # diagonal factors share the one template ("auto", 3, 0); the cascade
@@ -139,7 +145,7 @@ def test_gus_builds_each_key_once():
         _, report = gus_synthesize(g, U, 0)
     assert counts == {"_build_auto": 1}
     assert len(skeletons) == 7
-    assert list(g._templates) == [("auto", 3, 0),
+    assert kept(g) == [("auto", 3, 0),
                                   ("scan", "gus-demux", 3, 0, tuple(skeletons))]
     assert report["residual"] <= 1e-8
 
@@ -152,7 +158,7 @@ def test_qsp_factors_share_one_key_per_ucg():
     # UCG j >= 2 has three diagonal factors on (j, 4 - j); UCG 1 has none
     assert counts == {"_build_auto": 3}
     assert len(skeletons) == 4
-    assert list(g._templates) == [
+    assert kept(g) == [
         *(("auto", j, 4 - j) for j in (2, 3, 4)),
         ("scan", "qsp-cascade", 4, 0, tuple(skeletons))]
 
@@ -181,11 +187,37 @@ def test_mutating_results_leaves_the_next_call_alone(make, n):
 def test_cache_dies_with_its_graph():
     g = path_graph(12)
     synth_diag_auto(g, spec(3, 9), 9)
-    assert g._templates
+    assert g._memo
     ref = weakref.ref(g)
     del g
     gc.collect()
     assert ref() is None
+
+
+def _module_sizes():
+    """(module, name) -> length of every module-level dict, list or set in
+    the qgsynth package."""
+    return {(mod_name, name): len(value)
+            for mod_name, mod in list(sys.modules.items())
+            if mod_name == "qgsynth" or mod_name.startswith("qgsynth.")
+            for name, value in vars(mod).items()
+            if isinstance(value, (dict, list, set))}
+
+
+def test_no_module_level_state_grows():
+    # every graph below has a new edge set, so a cache keyed by edges at
+    # module level would grow; the per-graph memo dies with each graph
+    rng = np.random.default_rng(14)
+    before = _module_sizes()
+    for k in range(5, 10):
+        ring = explicit_graph(k, [(v, v % k + 1) for v in range(1, k + 1)]
+                              + [(1, 3)])
+        for g in (complete_graph(k), ring):
+            graphs.vertex_expansion(g)
+            synth_diag_auto(g, spec(3, int(rng.integers(1 << 30))), k - 3,
+                            verify=False)
+    gc.collect()
+    assert _module_sizes() == before
 
 
 def _live(kind):
@@ -220,9 +252,8 @@ def test_relabelled_hosts_do_not_accumulate():
         assert len(hosts) == 1
         assert _live(graphs.ConstraintGraph) == graphs_before
         assert _live(Template) == templates_before
-    assert list(g._templates) == [("host",),
-                                  ("scan", "qsp-cascade", 3, 2, first)]
-    assert hosts[0]() is g._templates[("host",)]
+    assert kept(g) == [("host",), ("scan", "qsp-cascade", 3, 2, first)]
+    assert hosts[0]() is g._memo[("host",)]
     del g
     gc.collect()
     assert hosts[0]() is None
