@@ -64,7 +64,8 @@ class ConstraintGraph:
         first use.  Everything that depends on the graph alone is kept here:
         routed CNOTs ("route", u, v), diagonal templates ("auto", n, m),
         ("noancilla", strategy) and ("ancilla", n, m), the relabelled QSP
-        host ("host",), gate scans ("scan", ...) and the vertex expansion
+        host ("host",) and its qubit map ("relabel",), gate scans and
+        simulation plans ("scan"/"plan", *key) and the vertex expansion
         ("expansion",).  Angles, circuits and reports are never kept."""
         value = self._memo.get(key)
         if value is None:

@@ -3,7 +3,12 @@
 A run of phase-type gates {CNOT, SWAP, X, r, rz, s, sdg} is composed
 symbolically into an affine F2 map (a row mask and a constant bit per qubit)
 and a phase polynomial f(y) = c + sum_s a_s <s,y> over the run's input bits:
-the Walsh form theta(x) = sum_s alpha_s <s,x> that synthesis solves for.
+the Walsh form theta(x) = sum_s alpha_s <s,x> that synthesis solves for
+(the phase-polynomial view of Amy, Maslov and Mosca, arXiv 1303.2042).  The
+composition depends on gate names and qubits only, so a circuit's `Plan`
+holds it, compiled once (and kept per key by `assemble_report`); a call
+reads the angles at the plan's positions and sums every coefficient a_s
+with one bincount.
 
   * A diagonal target realized by a phase-type circuit is checked without
     simulation, in O(G + n 2^n) for G gates whatever the number of ancilla:
@@ -40,52 +45,99 @@ class TooLarge(ValueError):
 
 
 _PHASE_GATES = {"cx", "swap", "x", "r", "rz", "s", "sdg"}
+_FIXED = {"s": -2, "sdg": -1}  # their angles close every angle vector
+_FIXED_ANGLES = [0.5 * math.pi, -0.5 * math.pi]
 
 
-def is_phase_circuit(c):
-    return all(name in _PHASE_GATES for name, _, _ in c.gates)
+class _Run:
+    """A composed run: afterwards qubit q holds <rows[q], y> xor flips[q]
+    for its input basis state y, which gained the phase const + sum_s
+    coef[s] <s, y> over the masks s in `terms` (coef[lo:hi] of a call's
+    weights).  As uint64 (nq <= 64): `masks`, the `moved` qubits' rows then
+    the terms; `bits`, their own bits; `keep`, the rest; `xor`, the flips."""
+
+    def __init__(self, rows, flips, terms, lo, own):
+        self.rows, self.flips, self.terms = rows, flips, list(terms)
+        self.lo, self.hi = lo, lo + len(terms)
+        moved = [q for q in range(1, len(own)) if rows[q] != own[q]]
+        self.moved = len(moved)
+        if len(own) <= _INDEX_BITS + 1:
+            self.masks = np.array([rows[q] for q in moved] + self.terms,
+                                  dtype=np.uint64)
+            self.bits = np.array([own[q] for q in moved], dtype=np.uint64)
+            self.keep = ~np.uint64(sum(own[q] for q in moved))
+            self.xor = np.uint64(sum(o for o, f in zip(own, flips) if f))
 
 
-def _compose(gates, nq, start=0):
-    """Compose gates[start:] up to the first branching gate, whose index
-    (or len(gates)) is returned as `stop` with (rows, flips, coef, const):
-    afterwards qubit q (1-based) holds <rows[q], y> xor flips[q] for the
-    run's input basis state y, and |y> has gained the phase
-    const + sum_s coef[s] <s, y>."""
-    rows = [0] + [1 << (nq - q) for q in range(1, nq + 1)]
-    flips = [0] * (nq + 1)
-    coef = {}
-    const = 0.0
-    for k in range(start, len(gates)):
-        name, qs, p = gates[k]
-        if name == "cx":
-            a, b = qs
-            rows[b] ^= rows[a]
-            flips[b] ^= flips[a]
-            continue
-        if name == "swap":
-            a, b = qs
-            rows[a], rows[b] = rows[b], rows[a]
-            flips[a], flips[b] = flips[b], flips[a]
-            continue
-        (q,) = qs
-        if name == "x":
-            flips[q] ^= 1
-            continue
-        if name == "r":
-            w = p
-        elif name == "rz":
-            w = p
-            const -= 0.5 * p
-        elif name in ("s", "sdg"):
-            w = 0.5 * math.pi if name == "s" else -0.5 * math.pi
-        else:
-            return k, rows, flips, coef, const
-        if flips[q]:  # w * (1 - <row, y>)
-            const += w
-            w = -w
-        coef[rows[q]] = coef.get(rows[q], 0.0) + w
-    return len(gates), rows, flips, coef, const
+class Plan:
+    """How a circuit is simulated, compiled once from its gate names and
+    qubits: its runs, split at each branching gate (at `branches`, with its
+    bit).  Each r/rz/s/sdg gate is a term with a mask index (`uidx`), a
+    sign (-1 if its qubit is flipped), a share of the constant phase (`cw`)
+    and `src`, its index in a call's angle vector (`weights`): the r/rz
+    angles at `angles`, then those of s and sdg.  `gates` is the list
+    compiled from; a call may change the params at `params` (`fits`)."""
+
+    def __init__(self, c):
+        nq = self.nq = c.n
+        self.gates = list(c.gates)
+        self.angles, self.branches, self.runs = [], [], []
+        src, uidx, sign, cw, runof = [], [], [], [], []
+        own = [0] + [1 << (nq - q) for q in range(1, nq + 1)]
+        rows, flips, terms, lo = own.copy(), [0] * (nq + 1), {}, 0
+        for k, (name, qs, _) in enumerate(self.gates):
+            if name == "cx":
+                a, b = qs
+                rows[b] ^= rows[a]
+                flips[b] ^= flips[a]
+            elif name == "swap":
+                a, b = qs
+                rows[a], rows[b] = rows[b], rows[a]
+                flips[a], flips[b] = flips[b], flips[a]
+            elif name == "x":
+                flips[qs[0]] ^= 1
+            elif name in _PHASE_GATES:  # w <s, y>, or w (1 - <s, y>) if flipped
+                (q,) = qs
+                src.append(_FIXED.get(name, len(self.angles)))
+                if name not in _FIXED:
+                    self.angles.append(k)
+                sign.append(-1.0 if flips[q] else 1.0)
+                cw.append(flips[q] - (0.5 if name == "rz" else 0.0))
+                uidx.append(lo + terms.setdefault(rows[q], len(terms)))
+                runof.append(len(self.runs))
+            else:
+                (q,) = qs
+                self.runs.append(_Run(rows, flips, terms, lo, own))
+                self.branches.append((k, own[q]))
+                rows, flips, terms, lo = own.copy(), [0] * (nq + 1), {}, lo + len(terms)
+        self.runs.append(_Run(rows, flips, terms, lo, own))
+        self.src, self.uidx, self.runof = (np.array(a, dtype=np.intp)
+                                           for a in (src, uidx, runof))
+        self.sign, self.cw = np.array(sign), np.array(cw)
+        self.params = self.angles + [k for k, _ in self.branches]
+
+    def fits(self, c):
+        """Whether c has the gates compiled from, up to the params of its
+        r, rz and branching gates: one list copy, one loop over those
+        positions and one list comparison."""
+        ref = self.gates
+        if c.n != self.nq or len(c.gates) != len(ref):
+            return False
+        probe = c.gates.copy()
+        for k in self.params:
+            name, qs, _ = probe[k]
+            was = ref[k]
+            if name != was[0] or qs != was[1]:
+                return False
+            probe[k] = was
+        return probe == ref
+
+    def weights(self, gates):
+        """(coef, const) from the angles of `gates`: the coefficient of every
+        run's every term, and every run's constant phase."""
+        w = np.array([gates[k][2] for k in self.angles] + _FIXED_ANGLES)[self.src]
+        return (np.bincount(self.uidx, w * self.sign, self.runs[-1].hi),
+                np.bincount(self.runof, w * self.cw, len(self.runs)))
 
 
 def f2_matrix(c):
@@ -94,7 +146,7 @@ def f2_matrix(c):
     for name, _, _ in c.gates:
         if name not in ("cx", "swap"):
             raise ValueError(f"not a CNOT-only circuit: {name}")
-    return _compose(c.gates, c.n)[1][1:]
+    return Plan(c).runs[0].rows[1:]
 
 
 def _phase_residual(phases, theta):
@@ -103,54 +155,24 @@ def _phase_residual(phases, theta):
     return float(np.max(np.abs(err)))
 
 
-def _diagonal_check(c, theta, n, m):
-    """(residual, ancilla_restored) of a phase-type circuit against
-    diag(exp(i theta)) on its first n qubits.  The ancilla start at |0>, so
-    only the input bits of each row and coefficient mask count."""
-    nq = n + m
-    _, rows, flips, coef, _ = _compose(c.gates, nq)
+def _diagonal_check(plan, c, theta, n, m):
+    """(residual, ancilla_restored) of a phase-type circuit (a one-run
+    plan of c) against diag(exp(i theta)) on its first n qubits.  The
+    ancilla start at |0>, so only the input bits of each row and term
+    count."""
+    run, nq = plan.runs[0], n + m
+    rows, flips = run.rows, run.flips
     restored = not any(rows[q] >> m or flips[q] for q in range(n + 1, nq + 1))
     exact = all(rows[q] >> m == 1 << (n - q) and not flips[q]
                 for q in range(1, n + 1))
     if not (restored and exact):
         return 1.0, restored
-    alpha = np.zeros(1 << n)
-    for mask, w in coef.items():
-        alpha[mask >> m] += w
+    inputs = np.fromiter((s >> m for s in run.terms), np.intp, len(run.terms))
+    alpha = np.bincount(inputs, plan.weights(c.gates)[0], 1 << n)
     return _phase_residual(phase_from_coefficients(alpha), theta), True
 
 
 # -- the array engine -------------------------------------------------------
-
-def _apply_run(key, amp, nq, rows, flips, coef, const):
-    """Apply a composed run to basis keys and amplitudes: each moved bit
-    and each phase term is a parity of the key under a mask.  Bits above
-    nq (the column of a batch) pass through."""
-    moved = [q for q in range(1, nq + 1) if rows[q] != 1 << (nq - q)]
-    if moved or coef:
-        masks = np.array([rows[q] for q in moved] + list(coef), dtype=np.uint64)
-        bits = np.array([1 << (nq - q) for q in moved], dtype=np.uint64)
-        keep = ~np.uint64(sum(1 << (nq - q) for q in moved))
-        weights = np.fromiter(coef.values(), float, len(coef))
-        step = max(1, _SLICE // len(masks))  # bounds the parity matrix
-        keys, amps = [], []
-        for lo in range(0, len(key), step):
-            k, a = key[lo:lo + step], amp[lo:lo + step]
-            par = np.bitwise_count(k[:, None] & masks) & 1
-            if moved:
-                k = (k & keep) | (par[:, :len(moved)].astype(np.uint64) @ bits)
-            if coef:
-                a = a * np.exp(1j * (par[:, len(moved):] @ weights))
-            keys.append(k)
-            amps.append(a)
-        key, amp = np.concatenate(keys), np.concatenate(amps)
-    if const:
-        amp = amp * complex(math.cos(const), math.sin(const))
-    xor = sum(1 << (nq - q) for q in range(1, nq + 1) if flips[q])
-    if xor:
-        key = key ^ np.uint64(xor)
-    return key, amp
-
 
 def _branch(key, amp, bit, mat):
     """Apply a 1-qubit matrix on `bit`; entries that meet are summed and
@@ -170,38 +192,55 @@ def _branch(key, amp, bit, mat):
     return (key, amp) if live.all() else (key[live], amp[live])
 
 
-def _evolve(gates, nq, key):
-    """(keys, amplitudes) of the state the gates make from basis keys."""
+def _evolve(plan, gates, key, coef, const):
+    """(keys, amplitudes) of the state the gates make from basis keys:
+    each moved bit and each term of a run is a parity of the key under a
+    mask.  Bits above plan.nq (the column of a batch) pass through."""
     amp = np.ones(len(key), dtype=complex)
-    k = 0
-    while True:
-        k, rows, flips, coef, const = _compose(gates, nq, k)
-        key, amp = _apply_run(key, amp, nq, rows, flips, coef, const)
-        if k == len(gates):
-            return key, amp
-        name, (q,), p = gates[k]
-        key, amp = _branch(key, amp, np.uint64(1 << (nq - q)),
-                           gate_matrix(name, p).tolist())
-        k += 1
+    for r, run in enumerate(plan.runs):
+        masks, moved, weights = run.masks, run.moved, coef[run.lo:run.hi]
+        if len(masks):
+            step = max(1, _SLICE // len(masks))  # bounds the parity matrix
+            keys, amps = [], []
+            for lo in range(0, len(key), step):
+                k, a = key[lo:lo + step], amp[lo:lo + step]
+                par = np.bitwise_count(k[:, None] & masks) & 1
+                if moved:
+                    k = (k & run.keep) | (par[:, :moved].astype(np.uint64) @ run.bits)
+                if len(weights):
+                    a = a * np.exp(1j * (par[:, moved:] @ weights))
+                keys.append(k)
+                amps.append(a)
+            key, amp = np.concatenate(keys), np.concatenate(amps)
+        if const[r]:
+            amp = amp * complex(math.cos(const[r]), math.sin(const[r]))
+        if run.xor:
+            key = key ^ run.xor
+        if r < len(plan.branches):
+            at, bit = plan.branches[r]
+            name, _, p = gates[at]
+            key, amp = _branch(key, amp, np.uint64(bit),
+                               gate_matrix(name, p).tolist())
+    return key, amp
 
 
-def _run(c, inputs):
-    """(column, index, amplitude) arrays of the states the circuit makes
-    from each basis input; column k belongs to inputs[k].  Inputs run as
-    one batch, in chunks; an entry's key holds its column above its index."""
+def _run(c, inputs, plan):
+    """(column, index, amplitude) arrays of the states c makes from each
+    basis input; column k belongs to inputs[k].  Inputs run as one batch,
+    in chunks; an entry's key holds its column above its index."""
     nq = c.n
     inputs = np.asarray(inputs, dtype=np.uint64)
     col_bits = (len(inputs) - 1).bit_length()
     if nq + col_bits > _INDEX_BITS:
         raise TooLarge(f"{nq} qubits beyond sparse index width")
-    branches = sum(1 for name, _, _ in c.gates if name not in _PHASE_GATES)
-    per = max(1, _BATCH >> min(branches, nq))
+    coef, const = plan.weights(c.gates)
+    per = max(1, _BATCH >> min(len(plan.branches), nq))
     parts = []
     for lo in range(0, len(inputs), per):
         key = inputs[lo:lo + per]
         if col_bits:
             key = key | np.arange(lo, lo + len(key), dtype=np.uint64) << np.uint64(nq)
-        parts.append(_evolve(c.gates, nq, key))
+        parts.append(_evolve(plan, c.gates, key, coef, const))
     key = np.concatenate([k for k, _ in parts])
     cols = ((key >> np.uint64(nq)).astype(np.intp) if col_bits
             else np.zeros(len(key), dtype=np.intp))
@@ -211,7 +250,7 @@ def _run(c, inputs):
 def sparse_run(c, basis=0):
     """Sparse exact state evolution from a basis state, as a dict
     basis-int -> amplitude."""
-    _, idx, amp = _run(c, [basis])
+    _, idx, amp = _run(c, [basis], Plan(c))
     return dict(zip(idx.tolist(), amp.tolist()))
 
 
@@ -227,14 +266,14 @@ def simulate(c, mode="state", basis=0):
             raise TooLarge(f"{n} qubits > cap {STATE_QUBIT_CAP}")
         if n > 16:
             return sparse_run(c, basis if mode == "basis" else 0)
-        _, idx, amp = _run(c, [basis if mode == "basis" else 0])
+        _, idx, amp = _run(c, [basis if mode == "basis" else 0], Plan(c))
         vec = np.zeros(1 << n, dtype=complex)
         vec[idx] = amp
         return vec
     if mode == "unitary":
         if n > UNITARY_QUBIT_CAP:
             raise TooLarge(f"{n} qubits > cap {UNITARY_QUBIT_CAP}")
-        cols, idx, amp = _run(c, np.arange(1 << n))
+        cols, idx, amp = _run(c, np.arange(1 << n), Plan(c))
         u = np.zeros((1 << n, 1 << n), dtype=complex)
         u[idx, cols] = amp
         return u
@@ -264,24 +303,28 @@ def _target_matrix(target):
     raise TypeError(f"no matrix form for {type(target).__name__}")
 
 
-def verify_target(c, target, m=None):
+def verify_target(c, target, m=None, plan=None):
     """(residual, ancilla_restored) against a diagonal/state/unitary/UCG
     target on the first n qubits; trailing qubits are ancilla expected to
-    return to |0..m>.  The residual is a non-negative float."""
+    return to |0..m>.  The residual is a non-negative float.  `plan`, if
+    given, must be compiled from c's gates up to their params (`Plan.fits`);
+    by default one is compiled here."""
     n = target.n
     if m is None:
         m = c.n - n
     if c.n != n + m:
         raise ValueError("size mismatch")
+    plan = plan or Plan(c)
     size = 1 << n
     theta = getattr(target, "theta", None)
     if theta is not None:
         theta = np.asarray(theta, dtype=float)
-        if is_phase_circuit(c):
-            return _diagonal_check(c, theta, n, m)
+        if len(plan.runs) == 1:  # phase-type
+            return _diagonal_check(plan, c, theta, n, m)
     state = hasattr(target, "amplitudes")
     shift = np.uint64(m)
-    cols, idx, amp = _run(c, [0] if state else np.arange(size, dtype=np.uint64) << shift)
+    cols, idx, amp = _run(c, [0] if state else np.arange(size, dtype=np.uint64) << shift,
+                          plan)
     anc = (idx & np.uint64((1 << m) - 1)) != 0
     leak = np.abs(amp[anc])
     cols, idx, amp = cols[~anc], (idx[~anc] >> shift).astype(np.intp), amp[~anc]
@@ -310,11 +353,24 @@ def verify_target(c, target, m=None):
     return float(np.max(np.abs(out - ph * u))), restored
 
 
+def _plan(c, g, key):
+    """A plan of c: with a `key`, the one kept on g under ("plan", *key)
+    if c has its gates up to their params, else a fresh one."""
+    if key is None:
+        return Plan(c)
+    plan = g.cached(("plan", *key), lambda: Plan(c))
+    return plan if plan.fits(c) else Plan(c)
+
+
 def assemble_report(c, g, target=None, m=None, backend="", extra=None,
                     key=None):
     """The report of c on g.  With a `key`, the gate scan is kept on g under
     ("scan", *key), so every circuit reported under one key must have the
-    same gates up to their angles; verification always runs on c itself."""
+    same gates up to their angles.  A verified report also keeps its
+    simulation plan, compiled from c's gate names and qubits, under
+    ("plan", *key), and reuses it only for a circuit whose gates equal the
+    ones it was compiled from up to their params; the angles are always
+    read from c, so verification is a check of c itself."""
     depth, size, twoq, bad, stages = (
         _scan(c, g._pairs) if key is None
         else g.cached(("scan", *key), lambda: _scan(c, g._pairs)))
@@ -331,13 +387,14 @@ def assemble_report(c, g, target=None, m=None, backend="", extra=None,
         n = target.n
         if m is None:
             m = c.n - n
-        # a diagonal realized by a phase-type circuit is checked in
-        # O(G + n 2^n) without simulation, so only n is capped for it;
-        # is_phase_circuit (a pass over the gates) runs only above the cap
-        if n + m <= STATE_QUBIT_CAP or (
-                n <= STATE_QUBIT_CAP and hasattr(target, "theta")
-                and is_phase_circuit(c)):
-            residual, restored = verify_target(c, target, m)
+        # a diagonal realized by a phase-type circuit (a one-run plan) is
+        # checked in O(G + n 2^n) without simulation, so only n is capped
+        # for it
+        small = n + m <= STATE_QUBIT_CAP
+        plan = (_plan(c, g, key) if small or (
+            n <= STATE_QUBIT_CAP and hasattr(target, "theta")) else None)
+        if plan is not None and (small or len(plan.runs) == 1):
+            residual, restored = verify_target(c, target, m, plan)
             report["residual"] = residual
             report["ancilla_restored"] = restored
         else:

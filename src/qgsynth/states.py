@@ -274,11 +274,12 @@ def _prefix_order(g):
     return list(g.bfs_dist(1))
 
 
-def _map_gates(c, where, size):
-    out = Circuit(size)
-    for name, qs, p in c.gates:
-        out.gates.append((name, tuple(where[q] for q in qs), p))
-    return out
+def _map_gates(gates, qubits, order):
+    """gates moved from the host's labels (vertex i) to g's (order[i-1]) by
+    `qubits`, g's memo of qubit tuples: one lookup per gate."""
+    return [(name, qubits.get(qs)
+             or qubits.setdefault(qs, tuple(order[q - 1] for q in qs)), p)
+            for name, qs, p in gates]
 
 
 def qsp_synthesize(g, v, m, verify=True):
@@ -305,6 +306,7 @@ def qsp_synthesize(g, v, m, verify=True):
         pos = {vtx: i + 1 for i, vtx in enumerate(order)}
         host = g.cached(("host",), lambda: explicit_graph(
             g.n, [(pos[a], pos[b]) for a, b in g.edges]))
+        qubits = g.cached(("relabel",), dict)
     c = Circuit(g.n)
     skeletons = []
     for j, V in enumerate(state_to_ucgs(v), start=1):
@@ -313,8 +315,7 @@ def qsp_synthesize(g, v, m, verify=True):
         if natural:
             c.extend(cj)
         else:
-            c.extend(_map_gates(cj, {i + 1: o for i, o in enumerate(order)},
-                                g.n))
+            c.extend(_map_gates(cj.gates, qubits, order))
         c.mark(f"ucg_{j}")
     if not natural:
         c.extend(synth_permutation(g, {o: i + 1 for i, o in enumerate(order)}))

@@ -209,6 +209,17 @@ def test_report_flags_violations_and_cap():
     assert rep2["residual"] == "not simulated"
 
 
+def test_report_on_wide_branching_diagonal_is_not_simulated():
+    # a diagonal circuit with a branching gate beyond the index width: the
+    # plan compiles, shows more than one run, and nothing is simulated
+    c = Circuit(70)
+    c.add("h", (1,))
+    c.add("h", (1,))
+    spec = DiagonalSpec(2, np.zeros(4))
+    rep = assemble_report(c, complete_graph(70), target=spec, m=68)
+    assert rep["residual"] == "not simulated"
+
+
 def test_report_cheap_path_for_phase_circuits():
     # diagonal target + phase-only circuit is verified even with many
     # ancilla because each basis state stays a basis state
@@ -406,6 +417,122 @@ def test_ancilla_holding_input_parity_is_not_restored():
     bad.add("cx", (1, spec.n + 1))
     res, ok = verify_target(bad, spec, m)
     assert res == 1.0 and not ok
+
+
+# -- a kept plan never hides a wrong circuit ---------------------------------
+
+def _plan_key(g):
+    """The key of the one plan a verified call kept on g."""
+    (key,) = [k[1:] for k in g._memo if k[0] == "plan"]
+    return key
+
+
+def _warm_keyed(kind):
+    """(circuit, graph, target, m, key) of a second verified call of one
+    family, whose plan is kept on the graph under ("plan", *key)."""
+    from qgsynth.diag_ancilla import synth_diag_auto
+    from qgsynth.states import gus_synthesize, qsp_synthesize
+
+    rng = np.random.default_rng(61)
+    if kind == "qsp":
+        g, m, n = path_graph(5), 2, 3
+        call = lambda: qsp_synthesize(g, StateSpec(n, _unit(rng, n)), m)
+    elif kind == "gus":
+        g, m, n = path_graph(3), 1, 2
+        u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        call = lambda: gus_synthesize(g, UnitarySpec(n, u), m)
+    else:
+        g, m, n = path_graph(16), 12, 4
+        call = lambda: synth_diag_auto(
+            g, DiagonalSpec(n, rng.uniform(0, 2 * np.pi, 1 << n)), m)
+    call()
+    c, rep = call()
+    assert rep["residual"] <= 1e-9 and rep["ancilla_restored"] is True
+    target = (DiagonalSpec(n, rng.uniform(0, 2 * np.pi, 1 << n)) if kind == "diag"
+              else None)
+    return c, g, target, m, _plan_key(g)
+
+
+def _unit(rng, n):
+    v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return v / np.linalg.norm(v)
+
+
+def _tampered(c, kind):
+    """A copy of c with one r angle perturbed, one r gate moved to the next
+    qubit, one CNOT reversed or one gate dropped."""
+    gates = list(c.gates)
+    if kind == "angle":
+        k = next(i for i, g in enumerate(gates) if g[0] == "r")
+        name, qs, p = gates[k]
+        gates[k] = (name, qs, p + 0.5)
+    elif kind == "move":
+        k = next(i for i, g in enumerate(gates) if g[0] == "r")
+        name, (q,), p = gates[k]
+        gates[k] = (name, (q % c.n + 1,), p)
+    elif kind == "reverse":
+        k = next(i for i, g in enumerate(gates) if g[0] == "cx")
+        gates[k] = ("cx", gates[k][1][::-1], None)
+    else:
+        del gates[len(gates) // 2]
+    bad = Circuit(c.n, c.ancilla, gates)
+    bad.meta = dict(c.meta)
+    return bad
+
+
+@pytest.mark.parametrize("tamper", ["angle", "move", "reverse", "drop"])
+@pytest.mark.parametrize("kind", ["qsp", "gus", "diag"])
+def test_kept_plan_cannot_hide_a_wrong_circuit(kind, tamper, monkeypatch):
+    c, g, target, m, key = _warm_keyed(kind)
+    if target is None:  # the target the circuit was made for
+        target = _cascade_target(c, kind, m)
+    kept = g._memo[("plan", *key)]
+    bad = _tampered(c, tamper)
+    compiled, compile_plan = [], sim.Plan
+    with monkeypatch.context() as mp:
+        mp.setattr(sim, "Plan", lambda c: compiled.append(c) or compile_plan(c))
+        rep = assemble_report(bad, g, target, m=m, key=key)
+    assert (rep["residual"], rep["ancilla_restored"]) == verify_target(bad, target, m)
+    # an angle is read from the circuit through the kept plan; any other
+    # change fails the plan's equality check and compiles a fresh one
+    assert compiled == ([bad] if tamper != "angle" else [])
+    assert g._memo[("plan", *key)] is kept
+    assert rep["residual"] > 1e-6 or not rep["ancilla_restored"]
+
+
+def _cascade_target(c, kind, m):
+    """The state or unitary a verified cascade circuit realizes on its
+    first n qubits, read back from the reference simulator."""
+    n = c.n - m
+    if kind == "qsp":
+        state = ref.dense_state(c)
+        return StateSpec(n, state[::1 << m])
+    cols = np.stack([ref.dense_state(c, x << m)[::1 << m] for x in range(1 << n)],
+                    axis=1)
+    return UnitarySpec(n, cols)
+
+
+@given(circuits(), st.integers(0, 2**5 - 1))
+@settings(max_examples=60, deadline=None)
+def test_keyed_plan_agrees_with_reference(case, seed):
+    # the first keyed call compiles and keeps the plan, the second reads
+    # new angles through it; both must agree with the per-gate reference
+    c, n, m = case
+    rng = np.random.default_rng(seed)
+    g = complete_graph(c.n)
+    targets = [StateSpec(n, _unit(rng, n)),
+               UnitarySpec(n, np.linalg.qr(rng.normal(size=(1 << n, 1 << n)))[0]),
+               DiagonalSpec(n, rng.uniform(0, 2 * np.pi, 1 << n))]
+    again = Circuit(c.n, c.ancilla, [
+        (name, qs, float(rng.uniform(-np.pi, np.pi)) if p is not None else p)
+        for name, qs, p in c.gates])
+    for k, target in enumerate(targets):
+        for circ in (c, again):
+            rep = assemble_report(circ, g, target, m=m, key=("property", k))
+            _agree((rep["residual"], rep["ancilla_restored"]),
+                   ref.verify_target(circ, target, m))
+        assert g._memo[("plan", "property", k)].fits(again)
+    assert len([k for k in g._memo if k[0] == "plan"]) == len(targets)
 
 
 # -- verified sizes: exact checks at the sizes synthesis reaches -------------

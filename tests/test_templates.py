@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_state, random_unitary
-from qgsynth import diag, diag_ancilla, graphs, linear, states
+from qgsynth import diag, diag_ancilla, graphs, linear, sim, states
 from qgsynth.circuit import Template, circuit_to_json
 from qgsynth.diag import DiagonalSpec, synth_diag_noancilla
 from qgsynth.diag_ancilla import synth_diag_ancilla, synth_diag_auto
@@ -146,7 +146,8 @@ def test_gus_builds_each_key_once():
     assert counts == {"_build_auto": 1}
     assert len(skeletons) == 7
     assert kept(g) == [("auto", 3, 0),
-                                  ("scan", "gus-demux", 3, 0, tuple(skeletons))]
+                                  ("scan", "gus-demux", 3, 0, tuple(skeletons)),
+                                  ("plan", "gus-demux", 3, 0, tuple(skeletons))]
     assert report["residual"] <= 1e-8
 
 
@@ -160,7 +161,8 @@ def test_qsp_factors_share_one_key_per_ucg():
     assert len(skeletons) == 4
     assert kept(g) == [
         *(("auto", j, 4 - j) for j in (2, 3, 4)),
-        ("scan", "qsp-cascade", 4, 0, tuple(skeletons))]
+        ("scan", "qsp-cascade", 4, 0, tuple(skeletons)),
+        ("plan", "qsp-cascade", 4, 0, tuple(skeletons))]
 
 
 @pytest.mark.parametrize("make, n", [(lambda: path_graph(12), 3),
@@ -227,8 +229,9 @@ def _live(kind):
 
 def test_relabelled_hosts_do_not_accumulate():
     # breadth-first order 1, 3, 2, 4, 5: the cascade runs on a relabelled
-    # host graph, built once and kept in g's cache with its templates, so
-    # warm calls build nothing and the host dies with g
+    # host graph, built once and kept in g's cache with its templates and
+    # its qubit map, so warm calls build nothing, reuse the one kept plan,
+    # and host and plan die with g
     g = explicit_graph(5, [(1, 3), (3, 2), (2, 4), (4, 5)])
     v = StateSpec(3, random_state(np.random.default_rng(10), 3))
     hosts = []
@@ -246,14 +249,21 @@ def test_relabelled_hosts_do_not_accumulate():
         first = tuple(skeletons)
         graphs_before, templates_before = (_live(graphs.ConstraintGraph),
                                            _live(Template))
-        for _ in range(19):
-            _, report = qsp_synthesize(g, v, 2)
+        plan = weakref.ref(g._memo[("plan", "qsp-cascade", 3, 2, first)])
+        with counting([(sim, "Plan")]) as counts:
+            for _ in range(19):
+                _, report = qsp_synthesize(g, v, 2)
+        assert counts == {"Plan": 0}
         assert report["residual"] <= 1e-8
         assert len(hosts) == 1
         assert _live(graphs.ConstraintGraph) == graphs_before
         assert _live(Template) == templates_before
-    assert kept(g) == [("host",), ("scan", "qsp-cascade", 3, 2, first)]
+    assert kept(g) == [("host",), ("relabel",),
+                       ("scan", "qsp-cascade", 3, 2, first),
+                       ("plan", "qsp-cascade", 3, 2, first)]
     assert hosts[0]() is g._memo[("host",)]
+    assert plan() is g._memo[("plan", "qsp-cascade", 3, 2, first)]
     del g
     gc.collect()
     assert hosts[0]() is None
+    assert plan() is None
