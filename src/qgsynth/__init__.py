@@ -58,12 +58,14 @@ from .states import (
     UnitarySpec,
     gus_synthesize,
     qsp_synthesize,
+    retarget_last,
     state_to_ucgs,
     synth_ucg,
     ucg_to_diagonals,
     unary_qsp_tree,
     unary_to_binary,
     unitary_to_ucgs,
+    zyz_angles,
 )
 from .bounds import (
     BridgeInvalid,

@@ -13,8 +13,9 @@ and synthesis report are its views.
 A diagonal's gates depend only on the graph, n and m; its angles enter as
 the Walsh coefficients alpha = solve_phase_coefficients(theta), one per
 rotation.  A diagonal builder therefore emits a `Template`: a circuit with
-an empty rotation slot wherever an angle goes.  `Template.bind(theta)`
-fills a copy, so one template serves every theta.
+an empty rotation slot wherever an angle goes.  `Template.bind(alpha)`
+fills a copy, so one template serves every theta; a UCG cascade's template
+splices its diagonals' and is bound to one vector of every coefficient.
 
 `_scan` reads only gate names and qubits, never angles, so its result is
 kept in the graph's memo wherever the gates are fixed: under the template's
@@ -30,8 +31,6 @@ import math
 from itertools import islice
 
 import numpy as np
-
-from .gray import solve_phase_coefficients
 
 ONE_QUBIT = {"r", "rz", "ry", "h", "s", "sdg", "x", "u2"}
 TWO_QUBIT = {"cx", "swap"}
@@ -173,14 +172,15 @@ class Circuit:
 
 
 class Template(Circuit):
-    """A diagonal's circuit with its rotation angles left as slots.
+    """A circuit with its rotation angles left as slots.
 
-    Slot k is the gate at index pos[k], an ("r", (q,), None) placeholder
-    whose angle is alpha[idx[k]] for the diagonal's `inputs` qubits.
-    Builders add slots with `rot` and `rots`; `seal` freezes them into
-    int32 arrays.  Slots on one qubit share one placeholder tuple.  The
-    report fields (`backend`, `extra`) do not depend on the angles either,
-    so a template kept on its graph carries them too."""
+    Slot k is the gate at index pos[k], a placeholder (name, (q,), None),
+    shared per name and qubit, whose angle is params[idx[k]]: the alpha of
+    a diagonal on `inputs` qubits, or a UCG cascade's (`inputs` None, see
+    states.py).  Builders add slots with `rot`, `rots` and `splice`; `seal`
+    freezes them into int32 arrays.  The report fields (`backend`, `extra`)
+    do not depend on the angles either, so a template kept on its graph
+    carries them too."""
 
     __slots__ = ("inputs", "pos", "idx", "backend", "extra", "_empty")
 
@@ -189,39 +189,47 @@ class Template(Circuit):
         self.inputs = inputs
         self.pos, self.idx = [], []
         self.backend, self.extra = "", {}
-        self._empty = {}  # qubit -> its placeholder
+        self._empty = {}  # (name, qubit) -> its placeholder
 
-    def rot(self, q, s):
-        """Append a slot on qubit q for alpha[s]."""
+    def rot(self, q, s, name="r"):
+        """Append a `name` slot on qubit q for params[s]."""
         self.pos.append(len(self.gates))
         self.idx.append(s)
-        self.gates.append(self._empty.setdefault(q, ("r", (q,), None)))
+        self.gates.append(self._empty.setdefault((name, q), (name, (q,), None)))
 
     def rots(self, qubits, idx):
-        """Append a run of slots, on qubits[j] for alpha[idx[j]]."""
+        """Append a run of r slots, on qubits[j] for alpha[idx[j]]."""
         start = len(self.gates)
         self.pos.extend(range(start, start + len(qubits)))
         self.idx.extend(idx)
-        self.gates.extend([self._empty.setdefault(q, ("r", (q,), None))
+        self.gates.extend([self._empty.setdefault(("r", q), ("r", (q,), None))
                            for q in qubits])
 
+    def splice(self, t, base):
+        """Append sealed template t, its slots reading params from base on."""
+        self.pos.extend((t.pos + len(self.gates)).tolist())
+        self.idx.extend((t.idx + base).tolist())
+        self.gates.extend(t.gates)
+
     def seal(self):
-        """Freeze the slots; every nonzero alpha index has exactly one."""
+        """Freeze the slots; in a diagonal's template every nonzero alpha
+        index has exactly one."""
         self.pos = np.array(self.pos, dtype=np.int32)
         self.idx = np.array(self.idx, dtype=np.int32)
-        hits = np.bincount(self.idx, minlength=1 << self.inputs)
-        assert len(hits) == 1 << self.inputs
-        assert hits[0] == 0 and (hits[1:] == 1).all()
+        if self.inputs is not None:
+            hits = np.bincount(self.idx, minlength=1 << self.inputs)
+            assert len(hits) == 1 << self.inputs
+            assert hits[0] == 0 and (hits[1:] == 1).all()
         self._empty = None
         return self
 
-    def bind(self, theta):
-        """A new Circuit: this template with every slot rotating by its
-        coefficient of theta."""
-        alpha = solve_phase_coefficients(theta)
+    def bind(self, params):
+        """A new Circuit: this template with every slot's gate rotating by
+        its entry of params."""
         gates = self.gates.copy()
-        for p, a in zip(self.pos.tolist(), alpha[self.idx].tolist()):
-            gates[p] = ("r", gates[p][1], a)
+        for p, a in zip(self.pos.tolist(), params[self.idx].tolist()):
+            name, qs, _ = gates[p]
+            gates[p] = (name, qs, a)
         c = Circuit(self.n, self.ancilla)
         c.gates = gates
         c.meta = dict(self.meta)
@@ -254,7 +262,7 @@ def _scan(c, pairs=None):
     gates = iter(c.gates)
     start = front0 = size0 = twoq0 = 0  # gate index and totals at the last mark
     for stage, end in (*marks, (None, len(c.gates))):
-        for gate in islice(gates, end - start):
+        for gate in islice(gates, max(end - start, 0)):  # marks may overrun
             qs = gate[1]
             if len(qs) == 1:
                 last[qs[0]] += 1

@@ -33,7 +33,7 @@ from .graphs import (
     hamiltonian_path_grid,
     vertex_expansion,
 )
-from .gray import gray_code
+from .gray import gray_code, solve_phase_coefficients
 from .linear import _f2_reduce, route_cnot_gates
 from .sim import assemble_report
 
@@ -450,7 +450,7 @@ def _bind_report(g, key, build, spec, verify):
     first use, bound to spec; the gate scan is kept under ("scan", *key).
     verify=False skips the simulation residual."""
     t = g.cached(key, build)
-    c = t.bind(spec.theta)
+    c = t.bind(solve_phase_coefficients(spec.theta))
     report = assemble_report(c, g, spec if verify else None, m=g.n - spec.n,
                              backend=t.backend, extra=t.extra, key=key)
     return c, report

@@ -28,7 +28,7 @@ from .graphs import (
     tree_graph,
     vertex_expansion,
 )
-from .gray import gray_code
+from .gray import gray_code, solve_phase_coefficients
 from .linear import route_cnot_gates, synth_permutation
 
 
@@ -381,7 +381,8 @@ def synth_diag_expander_ancilla(g, spec, m, cascade):
     gray-init, gray-cycle and inverse; the swaps that move input qubits out
     of the cascade count in the first and the last."""
     spec = _as_spec(spec)
-    return _expander_template(g, spec.n, cascade).bind(spec.theta)
+    return _expander_template(g, spec.n, cascade).bind(
+        solve_phase_coefficients(spec.theta))
 
 
 def _expander_template(g, n, cascade):

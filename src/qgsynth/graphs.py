@@ -64,9 +64,10 @@ class ConstraintGraph:
         first use.  Everything that depends on the graph alone is kept here:
         routed CNOTs ("route", u, v), diagonal templates ("auto", n, m),
         ("noancilla", strategy) and ("ancilla", n, m), the relabelled QSP
-        host ("host",) and its qubit map ("relabel",), gate scans and
-        simulation plans ("scan"/"plan", *key) and the vertex expansion
-        ("expansion",).  Angles, circuits and reports are never kept."""
+        host ("host",) and its qubit map ("relabel",), cascade templates,
+        gate scans and simulation plans ("cascade"/"scan"/"plan", *key) and
+        the vertex expansion ("expansion",).  Angles, circuits and reports
+        are never kept."""
         value = self._memo.get(key)
         if value is None:
             value = self._memo[key] = build()

@@ -49,15 +49,21 @@ def gray_code(n, i):
     return GrayCode(n, i, flips, tuple(words))
 
 
-def fwht(a):
-    """Fast Walsh-Hadamard transform of a length-2^k array (a new array).
+def fwht(a, widths=None):
+    """Fast Walsh-Hadamard transform along the last axis of a, of length
+    2^k (a new array).  Given `widths`, non-decreasing, a is instead a run
+    of rows of 2^widths[i] entries, each transformed on its own.
 
     Stage h pairs each block's halves x, y into (x + y, x - y) for all
-    blocks at once through a (-1, 2, h) view."""
+    blocks at once through a (-1, 2, h) view; no block crosses a row, and
+    the view skips the rows already done, which lead the run."""
     a = np.array(a, dtype=float)
-    h = 1
-    while h < len(a):
-        v = a.reshape(-1, 2, h)
+    lens = [a.shape[-1]] if widths is None else [1 << int(w) for w in widths]
+    rows, i, h = a.reshape(-1), 0, 1
+    while h < lens[-1]:
+        while lens[i] <= h:  # row i is done
+            rows, i = rows[lens[i]:], i + 1
+        v = rows.reshape(-1, 2, h)
         x = v[:, 0].copy()
         y = v[:, 1]
         v[:, 0] = x + y
@@ -66,23 +72,30 @@ def fwht(a):
     return a
 
 
-def solve_phase_coefficients(theta):
+def solve_phase_coefficients(theta, widths=None):
     """Coefficients alpha with sum_s alpha_s <s,x> = theta(x) for all x.
 
     theta is a length-2^n array with theta[0] = 0; returns alpha of the same
     length with alpha[0] = 0.  For s != 0:
         alpha_s = -2^(1-n) sum_x (-1)^<s,x> theta(x).
+    Given `widths` (an array, non-decreasing), theta is a run of such rows
+    of 2^widths[i] angles each, not checked, all solved by one transform.
     """
     theta = np.asarray(theta, dtype=float)
-    size = len(theta)
-    n = size.bit_length() - 1
-    if size != 1 << n:
-        raise ValueError("theta length must be a power of two")
-    if abs(theta[0]) > 1e-12:
-        raise ValueError("theta[0] must be 0 (phase normalization)")
-    t = fwht(theta)
-    alpha = -(2.0 ** (1 - n)) * t
-    alpha[0] = 0.0
+    if widths is None:
+        size = len(theta)
+        n = size.bit_length() - 1
+        if size != 1 << n:
+            raise ValueError("theta length must be a power of two")
+        if abs(theta[0]) > 1e-12:
+            raise ValueError("theta[0] must be 0 (phase normalization)")
+        scale, starts = -(2.0 ** (1 - n)), 0
+    else:
+        lens = 1 << widths
+        scale = np.repeat(-(2.0 ** (1 - widths)), lens)
+        starts = np.cumsum(lens) - lens
+    alpha = scale * fwht(theta, widths)
+    alpha[starts] = 0.0
     return alpha
 
 

@@ -76,7 +76,8 @@ class Plan:
     sign (-1 if its qubit is flipped), a share of the constant phase (`cw`)
     and `src`, its index in a call's angle vector (`weights`): the r/rz
     angles at `angles`, then those of s and sdg.  `gates` is the list
-    compiled from; a call may change the params at `params` (`fits`)."""
+    compiled from; a call may change the params at `params` (`fits`).
+    `projected[m]` keeps `_diagonal_check`'s term indices for m ancilla."""
 
     def __init__(self, c):
         nq = self.nq = c.n
@@ -115,6 +116,7 @@ class Plan:
                                            for a in (src, uidx, runof))
         self.sign, self.cw = np.array(sign), np.array(cw)
         self.params = self.angles + [k for k, _ in self.branches]
+        self.projected = {}
 
     def fits(self, c):
         """Whether c has the gates compiled from, up to the params of its
@@ -167,7 +169,10 @@ def _diagonal_check(plan, c, theta, n, m):
                 for q in range(1, n + 1))
     if not (restored and exact):
         return 1.0, restored
-    inputs = np.fromiter((s >> m for s in run.terms), np.intp, len(run.terms))
+    inputs = plan.projected.get(m)
+    if inputs is None:
+        inputs = plan.projected[m] = np.fromiter(
+            (s >> m for s in run.terms), np.intp, len(run.terms))
     alpha = np.bincount(inputs, plan.weights(c.gates)[0], 1 << n)
     return _phase_residual(phase_from_coefficients(alpha), theta), True
 
@@ -353,36 +358,18 @@ def verify_target(c, target, m=None, plan=None):
     return float(np.max(np.abs(out - ph * u))), restored
 
 
-def _plan(c, g, key):
-    """A plan of c: with a `key`, the one kept on g under ("plan", *key)
-    if c has its gates up to their params, else a fresh one."""
-    if key is None:
-        return Plan(c)
-    plan = g.cached(("plan", *key), lambda: Plan(c))
-    return plan if plan.fits(c) else Plan(c)
-
-
 def assemble_report(c, g, target=None, m=None, backend="", extra=None,
                     key=None):
     """The report of c on g.  With a `key`, the gate scan is kept on g under
-    ("scan", *key), so every circuit reported under one key must have the
-    same gates up to their angles.  A verified report also keeps its
-    simulation plan, compiled from c's gate names and qubits, under
-    ("plan", *key), and reuses it only for a circuit whose gates equal the
-    ones it was compiled from up to their params; the angles are always
-    read from c, so verification is a check of c itself."""
-    depth, size, twoq, bad, stages = (
-        _scan(c, g._pairs) if key is None
-        else g.cached(("scan", *key), lambda: _scan(c, g._pairs)))
-    report = {
-        "depth": depth,
-        "size": size,
-        "two_qubit": twoq,
-        "violations": [{"g": name, "q": list(qs)} for name, qs, _ in bad],
-        "backend": backend,
-        "residual": None,
-        "ancilla_restored": None,
-    }
+    ("scan", *key), and an unverified report trusts the key: every circuit
+    reported under it must have the same gates up to their angles.  A
+    verified one also keeps its simulation plan under ("plan", *key), and
+    reuses plan and scan only for a circuit whose gates equal the plan's up
+    to their params; any other is scanned and verified afresh.  The angles
+    are always read from c, so verification is a check of c itself."""
+    scan = (_scan(c, g._pairs) if key is None
+            else g.cached(("scan", *key), lambda: _scan(c, g._pairs)))
+    residual = restored = None
     if target is not None:
         n = target.n
         if m is None:
@@ -391,14 +378,25 @@ def assemble_report(c, g, target=None, m=None, backend="", extra=None,
         # checked in O(G + n 2^n) without simulation, so only n is capped
         # for it
         small = n + m <= STATE_QUBIT_CAP
-        plan = (_plan(c, g, key) if small or (
-            n <= STATE_QUBIT_CAP and hasattr(target, "theta")) else None)
-        if plan is not None and (small or len(plan.runs) == 1):
-            residual, restored = verify_target(c, target, m, plan)
-            report["residual"] = residual
-            report["ancilla_restored"] = restored
-        else:
-            report["residual"] = "not simulated"
+        residual = "not simulated"
+        if small or (n <= STATE_QUBIT_CAP and hasattr(target, "theta")):
+            plan = key and g.cached(("plan", *key), lambda: Plan(c))
+            if not (plan and plan.fits(c)):
+                if plan:  # c is not the key's circuit: nor is the scan kept
+                    scan = _scan(c, g._pairs)
+                plan = Plan(c)
+            if small or len(plan.runs) == 1:
+                residual, restored = verify_target(c, target, m, plan)
+    depth, size, twoq, bad, stages = scan
+    report = {
+        "depth": depth,
+        "size": size,
+        "two_qubit": twoq,
+        "violations": [{"g": name, "q": list(qs)} for name, qs, _ in bad],
+        "backend": backend,
+        "residual": residual,
+        "ancilla_restored": restored,
+    }
     if stages:
         report["stages"] = [dict(row) for row in stages]
     if extra:

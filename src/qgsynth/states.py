@@ -7,16 +7,14 @@ width, and a general unitary is a sequence of 2^n - 1 UCGs obtained by
 recursive cosine-sine demultiplexing.  A separate unary-encoded route
 serves binary trees with enough ancilla to hold one qubit per basis state.
 
-Branch work is batched: a state's cascade builds each stage's branch array
-with array arithmetic, and a UCG's ZYZ angles come from one computation
-over all of its branches.
-
-A cascade's gates, up to their angles, follow from the graph, n, m and
-which pieces each UCG emitted; `synth_ucg` records the latter as its
-circuit's `meta["skeleton"]`.  The cascade's report therefore passes
-key=(backend, n, m, skeletons) to `assemble_report`, which keeps the gate
-scan (depth, size, CNOTs, connectivity audit, stage rows) in the graph's
-memo under ("scan", *key), so a warm call scans nothing.
+A cascade is bound in one pass: the branches of all its UCGs go through
+one ZYZ batch and their diagonal factors through one FWHT, into one angle
+vector.  Its gates, up to those angles, follow from the graph, n, m and
+which pieces each UCG emitted, its skeletons (see `synth_ucg`).  With
+key = (backend, n, m, skeletons), g's memo keeps the cascade's template
+under ("cascade", *key) and, through `assemble_report`, its gate scan under
+("scan", *key): a warm call copies one gate list, scatters the angles into
+its slots and scans nothing.
 """
 
 from __future__ import annotations
@@ -28,10 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cossin
 
-from .circuit import Circuit, gate_matrix
+from .circuit import Circuit, Template, gate_matrix
 from .diag import DiagonalSpec
 from .diag_ancilla import _auto_template
 from .graphs import explicit_graph, tree_graph
+from .gray import solve_phase_coefficients
 from .linear import multi_controlled_x, copy_register, route_cnot_gates, \
     synth_permutation
 from .sim import assemble_report
@@ -73,16 +72,21 @@ class UcgSpec:
             br = None
         if br is None or br.shape != (count, 2, 2):
             raise ValueError("branches must be 2x2")
-        err = np.abs(br.conj().transpose(0, 2, 1) @ br - np.eye(2))
-        bad = err.max(axis=(1, 2)) > 1e-12
-        if bad.any():
-            raise ValueError(f"branch {bad.argmax()} is not unitary")
-        self.branches = br
+        self.branches = _unitary(br)
 
     def __eq__(self, other):
         return (isinstance(other, UcgSpec) and self.n == other.n
                 and self.target == other.target
                 and np.array_equal(self.branches, other.branches))
+
+
+def _unitary(br):
+    """br, a stack of 2x2 matrices, once all are unitary."""
+    err = np.abs(br.conj().transpose(0, 2, 1) @ br - np.eye(2))
+    bad = err.max(axis=(1, 2)) > 1e-12
+    if bad.any():
+        raise ValueError(f"branch {bad.argmax()} is not unitary")
+    return br
 
 
 @dataclass
@@ -145,6 +149,37 @@ def zyz_angles(u):
 UCG_MID_GATES = (("sdg", "h"), ("h", "s"))
 
 
+def _factors(heads, branches):
+    """(theta, euler, skeletons) of UCGs with heads[k] = (n, target), n
+    non-decreasing, from one ZYZ batch over their `branches` (each UCG's
+    reindexed for a last target).  From 6 * (its first branch) on, theta
+    holds UCG k's three diagonal factors (see ucg_to_diagonals), 2^n angles
+    each, normalised as by DiagonalSpec; euler holds every branch's d, c, b,
+    the rz/ry/rz of a width-1 UCG; skeletons[k] is as in synth_ucg."""
+    widths = np.array([n for n, _ in heads])
+    counts = 1 << (widths - 1)  # branches per UCG
+    first = np.cumsum(counts) - counts
+    a, b, c, d = zyz_angles_batch(branches)
+    # th[z, f, t]: angle of factor f on branch z, target bit t
+    th = np.zeros((len(a), 3, 2))
+    th[:, 0, 1] = d
+    th[:, 1, 1] = c
+    th[:, 2, 0] = a - (b + c + d) / 2.0
+    th[:, 2, 1] = th[:, 2, 0] + b
+    if not np.isfinite(th).all():
+        raise ValueError("angles must be finite")
+    head = np.repeat(first, counts)  # each branch's UCG's first branch
+    th = np.mod(th - th[head, :, :1], 2 * math.pi)
+    theta = np.empty(th.size)  # branch z's pairs from 4 head + 2z, 2^n apart
+    theta[(4 * head + 2 * np.arange(len(a)))[:, None, None] + np.arange(2)
+          + np.repeat(2 * counts, counts)[:, None, None] * np.arange(3)[:, None]] = th
+    euler = np.array([d, c, b])
+    emitted = np.logical_or.reduceat((np.abs(th) > 1e-14).any(axis=2), first)
+    emitted[widths == 1] = np.abs(euler[:, first[widths == 1]].T) > 1e-14
+    return theta, euler, tuple((*h, tuple(e))
+                               for h, e in zip(heads, emitted.tolist()))
+
+
 def ucg_to_diagonals(V):
     """Three diagonal factors of a last-target UCG.
 
@@ -155,83 +190,110 @@ def ucg_to_diagonals(V):
     """
     if V.target != V.n:
         raise ValueError("ucg_to_diagonals expects target on the last qubit")
-    n = V.n
-    a, b, c, d = zyz_angles_batch(V.branches)
-    # th[f, z, t]: angle of factor f on control word z, target bit t
-    th = np.zeros((3, len(a), 2))
-    th[0, :, 1] = d
-    th[1, :, 1] = c
-    th[2, :, 0] = a - (b + c + d) / 2.0
-    th[2, :, 1] = th[2, :, 0] + b
-    return (*(DiagonalSpec(n, f.ravel()) for f in th), UCG_MID_GATES)
+    theta = _factors([(V.n, V.n)], V.branches)[0].reshape(3, -1)
+    return (*(DiagonalSpec(V.n, f) for f in theta), UCG_MID_GATES)
+
+
+def _last_target_branches(V):
+    """V's branch table for target n, valid after exchanging the contents
+    of qubits V.target and n."""
+    n, t = V.n, V.target
+    if t == n:
+        return V.branches
+    # one axis per control bit: the new last control is old qubit n, whose
+    # bit moves into qubit t's place
+    tensor = V.branches.reshape((2,) * (n - 1) + (2, 2))
+    return np.moveaxis(tensor, n - 2, t - 1).reshape(-1, 2, 2)
 
 
 def retarget_last(V):
     """Equivalent UCG with target n, valid after exchanging the contents of
     qubits V.target and n (branch table reindexed accordingly)."""
-    n, t = V.n, V.target
-    if t == n:
-        return V
-    # one axis per control bit: the new last control is old qubit n, whose
-    # bit moves into qubit t's place
-    tensor = V.branches.reshape((2,) * (n - 1) + (2, 2))
-    return UcgSpec(n, np.moveaxis(tensor, n - 2, t - 1).reshape(-1, 2, 2), n)
+    return V if V.target == V.n else UcgSpec(V.n, _last_target_branches(V))
+
+
+def _cascade_template(g, skeletons, ms):
+    """Template of a UCG cascade on g, slots reading `_cascade`'s params:
+    UCG k, skeleton (n, target, emitted), on qubits 1..n with ms[k]
+    ancilla, marked ucg_k.  Width 1 is rz(d) ry(c) rz(b) on qubit 1; wider
+    UCGs splice the automatic diagonal template for (g, n, m) per factor,
+    the mid gates on qubit n, inside a swap network if target != n."""
+    counts = [1 << (n - 1) for n, _, _ in skeletons]
+    t = Template(g.n, None)
+    for k, ((n, target, emitted), m) in enumerate(zip(skeletons, ms)):
+        first = sum(counts[:k])
+        if n == 1:
+            for f, name in enumerate(("rz", "ry", "rz")):
+                if emitted[f]:
+                    t.rot(1, (6 + f) * sum(counts) + first, name)
+        else:
+            perm = (synth_permutation(g, {target: n, n: target})
+                    if target != n else Circuit(g.n))
+            t.extend(perm)
+            mid1, mid2 = ([(name, (n,), None) for name in pair]
+                          for pair in UCG_MID_GATES)
+            for f in range(3):
+                if emitted[f]:
+                    t.extend(mid1 if f == 1 else ())
+                    t.splice(_auto_template(g, n, m), 6 * first + f * (2 << (n - 1)))
+                    t.extend(mid2 if f == 1 else ())
+            t.extend(perm.inverse())
+        t.mark(f"ucg_{k + 1}")
+    return t.seal()
+
+
+def _cascade(g, heads, branches, key, build):
+    """(circuit, key + (skeletons,)) of the UCG cascade of `_factors`, its
+    template `build(skeletons)` kept on g under ("cascade", *key,
+    skeletons) and bound to the Walsh coefficients of every factor (one
+    FWHT), then the Euler angles."""
+    theta, euler, skeletons = _factors(heads, branches)
+    widths = np.repeat([n for n, _ in heads], 3)
+    params = np.concatenate([solve_phase_coefficients(theta, widths).ravel(),
+                             euler.ravel()])
+    key = (*key, skeletons)
+    return g.cached(("cascade", *key), lambda: build(skeletons)).bind(params), key
 
 
 def synth_ucg(g, V, m):
-    """Compile a UCG on the first V.n qubits of g with m ancilla.
-
-    The three diagonal factors bind their angles to the one template of the
-    automatic diagonal dispatch for (g, n, m), cached on g (no report); the
-    fixed single-qubit gates land on the target vertex.  Targets other than
-    the last qubit are conjugated by a swap network first.
+    """Compile a UCG on the first V.n qubits of g with m ancilla: the
+    one-UCG cascade, without marks (see `_cascade_template`).
 
     `meta["skeleton"]` is (n, target, emitted): emitted flags the three
-    pieces that were not skipped as all-zero, the rz/ry/rz for n = 1 and
-    the diagonal factors otherwise (the mid gates go with the second).
-    With g and m it fixes every gate but the angles.
-    """
-    n, target = V.n, V.target
-    c = Circuit(g.n)
-    if n == 1:
-        _, b, cc, d = zyz_angles(V.branches[0])
-        emitted = tuple(abs(ang) > 1e-14 for ang in (d, cc, b))
-        for name, ang, on in zip(("rz", "ry", "rz"), (d, cc, b), emitted):
-            if on:
-                c.add(name, (1,), ang)
-        c.meta["backend"] = "ucg"
-        c.meta["skeleton"] = (n, target, emitted)
-        return c
-    perm = None
-    if target != n:
-        perm = synth_permutation(g, {target: n, n: target})
-        c.extend(perm)
-        V = retarget_last(V)
-    lam1, lam2, lam3, (mid1, mid2) = ucg_to_diagonals(V)
-    emitted = tuple(bool(np.max(np.abs(lam.theta)) > 1e-14)
-                    for lam in (lam1, lam2, lam3))
-
-    def emit_diag(lam):
-        c.extend(_auto_template(g, n, m).bind(lam.theta))
-
-    if emitted[0]:
-        emit_diag(lam1)
-    if emitted[1]:
-        for name in mid1:
-            c.add(name, (n,))
-        emit_diag(lam2)
-        for name in mid2:
-            c.add(name, (n,))
-    if emitted[2]:
-        emit_diag(lam3)
-    if perm is not None:
-        c.extend(perm.inverse())
-    c.meta["backend"] = "ucg"
-    c.meta["skeleton"] = (n, target, emitted)
+    pieces not skipped as all-zero, the rz/ry/rz for n = 1 and the diagonal
+    factors otherwise (the mid gates go with the second); with g and m it
+    fixes every gate but the angles."""
+    c, key = _cascade(g, [(V.n, V.target)], _last_target_branches(V),
+                      ("ucg", V.n, m), lambda s: _cascade_template(g, s, [m]))
+    c.meta = {"backend": "ucg", "skeleton": key[-1][0]}
     return c
 
 
 # -- QSP via a UCG cascade --------------------------------------------------
+
+def _state_branches(v):
+    """The branch tables of v's UCGs V_1..V_n (see state_to_ucgs), one
+    after the other: stages 1..n-1 real, the last complex."""
+    n, amp = v.n, v.amplitudes
+    mags = [np.abs(amp)]  # mags[j]: the amplitude tree's level j
+    for _ in range(n):
+        sq = mags[0] ** 2
+        mags.insert(0, np.sqrt(sq[0::2] + sq[1::2]))
+    parts = [(mags[n - 1], amp)]
+    if n > 1:
+        parts.insert(0, (np.concatenate(mags[:n - 1]),
+                         np.concatenate(mags[1:n])))
+    tables = []
+    for cw, below in parts:
+        live = cw > 1e-15
+        # branch w maps |0> to the normalised pair (p, q) below prefix w
+        col = below.reshape(-1, 2) / np.where(live, cw, 1.0)[:, None]
+        p, q = col[:, 0], col[:, 1]
+        br = np.stack([p, -np.conj(q), q, np.conj(p)], axis=1).reshape(-1, 2, 2)
+        br[~live] = np.eye(2)
+        tables.append(br)
+    return np.concatenate(tables)
+
 
 def state_to_ucgs(v):
     """UCGs V_1..V_n with V_n..V_1 |0^n> = v.
@@ -242,25 +304,9 @@ def state_to_ucgs(v):
     """
     if not isinstance(v, StateSpec):
         v = StateSpec(int(np.log2(len(v))), v)
-    n = v.n
-    amp = v.amplitudes
-    mags = [None] * (n + 1)
-    mags[n] = np.abs(amp)
-    for j in range(n - 1, -1, -1):
-        sq = mags[j + 1] ** 2
-        mags[j] = np.sqrt(sq[0::2] + sq[1::2])
-    specs = []
-    for j in range(1, n + 1):
-        cw = mags[j - 1]
-        live = cw > 1e-15
-        # branch w maps |0> to the normalised pair (p, q) below prefix w
-        col = (mags[j] if j < n else amp).reshape(-1, 2) / np.where(
-            live, cw, 1.0)[:, None]
-        p, q = col[:, 0], col[:, 1]
-        br = np.stack([p, -np.conj(q), q, np.conj(p)], axis=1).reshape(-1, 2, 2)
-        br[~live] = np.eye(2)
-        specs.append(UcgSpec(j, br, j))
-    return specs
+    br = _state_branches(v)
+    return [UcgSpec(j, br[(1 << (j - 1)) - 1:(1 << j) - 1], j)
+            for j in range(1, v.n + 1)]
 
 
 def _prefix_order(g):
@@ -285,7 +331,7 @@ def _map_gates(gates, qubits, order):
 def qsp_synthesize(g, v, m, verify=True):
     """Prepare v on the first n qubits of g: |0^{n+m}> -> v x |0^m>.
 
-    Cascade of synth_ucg stages; qubits j+1..n+m still hold |0> while
+    Cascade of the state's UCGs; qubits j+1..n+m still hold |0> while
     stage j runs, so every stage sees the full remaining register as
     ancilla.  On graphs whose natural labeling has disconnected prefixes
     the cascade runs in breadth-first coordinates, on a relabelled host
@@ -298,31 +344,25 @@ def qsp_synthesize(g, v, m, verify=True):
     n = v.n
     if n + m != g.n:
         raise ValueError("graph must host exactly n + m qubits")
-    order = _prefix_order(g)
-    natural = order == list(range(1, g.n + 1))
-    if natural:
-        host = g
-    else:
+
+    def build(skeletons):
+        ms = range(g.n - 1, m - 1, -1)
+        order = _prefix_order(g)
+        if order == list(range(1, g.n + 1)):
+            return _cascade_template(g, skeletons, ms)
         pos = {vtx: i + 1 for i, vtx in enumerate(order)}
         host = g.cached(("host",), lambda: explicit_graph(
             g.n, [(pos[a], pos[b]) for a, b in g.edges]))
-        qubits = g.cached(("relabel",), dict)
-    c = Circuit(g.n)
-    skeletons = []
-    for j, V in enumerate(state_to_ucgs(v), start=1):
-        cj = synth_ucg(host, V, g.n - j)
-        skeletons.append(cj.meta["skeleton"])
-        if natural:
-            c.extend(cj)
-        else:
-            c.extend(_map_gates(cj.gates, qubits, order))
-        c.mark(f"ucg_{j}")
-    if not natural:
-        c.extend(synth_permutation(g, {o: i + 1 for i, o in enumerate(order)}))
-        c.mark("relabel")
+        t = _cascade_template(host, skeletons, ms)
+        t.gates = _map_gates(t.gates, g.cached(("relabel",), dict), order)
+        t.extend(synth_permutation(g, {o: i + 1 for i, o in enumerate(order)}))
+        t.mark("relabel")
+        return t
+
+    c, key = _cascade(g, [(j, j) for j in range(1, n + 1)],
+                      _unitary(_state_branches(v)), ("qsp-cascade", n, m), build)
     report = assemble_report(c, g, v if verify else None, m=m,
-                             backend="qsp-cascade",
-                             key=("qsp-cascade", n, m, tuple(skeletons)))
+                             backend="qsp-cascade", key=key)
     return c, report
 
 
@@ -510,15 +550,11 @@ def gus_synthesize(g, U, m, verify=True):
     if n > 5:
         raise ValueError("dense demultiplexing is guarded to n <= 5")
     ucgs = unitary_to_ucgs(U)
-    c = Circuit(g.n)
-    skeletons = []
-    for k, V in enumerate(ucgs, start=1):
-        ck = synth_ucg(g, V, m)
-        skeletons.append(ck.meta["skeleton"])
-        c.extend(ck)
-        c.mark(f"ucg_{k}")
+    c, key = _cascade(g, [(V.n, V.target) for V in ucgs],
+                      np.concatenate([_last_target_branches(V) for V in ucgs]),
+                      ("gus-demux", n, m),
+                      lambda s: _cascade_template(g, s, [m] * len(ucgs)))
     report = assemble_report(c, g, U if verify else None, m=m,
                              backend="gus-demux",
-                             extra={"ucg_count": len(ucgs)},
-                             key=("gus-demux", n, m, tuple(skeletons)))
+                             extra={"ucg_count": len(ucgs)}, key=key)
     return c, report

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from qgsynth.gray import (
+    fwht,
     gray_code,
     phase_from_coefficients,
     solve_phase_coefficients,
@@ -80,3 +81,43 @@ def test_parity_reconstruction_property(n, seed):
     x = int(rng.integers(0, 1 << n))
     acc = sum(alpha[s] for s in range(1, 1 << n) if (s & x).bit_count() % 2)
     assert abs(acc - theta[x]) < 1e-9
+
+
+def test_fwht_of_a_stack_is_the_transform_of_each_row(rng):
+    for n in range(0, 7):
+        stack = rng.uniform(-3, 3, size=(5, 1 << n))
+        rows = fwht(stack)
+        assert rows.shape == stack.shape
+        for row, want in zip(rows, stack):
+            assert np.array_equal(row, fwht(want))
+
+
+def test_fwht_of_a_run_of_rows_is_the_transform_of_each_row(rng):
+    widths = [0, 1, 1, 3, 3, 3, 4, 6]
+    run = rng.uniform(-3, 3, size=sum(1 << w for w in widths))
+    got = fwht(run, widths)
+    at = 0
+    for w in widths:
+        assert np.array_equal(got[at:at + (1 << w)], fwht(run[at:at + (1 << w)]))
+        at += 1 << w
+
+
+def test_zero_padded_row_keeps_the_short_transform(rng):
+    # the padding pairs every block with zeros: x + 0.0 and x - 0.0 are x
+    for n in range(0, 6):
+        for pad in range(n, 8):
+            short = rng.uniform(0, 2 * math.pi, size=1 << n)
+            row = np.zeros(1 << pad)
+            row[:1 << n] = short
+            assert np.array_equal(fwht(row)[:1 << n], fwht(short))
+
+
+def test_run_of_rows_solves_like_each_row(rng):
+    widths = np.array([1, 2, 2, 3, 4, 4])
+    run = rng.uniform(0, 2 * math.pi, size=int(sum(1 << widths)))
+    starts = np.cumsum(1 << widths) - (1 << widths)
+    run[starts] = 0.0
+    alpha = solve_phase_coefficients(run, widths)
+    for at, n in zip(starts, widths):
+        row = slice(at, at + (1 << n))
+        assert np.array_equal(alpha[row], solve_phase_coefficients(run[row]))

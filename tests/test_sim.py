@@ -570,3 +570,36 @@ def test_sparse_index_width():
     assert all(abs(a - 2 ** -0.5) < 1e-15 for a in state.values())
     with pytest.raises(sim.TooLarge):
         sparse_run(Circuit(65))
+
+
+def test_keyed_verified_report_rescans_a_circuit_that_is_not_the_keys():
+    # a warm diagonal whose last gate became an off-graph CNOT: its plan
+    # does not fit the kept one, so its scan is not the kept one either
+    from qgsynth.diag_ancilla import synth_diag_auto
+
+    g, n, m = path_graph(16), 4, 12
+    rng = np.random.default_rng(67)
+    spec = DiagonalSpec(n, rng.uniform(0, 2 * np.pi, 1 << n))
+    synth_diag_auto(g, spec, m)
+    c, _ = synth_diag_auto(g, spec, m)
+    bad = Circuit(c.n, c.ancilla, c.gates[:-1] + [("cx", (1, 16), None)])
+    bad.meta = dict(c.meta)
+    rep = assemble_report(bad, g, spec, m=m, key=("auto", n, m))
+    assert {"g": "cx", "q": [1, 16]} in rep["violations"]
+    assert rep == assemble_report(bad, g, spec, m=m)
+
+
+def test_diagonal_check_keeps_its_term_indices_on_the_plan():
+    from qgsynth.diag_ancilla import synth_diag_auto
+
+    g, n, m = path_graph(16), 4, 12
+    rng = np.random.default_rng(68)
+    for _ in range(3):
+        spec = DiagonalSpec(n, rng.uniform(0, 2 * np.pi, 1 << n))
+        c, rep = synth_diag_auto(g, spec, m)
+        assert rep["residual"] <= 1e-9
+        plan = g._memo[("plan", *_plan_key(g))]
+        kept = plan.projected[m]
+        assert verify_target(c, spec, m, plan) == (rep["residual"], True)
+        assert plan.projected[m] is kept and list(plan.projected) == [m]
+        assert np.array_equal(kept, [s >> m for s in plan.runs[0].terms])

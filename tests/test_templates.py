@@ -69,17 +69,18 @@ def counting(targets):
 
 @contextmanager
 def recording_skeletons():
-    """The meta["skeleton"] of every synth_ucg circuit while active."""
+    """The skeleton (n, target, emitted) of every UCG a cascade binds while
+    active."""
     seen = []
     with pytest.MonkeyPatch.context() as mp:
-        synth = states.synth_ucg
+        factors = states._factors
 
         def record(*args):
-            c = synth(*args)
-            seen.append(c.meta["skeleton"])
-            return c
+            out = factors(*args)
+            seen.extend(out[-1])
+            return out
 
-        mp.setattr(states, "synth_ucg", record)
+        mp.setattr(states, "_factors", record)
         yield seen
 
 
@@ -136,8 +137,8 @@ def kept(g):
 
 def test_gus_builds_each_key_once():
     # the 7 UCGs of an n = 3 unitary are all 3-qubit: their nonzero
-    # diagonal factors share the one template ("auto", 3, 0); the cascade
-    # scan is kept under one key beside it
+    # diagonal factors share the one template ("auto", 3, 0); the cascade's
+    # template and its scan are kept under one key each beside it
     g = path_graph(3)
     U = UnitarySpec(3, random_unitary(np.random.default_rng(5), 8))
     with counting([(diag_ancilla, "_build_auto")]) as counts, \
@@ -146,6 +147,7 @@ def test_gus_builds_each_key_once():
     assert counts == {"_build_auto": 1}
     assert len(skeletons) == 7
     assert kept(g) == [("auto", 3, 0),
+                       ("cascade", "gus-demux", 3, 0, tuple(skeletons)),
                                   ("scan", "gus-demux", 3, 0, tuple(skeletons)),
                                   ("plan", "gus-demux", 3, 0, tuple(skeletons))]
     assert report["residual"] <= 1e-8
@@ -161,6 +163,7 @@ def test_qsp_factors_share_one_key_per_ucg():
     assert len(skeletons) == 4
     assert kept(g) == [
         *(("auto", j, 4 - j) for j in (2, 3, 4)),
+        ("cascade", "qsp-cascade", 4, 0, tuple(skeletons)),
         ("scan", "qsp-cascade", 4, 0, tuple(skeletons)),
         ("plan", "qsp-cascade", 4, 0, tuple(skeletons))]
 
@@ -259,6 +262,7 @@ def test_relabelled_hosts_do_not_accumulate():
         assert _live(graphs.ConstraintGraph) == graphs_before
         assert _live(Template) == templates_before
     assert kept(g) == [("host",), ("relabel",),
+                       ("cascade", "qsp-cascade", 3, 2, first),
                        ("scan", "qsp-cascade", 3, 2, first),
                        ("plan", "qsp-cascade", 3, 2, first)]
     assert hosts[0]() is g._memo[("host",)]
