@@ -36,9 +36,7 @@ from .diag_ancilla import (
     synth_diag_expander_ancilla,
 )
 from .linear import (
-    copy_register,
     fanout,
-    multi_controlled_x,
     route_cnot,
     route_cnot_gates,
     synth_permutation,
@@ -62,8 +60,6 @@ from .states import (
     state_to_ucgs,
     synth_ucg,
     ucg_to_diagonals,
-    unary_qsp_tree,
-    unary_to_binary,
     unitary_to_ucgs,
     zyz_angles,
 )

@@ -72,6 +72,14 @@ def _load_angles(path):
     return DiagonalSpec(int(obj["n"]), np.asarray(obj["theta"], dtype=float))
 
 
+def _need(args, flag):
+    """The file given with --flag; its absence is a ValueError (exit 2)."""
+    path = getattr(args, flag)
+    if path is None:
+        raise ValueError(f"missing --{flag}")
+    return path
+
+
 def _verified(report):
     """A report passes: no off-graph gate, a simulated residual within
     VERIFY_THRESHOLD and the ancilla restored."""
@@ -94,37 +102,39 @@ def _cmd_synth(args):
     g = _load_graph(args.graph)
     m = args.m
     if args.what == "diag":
-        spec = _load_angles(args.angles)
+        spec = _load_angles(_need(args, "angles"))
         if m == 0 and args.strategy:
             c, rep = synth_diag_noancilla(g, spec, strategy=args.strategy)
         else:
             c, rep = synth_diag_auto(g, spec, m)
         return _emit(args, c, rep)
     if args.what == "qsp":
-        spec = _load_state(args.state)
+        spec = _load_state(_need(args, "state"))
         c, rep = qsp_synthesize(g, spec, m)
         return _emit(args, c, rep)
     if args.what == "ucg":
-        spec = _load_ucg(args.target)
+        spec = _load_ucg(_need(args, "target"))
         c = synth_ucg(g, spec, m)
         rep = assemble_report(c, g, target=spec, m=m, backend="ucg")
         return _emit(args, c, rep)
     if args.what == "gus":
-        spec = _load_unitary(args.unitary)
+        spec = _load_unitary(_need(args, "unitary"))
         c, rep = gus_synthesize(g, spec, m)
         return _emit(args, c, rep)
     raise AssertionError
 
 
 def _cmd_verify(args):
-    g = _load_graph(args.graph)
-    c = circuit_from_json(_load_json(args.circuit))
     if args.angles:
         target = _load_angles(args.angles)
     elif args.state:
         target = _load_state(args.state)
-    else:
+    elif args.unitary:
         target = _load_unitary(args.unitary)
+    else:
+        raise ValueError("missing one of --angles, --state, --unitary")
+    g = _load_graph(args.graph)
+    c = circuit_from_json(_load_json(args.circuit))
     rep = assemble_report(c, g, target=target, m=args.m, backend="verify")
     print(json.dumps(rep, default=str, indent=2))
     return 0 if _verified(rep) else 1

@@ -473,8 +473,10 @@ def choose_backend(g, n, m):
     no-ancilla strategies of diag.py."""
     strategy = _auto_strategy(g)
     backend, factor = _ANCILLA_BACKENDS.get(strategy, (None, 0))
+    # the layout backends (path, grid, tree) need n >= 2
     if (backend and m > 0 and m >= factor * n
-            and (strategy != "tree" or g.params.get("arity") == 2)):
+            and (strategy != "tree" or g.params.get("arity") == 2)
+            and (n >= 2 or backend == "ancilla-expander")):
         return backend
     return f"noancilla-{strategy}"
 

@@ -12,8 +12,6 @@ so every synthesis routine that routes on one graph shares its routes.
 
 from __future__ import annotations
 
-import math
-
 from .circuit import Circuit
 from .graphs import shortest_path
 
@@ -23,14 +21,6 @@ class NotAPath(ValueError):
 
 
 class SingularMatrix(ValueError):
-    pass
-
-
-class OverlappingRegisters(ValueError):
-    pass
-
-
-class InsufficientScratch(ValueError):
     pass
 
 
@@ -160,111 +150,4 @@ def synth_permutation(g, perm):
         transpose(cur, dest)
         at[dest], at[cur] = origin, other
         where[origin], where[other] = dest, cur
-    return c
-
-
-def copy_register(g, source, sinks, topology="path"):
-    """Copy an nb-bit register into t disjoint sink registers:
-    |y>|0..0> -> |y>|y>^t.
-
-    For the path topology, blocks form a chained pipeline (block k copies
-    from block k-1) emitted in the staggered schedule where bit nb starts
-    first; the scheduled layer count nb + t - 1 is recorded as
-    circuit.meta['pipeline_depth'].  For grid/tree topologies blocks copy
-    from block floor(k/2) (recursive doubling).  Every CNOT is routed.
-    """
-    nb = len(source)
-    t = len(sinks)
-    regs = [tuple(source)] + [tuple(s) for s in sinks]
-    seen = set()
-    for reg in regs:
-        if len(reg) != nb:
-            raise OverlappingRegisters("register length mismatch")
-        for v in reg:
-            if v in seen:
-                raise OverlappingRegisters(f"vertex {v} reused")
-            seen.add(v)
-    c = Circuit(g.n)
-    if t == 0 or nb == 0:
-        c.meta["pipeline_depth"] = 0
-        return c
-    if topology == "path":
-        # staggered pipeline: gate (block k, bit i) at layer (nb - i) + k
-        for layer in range(1, nb + t):
-            for k in range(1, t + 1):
-                i = nb - layer + k  # 1-based bit index
-                if 1 <= i <= nb:
-                    c.gates.extend(
-                        route_cnot_gates(g, regs[k - 1][i - 1], regs[k][i - 1])
-                    )
-        c.meta["pipeline_depth"] = nb + t - 1
-    else:
-        # recursive doubling: block k sources from block k//2
-        order = sorted(range(1, t + 1), key=lambda k: k.bit_length())
-        for k in order:
-            src = regs[k // 2]
-            for i in range(nb):
-                c.gates.extend(route_cnot_gates(g, src[i], regs[k][i]))
-        c.meta["pipeline_depth"] = None
-    return c
-
-
-_T = math.pi / 4
-
-
-def _toffoli_gates(g, a, b, t):
-    """Routed standard Toffoli(a, b -> t) decomposition."""
-    c = Circuit(g.n)
-    rc = lambda u, v: c.gates.extend(route_cnot_gates(g, u, v))
-    c.h(t)
-    rc(b, t)
-    c.r(t, -_T)
-    rc(a, t)
-    c.r(t, _T)
-    rc(b, t)
-    c.r(t, -_T)
-    rc(a, t)
-    c.r(b, _T)
-    c.r(t, _T)
-    c.h(t)
-    rc(a, b)
-    c.r(a, _T)
-    c.r(b, -_T)
-    rc(a, b)
-    return c.gates
-
-
-def multi_controlled_x(g, controls, pattern, target, scratch=()):
-    """Flip `target` iff the control qubits read exactly `pattern`
-    (a bit string over the controls, in order).  Uses |controls|-2 borrowed
-    scratch qubits (any state, restored) for >= 3 controls."""
-    controls = list(controls)
-    k = len(controls)
-    if len(pattern) != k:
-        raise ValueError("pattern length mismatch")
-    scratch = [s for s in scratch if s != target and s not in controls]
-    c = Circuit(g.n)
-    zeros = [q for q, bit in zip(controls, pattern) if bit == "0"]
-    for q in zeros:
-        c.x(q)
-    if k == 0:
-        c.x(target)
-    elif k == 1:
-        c.gates.extend(route_cnot_gates(g, controls[0], target))
-    elif k == 2:
-        c.gates.extend(_toffoli_gates(g, controls[0], controls[1], target))
-    else:
-        need = k - 2
-        if len(scratch) < need:
-            raise InsufficientScratch(f"need {need} scratch, have {len(scratch)}")
-        d = scratch[:need]
-        # borrowed-scratch V-chain, applied twice so dirty scratch cancels
-        stair = [(controls[k - 1], d[need - 1], target)]
-        for j in range(k - 2, 1, -1):
-            stair.append((controls[j], d[j - 2], d[j - 1]))
-        half = stair + [(controls[0], controls[1], d[0])] + stair[1:][::-1]
-        for a, b, t in half + half:
-            c.gates.extend(_toffoli_gates(g, a, b, t))
-    for q in zeros:
-        c.x(q)
     return c

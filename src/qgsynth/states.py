@@ -4,8 +4,7 @@ Everything here reduces to the diagonal backends: a uniformly controlled
 gate (UCG) splits into three diagonal unitaries conjugated by fixed
 single-qubit gates, an n-qubit state is a cascade of n UCGs of growing
 width, and a general unitary is a sequence of 2^n - 1 UCGs obtained by
-recursive cosine-sine demultiplexing.  A separate unary-encoded route
-serves binary trees with enough ancilla to hold one qubit per basis state.
+recursive cosine-sine demultiplexing.
 
 A cascade is bound in one pass: the branches of all its UCGs go through
 one ZYZ batch and their diagonal factors through one FWHT, into one angle
@@ -19,7 +18,6 @@ its slots and scans nothing.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,10 +27,9 @@ from scipy.linalg import cossin
 from .circuit import Circuit, Template, gate_matrix
 from .diag import DiagonalSpec
 from .diag_ancilla import _auto_template
-from .graphs import explicit_graph, tree_graph
+from .graphs import explicit_graph
 from .gray import solve_phase_coefficients
-from .linear import multi_controlled_x, copy_register, route_cnot_gates, \
-    synth_permutation
+from .linear import synth_permutation
 from .sim import assemble_report
 
 
@@ -364,144 +361,6 @@ def qsp_synthesize(g, v, m, verify=True):
     report = assemble_report(c, g, v if verify else None, m=m,
                              backend="qsp-cascade", key=key)
     return c, report
-
-
-# -- unary-encoded route on binary trees ------------------------------------
-
-def unary_qsp_tree(v):
-    """Unary-encoded preparation sum_x v_x |e_x> on the leaf layer of the
-    heap-indexed binary tree with 2^{n+1}-1 vertices.
-
-    An X gate places a walker token at the root; each level splits the
-    token between the two children with the conditional magnitudes (a
-    swap towards the left child plus a two-qubit rotation between the
-    children through the parent), and a final layer of phase gates on the
-    leaves applies arg(v_x).  Internal vertices end in |0>.
-    """
-    if not isinstance(v, StateSpec):
-        v = StateSpec(int(np.log2(len(v))), v)
-    n = v.n
-    size = (1 << (n + 1)) - 1
-    amp = v.amplitudes
-    u = np.zeros(size + 1)
-    u[1 << n:] = np.abs(amp)
-    for w in range((1 << n) - 1, 0, -1):
-        u[w] = math.hypot(u[2 * w], u[2 * w + 1])
-    c = Circuit(size)
-    c.x(1)
-    for k in range(1, n + 1):
-        for z in range(1 << (k - 1), 1 << k):
-            if u[z] <= 1e-15:
-                continue
-            # token at z -> sin(t)|1>_{2z} + cos(t)|1>_{2z+1}; |0..0>
-            # stays fixed, so the two ry's cancel on empty subtrees
-            t = math.atan2(u[2 * z], u[2 * z + 1])
-            c.ry(2 * z + 1, t)
-            c.cx(z, 2 * z + 1)
-            c.ry(2 * z + 1, -t)
-            c.cx(2 * z + 1, z)
-            c.cx(z, 2 * z)
-            c.cx(2 * z, z)
-    for x in range(1 << n):
-        if abs(amp[x]) > 1e-15:
-            ph = cmath.phase(amp[x])
-            if abs(ph) > 1e-15:
-                c.r((1 << n) + x, ph)
-    # macro schedule: one step for the root X, three per level (the
-    # bridged sibling rotation plus the two transfer swaps, with every
-    # parent of the level acting in parallel), one for the phase layer
-    active_levels = sum(
-        1
-        for k in range(1, n + 1)
-        if any(u[z] > 1e-15 for z in range(1 << (k - 1), 1 << k))
-    )
-    has_phase = any(
-        abs(amp[x]) > 1e-15 and abs(cmath.phase(amp[x])) > 1e-15
-        for x in range(1 << n)
-    )
-    c.meta["step_depth"] = 1 + 3 * active_levels + (1 if has_phase else 0)
-    c.meta["backend"] = "unary-tree"
-    return c
-
-
-def _parity_fold_gates(n, i):
-    """CNOT rounds writing XOR{leaf x : x_i = 1} into the root of the
-    heap tree (plus the values parked on internal vertices, each counted
-    once), with every other internal vertex restored."""
-    sel = [(1 << n) + x for x in range(1 << n) if (x >> (n - i)) & 1]
-    gates = [("cx", (leaf, leaf // 2), None) for leaf in sel]
-    for d in range(n - 1, 0, -1):
-        gates += [("cx", (w, w // 2), None)
-                  for w in range(1 << d, 1 << (d + 1))]
-    if n >= 2:
-        for d in range(2, n):
-            gates += [("cx", (w, w // 2), None)
-                      for w in range(1 << d, 1 << (d + 1))]
-        gates += [("cx", (leaf, leaf // 2), None) for leaf in sel]
-    return gates
-
-
-def unary_to_binary(n):
-    """|0^n>|e_x> -> |x>|0^{2^n}| on the heap binary tree with 2^{n+1}-1
-    vertices: unary register on the leaves, binary result on vertices 1..n.
-
-    Each bit is parity-folded to the root and parked on its output vertex;
-    parked bits re-enter later folds, which telescopes to x_s + x_{s+1}
-    per slot and is undone by a chain of routed CNOTs.  The unary register
-    is then erased by one pattern-controlled X per leaf, fed by tree-fanned
-    copies of x where the tree is deep enough to hold them.
-    """
-    size = (1 << (n + 1)) - 1
-    g = tree_graph(2, n=size)
-    c = Circuit(size)
-    for i in range(n, 0, -1):
-        c.gates.extend(_parity_fold_gates(n, i))
-        if i >= 2:
-            chain = []
-            w = i
-            while w >= 1:
-                chain.append(w)
-                w //= 2
-            chain.reverse()
-            for a, b in zip(chain, chain[1:]):
-                c.cx(a, b)
-                c.cx(b, a)
-    for s in range(n - 1, 0, -1):
-        c.gates.extend(route_cnot_gates(g, s + 1, s))
-
-    def subtree_register(z):
-        reg = []
-        r = 0
-        while len(reg) < n:
-            reg.extend(range(z << r, (z << r) + (1 << r)))
-            r += 1
-        return reg[:n]
-
-    kappa = max(0, math.ceil(math.log2(n + 1)) - 1)
-    levels = []
-    lvl = kappa + 1
-    while lvl + kappa <= n - 1:
-        levels.append(lvl)
-        lvl += kappa + 1
-    sinks = [subtree_register(z) for lv in levels
-             for z in range(1 << lv, 1 << (lv + 1))]
-    fan = None
-    if sinks:
-        fan = copy_register(g, list(range(1, n + 1)), sinks, topology="tree")
-        c.extend(fan)
-    deepest = levels[-1] if levels else 0
-    for x in range(1 << n):
-        leaf = (1 << n) + x
-        ctrls = subtree_register(leaf >> (n - deepest)) if deepest \
-            else list(range(1, n + 1))
-        scratch = [q for q in range(1, (1 << n))
-                   if q not in ctrls and q != leaf][: max(0, n - 2)]
-        c.extend(multi_controlled_x(g, ctrls, format(x, f"0{n}b"), leaf,
-                                    scratch))
-    if fan is not None:
-        c.extend(fan.inverse())
-    c.meta["backend"] = "unary-to-binary"
-    return c
 
 
 # -- general unitaries ------------------------------------------------------

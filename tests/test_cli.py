@@ -125,6 +125,20 @@ def test_bad_arguments_exit_2(files, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["synth", "diag"], "--angles"),
+    (["synth", "qsp"], "--state"),
+    (["synth", "ucg"], "--target"),
+    (["synth", "gus"], "--unitary"),
+    (["verify", "--circuit", "c.json"], "--angles, --state, --unitary"),
+])
+def test_missing_input_flag_exits_2(files, argv, flag, capsys):
+    # an error line naming the flag, not a traceback
+    assert run_command(argv + ["--graph", files["path3"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: missing ") and flag in err
+
+
 def test_bench_is_deterministic(files, capsys):
     out1 = files["tmp"] / "b1.csv"
     out2 = files["tmp"] / "b2.csv"

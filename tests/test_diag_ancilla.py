@@ -134,6 +134,7 @@ def test_expander_three_stage_exact():
         (complete_graph(8), 4, 4, "ancilla-expander"),
         (complete_graph(6), 4, 2, "noancilla-complete"),
         (grid_graph([4, 4]), 4, 12, "noancilla-grid"),
+        (path_graph(4), 1, 3, "noancilla-path"),
     ],
 )
 def test_choose_backend_dispatch(g, n, m, want):
@@ -151,6 +152,23 @@ def test_auto_falls_back_and_stays_correct():
     assert report["decision"].startswith("noancilla")
     assert report["violations"] == []
     assert_exact(c, g, spec, 2)
+
+
+@pytest.mark.parametrize("g, m", [
+    (path_graph(4), 3),
+    (tree_graph(2, n=4), 3),
+    (grid_graph([6, 7]), 41),
+])
+def test_auto_one_qubit_with_ancilla(g, m):
+    # the layout backends need n >= 2: a 1-qubit diagonal with enough
+    # ancilla for them must fall back, not raise
+    spec = DiagonalSpec(1, [0.1, 0.7])
+    c, report = synth_diag_auto(g, spec, m)
+    assert report["decision"].startswith("noancilla")
+    assert report["violations"] == []
+    assert report["residual"] <= 1e-9
+    assert report["ancilla_restored"]
+    assert_exact(c, g, spec, m)
 
 
 def test_auto_with_ancilla_beats_hard_cases_on_depth():

@@ -1,14 +1,10 @@
-import numpy as np
 import pytest
 
 from qgsynth.circuit import Circuit
-from qgsynth.graphs import (grid_graph, path_graph, shortest_path, star_graph,
-                            tree_graph)
+from qgsynth.graphs import grid_graph, path_graph, shortest_path
 from qgsynth.linear import (
     cnot_along,
-    copy_register,
     fanout,
-    multi_controlled_x,
     route_cnot,
     route_cnot_gates,
     synth_permutation,
@@ -106,36 +102,6 @@ def test_synth_permutation():
         bits = {q: (b >> (4 - q)) & 1 for q in range(1, 5)}
         want = sum(bits[q] << (4 - perm[q]) for q in range(1, 5))
         assert out == want
-
-
-@pytest.mark.parametrize("topology,graph", [
-    ("path", path_graph(12)),
-    ("grid", grid_graph([4, 3])),
-    ("tree", tree_graph(2, n=15)),
-])
-def test_copy_register_fans_out(topology, graph):
-    n = 3
-    sinks = [[n + 1 + i * n + j for j in range(n)]
-             for i in range((graph.n - n) // n)]
-    c = copy_register(graph, list(range(1, n + 1)), sinks, topology=topology)
-    for x in range(1 << n):
-        b = x << (graph.n - n)
-        out = classical_out(c, b)
-        want = 0
-        for i in range(len(sinks) + 1):
-            want |= x << (graph.n - n * (i + 1))
-        assert out == want
-
-
-def test_multi_controlled_x_all_patterns():
-    g = path_graph(5)
-    for pattern in ("000", "101", "111"):
-        c = multi_controlled_x(g, [1, 2, 3], pattern, 5, scratch=(4,))
-        for x in range(8):
-            b = x << 2
-            out = classical_out(c, b)
-            fire = format(x, "03b") == pattern
-            assert out == (b | 1 if fire else b)
 
 
 def test_f2_matrix_matches_simulation(rng):

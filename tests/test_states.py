@@ -1,10 +1,10 @@
-"""State preparation, uniformly controlled gates, unary-tree encodings,
-and full-unitary synthesis."""
+"""State preparation, uniformly controlled gates and full-unitary
+synthesis."""
 import numpy as np
 import pytest
 
 from conftest import distance_up_to_phase
-from qgsynth.circuit import Circuit, gate_matrix
+from qgsynth.circuit import gate_matrix
 from qgsynth.graphs import (
     complete_graph,
     grid_graph,
@@ -12,7 +12,7 @@ from qgsynth.graphs import (
     star_graph,
     tree_graph,
 )
-from qgsynth.sim import simulate, sparse_run, ucg_matrix, verify_target
+from qgsynth.sim import ucg_matrix, verify_target
 from qgsynth.states import (
     DecompositionFailure,
     StateSpec,
@@ -23,8 +23,6 @@ from qgsynth.states import (
     retarget_last,
     state_to_ucgs,
     synth_ucg,
-    unary_qsp_tree,
-    unary_to_binary,
     unitary_to_ucgs,
     zyz_angles,
 )
@@ -172,40 +170,6 @@ def test_qsp_grid_with_ancilla():
     assert report["violations"] == []
     res, ok = verify_target(c, StateSpec(n, v), m=5)
     assert res <= 1e-9 and ok
-
-
-def test_unary_tree_prepares_leaf_superposition():
-    rng = np.random.default_rng(48)
-    for n in (1, 2, 3):
-        size = 1 << n
-        v = rng.normal(size=size) + 1j * rng.normal(size=size)
-        v /= np.linalg.norm(v)
-        c = unary_qsp_tree(v)
-        nv = (1 << (n + 1)) - 1
-        assert c.n == nv
-        assert c.meta["step_depth"] <= 3 * n + 2
-        state = sparse_run(c.expanded(), 0)
-        got = np.zeros(size, dtype=complex)
-        for b, a in state.items():
-            # exactly one leaf bit set, internal vertices clear
-            ones = [q for q in range(1, nv + 1) if (b >> (nv - q)) & 1]
-            assert len(ones) == 1 and ones[0] > size - 1
-            got[ones[0] - size] = a
-        assert distance_up_to_phase(got, v) < 1e-10
-
-
-def test_unary_to_binary_all_basis_inputs():
-    for n in (1, 2, 3):
-        c = unary_to_binary(n)
-        nv = (1 << (n + 1)) - 1
-        for x in range(1 << n):
-            leaf = (1 << n) + x  # heap index of leaf x
-            b_in = 1 << (nv - leaf)
-            state = sparse_run(c.expanded(), b_in)
-            assert len(state) == 1
-            ((b_out, a),) = state.items()
-            assert abs(abs(a) - 1.0) < 1e-12
-            assert b_out == x << (nv - n)
 
 
 def test_qsp_on_binary_trees_exact():

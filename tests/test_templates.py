@@ -47,7 +47,7 @@ FAMILIES = {
 BUILDERS = [(diag, "_framework"), (diag, "_diag_walk"),
             (diag_ancilla, "_ancilla_pipeline"),
             (diag_ancilla, "_expander_template")]
-ROUTERS = [diag, diag_ancilla, linear, states]
+ROUTERS = [diag, diag_ancilla, linear]
 
 
 @contextmanager
