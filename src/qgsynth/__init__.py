@@ -30,7 +30,6 @@ from .gray import GrayCode, gray_code, solve_phase_coefficients
 from .diag import DiagonalSpec, synth_diag_noancilla
 from .diag_ancilla import (
     InsufficientAncilla,
-    choose_backend,
     synth_diag_ancilla,
     synth_diag_auto,
     synth_diag_expander_ancilla,

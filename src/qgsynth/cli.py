@@ -103,7 +103,10 @@ def _cmd_synth(args):
     m = args.m
     if args.what == "diag":
         spec = _load_angles(_need(args, "angles"))
-        if m == 0 and args.strategy:
+        if m and args.strategy:
+            raise ValueError("--strategy needs -m 0: with ancilla the "
+                             "backend is chosen by depth")
+        if args.strategy:
             c, rep = synth_diag_noancilla(g, spec, strategy=args.strategy)
         else:
             c, rep = synth_diag_auto(g, spec, m)

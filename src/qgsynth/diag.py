@@ -404,7 +404,7 @@ def _tree2_split(g):
 
 
 def _general_split(g):
-    labels, _tree = dfs_labeling(g)
+    labels = dfs_labeling(g)
     by_label = {lab: v for v, lab in labels.items()}
     n = g.n
     r_c = math.ceil(n / 2)

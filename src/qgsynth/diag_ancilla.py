@@ -7,7 +7,9 @@ nonzero s exactly once.  Five stages, each marked on the one circuit:
 suffix-copy, gray-init, prefix-copy, gray-cycle, inverse.  Layouts exist
 for paths, grids (along a Hamiltonian path) and binary trees; expanders use
 a 3-stage variant (gray-init, gray-cycle, inverse) that re-fans single bits
-through the matching cascade instead of keeping copies.
+through the matching cascade instead of keeping copies.  `synth_diag_auto`
+builds the pipeline and the no-ancilla strategies of diag.py and keeps the
+shallowest; the expander variant has its own entry point only.
 """
 
 import contextlib
@@ -16,17 +18,14 @@ import math
 from dataclasses import dataclass
 
 from .circuit import Circuit, Template
-from .diag import _as_spec, _auto_strategy, _bind_report, _dispatch
+from .diag import _as_spec, _bind_report, _dispatch
 from .graphs import (
     GrowthStalled,
-    InvalidParameters,
-    TooLargeForExactExpansion,
-    expander_cascade,
     explicit_graph,
     hamiltonian_path_grid,
     path_graph,
+    star_graph,
     tree_graph,
-    vertex_expansion,
 )
 from .gray import gray_code, solve_phase_coefficients
 from .linear import route_cnot_gates, synth_permutation
@@ -374,7 +373,7 @@ def synth_diag_ancilla(g, spec, m, verify=True):
     return c, report["stages"], report
 
 
-def synth_diag_expander_ancilla(g, spec, m, cascade):
+def synth_diag_expander_ancilla(g, spec, cascade):
     """3-stage expander variant: no persistent copies; each Gray step fans
     one input bit out through the matching cascade, applies a matched CNOT
     layer plus rotations, then unwinds the fanout.  The stages are marked
@@ -458,70 +457,50 @@ def _expander_template(g, n, cascade):
     return c.seal()
 
 
-# per no-ancilla strategy, the ancilla backend and the factor f: the
-# backend is chosen once m >= f * n (binary trees only for "tree")
-_ANCILLA_BACKENDS = {
-    "path": ("ancilla-path", 3),
-    "grid": ("ancilla-grid", 36),
-    "tree": ("ancilla-tree", 3),
-    "complete": ("ancilla-expander", 1),
-}
-
-
-def choose_backend(g, n, m):
-    """Deterministic dispatch between the ancilla frameworks and the
-    no-ancilla strategies of diag.py."""
-    strategy = _auto_strategy(g)
-    backend, factor = _ANCILLA_BACKENDS.get(strategy, (None, 0))
-    # the layout backends (path, grid, tree) need n >= 2
-    if (backend and m > 0 and m >= factor * n
-            and (strategy != "tree" or g.params.get("arity") == 2)
-            and (n >= 2 or backend == "ancilla-expander")):
-        return backend
-    return f"noancilla-{strategy}"
-
-
 def _induced_subgraph(g, n):
     """Connected induced subgraph on vertices 1..n, typed so diag.py can
     pick its native strategy when the shape survives the restriction.  A
-    whole path, tree or explicit graph is g itself, so its routes carry
-    over."""
-    if g.kind in ("path", "tree", "explicit") and n == g.n:
+    whole path, tree, star or explicit graph is g itself, so its routes
+    carry over."""
+    if g.kind in ("path", "tree", "star", "explicit") and n == g.n:
         return g
     if g.kind == "path":
         return path_graph(n)
     if g.kind == "tree":
         return tree_graph(g.params.get("arity", 2), n=n)
+    if g.kind == "star" and n >= 2:
+        return star_graph(n)
     return explicit_graph(n, [(u, v) for u, v in g.edges if u <= n and v <= n])
 
 
 def _auto_template(g, n, m):
-    """Sealed template of the backend choose_backend picks for an n-qubit
-    diagonal with m ancilla on g, built once and cached on g; its
-    `backend` and `extra` hold the report fields.
-
-    The fallbacks (expander -> no cascade, ancilla layout ->
-    InsufficientAncilla) go to the no-ancilla strategy on the induced
-    subgraph of vertices 1..n."""
+    """Sealed template of `_build_auto` for an n-qubit diagonal with m
+    ancilla on g, built once and cached on g; its `backend` and `extra`
+    hold the report fields."""
     return g.cached(("auto", n, m), lambda: _build_auto(g, n, m))
 
 
 def _build_auto(g, n, m):
-    decision = choose_backend(g, n, m)
-    t = None
-    if decision == "ancilla-expander":
-        casc = _auto_cascade(g, n, m)
-        if casc is not None:
-            t = _expander_template(g, n, casc)
-    elif decision.startswith("ancilla-"):
+    """The shallowest of the candidate templates, then the one with the
+    fewest two-qubit gates, then the first: the no-ancilla strategy on
+    vertices 1..n; g's own strategy when that ran on a copy of the whole
+    of g; the ancilla pipeline when g has a layout for it."""
+    if n + m > g.n:
+        raise ValueError("graph has fewer than n + m vertices")
+    sub = _induced_subgraph(g, n)
+    candidates = [_dispatch(sub)]
+    if n == g.n and sub is not g:
+        candidates.append(_dispatch(g))
+    if m > 0 and n >= 2:
         with contextlib.suppress(InsufficientAncilla):
-            t = _ancilla_pipeline(g, n, m)
-    if t is not None:
-        t.backend, t.extra = decision, {**t.extra, "decision": decision}
+            candidates.append(_ancilla_pipeline(g, n, m))
+    t = candidates[0]
+    if len(candidates) > 1:  # key: (depth, two-qubit count)
+        t = min(candidates, key=lambda c: c.metrics()[::2])
+    if t.backend.startswith("ancilla-"):
+        t.extra = {**t.extra, "decision": t.backend}
         return t
-
-    decision = f"noancilla-{_auto_strategy(g)}"
-    t = _dispatch(_induced_subgraph(g, n))
+    decision = f"noancilla-{t.backend}"
     t.n = g.n
     t.backend, t.extra = decision, {"decision": decision,
                                     "core_backend": t.backend}
@@ -529,33 +508,11 @@ def _build_auto(g, n, m):
 
 
 def synth_diag_auto(g, spec, m, verify=True):
-    """Dispatch per choose_backend; returns (circuit, report) with the
-    decision recorded in the report.
+    """The shallowest backend for diag(e^{i theta}) on the first spec.n
+    qubits of g with m ancilla (see `_build_auto`); returns (circuit,
+    report) with the backend that ran in report["decision"].
 
     verify=False skips the simulation residual (counting-only runs)."""
     spec = _as_spec(spec)
     return _bind_report(g, ("auto", spec.n, m),
                         lambda: _build_auto(g, spec.n, m), spec, verify)
-
-
-def _auto_cascade(g, n, m):
-    """Cascade for the ancilla expander backend that leaves >= n vertices
-    free for the input register."""
-    try:
-        h = vertex_expansion(g)
-    except (TooLargeForExactExpansion, InvalidParameters):
-        return None
-    if h <= 0:
-        return None
-    cp = h / (h + 2)
-    seed = max(1, math.ceil(1 / cp))
-    cap = min(m, g.n - n, g.n // 2)
-    for target in range(cap, 1, -1):
-        s = min(seed, max(1, target - 1))
-        try:
-            casc = expander_cascade(g, s, target)
-        except (InvalidParameters, GrowthStalled):
-            continue
-        if len(casc.sets[-1]) <= g.n - n and casc.length >= 2:
-            return casc
-    return None

@@ -383,22 +383,16 @@ def dfs_labeling(g):
     (first-visited vertex gets label n), so consecutive labels are close in
     the tree: sum_i dist_T(i, i+1) <= 2(n-1).
 
-    Returns (labels dict vertex->label, tree edge set).
+    Returns the labels, a dict vertex -> label.
     """
-    label = {}
-    tree = set()
     order = []
-    stack = [(1, None)]
+    stack = [1]
     seen = {1}
     while stack:
-        v, parent = stack.pop()
+        v = stack.pop()
         order.append(v)
-        if parent is not None:
-            tree.add(_norm_edge(parent, v))
         for w in sorted(g.neighbors(v), reverse=True):
             if w not in seen:
                 seen.add(w)
-                stack.append((w, v))
-    for i, v in enumerate(order):
-        label[v] = g.n - i
-    return label, tree
+                stack.append(w)
+    return {v: g.n - i for i, v in enumerate(order)}

@@ -19,7 +19,6 @@ from qgsynth.bounds import (
 from qgsynth.circuit import Circuit, to_layered_form, validate_connectivity
 from qgsynth.diag import DiagonalSpec, synth_diag_noancilla
 from qgsynth.diag_ancilla import (
-    _auto_cascade,
     synth_diag_ancilla,
     synth_diag_auto,
     synth_diag_expander_ancilla,
@@ -29,6 +28,7 @@ from qgsynth.graphs import (
     brickwall_graph,
     build_graph,
     complete_graph,
+    expander_cascade,
     grid_graph,
     path_graph,
     star_graph,
@@ -229,8 +229,7 @@ def test_04_diag_ancilla():
     g = complete_graph(6)
     n, m = 3, 3
     spec = DiagonalSpec(n, rng.uniform(0, 2 * np.pi, size=1 << n))
-    cascade = _auto_cascade(g, n, m)
-    c = synth_diag_expander_ancilla(g, spec, m, cascade)
+    c = synth_diag_expander_ancilla(g, spec, expander_cascade(g, 1, 2))
     assert validate_connectivity(c, g) == []
     res, restored = verify_target(c, spec, m=m)
     assert res <= 1e-8 and restored

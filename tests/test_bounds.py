@@ -18,7 +18,6 @@ from qgsynth.diag import DiagonalSpec, synth_diag_noancilla
 from qgsynth.graphs import (
     brickwall_graph,
     complete_graph,
-    grid_graph,
     path_graph,
     star_graph,
     tree_graph,

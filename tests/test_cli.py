@@ -125,6 +125,17 @@ def test_bad_arguments_exit_2(files, capsys):
     assert rc == 2
 
 
+def test_strategy_with_ancilla_exits_2(files, capsys):
+    # with ancilla the backend is chosen by depth: a strategy flag there
+    # is an error, not silently ignored
+    graph = write(files["tmp"] / "path8.json", {"kind": "path", "n": 8})
+    angles = write(files["tmp"] / "a2.json", {"n": 2, "theta": [0, 1, 2, 3]})
+    rc = run_command(["synth", "diag", "--graph", graph, "--angles", angles,
+                      "--strategy", "grid", "-m", "6"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --strategy")
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["synth", "diag"], "--angles"),
     (["synth", "qsp"], "--state"),
@@ -162,15 +173,15 @@ def test_graph_info(files, capsys):
 # CSVs written by `qgsynth bench` (seed 5); ratio is depth / bound_max
 _BENCH_CSV = {
     "diag": ["task,graph_kind,n,m,depth,size,two_qubit,bound_max,ratio,seed",
-             "diag,path,2,6,31,45,42,2.0,15.5,5",
-             "diag,path,3,9,94,117,110,3.0,31.333333,5",
-             "diag,path,4,12,338,421,406,4.0,84.5,5",
-             "diag,path,5,15,506,697,666,5.656854,89.449008,5"],
+             "diag,path,2,6,5,5,2,2.0,2.5,5",
+             "diag,path,3,9,17,19,12,3.0,5.666667,5",
+             "diag,path,4,12,48,55,40,4.0,12.0,5",
+             "diag,path,5,15,133,151,120,5.656854,23.5113,5"],
     "qsp": ["task,graph_kind,n,m,depth,size,two_qubit,bound_max,ratio,seed",
-            "qsp,path,2,6,97,140,126,2.0,48.5,5",
-            "qsp,path,3,9,352,450,414,3.0,117.333333,5",
-            "qsp,path,4,12,1360,1772,1694,4.0,340.0,5",
-            "qsp,path,5,15,2544,3446,3286,5.656854,449.719913,5"],
+            "qsp,path,2,6,17,20,6,2.0,8.5,5",
+            "qsp,path,3,9,63,76,40,3.0,21.0,5",
+            "qsp,path,4,12,188,226,148,4.0,47.0,5",
+            "qsp,path,5,15,535,628,468,5.656854,94.575532,5"],
 }
 
 

@@ -18,7 +18,7 @@ from qgsynth.graphs import (
     star_graph,
     tree_graph,
 )
-from qgsynth.sim import simulate, verify_target
+from qgsynth.sim import simulate
 
 
 def random_spec(rng, n):

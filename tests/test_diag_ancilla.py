@@ -1,20 +1,22 @@
 """Ancilla-assisted diagonal synthesis: staged pipeline, expander variant,
-and the automatic backend dispatch."""
+and the automatic dispatch, which keeps the shallowest of its candidates."""
 import numpy as np
 import pytest
 
-from qgsynth.diag import DiagonalSpec
+from qgsynth.circuit import validate_connectivity
+from qgsynth.diag import DiagonalSpec, synth_diag_noancilla
 from qgsynth.diag_ancilla import (
     InsufficientAncilla,
     _Router,
     _induced_subgraph,
     build_layout,
-    choose_backend,
     synth_diag_ancilla,
     synth_diag_auto,
+    synth_diag_expander_ancilla,
 )
 from qgsynth.graphs import (
     complete_graph,
+    expander_cascade,
     explicit_graph,
     grid_graph,
     path_graph,
@@ -48,16 +50,16 @@ def test_path_pipeline_exact():
 def test_auto_ancilla_report_matches_pipeline_report():
     # the dispatcher builds the pipeline itself, so its report must carry
     # the same fields and stage table as synth_diag_ancilla's, plus decision
-    rng = np.random.default_rng(32)
-    for g, n in ((path_graph(4 + 16), 4), (tree_graph(2, n=31), 4)):
-        spec = random_spec(rng, n)
-        c, report = synth_diag_auto(g, spec, g.n - n)
-        c2, table, report2 = synth_diag_ancilla(g, spec, g.n - n)
-        assert c.gates == c2.gates
-        assert list(report) == list(report2) + ["decision"]
-        assert {k: report[k] for k in report2} == report2
-        assert report["stages"] == table
-        assert sum(s["size"] for s in report["stages"]) == report["size"]
+    g, n = path_graph(8 + 32), 8
+    spec = random_spec(np.random.default_rng(32), n)
+    c, report = synth_diag_auto(g, spec, g.n - n)
+    c2, table, report2 = synth_diag_ancilla(g, spec, g.n - n)
+    assert report["decision"] == "ancilla-path"
+    assert c.gates == c2.gates
+    assert list(report) == list(report2) + ["decision"]
+    assert {k: report[k] for k in report2} == report2
+    assert report["stages"] == table
+    assert sum(s["size"] for s in report["stages"]) == report["size"]
 
 
 def test_tree_pipeline_exact():
@@ -80,8 +82,8 @@ def test_grid_rows_shorter_than_n_keep_inputs_on_1_to_n(dims, n):
     layout = build_layout(g, n, g.n - n)
     assert layout.r_inp == list(range(1, n + 1))
     spec = random_spec(np.random.default_rng(n), n)
-    _, report = synth_diag_auto(g, spec, g.n - n)
-    assert report["decision"] == "ancilla-grid"
+    _, _, report = synth_diag_ancilla(g, spec, g.n - n)
+    assert report["backend"] == "ancilla-grid"
     assert report["residual"] <= 1e-8 and report["ancilla_restored"]
 
 
@@ -117,28 +119,104 @@ def test_expander_three_stage_exact():
     n = 3
     g = complete_graph(6)
     spec = random_spec(rng, n)
-    c, report = synth_diag_auto(g, spec, m=3)
-    assert report["decision"] == "ancilla-expander"
-    assert report["violations"] == []
+    c = synth_diag_expander_ancilla(g, spec, expander_cascade(g, 1, 2))
+    assert c.meta["backend"] == "ancilla-expander"
+    assert validate_connectivity(c, g) == []
     assert_exact(c, g, spec, 3)
 
 
 @pytest.mark.parametrize(
     "g, n, m, want",
     [
-        (path_graph(16), 4, 12, "ancilla-path"),
+        (path_graph(16), 4, 12, "noancilla-path"),
         (path_graph(12), 4, 8, "noancilla-path"),
         (path_graph(4), 4, 0, "noancilla-path"),
-        (tree_graph(2, n=16), 4, 12, "ancilla-tree"),
-        (star_graph(10), 4, 6, "noancilla-star"),
-        (complete_graph(8), 4, 4, "ancilla-expander"),
+        (tree_graph(2, n=16), 4, 12, "noancilla-tree-walk"),
+        (star_graph(10), 4, 6, "noancilla-star-walk"),
+        (complete_graph(8), 4, 4, "noancilla-complete"),
         (complete_graph(6), 4, 2, "noancilla-complete"),
-        (grid_graph([4, 4]), 4, 12, "noancilla-grid"),
-        (path_graph(4), 1, 3, "noancilla-path"),
+        (grid_graph([4, 4]), 4, 12, "noancilla-general"),
+        (path_graph(4), 1, 3, "noancilla-path-walk"),
     ],
 )
 def test_choose_backend_dispatch(g, n, m, want):
-    assert choose_backend(g, n, m) == want
+    # the decision names the backend that ran: the no-ancilla template's
+    # own backend on vertices 1..n here, each shallower than the pipeline
+    spec = random_spec(np.random.default_rng(n + m), n)
+    c, report = synth_diag_auto(g, spec, m)
+    assert report["decision"] == report["backend"] == want
+    assert report["residual"] <= 1e-8 and report["ancilla_restored"]
+
+
+def _noancilla_on(h):
+    return lambda g, spec, m: synth_diag_noancilla(h, spec)[1]
+
+
+def _strategy(name):
+    return lambda g, spec, m: synth_diag_noancilla(g, spec, name)[1]
+
+
+def _pipeline(g, spec, m):
+    return synth_diag_ancilla(g, spec, m)[2]
+
+
+@pytest.mark.parametrize("g, n, m, candidates, want", [
+    (path_graph(14), 3, 11, [_noancilla_on(path_graph(3)), _pipeline],
+     "noancilla-path"),
+    (tree_graph(2, n=14), 3, 11,
+     [_noancilla_on(tree_graph(2, n=3)), _pipeline], "noancilla-tree-walk"),
+    (complete_graph(12), 3, 9, [_noancilla_on(complete_graph(3))],
+     "noancilla-complete"),
+    (star_graph(9), 9, 0, [_strategy("auto")], "noancilla-star-walk"),
+    (grid_graph([3, 3]), 9, 0, [_strategy("general"), _strategy("grid")],
+     "noancilla-general"),
+    (grid_graph([2, 7]), 14, 0, [_strategy("general"), _strategy("grid")],
+     "noancilla-grid"),
+    # the pipeline still wins here: 2,156 against 2,290
+    (path_graph(40), 8, 32, [_noancilla_on(path_graph(8)), _pipeline],
+     "ancilla-path"),
+], ids=["path14", "tree14", "complete12", "star9", "grid3x3", "grid2x7",
+        "path40"])
+def test_auto_is_the_shallowest_candidate(g, n, m, candidates, want):
+    # each candidate is built on its own, through its own entry point
+    spec = random_spec(np.random.default_rng(44), n)
+    depths = [build(g, spec, m)["depth"] for build in candidates]
+    c, report = synth_diag_auto(g, spec, m)
+    assert report["depth"] == min(depths)
+    assert report["decision"] == want
+    assert report["violations"] == []
+    assert report["residual"] <= 1e-8 and report["ancilla_restored"]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_auto_refuses_more_than_the_graph_holds(n):
+    # whether or not an ancilla backend would have been tried
+    spec = random_spec(np.random.default_rng(n), n)
+    for m in (5 - n + 1, 9):
+        with pytest.raises(ValueError, match="fewer than n \\+ m"):
+            synth_diag_auto(path_graph(5), spec, m)
+
+
+def test_induced_subgraph_keeps_the_star():
+    g = star_graph(9)
+    assert _induced_subgraph(g, 9) is g
+    assert _induced_subgraph(g, 4).kind == "star"
+    assert _induced_subgraph(g, 4).n == 4
+
+
+def test_layout_bug_is_not_a_fallback(monkeypatch):
+    # only InsufficientAncilla means "no layout": any other error from the
+    # pipeline propagates instead of silently leaving the other candidates
+    from qgsynth import diag_ancilla
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(diag_ancilla, "build_layout", broken)
+    g = path_graph(12)
+    with pytest.raises(TypeError, match="bug"):
+        synth_diag_auto(g, random_spec(np.random.default_rng(42), 4), 8)
+    assert not any(key[0] == "auto" for key in g._memo)
 
 
 def test_auto_falls_back_and_stays_correct():
@@ -227,7 +305,7 @@ def test_router_source_matches_holder_scan(g):
                          ids=["path", "grid", "tree"])
 def test_stage_table_sums_to_report(g, n):
     spec = random_spec(np.random.default_rng(39), n)
-    c, report = synth_diag_auto(g, spec, g.n - n, verify=False)
+    c, _, report = synth_diag_ancilla(g, spec, g.n - n, verify=False)
     assert report["backend"].startswith("ancilla-")
     stages = report["stages"]
     assert len(stages) == 5
@@ -254,24 +332,9 @@ def test_route_cache_survives_whole_graph_calls():
         assert routes(g) == cached
 
 
-@pytest.mark.parametrize("name", ["expander_cascade", "vertex_expansion"])
-def test_cascade_bug_is_not_a_fallback(name, monkeypatch):
-    # only the cascade's own refusals mean "no cascade"; any other error
-    # propagates instead of silently picking (and caching) the fallback
-    from qgsynth import diag_ancilla
-
-    def broken(*args, **kwargs):
-        raise TypeError("bug")
-
-    monkeypatch.setattr(diag_ancilla, name, broken)
-    g = complete_graph(6)
-    with pytest.raises(TypeError, match="bug"):
-        synth_diag_auto(g, random_spec(np.random.default_rng(42), 3), 3)
-    # at most the expansion, which the broken cascade did not touch
-    assert set(g._memo) <= {("expansion",)}
-
-
 def test_cascade_refusal_falls_back():
+    # auto never builds a cascade: with every cascade builder stalled, a
+    # complete graph still gets the walk on vertices 1..n
     from qgsynth.graphs import GrowthStalled
 
     g = complete_graph(6)
@@ -281,16 +344,18 @@ def test_cascade_refusal_falls_back():
         raise GrowthStalled("no growth")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("qgsynth.diag_ancilla.expander_cascade", stalled)
+        for name in ("expander_cascade", "vertex_expansion"):
+            mp.setattr(f"qgsynth.graphs.{name}", stalled)
+            mp.setattr(f"qgsynth.diag.{name}", stalled)
         _, report = synth_diag_auto(g, spec, 3)
     assert report["decision"] == "noancilla-complete"
     assert report["residual"] <= 1e-8
+    assert ("expansion",) not in g._memo
 
 
 def test_auto_on_two_vertices_falls_back_to_the_walk():
-    # m >= n on a complete graph asks for the expander backend, but vertex
-    # expansion is undefined on two vertices: no cascade, so the one qubit
-    # gets the complete-graph walk
+    # one input leaves no ancilla backend to try: the one qubit gets the
+    # complete-graph walk
     g = complete_graph(2)
     spec = DiagonalSpec(1, [0.0, 1.3])
     c, report = synth_diag_auto(g, spec, m=1)

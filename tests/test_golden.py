@@ -4,10 +4,13 @@ same gates.
 Each digest is the SHA-256 of the circuit's JSON gate list (name, qubits,
 angles rounded to 9 decimals), so a refactor that is meant to leave the
 output unchanged fails here on the first gate it moves.  Together the
-requests cover every no-ancilla strategy, the induced-subgraph fallback of
-the automatic dispatch, the ancilla pipelines on path, grid and tree, the
+requests cover every no-ancilla strategy, the automatic dispatch, the
 ancilla expander variant, and QSP on star and path graphs with and without
-the breadth-first relabel.  GUS is left out: `scipy.linalg.cossin` output
+the breadth-first relabel.  The auto-ancilla-* requests are named for the
+pipelines the dispatch ran there before it compared depths; now the
+no-ancilla strategy on vertices 1..n is shallower in each, and
+test_golden_reports.py pins the five-stage pipeline through
+`synth_diag_ancilla`.  GUS is left out: `scipy.linalg.cossin` output
 depends on the LAPACK build.
 """
 import hashlib
@@ -18,9 +21,10 @@ import pytest
 
 from qgsynth.circuit import circuit_to_json
 from qgsynth.diag import DiagonalSpec, synth_diag_noancilla
-from qgsynth.diag_ancilla import synth_diag_auto
+from qgsynth.diag_ancilla import synth_diag_auto, synth_diag_expander_ancilla
 from qgsynth.graphs import (
     complete_graph,
+    expander_cascade,
     explicit_graph,
     grid_graph,
     path_graph,
@@ -58,6 +62,10 @@ def _auto(g, n, seed):
     return synth_diag_auto(g, _spec(n, seed), g.n - n, verify=False)[0]
 
 
+def _expander(g, n, seed, cascade):
+    return synth_diag_expander_ancilla(g, _spec(n, seed), cascade(g))
+
+
 def _qsp(g, n, seed):
     return qsp_synthesize(g, _state(n, seed), g.n - n, verify=False)[0]
 
@@ -75,6 +83,8 @@ REQUESTS = {
     "auto-ancilla-grid": lambda: _auto(grid_graph([8, 10]), 2, 9),
     "auto-ancilla-tree": lambda: _auto(tree_graph(2, n=31), 4, 10),
     "auto-ancilla-expander": lambda: _auto(complete_graph(8), 3, 11),
+    "ancilla-expander": lambda: _expander(
+        complete_graph(8), 3, 11, lambda g: expander_cascade(g, 2, 4)),
     "qsp-star": lambda: _qsp(star_graph(4), 4, 12),
     "qsp-path": lambda: _qsp(path_graph(5), 3, 13),
     "qsp-bfs-relabel": lambda: _qsp(
@@ -82,10 +92,11 @@ REQUESTS = {
 }
 
 GOLDEN = {
-    "auto-ancilla-expander": "aedfb0602229d24a",
-    "auto-ancilla-grid": "2dbf341bddf7a463",
-    "auto-ancilla-path": "4ec0295eb5fb6d78",
-    "auto-ancilla-tree": "7021e288605d187f",
+    "ancilla-expander": "aedfb0602229d24a",
+    "auto-ancilla-expander": "ee43059c2d4b0af3",
+    "auto-ancilla-grid": "c16b6db89d7697b8",
+    "auto-ancilla-path": "adaed654f917fd11",
+    "auto-ancilla-tree": "c2e1ba0ec7bd7928",
     "auto-induced-fallback": "b82afbd33c071662",
     "noanc-complete": "272215dddcd58ce1",
     "noanc-general": "7b96777a581b9ffb",
@@ -95,7 +106,7 @@ GOLDEN = {
     "noanc-tree2": "0130d3deca420598",
     "qsp-bfs-relabel": "edb669a8cb866f6f",
     "qsp-path": "ebff5f7b0c2b59df",
-    "qsp-star": "c278b49db1ed8b81",
+    "qsp-star": "6d1fb7633c7567fb",
 }
 
 BACKENDS = {
@@ -106,10 +117,11 @@ BACKENDS = {
     "noanc-complete": "complete",
     "noanc-general": "general",
     "auto-induced-fallback": "general",
-    "auto-ancilla-path": "ancilla-path",
-    "auto-ancilla-grid": "ancilla-grid",
-    "auto-ancilla-tree": "ancilla-tree",
-    "auto-ancilla-expander": "ancilla-expander",
+    "auto-ancilla-path": "path",
+    "auto-ancilla-grid": "complete",
+    "auto-ancilla-tree": "tree-walk",
+    "auto-ancilla-expander": "complete",
+    "ancilla-expander": "ancilla-expander",
 }
 
 

@@ -111,7 +111,7 @@ REQUESTS.update({
 
 GOLDEN = {
     "gus-complete-n2-m0": "231d8d055f7626f3",
-    "gus-complete-n2-m2": "165c9f543a227513",
+    "gus-complete-n2-m2": "52d743d1bf37ba0e",
     "gus-complete-n3-m0": "3d19113cf76f63c5",
     "gus-complete-n3-m2": "dfce5f835058c21f",
     "gus-complete-n4-m0": "6a87b4d7eec721d0",
@@ -129,8 +129,8 @@ GOLDEN = {
     "gus-path-permutation": "36e2a366b2b82884",
     "qsp-brickwall-n6": "47d071537acb5329",
     "qsp-brickwall-n8": "a5346377f79e929f",
-    "qsp-complete-n3": "a5115cff56c2680e",
-    "qsp-complete-n5": "3b425c7e33512a21",
+    "qsp-complete-n3": "8430ffbc3e4995a4",
+    "qsp-complete-n5": "0fc8492f0f89e7e7",
     "qsp-path-basis": "bbc6d261dc4aff61",
     "qsp-path-n4": "3f79d8f313b1f663",
     "qsp-path-n6": "ca14c86d4426d1ae",
@@ -141,8 +141,8 @@ GOLDEN = {
     "qsp-relabelled-n6": "3d4cd30bc7f647b8",
     "qsp-relabelled-n8": "46e73436cc3b547b",
     "qsp-relabelled-sparse": "bf9bc36edbbcbd78",
-    "qsp-star-n4": "47ea539ce623c10c",
-    "qsp-star-n6": "a59087917c9b8ea0",
+    "qsp-star-n4": "339c4f9bba6ca48e",
+    "qsp-star-n6": "7f93cd1f6f0fbd45",
     "qsp-star-one-qubit": "b65068b84555534d",
     "qsp-tree2-n5": "4e9f77c9eced4c30",
     "qsp-tree2-n7": "e35df22157808ccf",

@@ -152,23 +152,23 @@ GOLDEN = {
     "ancilla-tree": "f8ecb39a598fe1ef",
     "ancilla-tree-shallow": "8ed3c648ec5f1eed",
     "ancilla-tree3": "5067ca6dc105042a",
-    "auto-ancilla-expander": "fa00e0fe137c9faf",
-    "auto-ancilla-grid": "17b014cb5b774a04",
-    "auto-ancilla-path": "5559ebcb6d595dc0",
-    "auto-ancilla-tree": "23524ca3ed56a58e",
-    "auto-ancilla-tree-shallow": "8bc081257e8e47f0",
+    "auto-ancilla-expander": "5b31cf716f534f20",
+    "auto-ancilla-grid": "2722d0c27def9c82",
+    "auto-ancilla-path": "6a1dabf3ee20ef83",
+    "auto-ancilla-tree": "6fbe3f82cd5f4a4a",
+    "auto-ancilla-tree-shallow": "02d1d839fbcaa82b",
     "auto-disconnected-prefix": "f220c776b7fab359",
-    "auto-expander-small": "34b1c8c369908f8d",
+    "auto-expander-small": "9d750363e2af618f",
     "auto-m0-path": "d2ed49f16eb53c9d",
     "auto-no-cascade": "271b6418984fd18c",
-    "auto-no-layout-grid": "5f8be6e8a693f875",
+    "auto-no-layout-grid": "751a2914bbcf1921",
     "auto-no-layout-path": "76ebd10dfb8a6c2b",
     "auto-noancilla-complete": "f5b4673a11a86cc4",
     "auto-noancilla-general": "53189abc43f8786c",
-    "auto-noancilla-grid": "a63872a24ca56370",
+    "auto-noancilla-grid": "72371fae8c18ea47",
     "auto-noancilla-path": "c81407194907d56e",
-    "auto-noancilla-star": "d5a95b01c40dd526",
-    "auto-noancilla-tree3": "69e571cb9c2f39ee",
+    "auto-noancilla-star": "6af5cd6c3f126b47",
+    "auto-noancilla-tree3": "925fa41f4af046d4",
     "noanc-brickwall-auto": "4576e78fc891f534",
     "noanc-brickwall-complete": "5a16129878293757",
     "noanc-brickwall-expander": "30bd9c65c66bbd15",

@@ -1,17 +1,19 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package or of its tests imports a name it never uses.
 
 No linter ships with the project's test dependencies, so this stdlib `ast`
 walk is the guard: every name bound by an import in a module under
-src/qgsynth/ (except the re-exporting __init__.py) must be read somewhere
-in that module.
+src/qgsynth/ (except the re-exporting __init__.py) or tests/ must be read
+somewhere in that module.
 """
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qgsynth"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "qgsynth").glob("*.py")
+                 if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):
@@ -35,6 +37,6 @@ def test_guard_sees_unused_names():
     assert unused_imports(src) == [(1, "os"), (2, "tau")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []

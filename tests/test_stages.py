@@ -5,13 +5,19 @@ import pytest
 
 from conftest import random_state, random_unitary
 from qgsynth.diag import DiagonalSpec, synth_diag_noancilla
-from qgsynth.diag_ancilla import synth_diag_ancilla, synth_diag_auto
+from qgsynth.diag_ancilla import (
+    synth_diag_ancilla,
+    synth_diag_auto,
+    synth_diag_expander_ancilla,
+)
 from qgsynth.graphs import (
     complete_graph,
+    expander_cascade,
     explicit_graph,
     path_graph,
     star_graph,
 )
+from qgsynth.sim import assemble_report
 from qgsynth.states import StateSpec, UnitarySpec, gus_synthesize, qsp_synthesize
 
 ANCILLA = ["suffix-copy", "gray-init", "prefix-copy", "gray-cycle", "inverse"]
@@ -23,6 +29,11 @@ def diag(n):
 
 def state(n):
     return StateSpec(n, random_state(np.random.default_rng(n), n))
+
+
+def _expander(g, spec):
+    c = synth_diag_expander_ancilla(g, spec, expander_cascade(g, 1, 2))
+    return assemble_report(c, g, spec, m=g.n - spec.n)
 
 
 def noancilla_names(names):
@@ -37,7 +48,7 @@ CASES = {
     # m < 3n on a path: the no-ancilla path strategy on vertices 1..n
     "auto": (lambda: synth_diag_auto(path_graph(10), diag(6), 4)[1],
              noancilla_names),
-    "expander": (lambda: synth_diag_auto(complete_graph(6), diag(3), 3)[1],
+    "expander": (lambda: _expander(complete_graph(6), diag(3)),
                  ["gray-init", "gray-cycle", "inverse"].__eq__),
     "qsp": (lambda: qsp_synthesize(star_graph(4), state(3), 1)[1],
             ["ucg_1", "ucg_2", "ucg_3"].__eq__),
