@@ -17,7 +17,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .circuit import Circuit, Template
+from .circuit import Circuit, Template, _scan
 from .diag import _as_spec, _bind_report, _dispatch
 from .graphs import (
     GrowthStalled,
@@ -480,11 +480,12 @@ def _auto_template(g, n, m):
     return g.cached(("auto", n, m), lambda: _build_auto(g, n, m))
 
 
-def _build_auto(g, n, m):
+def _build_auto(g, n, m, report=False):
     """The shallowest of the candidate templates, then the one with the
     fewest two-qubit gates, then the first: the no-ancilla strategy on
     vertices 1..n; g's own strategy when that ran on a copy of the whole
-    of g; the ancilla pipeline when g has a layout for it."""
+    of g; the ancilla pipeline when g has a layout for it.  With `report`,
+    the winner's scan is kept for the report under ("scan", "auto", n, m)."""
     if n + m > g.n:
         raise ValueError("graph has fewer than n + m vertices")
     sub = _induced_subgraph(g, n)
@@ -495,8 +496,12 @@ def _build_auto(g, n, m):
         with contextlib.suppress(InsufficientAncilla):
             candidates.append(_ancilla_pipeline(g, n, m))
     t = candidates[0]
-    if len(candidates) > 1:  # key: (depth, two-qubit count)
-        t = min(candidates, key=lambda c: c.metrics()[::2])
+    if len(candidates) > 1:  # by (depth, two-qubit count); one scan each
+        scans = [_scan(c, g._pairs) for c in candidates]
+        k = min(range(len(scans)), key=lambda i: scans[i][:3:2])
+        t = candidates[k]
+        if report:
+            g.cached(("scan", "auto", n, m), lambda: scans[k])
     if t.backend.startswith("ancilla-"):
         t.extra = {**t.extra, "decision": t.backend}
         return t
@@ -515,4 +520,4 @@ def synth_diag_auto(g, spec, m, verify=True):
     verify=False skips the simulation residual (counting-only runs)."""
     spec = _as_spec(spec)
     return _bind_report(g, ("auto", spec.n, m),
-                        lambda: _build_auto(g, spec.n, m), spec, verify)
+                        lambda: _build_auto(g, spec.n, m, True), spec, verify)

@@ -7,17 +7,19 @@ the Walsh form theta(x) = sum_s alpha_s <s,x> that synthesis solves for
 (the phase-polynomial view of Amy, Maslov and Mosca, arXiv 1303.2042).  The
 composition depends on gate names and qubits only, so a circuit's `Plan`
 holds it, compiled once (and kept per key by `assemble_report`); a call
-reads the angles at the plan's positions and sums every coefficient a_s
-with one bincount.
+reads the angles at the plan's positions.
 
   * A diagonal target realized by a phase-type circuit is checked without
     simulation, in O(G + n 2^n) for G gates whatever the number of ancilla:
     the map must leave every input and ancilla bit in place, and one
     Walsh-Hadamard transform of the coefficients gives all 2^n phases.
-  * Everything else runs on a sparse state held as numpy arrays (basis key,
-    amplitude), one composed run at a time; a branching gate (h, ry, u2)
-    splits the arrays and merges duplicate keys.  The basis inputs of a
-    unitary or UCG target run as one batch.
+  * Everything else runs on amplitude arrays along a key trajectory
+    (`_Trajectory`), compiled from the plan once per input set: the basis
+    keys before each run form an affine subspace, so each run's phase
+    polynomial projects onto it, one Walsh-Hadamard transform gives the
+    phase of every key of every run, and a branching gate (h, ry, u2)
+    either doubles the array or mixes each entry with a fixed partner.
+    The basis inputs of a unitary or UCG target run as one batch.
 
 Qubit 1 is the most significant bit of a basis index; ancilla are trailing
 qubits and therefore the least significant bits.
@@ -30,14 +32,13 @@ import math
 import numpy as np
 
 from .circuit import _scan, gate_matrix
-from .gray import phase_from_coefficients
+from .gray import fwht, phase_from_coefficients
 
 STATE_QUBIT_CAP = 24
 UNITARY_QUBIT_CAP = 12
 _PRUNE = 1e-14
 _INDEX_BITS = 64  # basis indices are uint64
 _BATCH = 1 << 18  # entries a batch of columns may reach
-_SLICE = 1 << 20  # parity-matrix entries computed at once
 
 
 class TooLarge(ValueError):
@@ -52,9 +53,9 @@ _FIXED_ANGLES = [0.5 * math.pi, -0.5 * math.pi]
 class _Run:
     """A composed run: afterwards qubit q holds <rows[q], y> xor flips[q]
     for its input basis state y, which gained the phase const + sum_s
-    coef[s] <s, y> over the masks s in `terms` (coef[lo:hi] of a call's
-    weights).  As uint64 (nq <= 64): `masks`, the `moved` qubits' rows then
-    the terms; `bits`, their own bits; `keep`, the rest; `xor`, the flips."""
+    coef[s] <s, y> over the masks s in `terms` (the plan's terms lo..hi).
+    As uint64 (nq <= 64): `masks`, the `moved` qubits' rows then the terms;
+    `bits`, their own bits; `keep`, the rest; `xor`, the flips."""
 
     def __init__(self, rows, flips, terms, lo, own):
         self.rows, self.flips, self.terms = rows, flips, list(terms)
@@ -72,12 +73,13 @@ class _Run:
 class Plan:
     """How a circuit is simulated, compiled once from its gate names and
     qubits: its runs, split at each branching gate (at `branches`, with its
-    bit).  Each r/rz/s/sdg gate is a term with a mask index (`uidx`), a
-    sign (-1 if its qubit is flipped), a share of the constant phase (`cw`)
-    and `src`, its index in a call's angle vector (`weights`): the r/rz
-    angles at `angles`, then those of s and sdg.  `gates` is the list
-    compiled from; a call may change the params at `params` (`fits`).
-    `projected[m]` keeps `_diagonal_check`'s term indices for m ancilla."""
+    bit).  Each r/rz/s/sdg gate is a term of run `runof` with a mask index
+    (`uidx`), a sign (-1 if its qubit is flipped), a share of the constant
+    phase (`cw`) and `src`, its index in a call's angle vector (`weights`):
+    the r/rz angles at `angles`, then those of s and sdg.  `gates` is the
+    list compiled from; a call may change the params at `params` (`fits`).
+    `projected[m]` keeps `_diagonal_check`'s term indices for m ancilla and
+    `paths` the key trajectory of each input set (`_run`)."""
 
     def __init__(self, c):
         nq = self.nq = c.n
@@ -116,7 +118,7 @@ class Plan:
                                            for a in (src, uidx, runof))
         self.sign, self.cw = np.array(sign), np.array(cw)
         self.params = self.angles + [k for k, _ in self.branches]
-        self.projected = {}
+        self.projected, self.paths = {}, {}
 
     def fits(self, c):
         """Whether c has the gates compiled from, up to the params of its
@@ -135,11 +137,8 @@ class Plan:
         return probe == ref
 
     def weights(self, gates):
-        """(coef, const) from the angles of `gates`: the coefficient of every
-        run's every term, and every run's constant phase."""
-        w = np.array([gates[k][2] for k in self.angles] + _FIXED_ANGLES)[self.src]
-        return (np.bincount(self.uidx, w * self.sign, self.runs[-1].hi),
-                np.bincount(self.runof, w * self.cw, len(self.runs)))
+        """The angle of every r/rz/s/sdg gate of `gates`, in plan order."""
+        return np.array([gates[k][2] for k in self.angles] + _FIXED_ANGLES)[self.src]
 
 
 def f2_matrix(c):
@@ -173,89 +172,137 @@ def _diagonal_check(plan, c, theta, n, m):
     if inputs is None:
         inputs = plan.projected[m] = np.fromiter(
             (s >> m for s in run.terms), np.intp, len(run.terms))
-    alpha = np.bincount(inputs, plan.weights(c.gates)[0], 1 << n)
+    alpha = np.bincount(inputs[plan.uidx], plan.weights(c.gates) * plan.sign, 1 << n)
     return _phase_residual(phase_from_coefficients(alpha), theta), True
 
 
 # -- the array engine -------------------------------------------------------
 
-def _branch(key, amp, bit, mat):
-    """Apply a 1-qubit matrix on `bit`; entries that meet are summed and
-    amplitudes at or below _PRUNE dropped."""
-    on = (key & bit).astype(bool)
-    ones = np.count_nonzero(on)
-    mixed = 0 < ones < len(key)  # else nothing meets: no merge
-    halves = [(h, np.where(on, a1, a0) if mixed else (a1 if ones else a0))
-              for h, (a0, a1) in zip((key & ~bit, key | bit), mat)]
-    halves = [(h, amp * a) for h, a in halves if mixed or a]
-    key = np.concatenate([h for h, _ in halves])
-    amp = np.concatenate([a for _, a in halves])
-    if mixed:
-        key, inv = np.unique(key, return_inverse=True)
-        amp = np.bincount(inv, amp.real) + 1j * np.bincount(inv, amp.imag)
-    live = np.abs(amp) > _PRUNE
-    return (key, amp) if live.all() else (key[live], amp[live])
+def _combo(vecs, t):
+    """The mask of the independent vecs whose XOR is t, or None."""
+    basis = []  # (vector, mask), distinct leading bits, highest first
+    for i, v in enumerate([*vecs, t]):
+        mask = 1 << i
+        for bv, bm in basis:
+            if v ^ bv < v:
+                v, mask = v ^ bv, mask ^ bm
+        if not v:
+            return mask ^ 1 << len(vecs)
+        basis = sorted([*basis, (v, mask)], reverse=True)
 
 
-def _evolve(plan, gates, key, coef, const):
-    """(keys, amplitudes) of the state the gates make from basis keys:
-    each moved bit and each term of a run is a parity of the key under a
-    mask.  Bits above plan.nq (the column of a batch) pass through."""
-    amp = np.ones(len(key), dtype=complex)
-    for r, run in enumerate(plan.runs):
-        masks, moved, weights = run.masks, run.moved, coef[run.lo:run.hi]
-        if len(masks):
-            step = max(1, _SLICE // len(masks))  # bounds the parity matrix
-            keys, amps = [], []
-            for lo in range(0, len(key), step):
-                k, a = key[lo:lo + step], amp[lo:lo + step]
-                par = np.bitwise_count(k[:, None] & masks) & 1
-                if moved:
-                    k = (k & run.keep) | (par[:, :moved].astype(np.uint64) @ run.bits)
-                if len(weights):
-                    a = a * np.exp(1j * (par[:, moved:] @ weights))
-                keys.append(k)
-                amps.append(a)
-            key, amp = np.concatenate(keys), np.concatenate(amps)
-        if const[r]:
-            amp = amp * complex(math.cos(const[r]), math.sin(const[r]))
-        if run.xor:
-            key = key ^ run.xor
-        if r < len(plan.branches):
+def _flipper(mask, d):
+    """(shape, axes) with a[z ^ mask] == np.flip(a.reshape(shape), axes)
+    for z < 2^d: one axis per run of equal bits of mask, top bits first."""
+    cuts = [d, *(i for i in range(d - 1, 0, -1) if (mask >> i ^ mask >> i - 1) & 1), 0]
+    shape = tuple(1 << hi - lo for hi, lo in zip(cuts, cuts[1:]))
+    return shape, tuple(a for a, lo in enumerate(cuts[1:]) if mask >> lo & 1)
+
+
+class _Trajectory:
+    """The keys a plan's gates reach from the basis inputs c + sum_i z_i B_i
+    (sums over F2), compiled once from the plan.  Before each run the keys
+    are still c + sum_i z_i B_i, entry z of the amplitude array, for c and B
+    mapped through the runs so far.  A term s of a run adds <s, key> =
+    <s, c> xor <sigma(s), z>, sigma(s)_i = <s, B_i>, so the weights bin by
+    sigma into one row per run (`offs`, `widths`) and one Walsh transform of
+    the rows gives every key's phase in every run.  A branching gate on bit
+    b, with `on` bit b of each key, either grows (e_b is not in the span: c
+    and B drop bit b, e_b joins B on top, the array doubles) or mixes entry
+    z with z ^ I, whose key differs in bit b alone (e_b = sum over I of B_i,
+    `flip`).  Only grown vectors pair: the inputs are separate states."""
+
+    def __init__(self, plan, c, inputs):
+        vec = np.array([c, *inputs], dtype=np.uint64)  # c, then B
+        j = d = len(inputs)
+        rows, parity = [], []  # per term: its row index, <s, c>
+        self.offs, self.widths, self.steps, size = [], [], [], 0
+        for r, run in enumerate(plan.runs):
+            self.offs.append(size if run.hi > run.lo or not r else -1)
+            par = np.bitwise_count(vec[:, None] & run.masks) & 1
+            rows.append(size + (1 << np.arange(d)) @ par[1:, run.moved:])
+            parity.append(par[0, run.moved:])
+            if run.moved:
+                vec = (vec & run.keep) | (par[:, :run.moved].astype(np.uint64)
+                                          @ run.bits)
+            if self.offs[-1] >= 0:
+                self.widths.append(d)
+                size += 1 << d
+            vec[0] ^= run.xor
+            if r == len(plan.branches):
+                break
             at, bit = plan.branches[r]
-            name, _, p = gates[at]
-            key, amp = _branch(key, amp, np.uint64(bit),
-                               gate_matrix(name, p).tolist())
-    return key, amp
+            hit = (vec & np.uint64(bit)) != 0
+            lam = int((1 << np.arange(d)) @ hit[1:])
+            on = (np.bitwise_count(np.arange(1 << d, dtype=np.uint64) & np.uint64(lam))
+                  & 1).astype(bool) ^ hit[0] if lam else hit[0]
+            pair = _combo(vec[1 + j:].tolist(), bit)
+            self.steps.append((at, on, pair and _flipper(pair << j, d)))
+            if pair is None:
+                vec = np.append(vec & ~np.uint64(bit), np.uint64(bit))
+                d += 1
+        keys = vec[:1]
+        for v in vec[1:]:
+            keys = np.concatenate([keys, keys ^ v])
+        self.keys, self.cols = keys, np.arange(1 << d) & (1 << j) - 1
+        flip = np.concatenate(parity)[plan.uidx]
+        self.bins = np.concatenate([np.concatenate(rows)[plan.uidx],
+                                    np.array(self.offs)[plan.runof]])
+        # a phase is -1/2 the transform of w fac[0] at its row's index sigma
+        # plus w fac[1] at its row's 0 (the constant, from plan.cw)
+        self.fac = np.stack([plan.sign * (1 - 2.0 * flip), -2 * plan.cw - plan.sign])
+        self.size, self.start = size, 1 << j
+
+    def evolve(self, plan, gates):
+        """Amplitudes of every key from the angles of `gates`."""
+        w = (plan.weights(gates) * self.fac).ravel()
+        phase = np.exp(-0.5j * fwht(np.bincount(self.bins, w, self.size), self.widths))
+        amp = np.ones(self.start, dtype=complex)
+        for off, step in zip(self.offs, [*self.steps, None]):
+            if off >= 0:
+                amp = amp * phase[off:off + len(amp)]
+            if step is None:
+                return amp
+            at, on, flip = step
+            mat = gate_matrix(*gates[at][::2])
+            if flip is None:  # amp[z + out 2^d] = mat[out, on(z)] amp[z]
+                amp = (np.where(on, mat[:, 1:], mat[:, :1]) * amp).ravel()
+            else:
+                other = np.flip(amp.reshape(flip[0]), flip[1]).ravel()
+                amp = (np.where(on, mat[1, 1], mat[0, 0]) * amp
+                       + np.where(on, mat[1, 0], mat[0, 1]) * other)
 
 
-def _run(c, inputs, plan):
-    """(column, index, amplitude) arrays of the states c makes from each
-    basis input; column k belongs to inputs[k].  Inputs run as one batch,
-    in chunks; an entry's key holds its column above its index."""
-    nq = c.n
-    inputs = np.asarray(inputs, dtype=np.uint64)
-    col_bits = (len(inputs) - 1).bit_length()
-    if nq + col_bits > _INDEX_BITS:
-        raise TooLarge(f"{nq} qubits beyond sparse index width")
-    coef, const = plan.weights(c.gates)
-    per = max(1, _BATCH >> min(len(plan.branches), nq))
+def _run(c, plan, basis=0, ncols=0, shift=0):
+    """(column, key, amplitude) arrays of the states c makes from the basis
+    inputs basis xor (x << shift), x < 2^ncols, column x.  Each chunk of
+    columns runs as one batch along its trajectory, kept on the plan when
+    one chunk holds every column.  Amplitudes that cancel stay as zeros."""
+    if c.n > _INDEX_BITS:
+        raise TooLarge(f"{c.n} qubits beyond sparse index width")
+    j = min(ncols, max(0, _BATCH.bit_length() - 1 - min(len(plan.branches), c.n)))
     parts = []
-    for lo in range(0, len(inputs), per):
-        key = inputs[lo:lo + per]
-        if col_bits:
-            key = key | np.arange(lo, lo + len(key), dtype=np.uint64) << np.uint64(nq)
-        parts.append(_evolve(plan, c.gates, key, coef, const))
-    key = np.concatenate([k for k, _ in parts])
-    cols = ((key >> np.uint64(nq)).astype(np.intp) if col_bits
-            else np.zeros(len(key), dtype=np.intp))
-    return cols, key & np.uint64((1 << nq) - 1), np.concatenate([a for _, a in parts])
+    for lo in range(0, 1 << ncols, 1 << j):
+        key = (basis ^ lo << shift, shift, j)
+        path = plan.paths.get(key) or _Trajectory(
+            plan, key[0], [1 << shift + i for i in range(j)])
+        if j == ncols:
+            plan.paths[key] = path
+        parts.append((path.cols + lo, path.keys, path.evolve(plan, c.gates)))
+    return tuple(np.concatenate(a) if len(parts) > 1 else a[0] for a in zip(*parts))
+
+
+def _live(c, basis=0, ncols=0):
+    """`_run` of c on a fresh plan, only entries with |amplitude| > _PRUNE."""
+    cols, idx, amp = _run(c, Plan(c), basis, ncols)
+    live = np.abs(amp) > _PRUNE
+    return cols[live], idx[live], amp[live]
 
 
 def sparse_run(c, basis=0):
     """Sparse exact state evolution from a basis state, as a dict
     basis-int -> amplitude."""
-    _, idx, amp = _run(c, [basis], Plan(c))
+    _, idx, amp = _live(c, basis)
     return dict(zip(idx.tolist(), amp.tolist()))
 
 
@@ -271,14 +318,14 @@ def simulate(c, mode="state", basis=0):
             raise TooLarge(f"{n} qubits > cap {STATE_QUBIT_CAP}")
         if n > 16:
             return sparse_run(c, basis if mode == "basis" else 0)
-        _, idx, amp = _run(c, [basis if mode == "basis" else 0], Plan(c))
+        _, idx, amp = _live(c, basis if mode == "basis" else 0)
         vec = np.zeros(1 << n, dtype=complex)
         vec[idx] = amp
         return vec
     if mode == "unitary":
         if n > UNITARY_QUBIT_CAP:
             raise TooLarge(f"{n} qubits > cap {UNITARY_QUBIT_CAP}")
-        cols, idx, amp = _run(c, np.arange(1 << n), Plan(c))
+        cols, idx, amp = _live(c, 0, n)
         u = np.zeros((1 << n, 1 << n), dtype=complex)
         u[idx, cols] = amp
         return u
@@ -327,12 +374,10 @@ def verify_target(c, target, m=None, plan=None):
         if len(plan.runs) == 1:  # phase-type
             return _diagonal_check(plan, c, theta, n, m)
     state = hasattr(target, "amplitudes")
-    shift = np.uint64(m)
-    cols, idx, amp = _run(c, [0] if state else np.arange(size, dtype=np.uint64) << shift,
-                          plan)
+    cols, idx, amp = _run(c, plan, 0, 0 if state else n, m)
     anc = (idx & np.uint64((1 << m) - 1)) != 0
     leak = np.abs(amp[anc])
-    cols, idx, amp = cols[~anc], (idx[~anc] >> shift).astype(np.intp), amp[~anc]
+    cols, idx, amp = cols[~anc], (idx[~anc] >> np.uint64(m)).astype(np.intp), amp[~anc]
 
     if state:
         inner = np.vdot(np.asarray(target.amplitudes, dtype=complex)[idx], amp)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_state, random_unitary
-from qgsynth import circuit, sim
+from qgsynth import circuit, diag_ancilla, sim
 from qgsynth.circuit import _scan
 from qgsynth.graphs import (
     complete_graph,
@@ -118,7 +118,7 @@ def test_gus_report_equals_fresh_scan(family, n, m, kinds, seeds):
 def counting_scans(mp):
     """Count `_scan` calls through every module that looks it up."""
     calls = []
-    for mod in (circuit, sim):
+    for mod in (circuit, diag_ancilla, sim):
         def wrapper(*args, _fn=mod._scan):
             calls.append(1)
             return _fn(*args)
@@ -147,6 +147,23 @@ def test_cold_call_scans_once_and_warm_call_never(task, make, n, draw, compared)
         for verify in (False, True):
             call(g, spec(n, draw(rng)), g.n - n, verify=verify)
         assert len(calls) == 1 + compared
+
+
+def test_cold_auto_diagonal_scans_each_candidate_once():
+    # path(16) with n=4, m=12 compares the no-ancilla template with the
+    # ancilla pipeline; the winner's scan is its report's, so a cold call
+    # scans each candidate once and a warm one scans nothing
+    g = path_graph(16)
+    rng = np.random.default_rng(14)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counting_scans(mp)
+        c, report = diag_ancilla.synth_diag_auto(
+            g, rng.uniform(0, 2 * np.pi, 16), 12, verify=False)
+        assert len(calls) == 2
+        diag_ancilla.synth_diag_auto(g, rng.uniform(0, 2 * np.pi, 16), 12)
+        assert len(calls) == 2
+    assert_fresh(c, g, report)
+    assert scan_keys(g) == [("scan", "auto", 4, 12)]
 
 
 def test_generic_states_share_one_scan_entry():

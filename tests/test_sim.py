@@ -328,9 +328,9 @@ def test_symbolic_diagonal_check_matches_reference(case, close, seed):
 
 
 def test_engine_slices_and_batches_agree(monkeypatch):
-    # tiny bounds force several column batches and parity-matrix slices
+    # a tiny bound splits the columns into chunks of one column, each run
+    # along its own trajectory and none kept on the plan
     monkeypatch.setattr(sim, "_BATCH", 4)
-    monkeypatch.setattr(sim, "_SLICE", 3)
     rng = np.random.default_rng(21)
     for n in (3, 4):
         c = random_circ(rng, n, 30)
@@ -338,6 +338,74 @@ def test_engine_slices_and_batches_agree(monkeypatch):
         c.add("s", (n,))
         want = np.stack([ref.dense_state(c, b) for b in range(1 << n)], axis=1)
         assert np.max(np.abs(simulate(c, mode="unitary") - want)) < 1e-12
+        plan = sim.Plan(c)
+        res, ok = verify_target(c, UnitarySpec(n, want), 0, plan)
+        assert res < 1e-12 and ok and plan.paths == {}
+
+
+def test_sparse_results_hold_no_cancelled_entries():
+    # amplitudes that cancel stay as zeros along a trajectory, never in a
+    # result: h h is the identity, and ry(0) adds no entry
+    for gates in ([("h", (1,)), ("h", (1,))], [("ry", (1,), 0.0)],
+                  [("h", (1,)), ("ry", (2,), 0.0), ("h", (1,))]):
+        c = Circuit(max(qs[0] for _, qs, *_ in gates))
+        for gate in gates:
+            c.add(*gate)
+        state = sparse_run(c)
+        assert list(state) == [0] and abs(state[0] - 1) < 1e-15
+        assert np.count_nonzero(simulate(c)) == 1
+        assert np.count_nonzero(simulate(c, mode="unitary")) == 1 << c.n
+
+
+@st.composite
+def branching_circuits(draw):
+    """(circuit, n, m, batch): random gates on n inputs and m >= 1 ancilla,
+    about half of the branching gates on one qubit, so that most of them
+    mix each key with a partner, and ry angles that include 0 and pi, so
+    that matrix entries vanish.  Any gate may touch an ancilla and leave it
+    dirty.  `batch` is the entry bound of a column chunk."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2))
+    nq = n + m
+    c = Circuit(nq, m)
+    focus = draw(st.integers(1, nq))
+    for _ in range(draw(st.integers(1, 24))):
+        name = draw(st.sampled_from(["h", "ry", "ry", "cx", "swap", "x", "r", "rz", "s"]))
+        if name in ("cx", "swap"):
+            a = draw(st.integers(1, nq))
+            b = draw(st.integers(1, nq - 1))
+            c.add(name, (a, b if b < a else b + 1))
+            continue
+        q = focus if name in ("h", "ry") and draw(st.booleans()) else draw(st.integers(1, nq))
+        p = None
+        if name == "ry":
+            p = draw(st.sampled_from([0.0, math.pi, -math.pi]) | st.floats(-math.pi, math.pi))
+        elif name in ("r", "rz"):
+            p = draw(st.floats(-math.pi, math.pi))
+        c.add(name, (q,), p)
+    return c, n, m, draw(st.sampled_from([4, 64, sim._BATCH]))
+
+
+@given(branching_circuits(), st.integers(0, 2**5 - 1))
+@settings(max_examples=120, deadline=None)
+def test_trajectory_matches_reference_on_branching_circuits(case, seed):
+    c, n, m, batch = case
+    rng = np.random.default_rng(seed)
+    want = np.stack([ref.dense_state(c, b) for b in range(1 << c.n)], axis=1)
+    v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    targets = [StateSpec(n, v / np.linalg.norm(v)),
+               UnitarySpec(n, np.linalg.qr(rng.normal(size=(1 << n, 1 << n)))[0]),
+               DiagonalSpec(n, rng.uniform(0, 2 * np.pi, 1 << n))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_BATCH", batch)
+        assert np.max(np.abs(simulate(c, mode="unitary") - want)) < 1e-12
+        for b, amp in sparse_run(c, 1 << m).items():
+            assert abs(amp - want[b, 1 << m]) < 1e-12
+        plan = sim.Plan(c)
+        for target in targets:
+            got = verify_target(c, target, m, plan)
+            _agree(got, ref.verify_target(c, target, m))
+            assert verify_target(c, target, m, plan) == got  # along the kept one
 
 
 def test_state_residual_is_a_clamped_python_float():
@@ -497,6 +565,45 @@ def test_kept_plan_cannot_hide_a_wrong_circuit(kind, tamper, monkeypatch):
     # change fails the plan's equality check and compiles a fresh one
     assert compiled == ([bad] if tamper != "angle" else [])
     assert g._memo[("plan", *key)] is kept
+    assert rep["residual"] > 1e-6 or not rep["ancilla_restored"]
+
+
+@pytest.mark.parametrize("kind", ["qsp", "gus"])
+def test_warm_keyed_verification_builds_no_trajectory(kind, monkeypatch):
+    c, g, _, m, key = _warm_keyed(kind)
+    target = _cascade_target(c, kind, m)
+    built, numpy_calls, trajectory = [], [], sim._Trajectory
+    monkeypatch.setattr(sim, "_Trajectory", lambda *a: built.append(a) or trajectory(*a))
+    for name in ("unique", "bitwise_count"):
+        def counted(*args, _fn=getattr(np, name), **kw):
+            numpy_calls.append(_fn.__name__)
+            return _fn(*args, **kw)
+        monkeypatch.setattr(np, name, counted)
+    rep = assemble_report(c, g, target, m=m, key=key)
+    assert rep["residual"] <= 1e-9 and rep["ancilla_restored"] is True
+    assert built == [] and numpy_calls == []
+
+
+@pytest.mark.parametrize("kind", ["qsp", "gus"])
+def test_moved_branching_gate_is_replanned(kind, monkeypatch):
+    # the kept trajectory follows the branching gates' qubits, so a circuit
+    # with one moved gets a plan and a trajectory of its own
+    c, g, _, m, key = _warm_keyed(kind)
+    target = _cascade_target(c, kind, m)
+    kept = g._memo[("plan", *key)]
+    paths = dict(kept.paths)
+    gates = list(c.gates)
+    k = next(i for i, gate in enumerate(gates) if gate[0] in ("h", "ry"))
+    name, (q,), p = gates[k]
+    gates[k] = (name, (q % c.n + 1,), p)
+    bad = Circuit(c.n, c.ancilla, gates)
+    bad.meta = dict(c.meta)
+    compiled, compile_plan = [], sim.Plan
+    monkeypatch.setattr(sim, "Plan", lambda c: compiled.append(c) or compile_plan(c))
+    rep = assemble_report(bad, g, target, m=m, key=key)
+    assert compiled == [bad]
+    assert kept.paths == paths and g._memo[("plan", *key)] is kept
+    assert (rep["residual"], rep["ancilla_restored"]) == verify_target(bad, target, m)
     assert rep["residual"] > 1e-6 or not rep["ancilla_restored"]
 
 
