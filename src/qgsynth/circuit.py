@@ -14,8 +14,10 @@ A diagonal's gates depend only on the graph, n and m; its angles enter as
 the Walsh coefficients alpha = solve_phase_coefficients(theta), one per
 rotation.  A diagonal builder therefore emits a `Template`: a circuit with
 an empty rotation slot wherever an angle goes.  `Template.bind(alpha)`
-fills a copy, so one template serves every theta; a UCG cascade's template
-splices its diagonals' and is bound to one vector of every coefficient.
+returns the template plus its angle vector, so one template serves every
+theta; a UCG cascade's template splices its diagonals' and is bound to one
+vector of every coefficient.  A `Bound` circuit builds its gates when they
+are first read: reports and `sim` read the template and the vector.
 
 `_scan` reads only gate names and qubits, never angles, so its result is
 kept in the graph's memo wherever the gates are fixed: under the template's
@@ -73,6 +75,7 @@ def gate_matrix(name, param=None):
 
 class Circuit:
     __slots__ = ("n", "ancilla", "gates", "meta")
+    template = None  # the sealed template of an unread `Bound` circuit
 
     def __init__(self, n, ancilla=0, gates=None):
         self.n = n
@@ -168,7 +171,7 @@ class Circuit:
     def metrics(self):
         """(depth, size, two_qubit_count) with greedy ASAP layering after
         macro expansion."""
-        return _scan(self)[:3]
+        return _scan(self.template or self)[:3]
 
 
 class Template(Circuit):
@@ -178,11 +181,11 @@ class Template(Circuit):
     shared per name and qubit, whose angle is params[idx[k]]: the alpha of
     a diagonal on `inputs` qubits, or a UCG cascade's (`inputs` None, see
     states.py).  Builders add slots with `rot`, `rots` and `splice`; `seal`
-    freezes them into int32 arrays.  The report fields (`backend`, `extra`)
-    do not depend on the angles either, so a template kept on its graph
-    carries them too."""
+    freezes them into int32 arrays; every r, rz and ry gate is a slot.  The
+    report fields (`backend`, `extra`) do not depend on the angles either,
+    so a template kept on its graph carries them too."""
 
-    __slots__ = ("inputs", "pos", "idx", "backend", "extra", "_empty")
+    __slots__ = ("inputs", "pos", "idx", "backend", "extra", "_empty", "_heads")
 
     def __init__(self, n, inputs):
         super().__init__(n)
@@ -190,6 +193,7 @@ class Template(Circuit):
         self.pos, self.idx = [], []
         self.backend, self.extra = "", {}
         self._empty = {}  # (name, qubit) -> its placeholder
+        self._heads = None  # slot names and qubit tuples, on first `_fill`
 
     def rot(self, q, s, name="r"):
         """Append a `name` slot on qubit q for params[s]."""
@@ -224,18 +228,50 @@ class Template(Circuit):
         return self
 
     def bind(self, params):
-        """A new Circuit: this template with every slot's gate rotating by
-        its entry of params."""
-        gates = self.gates.copy()
-        for p, a in zip(self.pos.tolist(), params[self.idx].tolist()):
-            name, qs, _ = gates[p]
-            gates[p] = (name, qs, a)
-        c = Circuit(self.n, self.ancilla)
-        c.gates = gates
+        """A `Bound` circuit: this template with every slot's gate rotating
+        by its entry of params.  It holds params[idx], one angle per slot,
+        and builds no gate until its `gates` is read."""
+        c = Bound.__new__(Bound)
+        c.n, c.ancilla = self.n, self.ancilla
+        c.template, c.angles = self, params[self.idx]
         c.meta = dict(self.meta)
         if "marks" in c.meta:
             c.meta["marks"] = list(c.meta["marks"])
         return c
+
+    def _fill(self, angles):
+        """This template's gates with slot k rotating by angles[k].  The new
+        slot gates are made first and then scattered into one copy of the
+        gates: made the other way round, every collection the new tuples
+        trigger walks the young copy."""
+        pos = self.pos.tolist()
+        if self._heads is None:  # not at seal: a relabelling may follow it
+            self._heads = list(zip(*map(self.gates.__getitem__, pos)))[:2]
+        slots = list(zip(*self._heads, angles.tolist()))
+        gates = self.gates.copy()
+        for p, gate in zip(pos, slots):
+            gates[p] = gate
+        return gates
+
+
+class Bound(Circuit):
+    """A circuit bound from a sealed template.  Until `gates` is first read
+    it is its `template` and `angles` (entry k rotates slot k); the first
+    read builds the gates, the same tuples in every respect, and drops both,
+    so from then on the list is the circuit and may be edited."""
+
+    __slots__ = ("template", "angles")
+
+    @property
+    def gates(self):
+        if self.template is not None:
+            self.gates = self.template._fill(self.angles)
+        return Circuit.gates.__get__(self)
+
+    @gates.setter
+    def gates(self, gates):
+        self.template = self.angles = None
+        Circuit.gates.__set__(self, gates)
 
 
 def _scan(c, pairs=None):
@@ -291,7 +327,7 @@ def _scan(c, pairs=None):
 
 def validate_connectivity(c, g):
     """Every 2-qubit gate whose pair is not a graph edge."""
-    return _scan(c, g._pairs)[3]
+    return _scan(c.template or c, g._pairs)[3]
 
 
 class LayeredCircuit:

@@ -7,7 +7,9 @@ the Walsh form theta(x) = sum_s alpha_s <s,x> that synthesis solves for
 (the phase-polynomial view of Amy, Maslov and Mosca, arXiv 1303.2042).  The
 composition depends on gate names and qubits only, so a circuit's `Plan`
 holds it, compiled once (and kept per key by `assemble_report`); a call
-reads the angles at the plan's positions.
+reads the angles at the plan's positions.  A plan compiled from a sealed
+template reads the circuits bound from it straight from their angle
+vectors, without building their gates.
 
   * A diagonal target realized by a phase-type circuit is checked without
     simulation, in O(G + n 2^n) for G gates whatever the number of ancilla:
@@ -31,7 +33,7 @@ import math
 
 import numpy as np
 
-from .circuit import _scan, gate_matrix
+from .circuit import Template, _scan, gate_matrix
 from .gray import fwht, phase_from_coefficients
 
 STATE_QUBIT_CAP = 24
@@ -78,12 +80,15 @@ class Plan:
     phase (`cw`) and `src`, its index in a call's angle vector (`weights`):
     the r/rz angles at `angles`, then those of s and sdg.  `gates` is the
     list compiled from; a call may change the params at `params` (`fits`).
+    Compiled from a sealed `Template`, it keeps the template's own list,
+    and reads an unread circuit bound from it through `slots`, each
+    param's slot.
     `projected[m]` keeps `_diagonal_check`'s term indices for m ancilla and
     `paths` the key trajectory of each input set (`_run`)."""
 
     def __init__(self, c):
         nq = self.nq = c.n
-        self.gates = list(c.gates)
+        self.gates = c.gates if isinstance(c, Template) else list(c.gates)
         self.angles, self.branches, self.runs = [], [], []
         src, uidx, sign, cw, runof = [], [], [], [], []
         own = [0] + [1 << (nq - q) for q in range(1, nq + 1)]
@@ -118,12 +123,20 @@ class Plan:
                                            for a in (src, uidx, runof))
         self.sign, self.cw = np.array(sign), np.array(cw)
         self.params = self.angles + [k for k, _ in self.branches]
+        self.template = self.slots = None
+        if isinstance(c, Template) and len(c.pos):
+            slot = np.zeros(len(self.gates), dtype=np.intp)  # an h reads 0
+            slot[c.pos] = np.arange(len(c.pos))
+            self.template, self.slots = c, slot[self.params]
         self.projected, self.paths = {}, {}
 
     def fits(self, c):
         """Whether c has the gates compiled from, up to the params of its
-        r, rz and branching gates: one list copy, one loop over those
+        r, rz and branching gates: at once for an unread circuit bound from
+        the plan's template, else one list copy, one loop over those
         positions and one list comparison."""
+        if c.template is not None and c.template is self.template:
+            return True
         ref = self.gates
         if c.n != self.nq or len(c.gates) != len(ref):
             return False
@@ -136,9 +149,20 @@ class Plan:
             probe[k] = was
         return probe == ref
 
-    def weights(self, gates):
-        """The angle of every r/rz/s/sdg gate of `gates`, in plan order."""
-        return np.array([gates[k][2] for k in self.angles] + _FIXED_ANGLES)[self.src]
+    def weights(self, c):
+        """(w, mats): the angle of every r/rz/s/sdg gate of c in plan order,
+        and the 2x2 matrix of every branching gate.  The params of an
+        unread circuit bound from the plan's template come from its angle
+        vector by one gather, any other circuit's from its gates."""
+        if c.template is not None and c.template is self.template:
+            p = c.angles[self.slots]
+        else:
+            gates = c.gates
+            p = [gates[k][2] for k in self.params]
+        na = len(self.angles)
+        w = np.concatenate([p[:na], _FIXED_ANGLES])[self.src]
+        return w, [gate_matrix(self.gates[k][0], a)
+                   for (k, _), a in zip(self.branches, p[na:])]
 
 
 def f2_matrix(c):
@@ -172,7 +196,7 @@ def _diagonal_check(plan, c, theta, n, m):
     if inputs is None:
         inputs = plan.projected[m] = np.fromiter(
             (s >> m for s in run.terms), np.intp, len(run.terms))
-    alpha = np.bincount(inputs[plan.uidx], plan.weights(c.gates) * plan.sign, 1 << n)
+    alpha = np.bincount(inputs[plan.uidx], plan.weights(c)[0] * plan.sign, 1 << n)
     return _phase_residual(phase_from_coefficients(alpha), theta), True
 
 
@@ -231,13 +255,13 @@ class _Trajectory:
             vec[0] ^= run.xor
             if r == len(plan.branches):
                 break
-            at, bit = plan.branches[r]
+            bit = plan.branches[r][1]
             hit = (vec & np.uint64(bit)) != 0
             lam = int((1 << np.arange(d)) @ hit[1:])
             on = (np.bitwise_count(np.arange(1 << d, dtype=np.uint64) & np.uint64(lam))
                   & 1).astype(bool) ^ hit[0] if lam else hit[0]
             pair = _combo(vec[1 + j:].tolist(), bit)
-            self.steps.append((at, on, pair and _flipper(pair << j, d)))
+            self.steps.append((on, pair and _flipper(pair << j, d)))
             if pair is None:
                 vec = np.append(vec & ~np.uint64(bit), np.uint64(bit))
                 d += 1
@@ -253,18 +277,17 @@ class _Trajectory:
         self.fac = np.stack([plan.sign * (1 - 2.0 * flip), -2 * plan.cw - plan.sign])
         self.size, self.start = size, 1 << j
 
-    def evolve(self, plan, gates):
-        """Amplitudes of every key from the angles of `gates`."""
-        w = (plan.weights(gates) * self.fac).ravel()
+    def evolve(self, w, mats):
+        """Amplitudes of every key from a circuit's `Plan.weights`."""
+        w = (w * self.fac).ravel()
         phase = np.exp(-0.5j * fwht(np.bincount(self.bins, w, self.size), self.widths))
         amp = np.ones(self.start, dtype=complex)
-        for off, step in zip(self.offs, [*self.steps, None]):
+        for off, step, mat in zip(self.offs, [*self.steps, None], [*mats, None]):
             if off >= 0:
                 amp = amp * phase[off:off + len(amp)]
             if step is None:
                 return amp
-            at, on, flip = step
-            mat = gate_matrix(*gates[at][::2])
+            on, flip = step
             if flip is None:  # amp[z + out 2^d] = mat[out, on(z)] amp[z]
                 amp = (np.where(on, mat[:, 1:], mat[:, :1]) * amp).ravel()
             else:
@@ -281,14 +304,14 @@ def _run(c, plan, basis=0, ncols=0, shift=0):
     if c.n > _INDEX_BITS:
         raise TooLarge(f"{c.n} qubits beyond sparse index width")
     j = min(ncols, max(0, _BATCH.bit_length() - 1 - min(len(plan.branches), c.n)))
-    parts = []
+    weights, parts = plan.weights(c), []
     for lo in range(0, 1 << ncols, 1 << j):
         key = (basis ^ lo << shift, shift, j)
         path = plan.paths.get(key) or _Trajectory(
             plan, key[0], [1 << shift + i for i in range(j)])
         if j == ncols:
             plan.paths[key] = path
-        parts.append((path.cols + lo, path.keys, path.evolve(plan, c.gates)))
+        parts.append((path.cols + lo, path.keys, path.evolve(*weights)))
     return tuple(np.concatenate(a) if len(parts) > 1 else a[0] for a in zip(*parts))
 
 
@@ -360,13 +383,14 @@ def verify_target(c, target, m=None, plan=None):
     target on the first n qubits; trailing qubits are ancilla expected to
     return to |0..m>.  The residual is a non-negative float.  `plan`, if
     given, must be compiled from c's gates up to their params (`Plan.fits`);
-    by default one is compiled here."""
+    by default one is compiled here (from c's template while c is an
+    unread bound circuit)."""
     n = target.n
     if m is None:
         m = c.n - n
     if c.n != n + m:
         raise ValueError("size mismatch")
-    plan = plan or Plan(c)
+    plan = plan or Plan(c.template or c)
     size = 1 << n
     theta = getattr(target, "theta", None)
     if theta is not None:
@@ -395,9 +419,10 @@ def verify_target(c, target, m=None, plan=None):
     u = _target_matrix(target)
     out = np.zeros((size, size), dtype=complex)
     out[idx, cols] = amp
-    r, s = np.unravel_index(np.argmax(np.abs(u)), u.shape)
-    ph = out[r, s] / u[r, s]
-    if abs(ph) < 1e-12:
+    # the global phase from the overlap: one entry's phase can be rounding
+    # noise when the circuit leaves that entry near zero
+    ph = np.vdot(u, out)
+    if abs(ph) < 1e-12 * size:
         return 1.0, restored
     ph /= abs(ph)
     return float(np.max(np.abs(out - ph * u))), restored
@@ -411,9 +436,12 @@ def assemble_report(c, g, target=None, m=None, backend="", extra=None,
     verified one also keeps its simulation plan under ("plan", *key), and
     reuses plan and scan only for a circuit whose gates equal the plan's up
     to their params; any other is scanned and verified afresh.  The angles
-    are always read from c, so verification is a check of c itself."""
-    scan = (_scan(c, g._pairs) if key is None
-            else g.cached(("scan", *key), lambda: _scan(c, g._pairs)))
+    are always read from c, so verification is a check of c itself.  Scan
+    and plan of an unread bound circuit come from its template, whose gates
+    are c's but for the angles, so such a report builds none of c's."""
+    skeleton = c.template or c
+    scan = (_scan(skeleton, g._pairs) if key is None
+            else g.cached(("scan", *key), lambda: _scan(skeleton, g._pairs)))
     residual = restored = None
     if target is not None:
         n = target.n
@@ -425,11 +453,11 @@ def assemble_report(c, g, target=None, m=None, backend="", extra=None,
         small = n + m <= STATE_QUBIT_CAP
         residual = "not simulated"
         if small or (n <= STATE_QUBIT_CAP and hasattr(target, "theta")):
-            plan = key and g.cached(("plan", *key), lambda: Plan(c))
+            plan = key and g.cached(("plan", *key), lambda: Plan(skeleton))
             if not (plan and plan.fits(c)):
                 if plan:  # c is not the key's circuit: nor is the scan kept
-                    scan = _scan(c, g._pairs)
-                plan = Plan(c)
+                    scan = _scan(skeleton, g._pairs)
+                plan = Plan(skeleton)
             if small or len(plan.runs) == 1:
                 residual, restored = verify_target(c, target, m, plan)
     depth, size, twoq, bad, stages = scan

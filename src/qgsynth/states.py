@@ -12,8 +12,8 @@ vector.  Its gates, up to those angles, follow from the graph, n, m and
 which pieces each UCG emitted, its skeletons (see `synth_ucg`).  With
 key = (backend, n, m, skeletons), g's memo keeps the cascade's template
 under ("cascade", *key) and, through `assemble_report`, its gate scan under
-("scan", *key): a warm call copies one gate list, scatters the angles into
-its slots and scans nothing.
+("scan", *key): a warm call gathers one angle vector, builds no gate and
+scans nothing.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ class UcgSpec:
     first).
 
     Any array-like of 2x2 matrices is accepted; it is stored as one
-    (2^(n-1), 2, 2) complex array and checked for unitarity in one batched
-    product."""
+    (2^(n-1), 2, 2) complex array and checked for unitarity in one pass."""
 
     n: int
     branches: np.ndarray
@@ -79,9 +78,11 @@ class UcgSpec:
 
 def _unitary(br):
     """br, a stack of 2x2 matrices, once all are unitary."""
-    err = np.abs(br.conj().transpose(0, 2, 1) @ br - np.eye(2))
-    bad = err.max(axis=(1, 2)) > 1e-12
-    if bad.any():
+    t = np.ascontiguousarray(br.transpose(1, 2, 0))  # branches on the last axis
+    p = t.conj()[:, :, None] * t[:, None]
+    err = np.abs(p[0] + p[1] - np.eye(2)[:, :, None])
+    if err.max() > 1e-12:
+        bad = (err > 1e-12).any(axis=(0, 1))
         raise ValueError(f"branch {bad.argmax()} is not unitary")
     return br
 

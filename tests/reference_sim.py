@@ -183,9 +183,10 @@ def verify_target(c, target, m=None):
                     restored = False
             else:
                 cols[b >> m, x] += a
-    r, s = np.unravel_index(np.argmax(np.abs(u)), u.shape)
-    ph = cols[r, s] / u[r, s]
-    if abs(ph) < 1e-12:
+    # the global phase from the overlap: one entry's phase can be rounding
+    # noise when the circuit leaves that entry near zero
+    ph = np.vdot(u, cols)
+    if abs(ph) < 1e-12 * size:
         return 1.0, restored
     ph /= abs(ph)
     return float(np.max(np.abs(cols - ph * u))), restored

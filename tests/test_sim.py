@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_sim as ref
 from qgsynth import sim
@@ -284,7 +284,20 @@ def _agree(new, old, tol=1e-9):
     assert ok == ok_ref or (res == 1.0 and not ok)
 
 
+def _near_zero_entry():
+    """A unitary case whose largest target entry meets an output entry of
+    about 1e-10: a global phase taken from that one entry is rounding
+    noise, one taken from the overlap is not."""
+    c = Circuit(3, 1)
+    for gate in ("h1 cx12 cx21 x1 x1 s2 cx12 cx12 cx21 s1 ry1 s3 "
+                 "cx12 cx12 cx12 cx12 cx12 h1 h2").split():
+        name = gate.rstrip("123")
+        c.add(name, tuple(map(int, gate[len(name):])), 1e-10 if name == "ry" else None)
+    return c, 2, 1
+
+
 @given(circuits(), st.integers(0, 2**5 - 1))
+@example(_near_zero_entry(), 3)
 @settings(max_examples=150, deadline=None)
 def test_engine_matches_reference_on_random_circuits(case, seed):
     c, n, m = case

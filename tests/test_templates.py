@@ -285,3 +285,78 @@ def test_relabelled_hosts_do_not_accumulate():
     gc.collect()
     assert hosts[0]() is None
     assert plan() is None
+
+
+# -- a bound circuit builds its gates on first read --------------------------
+
+def _keyed_family(kind, verify):
+    """(graph, m, call) where call() returns (circuit, report, target) of
+    one keyed entry point on a fresh input each time."""
+    rng = np.random.default_rng(71)
+    if kind == "diag":
+        g, m, n = path_graph(16), 12, 4
+
+        def call():
+            s = DiagonalSpec(n, rng.uniform(0, 7, 1 << n))
+            return (*synth_diag_auto(g, s, m, verify=verify), s)
+    elif kind == "qsp":
+        g, m, n = path_graph(5), 2, 3
+
+        def call():
+            s = StateSpec(n, random_state(rng, n))
+            return (*qsp_synthesize(g, s, m, verify=verify), s)
+    else:
+        g, m, n = path_graph(3), 1, 2
+
+        def call():
+            s = UnitarySpec(n, random_unitary(rng, 1 << n))
+            return (*gus_synthesize(g, s, m, verify=verify), s)
+    return g, m, call
+
+
+@pytest.mark.parametrize("verify", [False, True])
+@pytest.mark.parametrize("kind", ["diag", "qsp", "gus"])
+def test_warm_keyed_call_builds_no_gates(kind, verify, monkeypatch):
+    g, m, call = _keyed_family(kind, verify)
+    call()
+    fills, fill = [], Template._fill
+    monkeypatch.setattr(Template, "_fill", lambda t, a: fills.append(t) or fill(t, a))
+    c, report, target = call()
+    assert fills == [] and c.template is not None
+    if verify:
+        assert report["residual"] <= 1e-9 and report["ancilla_restored"] is True
+    template = c.template
+    gates = c.gates  # the first read builds them, once
+    assert c.template is None and c.gates is gates and fills == [template]
+    if verify:
+        assert (report["residual"], True) == sim.verify_target(c, target, m)
+
+
+@pytest.mark.parametrize("edit", ["angle", "angle+move"])
+@pytest.mark.parametrize("kind", ["diag", "qsp", "gus"])
+def test_edited_bound_circuit_is_checked_as_edited(kind, edit, monkeypatch):
+    # a read and edited circuit reported under its key: an edited angle is
+    # read through the kept plan, a moved gate needs a plan and a scan of
+    # its own; either way the report is the circuit's own
+    g, m, call = _keyed_family(kind, True)
+    call()
+    c, _, target = call()
+    (key,) = [k[1:] for k in g._memo if k[0] == "plan"]
+    kept = g._memo[("plan", *key)]
+    rs = [i for i, gate in enumerate(c.gates) if gate[0] == "r"]
+    name, qs, p = c.gates[rs[0]]
+    c.gates[rs[0]] = (name, qs, p + 0.5)
+    if edit == "angle+move":
+        name, (q,), p = c.gates[rs[-1]]
+        c.gates[rs[-1]] = (name, (q % c.n + 1,), p)
+    compiled, scanned = [], []
+    compile_plan, scan = sim.Plan, sim._scan
+    monkeypatch.setattr(sim, "Plan", lambda c: compiled.append(c) or compile_plan(c))
+    monkeypatch.setattr(sim, "_scan", lambda c, *a: scanned.append(c) or scan(c, *a))
+    rep = sim.assemble_report(c, g, target, m=m, key=key)
+    assert compiled == scanned == ([c] if edit == "angle+move" else [])
+    assert g._memo[("plan", *key)] is kept
+    assert (rep["residual"], rep["ancilla_restored"]) == sim.verify_target(c, target, m)
+    assert rep["residual"] > 1e-6
+    monkeypatch.undo()
+    assert rep == sim.assemble_report(c, g, target, m=m)
