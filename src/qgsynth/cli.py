@@ -41,30 +41,26 @@ def _load_graph(path):
     return build_graph(_load_json(path))
 
 
+def _complex(obj):
+    """obj["re"] + i obj["im"], the imaginary part zero when absent."""
+    re = np.asarray(obj["re"], dtype=float)
+    return re + 1j * np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
+
+
 def _load_state(path):
     obj = _load_json(path)
-    amp = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(
-        obj.get("im", np.zeros(len(obj["re"]))), dtype=float
-    )
-    return StateSpec(int(obj["n"]), amp)
+    return StateSpec(int(obj["n"]), _complex(obj))
 
 
 def _load_unitary(path):
     obj = _load_json(path)
-    mat = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(
-        obj.get("im", np.zeros_like(np.asarray(obj["re"], dtype=float))),
-        dtype=float,
-    )
-    return UnitarySpec(int(obj["n"]), mat)
+    return UnitarySpec(int(obj["n"]), _complex(obj))
 
 
 def _load_ucg(path):
     obj = _load_json(path)
-    branches = [
-        np.asarray(b["re"], dtype=float) + 1j * np.asarray(b["im"], dtype=float)
-        for b in obj["branches"]
-    ]
-    return UcgSpec(int(obj["n"]), branches, int(obj.get("target", 0)))
+    return UcgSpec(int(obj["n"]), [_complex(b) for b in obj["branches"]],
+                   int(obj.get("target", 0)))
 
 
 def _load_angles(path):

@@ -127,19 +127,16 @@ def _line_layout(g, n, m, order, p0, kind):
             k = len(r_targ) + 1
             r_targ.append(v)
             ell_plan.append((k - 1) % npf + 1)
-    used = sum(2 * npf + tau for _ in blocks)
-    return RegisterLayout(
-        r_inp=list(range(1, n + 1)),
-        r_copy=[v for b in blocks for v in b.copy_slots],
-        r_targ=r_targ,
-        r_aux=[v for b in blocks for v in b.aux_slots],
-        p=p,
-        tau=tau,
-        ell_plan=ell_plan,
-        sub_registers=blocks,
-        kind=kind,
-        wasted=m - used,
-    )
+    return _layout(n, blocks, r_targ, ell_plan, p=p, tau=tau, kind=kind,
+                   wasted=m - (2 * npf + tau) * len(blocks))
+
+
+def _layout(n, blocks, r_targ, ell_plan, **kw):
+    """The RegisterLayout of `blocks`, inputs on 1..n."""
+    return RegisterLayout(list(range(1, n + 1)),
+                          [v for b in blocks for v in b.copy_slots], r_targ,
+                          [v for b in blocks for v in b.aux_slots],
+                          ell_plan=ell_plan, sub_registers=blocks, **kw)
 
 
 def _tree_layout(g, n, m):
@@ -200,18 +197,8 @@ def _tree_layout(g, n, m):
         blocks.append(SubRegister(copy, targ, aux))
     used = sum(len(b.copy_slots) + len(b.targ_slots) + len(b.aux_slots)
                for b in blocks)
-    return RegisterLayout(
-        r_inp=list(range(1, n + 1)),
-        r_copy=[v for b in blocks for v in b.copy_slots],
-        r_targ=r_targ,
-        r_aux=[v for b in blocks for v in b.aux_slots],
-        p=p,
-        tau=tau,
-        ell_plan=ell_plan,
-        sub_registers=blocks,
-        kind="tree",
-        wasted=m - used,
-    )
+    return _layout(n, blocks, r_targ, ell_plan, p=p, tau=tau, kind="tree",
+                   wasted=m - used)
 
 
 def build_layout(g, n, m):

@@ -7,26 +7,11 @@ sum_k s_k 2^(n-k).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-
-def ruler(j):
-    """Largest k such that 2^(k-1) divides j; ruler(0) == 0 by convention."""
-    if j == 0:
-        return 0
-    return (j & -j).bit_length()
-
-
-def gray_index(i, j, n):
-    """Flip position h_{ij} of the (n, i) Gray code, j in [1, 2^n]."""
-    if not 1 <= i <= n:
-        raise ValueError(f"code index i={i} out of [1,{n}]")
-    if j == 1:
-        return n if i == 1 else i - 1
-    return (ruler(j - 1) + i - 2) % n + 1
 
 
 @dataclass(frozen=True)
@@ -39,10 +24,15 @@ class GrayCode:
 
 @lru_cache(maxsize=None)
 def gray_code(n, i):
-    """The (n, i) Gray code, memoised since it is pure and immutable; a
-    cached code of width n holds 2 * 2^n integers for the process's life."""
+    """The (n, i) Gray code: step j flips bit h_{i,j} = (r + i - 2) mod n + 1,
+    r the 1-based place of the lowest set bit of j - 1 (0 for j = 1).
+    Memoised since it is pure and immutable; a cached code of width n holds
+    2 * 2^n integers for the process's life."""
+    if not 1 <= i <= n:
+        raise ValueError(f"code index i={i} out of [1,{n}]")
     size = 1 << n
-    flips = tuple(gray_index(i, j, n) for j in range(1, size + 1))
+    flips = tuple((((j - 1) & (1 - j)).bit_length() + i - 2) % n + 1
+                  for j in range(1, size + 1))
     words = [0]
     for j in range(2, size + 1):
         words.append(words[-1] ^ (1 << (n - flips[j - 1])))
@@ -51,25 +41,43 @@ def gray_code(n, i):
 
 def fwht(a, widths=None):
     """Fast Walsh-Hadamard transform along the last axis of a, of length
-    2^k (a new array).  Given `widths`, non-decreasing, a is instead a run
-    of rows of 2^widths[i] entries, each transformed on its own.
+    2^k (a new array; leading axes are a stack).  Given `widths`,
+    non-decreasing, the last axis is a run of rows of 2^widths[i] entries,
+    each transformed on its own.
 
-    Stage h pairs each block's halves x, y into (x + y, x - y) for all
-    blocks at once through a (-1, 2, h) view; no block crosses a row, and
-    the view skips the rows already done, which lead the run."""
-    a = np.array(a, dtype=float)
-    lens = [a.shape[-1]] if widths is None else [1 << int(w) for w in widths]
-    rows, i, h = a.reshape(-1), 0, 1
-    while h < lens[-1]:
-        while lens[i] <= h:  # row i is done
-            rows, i = rows[lens[i]:], i + 1
-        v = rows.reshape(-1, 2, h)
-        x = v[:, 0].copy()
-        y = v[:, 1]
-        v[:, 0] = x + y
-        v[:, 1] = x - y
-        h *= 2
-    return a
+    Each stage writes the sums of the even and odd entries to the first
+    half and their differences to the second half of another buffer: the
+    additions of the in-place stages h = 1, 2, 4, ..., in their order, so
+    the same bits.  Rows of one width are a stack; a run of several widths
+    is one row after `pad` zeros that put each row at a multiple of its
+    length, so no pair crosses a row, and after k stages the rows of length
+    2^k hold one entry in each of 2^k segments and are read out."""
+    a = np.asarray(a, dtype=float)
+    shape = a.shape
+    lens = [shape[-1]] if widths is None else [1 << int(w) for w in widths]
+    if len(lens) > 1 and lens[0] == lens[-1]:  # rows of one width: a stack
+        a, lens = a.reshape(*shape[:-1], -1, lens[0]), lens[:1]
+    lead, size = a.shape[:-1], a.shape[-1]
+    pad = -size % lens[-1]
+    src = (np.zeros if pad else np.empty)((*lead, pad + size))
+    src[..., pad:] = a
+    dst, out, half = np.empty_like(src), np.empty_like(a), src.shape[-1] // 2
+    i, done, seg = 0, 0, 1
+    while True:
+        j = bisect_right(lens, seg, i)  # rows i..j-1 are done
+        if j > i:
+            if j == len(lens) and not i:  # one row, in order
+                return src.reshape(shape)
+            at, count = (pad + done) // seg, (j - i) * seg
+            out[..., done:done + count].reshape(*lead, j - i, seg)[...] = (
+                src.reshape(*lead, seg, -1)[..., at:at + j - i].swapaxes(-1, -2))
+            if j == len(lens):
+                return out
+            i, done = j, done + count
+        x, y = src[..., 0::2], src[..., 1::2]
+        np.add(x, y, dst[..., :half])
+        np.subtract(x, y, dst[..., half:])
+        src, dst, seg = dst, src, 2 * seg
 
 
 def solve_phase_coefficients(theta, widths=None):
@@ -78,8 +86,9 @@ def solve_phase_coefficients(theta, widths=None):
     theta is a length-2^n array with theta[0] = 0; returns alpha of the same
     length with alpha[0] = 0.  For s != 0:
         alpha_s = -2^(1-n) sum_x (-1)^<s,x> theta(x).
-    Given `widths` (an array, non-decreasing), theta is a run of such rows
-    of 2^widths[i] angles each, not checked, all solved by one transform.
+    Given `widths` (an array, non-decreasing), the last axis of theta is a
+    run of such rows of 2^widths[i] angles each, not checked, all solved by
+    one transform (leading axes are a stack of such runs).
     """
     theta = np.asarray(theta, dtype=float)
     if widths is None:
@@ -95,7 +104,7 @@ def solve_phase_coefficients(theta, widths=None):
         scale = np.repeat(-(2.0 ** (1 - widths)), lens)
         starts = np.cumsum(lens) - lens
     alpha = scale * fwht(theta, widths)
-    alpha[starts] = 0.0
+    alpha[..., starts] = 0.0
     return alpha
 
 

@@ -34,20 +34,11 @@ def cnot_along(path):
     d = len(path) - 1
     if d == 0:
         raise ValueError("control equals target")
-    if d == 1:
-        return [("cx", (path[0], path[1]), None)]
-    gates = []
     # forward difference sweep, accumulate sweep, then the two restoring
-    # sweeps; only q_d keeps the x_0 contribution
-    for i in range(d - 1, 0, -1):
-        gates.append(("cx", (path[i], path[i + 1]), None))
-    for i in range(0, d):
-        gates.append(("cx", (path[i], path[i + 1]), None))
-    for i in range(d - 2, 0, -1):
-        gates.append(("cx", (path[i], path[i + 1]), None))
-    for i in range(0, d - 1):
-        gates.append(("cx", (path[i], path[i + 1]), None))
-    return gates
+    # sweeps (all but the second empty for d = 1); only q_d keeps the x_0
+    # contribution
+    sweeps = [*range(d - 1, 0, -1), *range(d), *range(d - 2, 0, -1), *range(d - 1)]
+    return [("cx", (path[i], path[i + 1]), None) for i in sweeps]
 
 
 def route_cnot_gates(g, u, v):

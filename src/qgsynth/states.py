@@ -22,9 +22,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cossin
+from scipy.linalg import get_lapack_funcs
 
-from .circuit import Circuit, Template, gate_matrix
+from .circuit import Circuit, Template
 from .diag import DiagonalSpec
 from .diag_ancilla import _auto_template
 from .graphs import explicit_graph
@@ -76,11 +76,14 @@ class UcgSpec:
                 and np.array_equal(self.branches, other.branches))
 
 
+_EYE = np.eye(2)[:, :, None]
+
+
 def _unitary(br):
     """br, a stack of 2x2 matrices, once all are unitary."""
     t = np.ascontiguousarray(br.transpose(1, 2, 0))  # branches on the last axis
     p = t.conj()[:, :, None] * t[:, None]
-    err = np.abs(p[0] + p[1] - np.eye(2)[:, :, None])
+    err = np.abs(p[0] + p[1] - _EYE)
     if err.max() > 1e-12:
         bad = (err > 1e-12).any(axis=(0, 1))
         raise ValueError(f"branch {bad.argmax()} is not unitary")
@@ -111,7 +114,7 @@ class UnitarySpec:
         size = 1 << self.n
         if mat.shape != (size, size):
             raise ValueError(f"expected a {size}x{size} matrix")
-        if np.max(np.abs(mat.conj().T @ mat - np.eye(size))) > 1e-10:
+        if not np.max(np.abs(mat.conj().T @ mat - np.eye(size))) <= 1e-10:
             raise DecompositionFailure("matrix is not unitary")
         self.matrix = mat
 
@@ -150,29 +153,29 @@ UCG_MID_GATES = (("sdg", "h"), ("h", "s"))
 def _factors(heads, branches):
     """(theta, euler, skeletons) of UCGs with heads[k] = (n, target), n
     non-decreasing, from one ZYZ batch over their `branches` (each UCG's
-    reindexed for a last target).  From 6 * (its first branch) on, theta
-    holds UCG k's three diagonal factors (see ucg_to_diagonals), 2^n angles
-    each, normalised as by DiagonalSpec; euler holds every branch's d, c, b,
-    the rz/ry/rz of a width-1 UCG; skeletons[k] is as in synth_ucg."""
+    reindexed for a last target).  theta[f] holds factor f (see
+    ucg_to_diagonals) of every UCG back to back, UCG k's 2^n angles from
+    2 * (its first branch) on, normalised as by DiagonalSpec; euler holds
+    every branch's d, c, b, the rz/ry/rz of a width-1 UCG; skeletons[k] is
+    as in synth_ucg."""
     widths = np.array([n for n, _ in heads])
     counts = 1 << (widths - 1)  # branches per UCG
     first = np.cumsum(counts) - counts
     a, b, c, d = zyz_angles_batch(branches)
-    # th[z, f, t]: angle of factor f on branch z, target bit t
-    th = np.zeros((len(a), 3, 2))
-    th[:, 0, 1] = d
-    th[:, 1, 1] = c
-    th[:, 2, 0] = a - (b + c + d) / 2.0
-    th[:, 2, 1] = th[:, 2, 0] + b
-    if not np.isfinite(th).all():
+    p = a - (b + c + d) / 2.0
+    # d and factor 2 less its UCG's head need normalising; c is in [0, pi]
+    free = np.stack([d, p, p + b])
+    if not np.isfinite(free).all():
         raise ValueError("angles must be finite")
-    head = np.repeat(first, counts)  # each branch's UCG's first branch
-    th = np.mod(th - th[head, :, :1], 2 * math.pi)
-    theta = np.empty(th.size)  # branch z's pairs from 4 head + 2z, 2^n apart
-    theta[(4 * head + 2 * np.arange(len(a)))[:, None, None] + np.arange(2)
-          + np.repeat(2 * counts, counts)[:, None, None] * np.arange(3)[:, None]] = th
+    free[1:] -= np.repeat(p[first], counts)
+    np.mod(free, 2 * math.pi, out=free)
+    th = np.zeros((3, len(a), 2))  # th[f, z, t]: factor f, branch z, target bit t
+    th[0, :, 1] = free[0]
+    th[1, :, 1] = c
+    th[2] = free[1:].T
+    theta = th.reshape(3, -1)
     euler = np.array([d, c, b])
-    emitted = np.logical_or.reduceat((np.abs(th) > 1e-14).any(axis=2), first)
+    emitted = np.logical_or.reduceat(np.abs(theta) > 1e-14, 2 * first, axis=1).T
     emitted[widths == 1] = np.abs(euler[:, first[widths == 1]].T) > 1e-14
     return theta, euler, tuple((*h, tuple(e))
                                for h, e in zip(heads, emitted.tolist()))
@@ -188,7 +191,7 @@ def ucg_to_diagonals(V):
     """
     if V.target != V.n:
         raise ValueError("ucg_to_diagonals expects target on the last qubit")
-    theta = _factors([(V.n, V.n)], V.branches)[0].reshape(3, -1)
+    theta = _factors([(V.n, V.n)], V.branches)[0]
     return (*(DiagonalSpec(V.n, f) for f in theta), UCG_MID_GATES)
 
 
@@ -217,13 +220,14 @@ def _cascade_template(g, skeletons, ms):
     UCGs splice the automatic diagonal template for (g, n, m) per factor,
     the mid gates on qubit n, inside a swap network if target != n."""
     counts = [1 << (n - 1) for n, _, _ in skeletons]
+    size = sum(counts)
     t = Template(g.n, None)
     for k, ((n, target, emitted), m) in enumerate(zip(skeletons, ms)):
         first = sum(counts[:k])
         if n == 1:
             for f, name in enumerate(("rz", "ry", "rz")):
                 if emitted[f]:
-                    t.rot(1, (6 + f) * sum(counts) + first, name)
+                    t.rot(1, (6 + f) * size + first, name)
         else:
             perm = (synth_permutation(g, {target: n, n: target})
                     if target != n else Circuit(g.n))
@@ -233,7 +237,7 @@ def _cascade_template(g, skeletons, ms):
             for f in range(3):
                 if emitted[f]:
                     t.extend(mid1 if f == 1 else ())
-                    t.splice(_auto_template(g, n, m), 6 * first + f * (2 << (n - 1)))
+                    t.splice(_auto_template(g, n, m), 2 * (f * size + first))
                     t.extend(mid2 if f == 1 else ())
             t.extend(perm.inverse())
         t.mark(f"ucg_{k + 1}")
@@ -246,7 +250,7 @@ def _cascade(g, heads, branches, key, build):
     skeletons) and bound to the Walsh coefficients of every factor (one
     FWHT), then the Euler angles."""
     theta, euler, skeletons = _factors(heads, branches)
-    widths = np.repeat([n for n, _ in heads], 3)
+    widths = np.array([n for n, _ in heads])
     params = np.concatenate([solve_phase_coefficients(theta, widths).ravel(),
                              euler.ravel()])
     key = (*key, skeletons)
@@ -366,12 +370,17 @@ def qsp_synthesize(g, v, m, verify=True):
 
 # -- general unitaries ------------------------------------------------------
 
+_UNCSD, _UNCSD_LWORK = get_lapack_funcs(("uncsd", "uncsd_lwork"), dtype=complex)
+
+
 def unitary_to_ucgs(U):
     """Exactly 2^n - 1 UCGs whose left-to-right product is U.
 
     Recursive cosine-sine demultiplexing: each block splits into side
     unitaries and a multiplexed Y-rotation whose target walks from qubit 1
-    outward to qubit n at the leaves of the recursion.
+    outward to qubit n at the leaves of the recursion.  Each split is the
+    LAPACK ?uncsd call of scipy.linalg.cossin(blk, p=h, q=h), with its work
+    sizes, made directly.
     """
     if not isinstance(U, UnitarySpec):
         U = UnitarySpec(int(np.log2(len(U))), U)
@@ -382,18 +391,22 @@ def unitary_to_ucgs(U):
         if k == n - 1:
             out.append(UcgSpec(n, blocks, n))
             return
-        half = 1 << (n - k - 1)
+        h = 1 << (n - k - 1)
+        work, rwork, _ = _UNCSD_LWORK(2 * h, h, h)
         ls, rs, angles = [], [], []
         for blk in blocks:
-            (u1, u2), th, (v1h, v2h) = cossin(blk, p=half, q=half,
-                                              separate=True)
+            *_, th, u1, u2, v1h, v2h, info = _UNCSD(
+                blk[:h, :h], blk[:h, h:], blk[h:, :h], blk[h:, h:],
+                lwork=int(work.real), lrwork=int(rwork))
+            if info:
+                raise DecompositionFailure(f"?uncsd failed with info {info}")
             ls += [u1, u2]
             rs += [v1h, v2h]
-            angles.append(np.atleast_1d(th))
+            angles += th.tolist()
         demux(rs, k + 1)
-        branches = [gate_matrix("ry", 2.0 * ang)
-                    for th in angles for ang in th]
-        out.append(UcgSpec(n, branches, k + 1))
+        c, s = np.array([(math.cos(t), math.sin(t)) for t in angles]).T
+        out.append(UcgSpec(n, np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2),
+                           k + 1))
         demux(ls, k + 1)
 
     demux([U.matrix], 0)

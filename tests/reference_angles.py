@@ -1,0 +1,101 @@
+"""Reference angle pipeline for the tests: the forms the cascade binder
+used before its angles became one factor-major vector.
+
+`fwht` is the in-place radix-2 transform, one stage at a time; `factors`
+scatters every branch's three factor pairs into a UCG-major vector through
+a computed index; `unitary_to_ucgs` splits each block with
+`scipy.linalg.cossin` and builds every Y-rotation branch with
+`gate_matrix`.  The fast versions must give exactly these bits.
+"""
+
+import math
+
+import numpy as np
+from scipy.linalg import cossin
+
+from qgsynth.circuit import gate_matrix
+from qgsynth.states import UcgSpec, UnitarySpec, zyz_angles_batch
+
+
+def fwht(a, widths=None):
+    """Walsh-Hadamard transform along the last axis, or of each row of a
+    run of rows of 2^widths[i] entries, stage h pairing halves in place."""
+    a = np.array(a, dtype=float)
+    lens = [a.shape[-1]] if widths is None else [1 << int(w) for w in widths]
+    rows, i, h = a.reshape(-1), 0, 1
+    while h < lens[-1]:
+        while lens[i] <= h:
+            rows, i = rows[lens[i]:], i + 1
+        v = rows.reshape(-1, 2, h)
+        x = v[:, 0].copy()
+        y = v[:, 1]
+        v[:, 0] = x + y
+        v[:, 1] = x - y
+        h *= 2
+    return a
+
+
+def factors(heads, branches):
+    """(theta, euler, skeletons) with UCG k's three factors from
+    6 * (its first branch) on in theta, 2^n angles each."""
+    widths = np.array([n for n, _ in heads])
+    counts = 1 << (widths - 1)
+    first = np.cumsum(counts) - counts
+    a, b, c, d = zyz_angles_batch(branches)
+    th = np.zeros((len(a), 3, 2))
+    th[:, 0, 1] = d
+    th[:, 1, 1] = c
+    th[:, 2, 0] = a - (b + c + d) / 2.0
+    th[:, 2, 1] = th[:, 2, 0] + b
+    if not np.isfinite(th).all():
+        raise ValueError("angles must be finite")
+    head = np.repeat(first, counts)
+    th = np.mod(th - th[head, :, :1], 2 * math.pi)
+    theta = np.empty(th.size)
+    theta[(4 * head + 2 * np.arange(len(a)))[:, None, None] + np.arange(2)
+          + np.repeat(2 * counts, counts)[:, None, None] * np.arange(3)[:, None]] = th
+    euler = np.array([d, c, b])
+    emitted = np.logical_or.reduceat((np.abs(th) > 1e-14).any(axis=2), first)
+    emitted[widths == 1] = np.abs(euler[:, first[widths == 1]].T) > 1e-14
+    return theta, euler, tuple((*h, tuple(e))
+                               for h, e in zip(heads, emitted.tolist()))
+
+
+def factor_major(theta, heads):
+    """`factors`' theta laid out as the binder's: row f holds factor f of
+    every UCG back to back."""
+    out = [[], [], []]
+    at = 0
+    for n, _ in heads:
+        for f in range(3):
+            out[f].append(theta[at:at + (1 << n)])
+            at += 1 << n
+    return np.array([np.concatenate(row) for row in out])
+
+
+def unitary_to_ucgs(U):
+    """The 2^n - 1 UCGs of U's cosine-sine demultiplexing, one cossin call
+    per block."""
+    if not isinstance(U, UnitarySpec):
+        U = UnitarySpec(int(np.log2(len(U))), U)
+    n = U.n
+    out = []
+
+    def demux(blocks, k):
+        if k == n - 1:
+            out.append(UcgSpec(n, blocks, n))
+            return
+        half = 1 << (n - k - 1)
+        ls, rs, angles = [], [], []
+        for blk in blocks:
+            (u1, u2), th, (v1h, v2h) = cossin(blk, p=half, q=half, separate=True)
+            ls += [u1, u2]
+            rs += [v1h, v2h]
+            angles.append(np.atleast_1d(th))
+        demux(rs, k + 1)
+        out.append(UcgSpec(n, [gate_matrix("ry", 2.0 * ang)
+                               for th in angles for ang in th], k + 1))
+        demux(ls, k + 1)
+
+    demux([U.matrix], 0)
+    return out
