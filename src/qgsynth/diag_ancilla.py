@@ -8,14 +8,16 @@ suffix-copy, gray-init, prefix-copy, gray-cycle, inverse.  Layouts exist
 for paths, grids (along a Hamiltonian path) and binary trees; expanders use
 a 3-stage variant (gray-init, gray-cycle, inverse) that re-fans single bits
 through the matching cascade instead of keeping copies.  `synth_diag_auto`
-builds the pipeline and the no-ancilla strategies of diag.py and keeps the
-shallowest; the expander variant has its own entry point only.
+builds the no-ancilla strategies of diag.py (on a path the general split
+too) and the pipeline on a ladder of m, m//2, m//4, ... ancilla, and keeps
+the shallowest; the expander variant has its own entry point only.
 """
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .circuit import Circuit, Template, _scan
 from .diag import _as_spec, _bind_report, _dispatch
@@ -89,7 +91,8 @@ def _blocks_on_line(order, n, m_eff, p0):
     order): per block, n-p alternating copy/target pairs then tau aux slots.
     Returns (p, tau, blocks); shrinks p (and then tau, possibly to 0)
     until the blocks fit."""
-    for p in range(min(p0, n - 1), 0, -1):
+    # p <= n - p: a block's n - p copy slots then hold every suffix bit
+    for p in range(min(p0, n // 2), 0, -1):
         npf = n - p
         r = -(-(1 << p) // npf)
         if 2 * r * npf <= m_eff:
@@ -115,10 +118,11 @@ def _blocks_on_line(order, n, m_eff, p0):
     return p, tau, blocks
 
 
-def _line_layout(g, n, m, order, p0, kind):
-    """Blocks along the ancilla vertices of `order`, inputs on 1..n."""
+def _line_layout(n, m, order, p0, kind):
+    """Blocks along the ancilla vertices n+1..n+m of `order`, inputs on
+    1..n."""
     m_eff = min(m, 3 * (1 << n))
-    line = [v for v in order if v > n]
+    line = [v for v in order if n < v <= n + m]
     p, tau, blocks = _blocks_on_line(line[:m_eff], n, m_eff, p0)
     npf = n - p
     r_targ, ell_plan = [], []
@@ -139,10 +143,12 @@ def _layout(n, blocks, r_targ, ell_plan, **kw):
                           ell_plan=ell_plan, sub_registers=blocks, **kw)
 
 
-def _tree_layout(g, n, m):
-    # heap labels: children of v are 2v, 2v+1; depth of v is bitlength-1
+def _tree_layout(n, m):
+    # heap labels: children of v are 2v, 2v+1; depth of v is bitlength-1.
+    # The layout lives on the heap prefix 1..n+m, itself a binary tree.
+    size = n + m
     kappa = math.ceil(math.log2(n + 1)) - 1
-    d_total = g.n.bit_length() - 1  # deepest fully-present level
+    d_total = size.bit_length() - 1  # deepest fully-present level
     b0 = max(1, math.ceil(math.log2(max(2.0, 2 * math.log2(n)))))
     roots = []
     for b in range(b0, 0, -1):
@@ -151,7 +157,7 @@ def _tree_layout(g, n, m):
         depth = d_total - span + 1
         while depth >= kappa + 1:
             level = [v for v in range(1 << depth, 1 << (depth + 1))
-                     if v * (1 << (span - 1)) + ((1 << (span - 1)) - 1) <= g.n]
+                     if (v + 1) << (span - 1) <= size + 1]
             roots.extend(level)
             depth -= span
         if roots:
@@ -167,7 +173,7 @@ def _tree_layout(g, n, m):
             raise InsufficientAncilla("tree too shallow for a subtree layout")
         b = 1
         roots = [v for v in range(1 << (kappa + 1), 1 << (kappa + 2))
-                 if v * (1 << (span - 1)) + ((1 << (span - 1)) - 1) <= g.n]
+                 if (v + 1) << (span - 1) <= size + 1]
         if not roots:
             raise InsufficientAncilla("tree too shallow for a subtree layout")
         copy_layers = range(span - 1)
@@ -202,23 +208,24 @@ def _tree_layout(g, n, m):
 
 
 def build_layout(g, n, m):
-    """Register layout for the 5-stage pipeline on g (n inputs, m ancilla)."""
+    """Register layout for the 5-stage pipeline on g: n inputs on 1..n, m
+    ancilla among n+1..n+m."""
     if n < 2:
         raise ValueError("need n >= 2")
     if n + m > g.n:
         raise ValueError("graph has fewer than n + m vertices")
     if g.kind == "path":
         p0 = max(1, int(math.log2(max(2.0, min(m, 3 << n) / 3))))
-        return _line_layout(g, n, m, list(range(1, n + m + 1)), p0, "path")
+        return _line_layout(n, m, list(range(1, n + m + 1)), p0, "path")
     if g.kind == "grid":
         if m < 36 * n:
             raise InsufficientAncilla(f"grid layout needs m >= 36n, got {m}")
         order = hamiltonian_path_grid(g.params["dims"])
         p0 = int(math.log2(min(m, 18 << n) / 18))
-        return _line_layout(g, n, m, order, p0, "grid")
+        return _line_layout(n, m, order, p0, "grid")
     if g.kind == "tree" and g.params.get("arity") == 2:
         try:
-            return _tree_layout(g, n, m)
+            return _tree_layout(n, m)
         except InsufficientAncilla:
             # shallow trees cannot host complete subtree blocks; fall back
             # to greedy blocks over a depth-first order of the tree (the
@@ -230,20 +237,22 @@ def build_layout(g, n, m):
                     order.append(v)
                     stack += (2 * v + 1, 2 * v)
             p0 = max(1, int(math.log2(max(2.0, min(m, 3 << n) / 3))))
-            return _line_layout(g, n, m, order, p0, "tree")
+            return _line_layout(n, m, order, p0, "tree")
     raise InsufficientAncilla(f"no ancilla layout for graph kind {g.kind!r}")
 
 
 class _Router:
-    """Per input bit, the nearest holder of it seen from every vertex, and
-    its distance.  A new holder takes only the vertices strictly closer to
-    it, so the input qubit (the seed), then the earliest holder, wins ties."""
+    """Per input bit, the nearest holder of it seen from every vertex of
+    1..size, and its distance.  A new holder takes only the vertices
+    strictly closer to it, so the input qubit (the seed), then the earliest
+    holder, wins ties."""
 
-    def __init__(self, g, r_inp):
+    def __init__(self, g, r_inp, size):
         self.r_inp = r_inp
-        # vertex -> BFS distances, scratch for one build: kept on g, the
-        # rows of a large ancilla graph would hold megabytes per graph
-        self._row = functools.cache(g.bfs_dist)
+        # vertex -> BFS distances to 1..size, scratch for one build (kept on
+        # g, the rows of a large ancilla graph would hold megabytes)
+        self._row = functools.cache(
+            lambda v: {w: d for w, d in g.bfs_dist(v).items() if w <= size})
         self.clear()
 
     def clear(self):
@@ -302,29 +311,39 @@ def _stage_precopy(c, g, layout, rt, sufcopy_end):
 
 
 def _stage_graycycle(c, g, layout, rt):
-    n = len(layout.r_inp)
+    """2^(n-p) Gray steps: each advances every target's prefix codeword by
+    one flip (a routed CNOT from the nearest holder of the flipped bit),
+    then target k rotates by the mask (codeword << p) | k.  No copy moves
+    here, so each target's CNOT per flipped bit is routed once, and a step
+    is one of the few distinct CNOT layers plus one run of rotations."""
     p = layout.p
-    codes = {l: gray_code(n - p, l) for l in set(layout.ell_plan)}
+    npf = len(layout.r_inp) - p
+    targ = layout.r_targ
+    codes = {l: gray_code(npf, l) for l in set(layout.ell_plan)}
     plan = [codes[l] for l in layout.ell_plan]
-    cycle = 1 << (n - p)
+    hops = [{h: route_cnot_gates(g, rt.source(h, v), v)
+             for h in range(1, npf + 1)} for v in targ]
+    masks = ((np.array([code.codewords for code in plan]) << p)
+             | np.arange(len(targ))[:, None]).T.tolist()
+    layers = {}
+    cycle = 1 << npf
     for j in range(1, cycle + 1):
-        jn = j + 1 if j < cycle else 1
-        # U_Gen: advance every target's prefix codeword by one Gray step
-        for code, v in zip(plan, layout.r_targ):
-            h = code.flips[jn - 1]
-            c.gates.extend(route_cnot_gates(g, rt.source(h, v), v))
-        # rotation layer: target k + 1 holds the mask (codeword << p) | k
-        for k, (code, v) in enumerate(zip(plan, layout.r_targ)):
-            s = (code.codewords[jn - 1] << p) | k
-            if s:
-                c.rot(v, s)
+        i = j % cycle  # step j goes to codeword i; the last closes the cycle
+        key = tuple(code.flips[i] for code in codes.values())
+        if key not in layers:
+            layers[key] = [gate for code, hop in zip(plan, hops)
+                           for gate in hop[code.flips[i]]]
+        c.gates.extend(layers[key])
+        # mask 0 (codeword 0 on target 1) is the identity
+        first = 0 if i else 1
+        c.rots(targ[first:], masks[i][first:])
 
 
 def _ancilla_pipeline(g, n, m):
     """The sealed 5-stage template, with its stages marked and its report
     fields set (no report)."""
     layout = build_layout(g, n, m)
-    rt = _Router(g, layout.r_inp)
+    rt = _Router(g, layout.r_inp, n + m)
     c = Template(g.n, n)
 
     _stage_sufcopy(c, g, layout, rt)
@@ -342,8 +361,8 @@ def _ancilla_pipeline(g, n, m):
     c.mark("inverse")
 
     c.backend = c.meta["backend"] = f"ancilla-{layout.kind}"
-    c.extra = {"p": layout.p, "tau": layout.tau, "wasted": layout.wasted}
-    c.meta.update(c.extra)
+    c.extra = {"p": layout.p, "tau": layout.tau, "wasted": layout.wasted,
+               "ancilla_used": m}
     return c.seal()
 
 
@@ -467,30 +486,52 @@ def _auto_template(g, n, m):
     return g.cached(("auto", n, m), lambda: _build_auto(g, n, m))
 
 
+def _candidates(g, n, m):
+    """The templates `_build_auto` compares, built one at a time: the
+    no-ancilla strategy on vertices 1..n, the general split there too when
+    g is a path, g's own strategy when 1..n ran on a copy of all of g, then
+    the ancilla pipeline on m' = m, m//2, m//4, ... >= n ancilla (vertices
+    1..n+m') up to the first rung without a layout."""
+    sub = _induced_subgraph(g, n)
+    yield _dispatch(sub)
+    if sub.kind == "path":
+        yield _dispatch(sub, "general")
+    if n == g.n and sub is not g:
+        yield _dispatch(g)
+    k = m if n >= 2 else 0
+    while k > 0:
+        try:
+            yield _ancilla_pipeline(g, n, k)
+        except InsufficientAncilla:
+            return
+        k //= 2
+        if k < n:
+            return
+
+
 def _build_auto(g, n, m, report=False):
-    """The shallowest of the candidate templates, then the one with the
-    fewest two-qubit gates, then the first: the no-ancilla strategy on
-    vertices 1..n; g's own strategy when that ran on a copy of the whole
-    of g; the ancilla pipeline when g has a layout for it.  With `report`,
-    the winner's scan is kept for the report under ("scan", "auto", n, m)."""
+    """The shallowest of the `_candidates` templates, then the one with the
+    fewest two-qubit gates, then the first.  Each is scanned once and only
+    the best so far is kept; with `report`, the winner's scan is kept for
+    the report under ("scan", "auto", n, m).  A pipeline that ran on m' < m
+    ancilla counts the m - m' it left idle in `wasted`."""
     if n + m > g.n:
         raise ValueError("graph has fewer than n + m vertices")
-    sub = _induced_subgraph(g, n)
-    candidates = [_dispatch(sub)]
-    if n == g.n and sub is not g:
-        candidates.append(_dispatch(g))
-    if m > 0 and n >= 2:
-        with contextlib.suppress(InsufficientAncilla):
-            candidates.append(_ancilla_pipeline(g, n, m))
-    t = candidates[0]
-    if len(candidates) > 1:  # by (depth, two-qubit count); one scan each
-        scans = [_scan(c, g._pairs) for c in candidates]
-        k = min(range(len(scans)), key=lambda i: scans[i][:3:2])
-        t = candidates[k]
-        if report:
-            g.cached(("scan", "auto", n, m), lambda: scans[k])
+    candidates = _candidates(g, n, m)
+    t, scan = next(candidates), None
+    for other in candidates:
+        if scan is None:
+            scan = _scan(t, g._pairs)
+        s = _scan(other, g._pairs)
+        if s[:3:2] < scan[:3:2]:  # by (depth, two-qubit count)
+            t, scan = other, s
+        del other  # hold at most two templates while the next is built
+    if report and scan is not None:
+        g.cached(("scan", "auto", n, m), lambda: scan)
     if t.backend.startswith("ancilla-"):
-        t.extra = {**t.extra, "decision": t.backend}
+        idle = m - t.extra["ancilla_used"]
+        t.extra = {**t.extra, "wasted": t.extra["wasted"] + idle,
+                   "decision": t.backend}
         return t
     decision = f"noancilla-{t.backend}"
     t.n = g.n

@@ -127,12 +127,15 @@ def counting_scans(mp):
 
 
 # `compared`: the candidate templates that the diagonal keys with more than
-# one candidate scan to pick the shallowest; only qsp-path has such a key,
-# ("auto", 2, 4), where the path pipeline has a layout
+# one candidate scan to pick the shallowest.  On a path every prefix 1..n
+# is a path, so each key compares the path strategy with the general split:
+# qsp-path's keys ("auto", 2, 4), ("auto", 3, 3) and ("auto", 4, 2) scan
+# 3 + 2 + 2 (the first adds the path pipeline on m' = 4; m' = 2 has no
+# layout), and gus-path's one key ("auto", 3, 1) scans 2
 @pytest.mark.parametrize("task, make, n, draw, compared", [
-    ("qsp", lambda: path_graph(6), 4, lambda s: random_state(s, 4), 2),
+    ("qsp", lambda: path_graph(6), 4, lambda s: random_state(s, 4), 7),
     ("qsp", lambda: GRAPHS["relabelled"](6), 4, lambda s: random_state(s, 4), 0),
-    ("gus", lambda: path_graph(4), 3, lambda s: random_unitary(s, 8), 0),
+    ("gus", lambda: path_graph(4), 3, lambda s: random_unitary(s, 8), 2),
     ("gus", lambda: complete_graph(5), 2, lambda s: random_unitary(s, 4), 0),
 ], ids=["qsp-path", "qsp-relabelled", "gus-path", "gus-complete"])
 def test_cold_call_scans_once_and_warm_call_never(task, make, n, draw, compared):
@@ -150,18 +153,19 @@ def test_cold_call_scans_once_and_warm_call_never(task, make, n, draw, compared)
 
 
 def test_cold_auto_diagonal_scans_each_candidate_once():
-    # path(16) with n=4, m=12 compares the no-ancilla template with the
-    # ancilla pipeline; the winner's scan is its report's, so a cold call
-    # scans each candidate once and a warm one scans nothing
+    # path(16) with n=4, m=12 compares four candidates: the path strategy
+    # and the general split on 1..4, and the ancilla pipeline on m' = 12
+    # and 6 (3 < n ends the ladder); the winner's scan is its report's, so
+    # a cold call scans each candidate once and a warm one scans nothing
     g = path_graph(16)
     rng = np.random.default_rng(14)
     with pytest.MonkeyPatch.context() as mp:
         calls = counting_scans(mp)
         c, report = diag_ancilla.synth_diag_auto(
             g, rng.uniform(0, 2 * np.pi, 16), 12, verify=False)
-        assert len(calls) == 2
+        assert len(calls) == 4
         diag_ancilla.synth_diag_auto(g, rng.uniform(0, 2 * np.pi, 16), 12)
-        assert len(calls) == 2
+        assert len(calls) == 4
     assert_fresh(c, g, report)
     assert scan_keys(g) == [("scan", "auto", 4, 12)]
 

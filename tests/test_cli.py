@@ -174,14 +174,14 @@ def test_graph_info(files, capsys):
 _BENCH_CSV = {
     "diag": ["task,graph_kind,n,m,depth,size,two_qubit,bound_max,ratio,seed",
              "diag,path,2,6,5,5,2,2.0,2.5,5",
-             "diag,path,3,9,17,19,12,3.0,5.666667,5",
+             "diag,path,3,9,16,19,12,3.0,5.333333,5",
              "diag,path,4,12,48,55,40,4.0,12.0,5",
-             "diag,path,5,15,133,151,120,5.656854,23.5113,5"],
+             "diag,path,5,15,122,169,138,5.656854,21.566757,5"],
     "qsp": ["task,graph_kind,n,m,depth,size,two_qubit,bound_max,ratio,seed",
             "qsp,path,2,6,17,20,6,2.0,8.5,5",
-            "qsp,path,3,9,63,76,40,3.0,21.0,5",
-            "qsp,path,4,12,188,226,148,4.0,47.0,5",
-            "qsp,path,5,15,535,628,468,5.656854,94.575532,5"],
+            "qsp,path,3,9,61,76,40,3.0,20.333333,5",
+            "qsp,path,4,12,187,226,148,4.0,46.75,5",
+            "qsp,path,5,15,495,682,522,5.656854,87.504464,5"],
 }
 
 

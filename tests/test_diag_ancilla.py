@@ -3,6 +3,8 @@ and the automatic dispatch, which keeps the shallowest of its candidates."""
 import numpy as np
 import pytest
 
+import reference_ancilla
+
 from qgsynth.circuit import validate_connectivity
 from qgsynth.diag import DiagonalSpec, synth_diag_noancilla
 from qgsynth.diag_ancilla import (
@@ -49,12 +51,15 @@ def test_path_pipeline_exact():
 
 def test_auto_ancilla_report_matches_pipeline_report():
     # the dispatcher builds the pipeline itself, so its report must carry
-    # the same fields and stage table as synth_diag_ancilla's, plus decision
-    g, n = path_graph(8 + 32), 8
+    # the same fields and stage table as synth_diag_ancilla's, plus decision;
+    # here the pipeline on all m = 63 ancilla wins (1,933 deep, against
+    # 3,773 and 2,662 on m' = 31 and 15, and 2,001 without ancilla)
+    g, n = tree_graph(2, n=9 + 63), 9
     spec = random_spec(np.random.default_rng(32), n)
     c, report = synth_diag_auto(g, spec, g.n - n)
     c2, table, report2 = synth_diag_ancilla(g, spec, g.n - n)
-    assert report["decision"] == "ancilla-path"
+    assert report["decision"] == "ancilla-tree"
+    assert report["ancilla_used"] == g.n - n
     assert c.gates == c2.gates
     assert list(report) == list(report2) + ["decision"]
     assert {k: report[k] for k in report2} == report2
@@ -114,6 +119,118 @@ def test_insufficient_ancilla_raises():
         build_layout(g, n, 2)
 
 
+@pytest.mark.parametrize("g", [path_graph(200), grid_graph([8, 25]),
+                               tree_graph(2, n=127), tree_graph(2, n=60),
+                               tree_graph(2, n=33)],
+                         ids=["path", "grid", "tree127", "tree60", "tree33"])
+def test_layout_uses_only_vertices_up_to_n_plus_m(g):
+    # a layout for m of g's ancilla lives on n+1..n+m and counts as wasted
+    # only what it leaves idle there (a binary tree sized its subtrees from
+    # g.n: tree(127) with n=6, m=20 used vertex 95 and reported wasted -68)
+    built = 0
+    for n in range(2, 10):
+        for m in sorted({n, 2 * n, 4 * n, 20, 8 * n, 36 * n, g.n - n}):
+            if m > g.n - n:
+                continue
+            try:
+                layout = build_layout(g, n, m)
+            except InsufficientAncilla:
+                continue
+            built += 1
+            ancilla = layout.r_copy + layout.r_targ + layout.r_aux
+            assert layout.r_inp == list(range(1, n + 1))
+            assert all(n < v <= n + m for v in ancilla), (n, m)
+            assert 0 <= layout.wasted <= m - len(ancilla), (n, m)
+    assert built >= 5
+
+
+# paths, grids, the depth-first fallback of shallow binary trees
+# (tree(32), tree(64)) and the deep subtree tier (tree(127)).  The small
+# tree tier, one layer of subtrees right below the inputs, is left out:
+# its blocks can have fewer than p copy slots (ROADMAP item 2(a))
+SUFFIX_CASES = (
+    [(path_graph(n + m), n, m) for n in (2, 3, 5, 8, 12)
+     for m in (2 * n, 3 * n, 8 * n, 400)]
+    + [(grid_graph([8, 37]), n, 296 - n) for n in (2, 4, 6, 8)]
+    + [(grid_graph([2, 100]), n, 200 - n) for n in (2, 5)]
+    + [(tree_graph(2, n=32), n, 32 - n) for n in range(2, 9)]
+    + [(tree_graph(2, n=64), n, 64 - n) for n in range(4, 9)]
+    + [(tree_graph(2, n=127), n, 127 - n) for n in range(3, 8)]
+)
+
+
+@pytest.mark.parametrize("g, n, m", SUFFIX_CASES,
+                         ids=[f"{g.kind}{g.n}-n{n}-m{m}"
+                              for g, n, m in SUFFIX_CASES])
+def test_every_block_holds_every_suffix_bit(g, n, m):
+    # suffix-copy writes suffix bit n - p + 1 + (idx mod p) to copy slot
+    # idx of each block; gray-init reads the suffix bits from the block's
+    # own copies only if it has all p of them (path n=8, m=400 held 1 of 7
+    # and routed the other 6 from qubits 1..8 along the whole line)
+    layout = build_layout(g, n, m)
+    p = layout.p
+    for blk in layout.sub_registers:
+        held = {n - p + 1 + idx % p for idx in range(len(blk.copy_slots))}
+        assert held == set(range(n - p + 1, n + 1))
+
+
+@pytest.mark.parametrize("g, n, m", [
+    (path_graph(398), 14, 96), (path_graph(412), 12, 400),
+    (path_graph(20), 4, 16), (grid_graph([8, 37]), 8, 288),
+    (grid_graph([3, 37]), 3, 108), (tree_graph(2, n=56), 14, 42),
+    (tree_graph(2, n=330), 10, 160), (tree_graph(2, n=32), 5, 27),
+    (tree_graph(2, n=127), 7, 56),
+], ids=["path398", "path412", "path20", "grid8x37", "grid3x37", "tree56",
+        "tree330", "tree32", "tree127-small"])
+def test_gray_cycle_matches_the_reference_loop(g, n, m, monkeypatch):
+    # the table-driven Gray cycle emits the reference loop's gates and
+    # slots: the same tuples in the same order, slot for slot
+    from qgsynth import diag_ancilla
+    want = diag_ancilla._ancilla_pipeline(g, n, m)
+    monkeypatch.setattr(diag_ancilla, "_stage_graycycle",
+                        reference_ancilla.stage_graycycle)
+    ref = diag_ancilla._ancilla_pipeline(g, n, m)
+    assert want.gates == ref.gates
+    assert want.meta["marks"] == ref.meta["marks"]
+    assert np.array_equal(want.pos, ref.pos)
+    assert np.array_equal(want.idx, ref.idx)
+
+
+def test_ladder_stops_at_the_first_rung_without_a_layout(monkeypatch):
+    # grid(8x38) with n=2, m=302: rungs 302, 151 and 75 have a layout
+    # (m' >= 36n = 72), 37 has none, and 18, 9, 4, 2 are never tried
+    from qgsynth import diag_ancilla
+    tried = []
+
+    def counted(g, n, m, _build=diag_ancilla.build_layout):
+        tried.append(m)
+        return _build(g, n, m)
+
+    monkeypatch.setattr(diag_ancilla, "build_layout", counted)
+    g = grid_graph([8, 38])
+    synth_diag_auto(g, random_spec(np.random.default_rng(46), 2), 302,
+                    verify=False)
+    assert tried == [302, 151, 75, 37]
+
+
+def test_auto_keeps_the_ladder_rung_it_ran_on():
+    # on tree(330) with n=10 the pipeline is shallower on m' = 160 than on
+    # all m = 320 ancilla: auto keeps that rung, reports the m' it used,
+    # counts the idle m - m' in `wasted`, and touches no vertex above n + m'
+    g, n, m = tree_graph(2, n=330), 10, 320
+    spec = random_spec(np.random.default_rng(45), n)
+    c, report = synth_diag_auto(g, spec, m, verify=False)
+    c2, _, report2 = synth_diag_ancilla(g, spec, 160, verify=False)
+    full = synth_diag_ancilla(g, spec, m, verify=False)[2]
+    assert report["decision"] == "ancilla-tree"
+    assert report["ancilla_used"] == report2["ancilla_used"] == 160
+    assert full["ancilla_used"] == m
+    assert report["wasted"] == report2["wasted"] + m - 160
+    assert c.gates == c2.gates
+    assert report["depth"] == report2["depth"] < full["depth"]
+    assert max(q for _, qs, _ in c.gates for q in qs) <= n + 160
+
+
 def test_expander_three_stage_exact():
     rng = np.random.default_rng(35)
     n = 3
@@ -148,23 +265,29 @@ def test_choose_backend_dispatch(g, n, m, want):
     assert report["residual"] <= 1e-8 and report["ancilla_restored"]
 
 
-def _noancilla_on(h):
-    return lambda g, spec, m: synth_diag_noancilla(h, spec)[1]
+def _noancilla_on(h, strategy="auto"):
+    return lambda g, spec, m: synth_diag_noancilla(h, spec, strategy)[1]
 
 
 def _strategy(name):
     return lambda g, spec, m: synth_diag_noancilla(g, spec, name)[1]
 
 
-def _pipeline(g, spec, m):
-    return synth_diag_ancilla(g, spec, m)[2]
+def _pipeline_on(k):
+    """The ancilla pipeline on k of the m ancilla (vertices 1..n+k)."""
+    return lambda g, spec, m: synth_diag_ancilla(g, spec, k)[2]
 
 
+# every candidate: the strategy on 1..n, the general split there when 1..n
+# is a path, and the pipeline ladder m' = m, m//2, ... >= n up to the first
+# rung without a layout (path(14): m' = 2 < n; path(40): m' = 8 has none)
 @pytest.mark.parametrize("g, n, m, candidates, want", [
-    (path_graph(14), 3, 11, [_noancilla_on(path_graph(3)), _pipeline],
-     "noancilla-path"),
+    (path_graph(14), 3, 11,
+     [_noancilla_on(path_graph(3)), _noancilla_on(path_graph(3), "general"),
+      _pipeline_on(11), _pipeline_on(5)], "noancilla-general"),
     (tree_graph(2, n=14), 3, 11,
-     [_noancilla_on(tree_graph(2, n=3)), _pipeline], "noancilla-tree-walk"),
+     [_noancilla_on(tree_graph(2, n=3)), _pipeline_on(11), _pipeline_on(5)],
+     "noancilla-tree-walk"),
     (complete_graph(12), 3, 9, [_noancilla_on(complete_graph(3))],
      "noancilla-complete"),
     (star_graph(9), 9, 0, [_strategy("auto")], "noancilla-star-walk"),
@@ -172,11 +295,16 @@ def _pipeline(g, spec, m):
      "noancilla-general"),
     (grid_graph([2, 7]), 14, 0, [_strategy("general"), _strategy("grid")],
      "noancilla-grid"),
-    # the pipeline still wins here: 2,156 against 2,290
-    (path_graph(40), 8, 32, [_noancilla_on(path_graph(8)), _pipeline],
-     "ancilla-path"),
+    # the general split wins here: 959, against 2,290 for the path
+    # strategy and 2,156 and 1,564 for the pipeline on m' = 32 and 16
+    (path_graph(40), 8, 32,
+     [_noancilla_on(path_graph(8)), _noancilla_on(path_graph(8), "general"),
+      _pipeline_on(32), _pipeline_on(16)], "noancilla-general"),
+    (tree_graph(2, n=72), 9, 63,
+     [_noancilla_on(tree_graph(2, n=9)), _pipeline_on(63), _pipeline_on(31),
+      _pipeline_on(15)], "ancilla-tree"),
 ], ids=["path14", "tree14", "complete12", "star9", "grid3x3", "grid2x7",
-        "path40"])
+        "path40", "tree72"])
 def test_auto_is_the_shallowest_candidate(g, n, m, candidates, want):
     # each candidate is built on its own, through its own entry point
     spec = random_spec(np.random.default_rng(44), n)
@@ -273,17 +401,30 @@ def _holder_scan(g, r_inp, holders, bit, near):
     return best
 
 
-@pytest.mark.parametrize("g", [path_graph(23), grid_graph([4, 5]),
-                               tree_graph(2, n=27)], ids=lambda g: g.kind)
+ROUTER_GRAPHS = [path_graph(23), grid_graph([4, 5]), tree_graph(2, n=27)]
+
+
+@pytest.mark.parametrize("g", ROUTER_GRAPHS, ids=lambda g: g.kind)
 def test_router_source_matches_holder_scan(g):
+    _check_router(g, g.n)
+
+
+@pytest.mark.parametrize("g", ROUTER_GRAPHS, ids=lambda g: g.kind)
+def test_router_on_a_prefix_matches_holder_scan(g):
+    # a router over vertices 1..14 answers for them as one over all of g:
+    # holders and queries stay in 1..14, the distances are g's
+    _check_router(g, 14)
+
+
+def _check_router(g, size):
     rng = np.random.default_rng(38)
-    r_inp = [int(v) for v in rng.choice(np.arange(1, g.n + 1), 4, replace=False)]
-    rt = _Router(g, r_inp)
+    r_inp = [int(v) for v in rng.choice(np.arange(1, size + 1), 4, replace=False)]
+    rt = _Router(g, r_inp, size)
     holders = {}
     ties = 0
     for step in range(400):
         bit = int(rng.integers(1, 5))
-        v = int(rng.integers(1, g.n + 1))
+        v = int(rng.integers(1, size + 1))
         if step % 150 == 149:
             rt.clear()
             holders.clear()

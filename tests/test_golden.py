@@ -105,7 +105,7 @@ GOLDEN = {
     "noanc-star-walk": "0711440b9dfef710",
     "noanc-tree2": "0130d3deca420598",
     "qsp-bfs-relabel": "edb669a8cb866f6f",
-    "qsp-path": "ebff5f7b0c2b59df",
+    "qsp-path": "f40d024fc3ca077f",
     "qsp-star": "6d1fb7633c7567fb",
 }
 

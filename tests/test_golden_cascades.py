@@ -117,25 +117,25 @@ GOLDEN = {
     "gus-complete-n4-m0": "6a87b4d7eec721d0",
     "gus-complete-n4-m2": "555b4367cc3c84dd",
     "gus-complete-permutation": "6897c28818211c2e",
-    "gus-path-diagonal": "47ccd5a28fb8f23f",
+    "gus-path-diagonal": "cedb97d91381e166",
     "gus-path-identity": "5c7479b98e92d405",
     "gus-path-n2-m0": "b3030e470fc4981c",
     "gus-path-n2-m2": "b3ff69560aae95d2",
-    "gus-path-n3-m0": "481fc3dd05c538c1",
-    "gus-path-n3-m2": "f282d79db84c20e1",
+    "gus-path-n3-m0": "15b9be8654541377",
+    "gus-path-n3-m2": "b6363b984f2bd65c",
     "gus-path-n4-m0": "7672ed3170dcef76",
     "gus-path-n4-m2": "bad3a16e350b610f",
     "gus-path-one-qubit": "4bccfd26ca0f7628",
-    "gus-path-permutation": "36e2a366b2b82884",
+    "gus-path-permutation": "865aafd9e16a2f4b",
     "qsp-brickwall-n6": "47d071537acb5329",
     "qsp-brickwall-n8": "a5346377f79e929f",
     "qsp-complete-n3": "8430ffbc3e4995a4",
     "qsp-complete-n5": "0fc8492f0f89e7e7",
-    "qsp-path-basis": "bbc6d261dc4aff61",
-    "qsp-path-n4": "3f79d8f313b1f663",
-    "qsp-path-n6": "ca14c86d4426d1ae",
-    "qsp-path-real": "166aeb632ae0c098",
-    "qsp-path-sparse": "3e169aac2e276b26",
+    "qsp-path-basis": "478678575d4526f2",
+    "qsp-path-n4": "7509ea1a6702278a",
+    "qsp-path-n6": "084f47c930f777e8",
+    "qsp-path-real": "df05eca3f6c9bda9",
+    "qsp-path-sparse": "65ed3ea6eee7a6b0",
     "qsp-path-zero": "103caede31085392",
     "qsp-relabelled-basis": "8307c8a3cdd0205b",
     "qsp-relabelled-n6": "3d4cd30bc7f647b8",

@@ -143,30 +143,30 @@ def _digest(run):
 
 GOLDEN = {
     "ancilla-complete": "1e2f23cfc3bb21c6",
-    "ancilla-grid": "c124f52d14485e94",
+    "ancilla-grid": "7ffa258af6cb81b3",
     "ancilla-grid-short": "13a4391979c8a872",
     "ancilla-one-input": "a047354f8f0357cd",
-    "ancilla-path": "bc9bf9428ea35fdd",
+    "ancilla-path": "b2954641473875ee",
     "ancilla-path-m0": "9fc3131c82a5cf9e",
     "ancilla-star": "0aff943b63791dcc",
-    "ancilla-tree": "f8ecb39a598fe1ef",
-    "ancilla-tree-shallow": "8ed3c648ec5f1eed",
+    "ancilla-tree": "e52a82158718641f",
+    "ancilla-tree-shallow": "0e9e5e4968f6d2f7",
     "ancilla-tree3": "5067ca6dc105042a",
     "auto-ancilla-expander": "5b31cf716f534f20",
     "auto-ancilla-grid": "2722d0c27def9c82",
-    "auto-ancilla-path": "6a1dabf3ee20ef83",
+    "auto-ancilla-path": "eaa6f658e303e472",
     "auto-ancilla-tree": "6fbe3f82cd5f4a4a",
     "auto-ancilla-tree-shallow": "02d1d839fbcaa82b",
     "auto-disconnected-prefix": "f220c776b7fab359",
     "auto-expander-small": "9d750363e2af618f",
-    "auto-m0-path": "d2ed49f16eb53c9d",
+    "auto-m0-path": "1137f1af4e6c9014",
     "auto-no-cascade": "271b6418984fd18c",
     "auto-no-layout-grid": "751a2914bbcf1921",
-    "auto-no-layout-path": "76ebd10dfb8a6c2b",
+    "auto-no-layout-path": "fde95a3965ee66d4",
     "auto-noancilla-complete": "f5b4673a11a86cc4",
     "auto-noancilla-general": "53189abc43f8786c",
     "auto-noancilla-grid": "72371fae8c18ea47",
-    "auto-noancilla-path": "c81407194907d56e",
+    "auto-noancilla-path": "27fb2875e879321d",
     "auto-noancilla-star": "6af5cd6c3f126b47",
     "auto-noancilla-tree3": "925fa41f4af046d4",
     "noanc-brickwall-auto": "4576e78fc891f534",
