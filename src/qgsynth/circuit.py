@@ -216,10 +216,11 @@ class Template(Circuit):
         self.gates.extend(t.gates)
 
     def seal(self):
-        """Freeze the slots; in a diagonal's template every nonzero alpha
-        index has exactly one."""
+        """Freeze the slots, in gate order; in a diagonal's template every
+        nonzero alpha index has exactly one."""
         self.pos = np.array(self.pos, dtype=np.int32)
         self.idx = np.array(self.idx, dtype=np.int32)
+        assert (self.pos[1:] > self.pos[:-1]).all()
         if self.inputs is not None:
             hits = np.bincount(self.idx, minlength=1 << self.inputs)
             assert len(hits) == 1 << self.inputs
@@ -404,13 +405,18 @@ _JSON_GATES = {"r", "rz", "ry", "h", "s", "sdg", "x", "cx", "swap"}
 
 
 def circuit_to_json(c):
+    """The gate-list JSON object of c.  An unread `Bound` circuit is read
+    from its template, whose r, rz and ry gates are its slots in order, with
+    the angles of its angle vector: no gate tuple is built."""
+    t = c.template
+    angles = iter(() if t is None else c.angles.tolist())
     gates = []
-    for name, qs, p in c.gates:
+    for name, qs, p in (t or c).gates:
         if name == "u2":
             raise ParseError("u2 gates are internal-only and not serializable")
         g = {"g": name, "q": list(qs)}
         if name in PARAM_GATES:
-            g["p"] = [float(p)]
+            g["p"] = [float(p) if t is None else next(angles)]
         gates.append(g)
     return {"n": c.n, "ancilla": c.ancilla, "gates": gates}
 

@@ -6,6 +6,15 @@ single-qubit gates, an n-qubit state is a cascade of n UCGs of growing
 width, and a general unitary is a sequence of 2^n - 1 UCGs obtained by
 recursive cosine-sine demultiplexing.
 
+Each UCG is lam3 . (I x SH) . lam2 . (I x HS+) . lam1 (`ucg_to_diagonals`).
+Per branch e^{ia} Rz(b) Ry(c) Rz(d), lam1 = (0, d), lam2 = (-c/2, c/2) and
+lam3 = (p, p + b) with p = a - (b + d)/2, each less its UCG's head entry.
+A UCG of real rotations Ry(c), c in [0, pi] (the QSP stages below n, the
+cosine-sine multiplexors), so emits lam2 alone.  A QSP stage's target still
+holds |0> when the stage runs, and lam1 (rz(d) at width 1) leaves |0>
+alone, so `qsp_synthesize` never emits it; GUS targets hold anything and
+keep it.
+
 A cascade is bound in one pass: the branches of all its UCGs go through
 one ZYZ batch and their diagonal factors through one FWHT, into one angle
 vector.  Its gates, up to those angles, follow from the graph, n, m and
@@ -19,6 +28,7 @@ scans nothing.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,33 +160,42 @@ def zyz_angles(u):
 UCG_MID_GATES = (("sdg", "h"), ("h", "s"))
 
 
-def _factors(heads, branches):
+def _factors(heads, branches, clean=False):
     """(theta, euler, skeletons) of UCGs with heads[k] = (n, target), n
     non-decreasing, from one ZYZ batch over their `branches` (each UCG's
     reindexed for a last target).  theta[f] holds factor f (see
     ucg_to_diagonals) of every UCG back to back, UCG k's 2^n angles from
-    2 * (its first branch) on, normalised as by DiagonalSpec; euler holds
-    every branch's d, c, b, the rz/ry/rz of a width-1 UCG; skeletons[k] is
-    as in synth_ucg."""
+    2 * (its first branch) on, its first angle 0; euler holds every
+    branch's d, c, b, the rz/ry/rz of a width-1 UCG; skeletons[k] is as in
+    synth_ucg.  With `clean`, every target still holds |0> when its UCG
+    runs, where lam1 and rz(d) act as the identity: both are left zero."""
     widths = np.array([n for n, _ in heads])
     counts = 1 << (widths - 1)  # branches per UCG
     first = np.cumsum(counts) - counts
     a, b, c, d = zyz_angles_batch(branches)
-    p = a - (b + c + d) / 2.0
-    # d and factor 2 less its UCG's head need normalising; c is in [0, pi]
-    free = np.stack([d, p, p + b])
+    half = c / 2.0
+    p = a - (b + d) / 2.0
+    # rows lam2 = (-c/2, c/2), lam3 = (p, p + b), each less its UCG's head,
+    # and lam1's d; lam3 and d can leave [0, 2 pi) and are reduced, while
+    # lam2 stays in [-pi/2, pi], as c is in [0, pi]
+    free = np.array([-half, half, p, p + b] if clean else [-half, half, p, p + b, d])
     if not np.isfinite(free).all():
         raise ValueError("angles must be finite")
-    free[1:] -= np.repeat(p[first], counts)
-    np.mod(free, 2 * math.pi, out=free)
+    pairs = free[:4].reshape(2, 2, -1)  # pairs[f - 1, t]: factor f, target bit t
+    pairs -= np.repeat(free[:4:2, first], counts, axis=1)[:, None]
+    np.mod(free[2:], 2 * math.pi, out=free[2:])
     th = np.zeros((3, len(a), 2))  # th[f, z, t]: factor f, branch z, target bit t
-    th[0, :, 1] = free[0]
-    th[1, :, 1] = c
-    th[2] = free[1:].T
+    th[1:] = pairs.transpose(0, 2, 1)
+    if not clean:
+        th[0, :, 1] = free[4]
     theta = th.reshape(3, -1)
     euler = np.array([d, c, b])
+    if clean:
+        euler[0] = 0.0
     emitted = np.logical_or.reduceat(np.abs(theta) > 1e-14, 2 * first, axis=1).T
-    emitted[widths == 1] = np.abs(euler[:, first[widths == 1]].T) > 1e-14
+    ones = bisect_right(widths, 1)  # the width-1 UCGs come first, one branch each
+    if ones:
+        emitted[:ones] = np.abs(euler[:, :ones].T) > 1e-14
     return theta, euler, tuple((*h, tuple(e))
                                for h, e in zip(heads, emitted.tolist()))
 
@@ -187,7 +206,12 @@ def ucg_to_diagonals(V):
     Returns (lam1, lam2, lam3, UCG_MID_GATES): the UCG equals
     lam3 . (I x SH) . lam2 . (I x HS+) . lam1 up to a global phase, using
     H Rz H = Rx and S Rx S+ = Ry to turn the middle diagonal into the
-    branch Y-rotations.
+    branch Y-rotations.  Per branch e^{ia} Rz(b) Ry(c) Rz(d), lam2 is
+    Rz(c) = (-c/2, c/2), with no phase of its own, lam1 = (0, d), and
+    lam3 = (p, p + b) with p = a - (b + d)/2 carries the branch phase: a
+    per-branch scalar commutes with the target-only mid gates.  On a real
+    rotation Ry(c), c in [0, pi], lam1 and lam3 are zero; lam1 fixes a
+    target in |0>, as in every QSP stage, which therefore leaves it out.
     """
     if V.target != V.n:
         raise ValueError("ucg_to_diagonals expects target on the last qubit")
@@ -244,15 +268,22 @@ def _cascade_template(g, skeletons, ms):
     return t.seal()
 
 
-def _cascade(g, heads, branches, key, build):
+def _cascade(g, heads, branches, key, build, clean=False):
     """(circuit, key + (skeletons,)) of the UCG cascade of `_factors`, its
     template `build(skeletons)` kept on g under ("cascade", *key,
-    skeletons) and bound to the Walsh coefficients of every factor (one
-    FWHT), then the Euler angles."""
-    theta, euler, skeletons = _factors(heads, branches)
+    skeletons) and bound to the Walsh coefficients of every factor some
+    UCG emits (one FWHT; the other rows are never read), then the Euler
+    angles."""
+    theta, euler, skeletons = _factors(heads, branches, clean)
     widths = np.array([n for n, _ in heads])
-    params = np.concatenate([solve_phase_coefficients(theta, widths).ravel(),
-                             euler.ravel()])
+    rows = [f for f, col in enumerate(zip(*[e for n, _, e in skeletons if n > 1]))
+            if True in col]
+    params = np.zeros(theta.size + euler.size)
+    if rows:  # rows[0]..rows[-1], one slice
+        span = slice(rows[0], rows[-1] + 1)
+        params[:theta.size].reshape(theta.shape)[span] = solve_phase_coefficients(
+            theta[span], widths)
+    params[theta.size:] = euler.ravel()
     key = (*key, skeletons)
     return g.cached(("cascade", *key), lambda: build(skeletons)).bind(params), key
 
@@ -333,10 +364,11 @@ def _map_gates(gates, qubits, order):
 def qsp_synthesize(g, v, m, verify=True):
     """Prepare v on the first n qubits of g: |0^{n+m}> -> v x |0^m>.
 
-    Cascade of the state's UCGs; qubits j+1..n+m still hold |0> while
-    stage j runs, so every stage sees the full remaining register as
-    ancilla.  On graphs whose natural labeling has disconnected prefixes
-    the cascade runs in breadth-first coordinates, on a relabelled host
+    Cascade of the state's UCGs; qubits j..n+m still hold |0> while stage
+    j runs, so every stage sees the full remaining register as ancilla and
+    leaves out its first factor, which fixes its target j in |0>.  On
+    graphs whose natural labeling has disconnected prefixes the cascade
+    runs in breadth-first coordinates, on a relabelled host
     graph kept in g's memo, and a final swap network moves the state onto
     qubits 1..n.  The stages are marked ucg_1..ucg_n, then relabel for the
     swap network.
@@ -362,7 +394,8 @@ def qsp_synthesize(g, v, m, verify=True):
         return t
 
     c, key = _cascade(g, [(j, j) for j in range(1, n + 1)],
-                      _unitary(_state_branches(v)), ("qsp-cascade", n, m), build)
+                      _unitary(_state_branches(v)), ("qsp-cascade", n, m), build,
+                      clean=True)
     report = assemble_report(c, g, v if verify else None, m=m,
                              backend="qsp-cascade", key=key)
     return c, report

@@ -2,10 +2,11 @@
 used before its angles became one factor-major vector.
 
 `fwht` is the in-place radix-2 transform, one stage at a time; `factors`
-scatters every branch's three factor pairs into a UCG-major vector through
-a computed index; `unitary_to_ucgs` splits each block with
-`scipy.linalg.cossin` and builds every Y-rotation branch with
-`gate_matrix`.  The fast versions must give exactly these bits.
+derives every branch's three factor pairs from its 2x2 algebra and
+scatters them into a UCG-major vector through a computed index;
+`unitary_to_ucgs` splits each block with `scipy.linalg.cossin` and builds
+every Y-rotation branch with `gate_matrix`.  The fast versions must give
+exactly these bits.
 """
 
 import math
@@ -35,26 +36,38 @@ def fwht(a, widths=None):
     return a
 
 
-def factors(heads, branches):
+def factors(heads, branches, clean=False):
     """(theta, euler, skeletons) with UCG k's three factors from
-    6 * (its first branch) on in theta, 2^n angles each."""
+    6 * (its first branch) on in theta, 2^n angles each.
+
+    Branch z is u = e^{ia} Rz(b) Ry(c) Rz(d).  With Rz(x) =
+    e^{-ix/2} diag(1, e^{ix}), it is lam3 . Ry(c) . lam1 for
+    lam1 = diag(1, e^{id}) and lam3 = diag(e^{ip}, e^{i(p+b)}) whose
+    phases sum to a: p + b/2 + d/2 = a.  Ry(c) is the middle factor
+    Rz(c) = diag(e^{-ic/2}, e^{ic/2}) between the mid gates, with no phase
+    of its own.  Each factor is taken less its UCG's head entry, a global
+    phase, and lam1 and lam3 are reduced mod 2 pi.  With `clean`, the
+    target holds |0>, which lam1 and rz(d) leave alone: both are zero."""
     widths = np.array([n for n, _ in heads])
     counts = 1 << (widths - 1)
     first = np.cumsum(counts) - counts
     a, b, c, d = zyz_angles_batch(branches)
     th = np.zeros((len(a), 3, 2))
-    th[:, 0, 1] = d
-    th[:, 1, 1] = c
-    th[:, 2, 0] = a - (b + c + d) / 2.0
+    if not clean:
+        th[:, 0, 1] = d
+    th[:, 1, 0] = -c / 2.0
+    th[:, 1, 1] = c / 2.0
+    th[:, 2, 0] = a - (b + d) / 2.0
     th[:, 2, 1] = th[:, 2, 0] + b
     if not np.isfinite(th).all():
         raise ValueError("angles must be finite")
     head = np.repeat(first, counts)
-    th = np.mod(th - th[head, :, :1], 2 * math.pi)
+    th = th - th[head, :, :1]
+    th[:, ::2] = np.mod(th[:, ::2], 2 * math.pi)
     theta = np.empty(th.size)
     theta[(4 * head + 2 * np.arange(len(a)))[:, None, None] + np.arange(2)
           + np.repeat(2 * counts, counts)[:, None, None] * np.arange(3)[:, None]] = th
-    euler = np.array([d, c, b])
+    euler = np.array([np.zeros(len(a)) if clean else d, c, b])
     emitted = np.logical_or.reduceat((np.abs(th) > 1e-14).any(axis=2), first)
     emitted[widths == 1] = np.abs(euler[:, first[widths == 1]].T) > 1e-14
     return theta, euler, tuple((*h, tuple(e))

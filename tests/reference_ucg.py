@@ -70,16 +70,20 @@ def state_to_ucgs(amp):
 
 def ucg_to_diagonals(branches):
     """(th1, th2, th3): unnormalised angle vectors of the three diagonal
-    factors of the last-target UCG with these branches."""
+    factors of the last-target UCG with these branches: per branch
+    e^{ia} Rz(b) Ry(c) Rz(d), th1 = (0, d), th2 = (-c/2, c/2), the Rz(c)
+    that the mid gates turn into Ry(c), and th3 = (p, p + b) with
+    p = a - (b + d)/2."""
     size = 2 * len(branches)
     th1 = np.zeros(size)
     th2 = np.zeros(size)
     th3 = np.zeros(size)
     for z, br in enumerate(branches):
         a, b, c, d = zyz_angles(br)
-        base = a - (b + c + d) / 2.0
+        base = a - (b + d) / 2.0
         th1[2 * z + 1] = d
-        th2[2 * z + 1] = c
+        th2[2 * z] = -c / 2.0
+        th2[2 * z + 1] = c / 2.0
         th3[2 * z] = base
         th3[2 * z + 1] = base + b
     return th1, th2, th3

@@ -56,19 +56,21 @@ def test_fwht_of_a_run_equals_reference(widths, stack, seed):
     same_bits(got, want)
 
 
-def same_factors(heads, branches):
-    theta, euler, skeletons = states._factors(heads, branches)
-    want, want_euler, want_skeletons = ref.factors(heads, branches)
+def same_factors(heads, branches, clean=False):
+    theta, euler, skeletons = states._factors(heads, branches, clean)
+    want, want_euler, want_skeletons = ref.factors(heads, branches, clean)
     same_bits(theta, ref.factor_major(want, heads))
     same_bits(euler, want_euler)
     assert skeletons == want_skeletons
 
 
-@given(n=st.integers(1, 12), kind=st.sampled_from(STATE_KINDS), seed=SEEDS)
+@given(n=st.integers(1, 12), kind=st.sampled_from(STATE_KINDS), seed=SEEDS,
+       clean=st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_state_factors_equal_reference(n, kind, seed):
+def test_state_factors_equal_reference(n, kind, seed, clean):
     v = StateSpec(n, make_state(kind, n, seed))
-    same_factors([(j, j) for j in range(1, n + 1)], states._state_branches(v))
+    same_factors([(j, j) for j in range(1, n + 1)], states._state_branches(v),
+                 clean)
 
 
 @given(n=st.integers(2, 5), kind=st.sampled_from(UNITARY_KINDS), seed=SEEDS)

@@ -178,10 +178,10 @@ _BENCH_CSV = {
              "diag,path,4,12,48,55,40,4.0,12.0,5",
              "diag,path,5,15,122,169,138,5.656854,21.566757,5"],
     "qsp": ["task,graph_kind,n,m,depth,size,two_qubit,bound_max,ratio,seed",
-            "qsp,path,2,6,17,20,6,2.0,8.5,5",
-            "qsp,path,3,9,61,76,40,3.0,20.333333,5",
-            "qsp,path,4,12,187,226,148,4.0,46.75,5",
-            "qsp,path,5,15,495,682,522,5.656854,87.504464,5"],
+            "qsp,path,2,6,13,15,4,2.0,6.5,5",
+            "qsp,path,3,9,39,52,26,3.0,13.0,5",
+            "qsp,path,4,12,118,147,94,4.0,29.5,5",
+            "qsp,path,5,15,309,434,330,5.656854,54.623999,5"],
 }
 
 

@@ -1,17 +1,23 @@
-"""Depth guard for `synth_diag_auto`: on a fixed sweep of graph families,
-sizes and ancilla counts, no diagonal may come out deeper than the table
-below.  Any change to the candidates or to a backend that makes one case
-deeper fails here, whatever it gains elsewhere; a change that makes a case
+"""Depth guards for `synth_diag_auto`, `qsp_synthesize` and
+`gus_synthesize`: on a fixed sweep of graph families, sizes and ancilla
+counts, no circuit may come out deeper than the tables below.  Any change
+to the candidates, a backend or the UCG factors that makes one case deeper
+fails here, whatever it gains elsewhere; a change that makes a case
 shallower may lower its entry.
 
-The table was recorded before the general split on path prefixes and the
-ancilla ladder joined the candidates (12 of its 112 path cases are
-shallower since).  The depth of a template does not depend on the angles;
-the spec is seeded anyway.
+The diagonal table was recorded before the general split on path prefixes
+and the ancilla ladder joined the candidates (12 of its 112 path cases are
+shallower since).  The cascade tables were recorded while every UCG still
+emitted its middle diagonal as (0, c), and every QSP stage its first
+diagonal; a QSP cascade of n >= 5 must stay at most 0.70 of its entry.  The
+depth of a template does not depend on the angles; the inputs are seeded
+anyway (generic states and unitaries, whose UCGs emit every factor they
+can).
 """
 import numpy as np
 import pytest
 
+from conftest import random_state, random_unitary
 from qgsynth.diag import DiagonalSpec
 from qgsynth.diag_ancilla import synth_diag_auto
 from qgsynth.graphs import (
@@ -21,6 +27,7 @@ from qgsynth.graphs import (
     star_graph,
     tree_graph,
 )
+from qgsynth.states import StateSpec, UnitarySpec, gus_synthesize, qsp_synthesize
 
 # a graph of at least k vertices, per family; grids have 2, 3 or 8 rows
 FAMILIES = {
@@ -68,5 +75,59 @@ def test_auto_is_never_deeper_than_the_table(family):
             spec = DiagonalSpec(n, rng.uniform(0, 2 * np.pi, 1 << n))
             depth = synth_diag_auto(g, spec, m, verify=False)[1]["depth"]
             if depth > ceiling:
+                deeper.append((n, m, ceiling, depth))
+    assert deeper == []
+
+
+# family -> n -> the depth ceiling on FAMILIES[family](n + m), m = 0 and n,
+# with the graph's other vertices as ancilla
+QSP_CEILING = {
+    "path": {2: (17, 17), 3: (61, 61), 4: (187, 187), 5: (495, 495),
+             6: (1164, 1164), 7: (2585, 2585), 8: (4903, 4903)},
+    "tree": {2: (17, 17), 3: (60, 60), 4: (200, 200), 5: (496, 496),
+             6: (1265, 1265), 7: (2459, 2459), 8: (4959, 4959)},
+    "star": {2: (17, 17), 3: (60, 60), 4: (164, 164), 5: (388, 388),
+             6: (852, 852), 7: (1796, 1796), 8: (3700, 3700)},
+    "grid2": {2: (17, 17), 3: (65, 60), 4: (152, 194), 5: (550, 500),
+              6: (983, 1169), 7: (2961, 2590), 8: (5213, 4908)},
+    "grid3": {2: (17, 17), 3: (60, 65), 4: (209, 254), 5: (587, 582),
+              6: (1069, 1465), 7: (3165, 3108), 8: (4951, 6255)},
+    "grid8": {2: (17, 17), 3: (60, 60), 4: (194, 194), 5: (500, 587),
+              6: (1169, 1115), 7: (2590, 2161), 8: (4908, 4251)},
+    "complete": {2: (17, 17), 3: (45, 45), 4: (102, 102), 5: (233, 233),
+                 6: (518, 518), 7: (1117, 1117), 8: (2350, 2350)},
+}
+GUS_CEILING = {
+    "path": {2: (53, 53), 3: (316, 316), 4: (1865, 1865)},
+    "tree": {2: (50, 50), 3: (330, 330), 4: (2126, 2126)},
+    "star": {2: (50, 50), 3: (330, 330), 4: (1634, 1634)},
+    "grid2": {2: (50, 50), 3: (360, 316), 4: (1379, 1966)},
+    "grid3": {2: (50, 50), 3: (316, 360), 4: (2082, 2822)},
+    "grid8": {2: (50, 50), 3: (316, 316), 4: (1966, 1966)},
+    "complete": {2: (50, 50), 3: (216, 216), 4: (884, 884)},
+}
+TABLES = {"qsp": QSP_CEILING, "gus": GUS_CEILING}
+QSP_SHARE = 0.70  # of the ceiling, for n >= 5
+
+
+def _cascade_depth(task, family, n, m):
+    g = FAMILIES[family](n + m)
+    rng = np.random.default_rng(n + m)
+    if task == "qsp":
+        call, spec = qsp_synthesize, StateSpec(n, random_state(rng, n))
+    else:
+        call, spec = gus_synthesize, UnitarySpec(n, random_unitary(rng, 1 << n))
+    return call(g, spec, g.n - n, verify=False)[1]["depth"]
+
+
+@pytest.mark.parametrize("task", sorted(TABLES))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_cascade_is_never_deeper_than_the_table(task, family):
+    deeper = []
+    for n, ceilings in TABLES[task][family].items():
+        for m, ceiling in zip((0, n), ceilings):
+            depth = _cascade_depth(task, family, n, m)
+            cap = QSP_SHARE * ceiling if task == "qsp" and n >= 5 else ceiling
+            if depth > cap:
                 deeper.append((n, m, ceiling, depth))
     assert deeper == []

@@ -104,9 +104,9 @@ GOLDEN = {
     "noanc-path": "26849d596075c01d",
     "noanc-star-walk": "0711440b9dfef710",
     "noanc-tree2": "0130d3deca420598",
-    "qsp-bfs-relabel": "edb669a8cb866f6f",
-    "qsp-path": "f40d024fc3ca077f",
-    "qsp-star": "6d1fb7633c7567fb",
+    "qsp-bfs-relabel": "575c4c6cc0ff8c68",
+    "qsp-path": "69e0d81d4e23554e",
+    "qsp-star": "82b152e6015905a0",
 }
 
 BACKENDS = {

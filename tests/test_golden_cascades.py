@@ -110,42 +110,42 @@ REQUESTS.update({
 })
 
 GOLDEN = {
-    "gus-complete-n2-m0": "231d8d055f7626f3",
-    "gus-complete-n2-m2": "52d743d1bf37ba0e",
-    "gus-complete-n3-m0": "3d19113cf76f63c5",
-    "gus-complete-n3-m2": "dfce5f835058c21f",
-    "gus-complete-n4-m0": "6a87b4d7eec721d0",
-    "gus-complete-n4-m2": "555b4367cc3c84dd",
-    "gus-complete-permutation": "6897c28818211c2e",
+    "gus-complete-n2-m0": "a08a24ae86e9b03f",
+    "gus-complete-n2-m2": "4512386dd1ef7c36",
+    "gus-complete-n3-m0": "d445f3652af154cd",
+    "gus-complete-n3-m2": "957c18dc98f73337",
+    "gus-complete-n4-m0": "2e10994112bfbc01",
+    "gus-complete-n4-m2": "7077a0f1f8570a46",
+    "gus-complete-permutation": "08e5765790ac175f",
     "gus-path-diagonal": "cedb97d91381e166",
     "gus-path-identity": "5c7479b98e92d405",
-    "gus-path-n2-m0": "b3030e470fc4981c",
-    "gus-path-n2-m2": "b3ff69560aae95d2",
-    "gus-path-n3-m0": "15b9be8654541377",
-    "gus-path-n3-m2": "b6363b984f2bd65c",
-    "gus-path-n4-m0": "7672ed3170dcef76",
-    "gus-path-n4-m2": "bad3a16e350b610f",
+    "gus-path-n2-m0": "2b981e1d3f03a1ff",
+    "gus-path-n2-m2": "5ea8845d095be6e3",
+    "gus-path-n3-m0": "fcd834f3b30ea4e2",
+    "gus-path-n3-m2": "8d28d035d7df2d2b",
+    "gus-path-n4-m0": "aa2d5636bb4cb903",
+    "gus-path-n4-m2": "1fd5a4e3ae9a860a",
     "gus-path-one-qubit": "4bccfd26ca0f7628",
-    "gus-path-permutation": "865aafd9e16a2f4b",
-    "qsp-brickwall-n6": "47d071537acb5329",
-    "qsp-brickwall-n8": "a5346377f79e929f",
-    "qsp-complete-n3": "8430ffbc3e4995a4",
-    "qsp-complete-n5": "0fc8492f0f89e7e7",
-    "qsp-path-basis": "478678575d4526f2",
-    "qsp-path-n4": "7509ea1a6702278a",
-    "qsp-path-n6": "084f47c930f777e8",
-    "qsp-path-real": "df05eca3f6c9bda9",
-    "qsp-path-sparse": "65ed3ea6eee7a6b0",
+    "gus-path-permutation": "7e650c27698a9461",
+    "qsp-brickwall-n6": "6b6d589a7eeb0e8f",
+    "qsp-brickwall-n8": "19cab6c2f4d56b2e",
+    "qsp-complete-n3": "ad3e2d1463573cdc",
+    "qsp-complete-n5": "0bab29c7b5d509f4",
+    "qsp-path-basis": "d4ec4503e9c30753",
+    "qsp-path-n4": "87a2f78917e9f466",
+    "qsp-path-n6": "fbed76a6ca62cffa",
+    "qsp-path-real": "03438ed2d9911514",
+    "qsp-path-sparse": "3bb5ba3230bdf2b0",
     "qsp-path-zero": "103caede31085392",
-    "qsp-relabelled-basis": "8307c8a3cdd0205b",
-    "qsp-relabelled-n6": "3d4cd30bc7f647b8",
-    "qsp-relabelled-n8": "46e73436cc3b547b",
-    "qsp-relabelled-sparse": "bf9bc36edbbcbd78",
-    "qsp-star-n4": "339c4f9bba6ca48e",
-    "qsp-star-n6": "7f93cd1f6f0fbd45",
-    "qsp-star-one-qubit": "b65068b84555534d",
-    "qsp-tree2-n5": "4e9f77c9eced4c30",
-    "qsp-tree2-n7": "e35df22157808ccf",
+    "qsp-relabelled-basis": "b5349e4fa8e25aff",
+    "qsp-relabelled-n6": "60aac46de3c19cf2",
+    "qsp-relabelled-n8": "73a37eb6a73a85fb",
+    "qsp-relabelled-sparse": "7b0a4f263a054507",
+    "qsp-star-n4": "8f8edadd2099cfd3",
+    "qsp-star-n6": "2c23d6157af656d7",
+    "qsp-star-one-qubit": "f6bff8daf8511b6a",
+    "qsp-tree2-n5": "85083221fe9b5e8f",
+    "qsp-tree2-n7": "c9c98c7c64aa9b77",
 }
 
 

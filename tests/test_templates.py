@@ -47,6 +47,12 @@ FAMILIES = {
     "expander": lambda n: complete_graph(2 * n),
 }
 
+
+def _relabelled_path(k):
+    """Breadth-first order 1, 3, 2, 4, ...: QSP runs on a relabelled host."""
+    return explicit_graph(k, [(1, 3), (3, 2)] + [(v, v + 1) for v in range(2, k)])
+
+
 # builders that a warm call must not enter
 BUILDERS = [(diag, "_framework"), (diag, "_diag_walk"),
             (diag_ancilla, "_ancilla_pipeline"),
@@ -172,7 +178,8 @@ def test_qsp_factors_share_one_key_per_ucg():
     with counting([(diag_ancilla, "_build_auto")]) as counts, \
             recording_skeletons() as skeletons:
         qsp_synthesize(g, StateSpec(4, random_state(np.random.default_rng(6), 4)), 0)
-    # UCG j >= 2 has three diagonal factors on (j, 4 - j); UCG 1 has none
+    # UCG j >= 2 has diagonal factors on (j, 4 - j): the middle one, and
+    # for j = 4 the last too; UCG 1 has none
     assert counts == {"_build_auto": 3}
     assert len(skeletons) == 4
     assert kept(g) == [
@@ -330,6 +337,27 @@ def test_warm_keyed_call_builds_no_gates(kind, verify, monkeypatch):
     assert c.template is None and c.gates is gates and fills == [template]
     if verify:
         assert (report["residual"], True) == sim.verify_target(c, target, m)
+
+
+@pytest.mark.parametrize("kind", ["qsp", "qsp-relabelled", "gus", "ancilla"])
+def test_unread_circuit_serialises_as_its_gates(kind, monkeypatch):
+    rng = np.random.default_rng(72)
+    if kind.startswith("qsp"):
+        g = _relabelled_path(7) if kind == "qsp-relabelled" else path_graph(7)
+        c, _ = qsp_synthesize(g, StateSpec(4, random_state(rng, 4)), 3, verify=False)
+    elif kind == "gus":
+        c, _ = gus_synthesize(path_graph(4), UnitarySpec(3, random_unitary(rng, 8)),
+                              1, verify=False)
+    else:
+        c = synth_diag_ancilla(path_graph(20), spec(4, 73), 16)[0]
+    fills, fill = [], Template._fill
+    monkeypatch.setattr(Template, "_fill", lambda t, a: fills.append(t) or fill(t, a))
+    unread = dump(c)
+    assert fills == [] and c.template is not None
+    assert "r" in {gate["g"] for gate in json.loads(unread)["gates"]}
+    c.gates
+    assert fills and c.template is None
+    assert dump(c) == unread
 
 
 @pytest.mark.parametrize("edit", ["angle", "angle+move"])
