@@ -17,12 +17,8 @@ an empty rotation slot wherever an angle goes.  `Template.bind(alpha)`
 returns the template plus its angle vector, so one template serves every
 theta; a UCG cascade's template splices its diagonals' and is bound to one
 vector of every coefficient.  A `Bound` circuit builds its gates when they
-are first read: reports and `sim` read the template and the vector.
-
-`_scan` reads only gate names and qubits, never angles, so its result is
-kept in the graph's memo wherever the gates are fixed: under the template's
-key for a diagonal, under the cascade's skeleton key for a UCG cascade (see
-`sim.assemble_report` and states.py).
+are first read: reports and `sim` read the template, which keeps the gate
+scan (`Template.scan`) and simulation plan (`sim.Plan`), and the vector.
 """
 
 from __future__ import annotations
@@ -173,6 +169,10 @@ class Circuit:
         macro expansion."""
         return _scan(self.template or self)[:3]
 
+    def scan(self, g):
+        """`_scan` of this circuit against g's edges."""
+        return _scan(self, g._pairs)
+
 
 class Template(Circuit):
     """A circuit with its rotation angles left as slots.
@@ -182,18 +182,21 @@ class Template(Circuit):
     a diagonal on `inputs` qubits, or a UCG cascade's (`inputs` None, see
     states.py).  Builders add slots with `rot`, `rots` and `splice`; `seal`
     freezes them into int32 arrays; every r, rz and ry gate is a slot.  The
-    report fields (`backend`, `extra`) do not depend on the angles either,
-    so a template kept on its graph carries them too."""
+    report fields (`backend`, `extra`), the gate scan and the simulation
+    plan (`plan`, set by `sim`) do not depend on the angles either, so a
+    sealed template carries them for every circuit bound from it."""
 
-    __slots__ = ("inputs", "pos", "idx", "backend", "extra", "_empty", "_heads")
+    __slots__ = ("inputs", "pos", "idx", "backend", "extra", "plan",
+                 "_empty", "_heads", "_scanned")
 
     def __init__(self, n, inputs):
         super().__init__(n)
         self.inputs = inputs
         self.pos, self.idx = [], []
-        self.backend, self.extra = "", {}
+        self.backend, self.extra, self.plan = "", {}, None
         self._empty = {}  # (name, qubit) -> its placeholder
         self._heads = None  # slot names and qubit tuples, on first `_fill`
+        self._scanned = (None, None)  # (edge pairs, `_scan` against them)
 
     def rot(self, q, s, name="r"):
         """Append a `name` slot on qubit q for params[s]."""
@@ -209,11 +212,24 @@ class Template(Circuit):
         self.gates.extend([self._empty.setdefault(("r", q), ("r", (q,), None))
                            for q in qubits])
 
-    def splice(self, t, base):
-        """Append sealed template t, its slots reading params from base on."""
+    def splice(self, t, base, swap=0):
+        """Append sealed template t, its slots reading params from base on,
+        with index bits 0 and `swap` exchanged if swap (see states.py)."""
+        idx = t.idx
+        if swap:
+            flip = (idx ^ idx >> swap) & 1
+            idx = idx ^ (flip | flip << swap)
         self.pos.extend((t.pos + len(self.gates)).tolist())
-        self.idx.extend((t.idx + base).tolist())
+        self.idx.extend((idx + base).tolist())
         self.gates.extend(t.gates)
+
+    def scan(self, g):
+        """`_scan` of this sealed template against g's edges, kept with
+        them: only a report on other edges scans again."""
+        pairs, scan = self._scanned
+        if pairs is not g._pairs and pairs != g._pairs:
+            self._scanned = g._pairs, (scan := _scan(self, g._pairs))
+        return scan
 
     def seal(self):
         """Freeze the slots, in gate order; in a diagonal's template every
@@ -328,7 +344,7 @@ def _scan(c, pairs=None):
 
 def validate_connectivity(c, g):
     """Every 2-qubit gate whose pair is not a graph edge."""
-    return _scan(c.template or c, g._pairs)[3]
+    return (c.template or c).scan(g)[3]
 
 
 class LayeredCircuit:

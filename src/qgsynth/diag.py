@@ -74,7 +74,6 @@ class RegisterSplit:
 
     cverts: list
     tverts: list
-    tau: int
     gray_plan: list
 
     @property
@@ -349,7 +348,7 @@ def _path_split(order):
     cverts = [order[2 * m - 2] for m in range(1, r_t + 1)]
     cverts += [order[2 * r_t + j - 1] for j in range(1, tau + 1)]
     tverts = [order[2 * i - 1] for i in range(1, r_t + 1)]
-    return RegisterSplit(cverts, tverts, tau, list(range(1, r_t + 1)))
+    return RegisterSplit(cverts, tverts, list(range(1, r_t + 1)))
 
 
 def _tree2_split(g):
@@ -400,7 +399,7 @@ def _tree2_split(g):
     if r_c < 1:
         return None
     gray_plan = [((j - 1) % r_c) + 1 for j in gray_plan]
-    return RegisterSplit(cverts, troots, 0, gray_plan)
+    return RegisterSplit(cverts, troots, gray_plan)
 
 
 def _general_split(g):
@@ -413,7 +412,7 @@ def _general_split(g):
         return None
     cverts = [by_label[m] for m in range(1, r_c + 1)]
     tverts = [by_label[r_c + i] for i in range(1, r_t + 1)]
-    return RegisterSplit(cverts, tverts, 0, [1] * r_t)
+    return RegisterSplit(cverts, tverts, [1] * r_t)
 
 
 def _expander_split(g):
@@ -423,13 +422,13 @@ def _expander_split(g):
         raise ExpansionUnknown(str(exc)) from exc
     cprime = h / (h + 2)
     seed = min(math.ceil(1 / cprime) + 1, g.n // 2)
-    casc = expander_cascade(g, seed, g.n // 2, expansion=h)
+    casc = expander_cascade(g, seed, g.n // 2)
     tverts = list(casc.sets[-1])
     tset = set(tverts)
     cverts = [v for v in range(1, g.n + 1) if v not in tset]
     if not cverts or not tverts:
         return None, None
-    split = RegisterSplit(cverts, tverts, 0, [1] * len(tverts))
+    split = RegisterSplit(cverts, tverts, [1] * len(tverts))
     return split, casc
 
 
@@ -445,14 +444,20 @@ def _as_spec(spec):
     return DiagonalSpec(int(np.log2(len(spec))), spec)
 
 
+def _check_ancilla(g, n, m):
+    """Refuse an ancilla count m outside 0..g.n - n."""
+    if not 0 <= m <= g.n - n:
+        raise ValueError(f"m = {m} ancilla: m < 0 or the graph has fewer "
+                         f"than n + m = {n + m} vertices")
+
+
 def _bind_report(g, key, build, spec, verify):
     """(circuit, report) of g's template under `key`, built by `build()` on
-    first use, bound to spec; the gate scan is kept under ("scan", *key).
-    verify=False skips the simulation residual."""
+    first use, bound to spec.  verify=False skips the simulation residual."""
     t = g.cached(key, build)
     c = t.bind(solve_phase_coefficients(spec.theta))
     report = assemble_report(c, g, spec if verify else None, m=g.n - spec.n,
-                             backend=t.backend, extra=t.extra, key=key)
+                             backend=t.backend, extra=t.extra)
     return c, report
 
 

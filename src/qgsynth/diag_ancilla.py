@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Template, _scan
-from .diag import _as_spec, _bind_report, _dispatch
+from .circuit import Circuit, Template
+from .diag import _as_spec, _bind_report, _check_ancilla, _dispatch
 from .graphs import (
     GrowthStalled,
     explicit_graph,
@@ -373,6 +373,7 @@ def synth_diag_ancilla(g, spec, m, verify=True):
     count it adds, summing to the report's totals.  The template of
     (g, n, m) is built once and cached on g."""
     spec = _as_spec(spec)
+    _check_ancilla(g, spec.n, m)
     c, report = _bind_report(g, ("ancilla", spec.n, m),
                              lambda: _ancilla_pipeline(g, spec.n, m),
                              spec, verify)
@@ -509,25 +510,18 @@ def _candidates(g, n, m):
             return
 
 
-def _build_auto(g, n, m, report=False):
+def _build_auto(g, n, m):
     """The shallowest of the `_candidates` templates, then the one with the
-    fewest two-qubit gates, then the first.  Each is scanned once and only
-    the best so far is kept; with `report`, the winner's scan is kept for
-    the report under ("scan", "auto", n, m).  A pipeline that ran on m' < m
-    ancilla counts the m - m' it left idle in `wasted`."""
-    if n + m > g.n:
-        raise ValueError("graph has fewer than n + m vertices")
+    fewest two-qubit gates, then the first.  Each is scanned on g once, the
+    winner keeping its scan for the report, and only the best so far is
+    kept.  A pipeline that ran on m' < m ancilla counts the m - m' it left
+    idle in `wasted`."""
     candidates = _candidates(g, n, m)
-    t, scan = next(candidates), None
+    t = next(candidates)
     for other in candidates:
-        if scan is None:
-            scan = _scan(t, g._pairs)
-        s = _scan(other, g._pairs)
-        if s[:3:2] < scan[:3:2]:  # by (depth, two-qubit count)
-            t, scan = other, s
+        if other.scan(g)[:3:2] < t.scan(g)[:3:2]:  # by (depth, two-qubit count)
+            t = other
         del other  # hold at most two templates while the next is built
-    if report and scan is not None:
-        g.cached(("scan", "auto", n, m), lambda: scan)
     if t.backend.startswith("ancilla-"):
         idle = m - t.extra["ancilla_used"]
         t.extra = {**t.extra, "wasted": t.extra["wasted"] + idle,
@@ -547,5 +541,6 @@ def synth_diag_auto(g, spec, m, verify=True):
 
     verify=False skips the simulation residual (counting-only runs)."""
     spec = _as_spec(spec)
+    _check_ancilla(g, spec.n, m)
     return _bind_report(g, ("auto", spec.n, m),
-                        lambda: _build_auto(g, spec.n, m, True), spec, verify)
+                        lambda: _build_auto(g, spec.n, m), spec, verify)

@@ -4,8 +4,8 @@ Vertices are 1-based integers.  A graph is immutable after construction and
 carries a `kind` tag (path/grid/tree/star/brickwall/explicit) plus the
 parameters it was built from, which the synthesis backends dispatch on.
 
-What the compiler derives from a graph alone (routes, diagonal templates,
-gate scans, the vertex expansion) is built once and kept in the graph's one
+What the compiler derives from a graph alone (routes, diagonal and cascade
+templates, the vertex expansion) is built once and kept in the graph's one
 memo, `ConstraintGraph.cached`; nothing is kept at module level.
 """
 
@@ -64,10 +64,10 @@ class ConstraintGraph:
         first use.  Everything that depends on the graph alone is kept here:
         routed CNOTs ("route", u, v), diagonal templates ("auto", n, m),
         ("noancilla", strategy) and ("ancilla", n, m), the relabelled QSP
-        host ("host",) and its qubit map ("relabel",), cascade templates,
-        gate scans and simulation plans ("cascade"/"scan"/"plan", *key) and
-        the vertex expansion ("expansion",).  Angles, circuits and reports
-        are never kept."""
+        host ("host",) and its qubit map ("relabel",), cascade templates
+        ("cascade", *key) and the vertex expansion ("expansion",).  A
+        template carries its own gate scan and simulation plan.  Angles,
+        circuits and reports are never kept."""
         value = self._memo.get(key)
         if value is None:
             value = self._memo[key] = build()
@@ -324,23 +324,21 @@ def _expansion(g):
 @dataclass
 class ExpanderCascade:
     sets: list  # S_1 subset ... subset S_ell (each a sorted tuple)
-    gammas: list  # Gamma(S_i) for i < ell (sorted tuples)
-    matchings: list  # matching edge lists, one endpoint in S_i, one in Gamma
-    expansion_ratio: object = None  # Fraction or None if unknown
+    matchings: list  # matching edge lists, one endpoint in S_i, one outside
 
     @property
     def length(self):
         return len(self.sets)
 
 
-def expander_cascade(g, seed_size, target_size, expansion=None):
+def expander_cascade(g, seed_size, target_size):
     """Grow S_1 (lexicographically-first seed) by maximal matchings into the
     outer boundary until |S| >= target_size."""
     if seed_size < 1 or target_size > g.n // 2 or target_size < seed_size:
         raise InvalidParameters("bad cascade sizes")
     S = set(range(1, seed_size + 1))
     sets = [tuple(sorted(S))]
-    gammas, matchings = [], []
+    matchings = []
     while len(S) < target_size:
         boundary = set()
         for v in S:
@@ -355,11 +353,10 @@ def expander_cascade(g, seed_size, target_size, expansion=None):
                     break
         if not matched_b:
             raise GrowthStalled(f"no outward growth at |S|={len(S)}")
-        gammas.append(tuple(sorted(matched_b)))
         matchings.append(m)
         S |= matched_b
         sets.append(tuple(sorted(S)))
-    return ExpanderCascade(sets, gammas, matchings, expansion)
+    return ExpanderCascade(sets, matchings)
 
 
 def hamiltonian_path_grid(dims):

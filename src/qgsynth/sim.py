@@ -6,10 +6,9 @@ and a phase polynomial f(y) = c + sum_s a_s <s,y> over the run's input bits:
 the Walsh form theta(x) = sum_s alpha_s <s,x> that synthesis solves for
 (the phase-polynomial view of Amy, Maslov and Mosca, arXiv 1303.2042).  The
 composition depends on gate names and qubits only, so a circuit's `Plan`
-holds it, compiled once (and kept per key by `assemble_report`); a call
-reads the angles at the plan's positions.  A plan compiled from a sealed
-template reads the circuits bound from it straight from their angle
-vectors, without building their gates.
+holds it, compiled once; a call reads the angles at the plan's positions.
+An unread bound circuit's plan is its template's, kept there, and reads
+the circuit's angle vector without building its gates.
 
   * A diagonal target realized by a phase-type circuit is checked without
     simulation, in O(G + n 2^n) for G gates whatever the number of ancilla:
@@ -33,7 +32,7 @@ import math
 
 import numpy as np
 
-from .circuit import Template, _scan, gate_matrix
+from .circuit import Template, gate_matrix
 from .gray import fwht, phase_from_coefficients
 
 STATE_QUBIT_CAP = 24
@@ -78,22 +77,19 @@ class Plan:
     bit).  Each r/rz/s/sdg gate is a term of run `runof` with a mask index
     (`uidx`), a sign (-1 if its qubit is flipped), a share of the constant
     phase (`cw`) and `src`, its index in a call's angle vector (`weights`):
-    the r/rz angles at `angles`, then those of s and sdg.  `gates` is the
-    list compiled from; a call may change the params at `params` (`fits`).
-    Compiled from a sealed `Template`, it keeps the template's own list,
-    and reads an unread circuit bound from it through `slots`, each
-    param's slot.
+    the r/rz angles at `angles`, then those of s and sdg; a call reads the
+    params at `params`.  Compiled from a sealed `Template`, it reads an
+    unread circuit bound from it through `slots`, each param's slot.
     `projected[m]` keeps `_diagonal_check`'s term indices for m ancilla and
     `paths` the key trajectory of each input set (`_run`)."""
 
     def __init__(self, c):
-        nq = self.nq = c.n
-        self.gates = c.gates if isinstance(c, Template) else list(c.gates)
+        nq = c.n
         self.angles, self.branches, self.runs = [], [], []
         src, uidx, sign, cw, runof = [], [], [], [], []
         own = [0] + [1 << (nq - q) for q in range(1, nq + 1)]
         rows, flips, terms, lo = own.copy(), [0] * (nq + 1), {}, 0
-        for k, (name, qs, _) in enumerate(self.gates):
+        for k, (name, qs, _) in enumerate(c.gates):
             if name == "cx":
                 a, b = qs
                 rows[b] ^= rows[a]
@@ -123,46 +119,36 @@ class Plan:
                                            for a in (src, uidx, runof))
         self.sign, self.cw = np.array(sign), np.array(cw)
         self.params = self.angles + [k for k, _ in self.branches]
-        self.template = self.slots = None
+        self.slots = None
         if isinstance(c, Template) and len(c.pos):
-            slot = np.zeros(len(self.gates), dtype=np.intp)  # an h reads 0
+            slot = np.zeros(len(c.gates), dtype=np.intp)  # an h reads 0
             slot[c.pos] = np.arange(len(c.pos))
-            self.template, self.slots = c, slot[self.params]
+            self.slots = slot[self.params]
         self.projected, self.paths = {}, {}
-
-    def fits(self, c):
-        """Whether c has the gates compiled from, up to the params of its
-        r, rz and branching gates: at once for an unread circuit bound from
-        the plan's template, else one list copy, one loop over those
-        positions and one list comparison."""
-        if c.template is not None and c.template is self.template:
-            return True
-        ref = self.gates
-        if c.n != self.nq or len(c.gates) != len(ref):
-            return False
-        probe = c.gates.copy()
-        for k in self.params:
-            name, qs, _ = probe[k]
-            was = ref[k]
-            if name != was[0] or qs != was[1]:
-                return False
-            probe[k] = was
-        return probe == ref
 
     def weights(self, c):
         """(w, mats): the angle of every r/rz/s/sdg gate of c in plan order,
         and the 2x2 matrix of every branching gate.  The params of an
         unread circuit bound from the plan's template come from its angle
         vector by one gather, any other circuit's from its gates."""
-        if c.template is not None and c.template is self.template:
-            p = c.angles[self.slots]
+        if c.template is not None and self.slots is not None:
+            gates, p = c.template.gates, c.angles[self.slots]
         else:
             gates = c.gates
             p = [gates[k][2] for k in self.params]
         na = len(self.angles)
         w = np.concatenate([p[:na], _FIXED_ANGLES])[self.src]
-        return w, [gate_matrix(self.gates[k][0], a)
+        return w, [gate_matrix(gates[k][0], a)
                    for (k, _), a in zip(self.branches, p[na:])]
+
+
+def _plan(c):
+    """c's `Plan`: its template's, compiled once and kept there, while c is
+    an unread bound circuit, else a fresh one."""
+    t = c.template
+    if t is not None and t.plan is None:
+        t.plan = Plan(t)
+    return Plan(c) if t is None else t.plan
 
 
 def f2_matrix(c):
@@ -378,19 +364,16 @@ def _target_matrix(target):
     raise TypeError(f"no matrix form for {type(target).__name__}")
 
 
-def verify_target(c, target, m=None, plan=None):
+def verify_target(c, target, m=None):
     """(residual, ancilla_restored) against a diagonal/state/unitary/UCG
     target on the first n qubits; trailing qubits are ancilla expected to
-    return to |0..m>.  The residual is a non-negative float.  `plan`, if
-    given, must be compiled from c's gates up to their params (`Plan.fits`);
-    by default one is compiled here (from c's template while c is an
-    unread bound circuit)."""
+    return to |0..m>.  The residual is a non-negative float."""
     n = target.n
     if m is None:
         m = c.n - n
     if c.n != n + m:
         raise ValueError("size mismatch")
-    plan = plan or Plan(c.template or c)
+    plan = _plan(c)
     size = 1 << n
     theta = getattr(target, "theta", None)
     if theta is not None:
@@ -428,39 +411,30 @@ def verify_target(c, target, m=None, plan=None):
     return float(np.max(np.abs(out - ph * u))), restored
 
 
-def assemble_report(c, g, target=None, m=None, backend="", extra=None,
-                    key=None):
-    """The report of c on g.  With a `key`, the gate scan is kept on g under
-    ("scan", *key), and an unverified report trusts the key: every circuit
-    reported under it must have the same gates up to their angles.  A
-    verified one also keeps its simulation plan under ("plan", *key), and
-    reuses plan and scan only for a circuit whose gates equal the plan's up
-    to their params; any other is scanned and verified afresh.  The angles
-    are always read from c, so verification is a check of c itself.  Scan
-    and plan of an unread bound circuit come from its template, whose gates
-    are c's but for the angles, so such a report builds none of c's."""
-    skeleton = c.template or c
-    scan = (_scan(skeleton, g._pairs) if key is None
-            else g.cached(("scan", *key), lambda: _scan(skeleton, g._pairs)))
+def _phase_type(c):
+    """Whether c is one run of phase-type gates (a one-run plan)."""
+    return (len(_plan(c).runs) == 1 if c.template is not None
+            else _PHASE_GATES.issuperset([gate[0] for gate in c.gates]))
+
+
+def assemble_report(c, g, target=None, m=None, backend="", extra=None):
+    """The report of c on g.  Scan and plan of an unread bound circuit are
+    its template's, kept there (the template's gates are c's but for the
+    angles), so such a report builds none of c's gates; any other circuit
+    is scanned and planned afresh.  The angles are always read from c, so
+    verification is a check of c itself."""
+    depth, size, twoq, bad, stages = (c.template or c).scan(g)
     residual = restored = None
     if target is not None:
         n = target.n
         if m is None:
             m = c.n - n
-        # a diagonal realized by a phase-type circuit (a one-run plan) is
-        # checked in O(G + n 2^n) without simulation, so only n is capped
-        # for it
-        small = n + m <= STATE_QUBIT_CAP
+        # a diagonal realized by a phase-type circuit is checked in
+        # O(G + n 2^n) without simulation, so only n is capped for it
         residual = "not simulated"
-        if small or (n <= STATE_QUBIT_CAP and hasattr(target, "theta")):
-            plan = key and g.cached(("plan", *key), lambda: Plan(skeleton))
-            if not (plan and plan.fits(c)):
-                if plan:  # c is not the key's circuit: nor is the scan kept
-                    scan = _scan(skeleton, g._pairs)
-                plan = Plan(skeleton)
-            if small or len(plan.runs) == 1:
-                residual, restored = verify_target(c, target, m, plan)
-    depth, size, twoq, bad, stages = scan
+        if n + m <= STATE_QUBIT_CAP or (n <= STATE_QUBIT_CAP and hasattr(
+                target, "theta") and _phase_type(c)):
+            residual, restored = verify_target(c, target, m)
     report = {
         "depth": depth,
         "size": size,

@@ -18,11 +18,9 @@ keep it.
 A cascade is bound in one pass: the branches of all its UCGs go through
 one ZYZ batch and their diagonal factors through one FWHT, into one angle
 vector.  Its gates, up to those angles, follow from the graph, n, m and
-which pieces each UCG emitted, its skeletons (see `synth_ucg`).  With
-key = (backend, n, m, skeletons), g's memo keeps the cascade's template
-under ("cascade", *key) and, through `assemble_report`, its gate scan under
-("scan", *key): a warm call gathers one angle vector, builds no gate and
-scans nothing.
+which pieces each UCG emitted, its skeletons (see `synth_ucg`): g's memo
+keeps its template, which keeps its scan and plan, so a warm call gathers
+one angle vector, builds no gate and scans nothing.
 """
 
 from __future__ import annotations
@@ -34,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .circuit import Circuit, Template
-from .diag import DiagonalSpec
+from .circuit import Template
+from .diag import DiagonalSpec, _check_ancilla
 from .diag_ancilla import _auto_template
 from .graphs import explicit_graph
 from .gray import solve_phase_coefficients
@@ -206,12 +204,9 @@ def ucg_to_diagonals(V):
     Returns (lam1, lam2, lam3, UCG_MID_GATES): the UCG equals
     lam3 . (I x SH) . lam2 . (I x HS+) . lam1 up to a global phase, using
     H Rz H = Rx and S Rx S+ = Ry to turn the middle diagonal into the
-    branch Y-rotations.  Per branch e^{ia} Rz(b) Ry(c) Rz(d), lam2 is
-    Rz(c) = (-c/2, c/2), with no phase of its own, lam1 = (0, d), and
-    lam3 = (p, p + b) with p = a - (b + d)/2 carries the branch phase: a
-    per-branch scalar commutes with the target-only mid gates.  On a real
-    rotation Ry(c), c in [0, pi], lam1 and lam3 are zero; lam1 fixes a
-    target in |0>, as in every QSP stage, which therefore leaves it out.
+    branch Y-rotations (the factors are the module docstring's).  lam3
+    carries the branch phase: a per-branch scalar commutes with the
+    target-only mid gates.
     """
     if V.target != V.n:
         raise ValueError("ucg_to_diagonals expects target on the last qubit")
@@ -242,7 +237,8 @@ def _cascade_template(g, skeletons, ms):
     UCG k, skeleton (n, target, emitted), on qubits 1..n with ms[k]
     ancilla, marked ucg_k.  Width 1 is rz(d) ry(c) rz(b) on qubit 1; wider
     UCGs splice the automatic diagonal template for (g, n, m) per factor,
-    the mid gates on qubit n, inside a swap network if target != n."""
+    solved for target n, with Walsh index bits n - target and 0 exchanged
+    (qubits target and n trade places); the mid gates go on the target."""
     counts = [1 << (n - 1) for n, _, _ in skeletons]
     size = sum(counts)
     t = Template(g.n, None)
@@ -253,27 +249,23 @@ def _cascade_template(g, skeletons, ms):
                 if emitted[f]:
                     t.rot(1, (6 + f) * size + first, name)
         else:
-            perm = (synth_permutation(g, {target: n, n: target})
-                    if target != n else Circuit(g.n))
-            t.extend(perm)
-            mid1, mid2 = ([(name, (n,), None) for name in pair]
+            mid1, mid2 = ([(name, (target,), None) for name in pair]
                           for pair in UCG_MID_GATES)
             for f in range(3):
                 if emitted[f]:
                     t.extend(mid1 if f == 1 else ())
-                    t.splice(_auto_template(g, n, m), 2 * (f * size + first))
+                    t.splice(_auto_template(g, n, m), 2 * (f * size + first),
+                             n - target)
                     t.extend(mid2 if f == 1 else ())
-            t.extend(perm.inverse())
         t.mark(f"ucg_{k + 1}")
     return t.seal()
 
 
 def _cascade(g, heads, branches, key, build, clean=False):
-    """(circuit, key + (skeletons,)) of the UCG cascade of `_factors`, its
-    template `build(skeletons)` kept on g under ("cascade", *key,
-    skeletons) and bound to the Walsh coefficients of every factor some
-    UCG emits (one FWHT; the other rows are never read), then the Euler
-    angles."""
+    """(circuit, skeletons) of the UCG cascade of `_factors`, its template
+    `build(skeletons)` kept on g under ("cascade", *key, skeletons) and
+    bound to the Walsh coefficients of every factor some UCG emits (one
+    FWHT; the other rows are never read), then the Euler angles."""
     theta, euler, skeletons = _factors(heads, branches, clean)
     widths = np.array([n for n, _ in heads])
     rows = [f for f, col in enumerate(zip(*[e for n, _, e in skeletons if n > 1]))
@@ -284,21 +276,22 @@ def _cascade(g, heads, branches, key, build, clean=False):
         params[:theta.size].reshape(theta.shape)[span] = solve_phase_coefficients(
             theta[span], widths)
     params[theta.size:] = euler.ravel()
-    key = (*key, skeletons)
-    return g.cached(("cascade", *key), lambda: build(skeletons)).bind(params), key
+    t = g.cached(("cascade", *key, skeletons), lambda: build(skeletons))
+    return t.bind(params), skeletons
 
 
 def synth_ucg(g, V, m):
     """Compile a UCG on the first V.n qubits of g with m ancilla: the
-    one-UCG cascade, without marks (see `_cascade_template`).
+    one-UCG cascade, marked ucg_1 (see `_cascade_template`).
 
     `meta["skeleton"]` is (n, target, emitted): emitted flags the three
     pieces not skipped as all-zero, the rz/ry/rz for n = 1 and the diagonal
     factors otherwise (the mid gates go with the second); with g and m it
     fixes every gate but the angles."""
-    c, key = _cascade(g, [(V.n, V.target)], _last_target_branches(V),
-                      ("ucg", V.n, m), lambda s: _cascade_template(g, s, [m]))
-    c.meta = {"backend": "ucg", "skeleton": key[-1][0]}
+    _check_ancilla(g, V.n, m)
+    c, (skeleton,) = _cascade(g, [(V.n, V.target)], _last_target_branches(V),
+                              ("ucg", V.n, m), lambda s: _cascade_template(g, s, [m]))
+    c.meta.update(backend="ucg", skeleton=skeleton)
     return c
 
 
@@ -368,14 +361,14 @@ def qsp_synthesize(g, v, m, verify=True):
     j runs, so every stage sees the full remaining register as ancilla and
     leaves out its first factor, which fixes its target j in |0>.  On
     graphs whose natural labeling has disconnected prefixes the cascade
-    runs in breadth-first coordinates, on a relabelled host
-    graph kept in g's memo, and a final swap network moves the state onto
-    qubits 1..n.  The stages are marked ucg_1..ucg_n, then relabel for the
-    swap network.
+    runs in breadth-first coordinates, on a relabelled host graph kept in
+    g's memo, and a final swap network moves the state onto qubits 1..n.
+    The stages are marked ucg_1..ucg_n, then relabel for the swap network.
     """
     if not isinstance(v, StateSpec):
         v = StateSpec(int(np.log2(len(v))), v)
     n = v.n
+    _check_ancilla(g, n, m)
     if n + m != g.n:
         raise ValueError("graph must host exactly n + m qubits")
 
@@ -393,11 +386,11 @@ def qsp_synthesize(g, v, m, verify=True):
         t.mark("relabel")
         return t
 
-    c, key = _cascade(g, [(j, j) for j in range(1, n + 1)],
-                      _unitary(_state_branches(v)), ("qsp-cascade", n, m), build,
-                      clean=True)
+    c, _ = _cascade(g, [(j, j) for j in range(1, n + 1)],
+                    _unitary(_state_branches(v)), ("qsp-cascade", n, m), build,
+                    clean=True)
     report = assemble_report(c, g, v if verify else None, m=m,
-                             backend="qsp-cascade", key=key)
+                             backend="qsp-cascade")
     return c, report
 
 
@@ -453,14 +446,14 @@ def gus_synthesize(g, U, m, verify=True):
     if not isinstance(U, UnitarySpec):
         U = UnitarySpec(int(np.log2(len(U))), U)
     n = U.n
+    _check_ancilla(g, n, m)
     if n > 5:
         raise ValueError("dense demultiplexing is guarded to n <= 5")
     ucgs = unitary_to_ucgs(U)
-    c, key = _cascade(g, [(V.n, V.target) for V in ucgs],
-                      np.concatenate([_last_target_branches(V) for V in ucgs]),
-                      ("gus-demux", n, m),
-                      lambda s: _cascade_template(g, s, [m] * len(ucgs)))
+    c, _ = _cascade(g, [(V.n, V.target) for V in ucgs],
+                    np.concatenate([_last_target_branches(V) for V in ucgs]),
+                    ("gus-demux", n, m),
+                    lambda s: _cascade_template(g, s, [m] * len(ucgs)))
     report = assemble_report(c, g, U if verify else None, m=m,
-                             backend="gus-demux",
-                             extra={"ucg_count": len(ucgs)}, key=key)
+                             backend="gus-demux", extra={"ucg_count": len(ucgs)})
     return c, report

@@ -27,3 +27,21 @@ def distance_up_to_phase(a, b):
     ph = a[idx] / b[idx]
     ph /= abs(ph)
     return float(np.max(np.abs(a - ph * b)))
+
+
+def bound_copy(c):
+    """c as a circuit bound from a sealed template of its gates, one slot
+    per r, rz and ry gate: the template keeps the scan and the plan of
+    every circuit bound from it."""
+    from qgsynth.circuit import PARAM_GATES, Template
+
+    t = Template(c.n, None)
+    t.ancilla, t.meta = c.ancilla, dict(c.meta)
+    angles = []
+    for name, qs, p in c.gates:
+        if name in PARAM_GATES:
+            t.rot(qs[0], len(angles), name)
+            angles.append(p)
+        else:
+            t.gates.append((name, qs, p))
+    return t.seal().bind(np.array(angles, dtype=float))

@@ -1,15 +1,15 @@
-"""The cascade gate scan of `qsp_synthesize` and `gus_synthesize` is cached
-on the graph under the cascade's skeleton key: every report must still
-equal a fresh scan of the circuit it came with, warm or cold, whatever
-pieces the UCGs skipped; a cold call scans once and a warm call not at
-all."""
+"""The cascade gate scan of `qsp_synthesize` and `gus_synthesize` is kept
+on the cascade's template, itself kept on the graph under the cascade's
+skeleton key: every report must still equal a fresh scan of the circuit it
+came with, warm or cold, whatever pieces the UCGs skipped; a cold call
+scans once and a warm call not at all."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_state, random_unitary
-from qgsynth import circuit, diag_ancilla, sim
+from qgsynth import circuit, diag_ancilla
 from qgsynth.circuit import _scan
 from qgsynth.graphs import (
     complete_graph,
@@ -69,8 +69,10 @@ def assert_fresh(c, g, report):
     assert report["stages"] == stages
 
 
-def scan_keys(g):
-    return [k for k in g._memo if k[0] == "scan"]
+def kept_scans(g, kind="cascade"):
+    """The keys of g's `kind` templates that keep a scan of g's edges."""
+    return [k for k, t in g._memo.items()
+            if k[0] == kind and t._scanned[0] is g._pairs]
 
 
 STATE_KINDS = ["generic", "basis", "real", "sparse"]
@@ -92,7 +94,7 @@ def test_qsp_report_equals_fresh_scan(family, n, m, kinds, seeds):
             c, report = qsp_synthesize(g, v, m, verify=verify)
             assert_fresh(c, g, report)
     assert report["residual"] <= 1e-8
-    assert 1 <= len(scan_keys(g)) <= len(inputs)
+    assert 1 <= len(kept_scans(g)) <= len(inputs)
 
 
 # no relabelled host here: GUS runs on g's own labels, and a disconnected
@@ -112,17 +114,19 @@ def test_gus_report_equals_fresh_scan(family, n, m, kinds, seeds):
             c, report = gus_synthesize(g, U, m, verify=verify)
             assert_fresh(c, g, report)
     assert report["residual"] <= 1e-8
-    assert 1 <= len(scan_keys(g)) <= len(inputs)
+    assert 1 <= len(kept_scans(g)) <= len(inputs)
 
 
 def counting_scans(mp):
-    """Count `_scan` calls through every module that looks it up."""
+    """Count `_scan` calls: every scan, kept or not, runs through
+    `circuit._scan`."""
     calls = []
-    for mod in (circuit, diag_ancilla, sim):
-        def wrapper(*args, _fn=mod._scan):
-            calls.append(1)
-            return _fn(*args)
-        mp.setattr(mod, "_scan", wrapper)
+
+    def wrapper(*args, _fn=circuit._scan):
+        calls.append(1)
+        return _fn(*args)
+
+    mp.setattr(circuit, "_scan", wrapper)
     return calls
 
 
@@ -155,8 +159,9 @@ def test_cold_call_scans_once_and_warm_call_never(task, make, n, draw, compared)
 def test_cold_auto_diagonal_scans_each_candidate_once():
     # path(16) with n=4, m=12 compares four candidates: the path strategy
     # and the general split on 1..4, and the ancilla pipeline on m' = 12
-    # and 6 (3 < n ends the ladder); the winner's scan is its report's, so
-    # a cold call scans each candidate once and a warm one scans nothing
+    # and 6 (3 < n ends the ladder); the winner keeps its scan for the
+    # report, so a cold call scans each candidate once and a warm one
+    # scans nothing
     g = path_graph(16)
     rng = np.random.default_rng(14)
     with pytest.MonkeyPatch.context() as mp:
@@ -167,7 +172,8 @@ def test_cold_auto_diagonal_scans_each_candidate_once():
         diag_ancilla.synth_diag_auto(g, rng.uniform(0, 2 * np.pi, 16), 12)
         assert len(calls) == 4
     assert_fresh(c, g, report)
-    assert scan_keys(g) == [("scan", "auto", 4, 12)]
+    assert kept_scans(g, "auto") == [("auto", 4, 12)]
+    assert {k[0] for k in g._memo} == {"route", "auto"}
 
 
 def test_generic_states_share_one_scan_entry():
@@ -179,7 +185,7 @@ def test_generic_states_share_one_scan_entry():
     for _ in range(19):
         qsp_synthesize(g, StateSpec(5, random_state(rng, 5)), 2, verify=False)
     assert len(g._memo) - before == added
-    assert len(scan_keys(g)) == 1
+    assert len(kept_scans(g)) == 1
 
 
 def test_mutating_report_stages_leaves_the_next_report_alone():

@@ -198,3 +198,40 @@ def test_bench_counts_without_verifying(task, tmp_path, monkeypatch, capsys):
                         "--n-start", "2", "--n-stop", "5", "--m-rule", "3n",
                         "--seed", "5", "--out", str(out)]) == 0
     assert out.read_bytes() == ("\r\n".join(_BENCH_CSV[task]) + "\r\n").encode()
+
+
+
+def _out_of_range_calls():
+    """(name, call(m)) of every entry point that takes an ancilla count,
+    each on path(3) with n = 2 (synth_ucg on path(2), qsp with n = 4)."""
+    from qgsynth.diag_ancilla import synth_diag_ancilla, synth_diag_auto
+    from qgsynth.graphs import path_graph
+    from qgsynth.states import UcgSpec, gus_synthesize, qsp_synthesize, synth_ucg
+
+    return {
+        "synth_diag_auto": lambda m: synth_diag_auto(path_graph(3), np.zeros(4), m),
+        "synth_diag_ancilla": lambda m: synth_diag_ancilla(path_graph(3), np.zeros(4), m),
+        "gus_synthesize": lambda m: gus_synthesize(path_graph(3), np.eye(4), m),
+        "synth_ucg": lambda m: synth_ucg(path_graph(2), UcgSpec(2, [np.eye(2)] * 2), m),
+        "qsp_synthesize": lambda m: qsp_synthesize(path_graph(3), np.full(16, 0.25), m),
+    }
+
+
+@pytest.mark.parametrize("call, m", [
+    ("synth_diag_auto", -1), ("synth_diag_auto", 2),
+    ("synth_diag_ancilla", -1), ("synth_diag_ancilla", 2),
+    ("gus_synthesize", -1), ("gus_synthesize", 5),
+    ("synth_ucg", -1), ("synth_ucg", 1),
+    ("qsp_synthesize", -1), ("cli", -1), ("cli", 2),
+])
+def test_ancilla_count_out_of_range_is_refused(call, m, files, capsys):
+    # 0 <= m <= g.n - n is checked before anything is built: a clean
+    # ValueError naming m, and exit code 2 from the command line
+    if call == "cli":
+        angles = write(files["tmp"] / "a2.json", {"n": 2, "theta": [0, 1, 2, 3]})
+        assert run_command(["synth", "diag", "--graph", files["path3"],
+                            "--angles", angles, "-m", str(m)]) == 2
+        assert f"m = {m} ancilla" in capsys.readouterr().err
+        return
+    with pytest.raises(ValueError, match=f"m = {m} ancilla"):
+        _out_of_range_calls()[call](m)

@@ -110,23 +110,23 @@ REQUESTS.update({
 })
 
 GOLDEN = {
-    "gus-complete-n2-m0": "a08a24ae86e9b03f",
-    "gus-complete-n2-m2": "4512386dd1ef7c36",
-    "gus-complete-n3-m0": "d445f3652af154cd",
-    "gus-complete-n3-m2": "957c18dc98f73337",
-    "gus-complete-n4-m0": "2e10994112bfbc01",
-    "gus-complete-n4-m2": "7077a0f1f8570a46",
-    "gus-complete-permutation": "08e5765790ac175f",
-    "gus-path-diagonal": "cedb97d91381e166",
-    "gus-path-identity": "5c7479b98e92d405",
-    "gus-path-n2-m0": "2b981e1d3f03a1ff",
-    "gus-path-n2-m2": "5ea8845d095be6e3",
-    "gus-path-n3-m0": "fcd834f3b30ea4e2",
-    "gus-path-n3-m2": "8d28d035d7df2d2b",
-    "gus-path-n4-m0": "aa2d5636bb4cb903",
-    "gus-path-n4-m2": "1fd5a4e3ae9a860a",
+    "gus-complete-n2-m0": "6e4375d8ffa6754a",
+    "gus-complete-n2-m2": "d82d90053c9edd43",
+    "gus-complete-n3-m0": "09498230af24b88a",
+    "gus-complete-n3-m2": "e81a636fb6f21abc",
+    "gus-complete-n4-m0": "18f54f9c4f7ad5ab",
+    "gus-complete-n4-m2": "504ae19e68515f46",
+    "gus-complete-permutation": "f306a2a571ceb721",
+    "gus-path-diagonal": "b64f8425265459a5",
+    "gus-path-identity": "ce93159e69a63742",
+    "gus-path-n2-m0": "d242f89e6002a99f",
+    "gus-path-n2-m2": "01c7a2a43ccc3e3a",
+    "gus-path-n3-m0": "f361651f3b37a2ce",
+    "gus-path-n3-m2": "3a566c331cdf4734",
+    "gus-path-n4-m0": "a70b8d38e79fc88c",
+    "gus-path-n4-m2": "879bf9f9ab0b35a9",
     "gus-path-one-qubit": "4bccfd26ca0f7628",
-    "gus-path-permutation": "7e650c27698a9461",
+    "gus-path-permutation": "0fdefe900eea00a9",
     "qsp-brickwall-n6": "6b6d589a7eeb0e8f",
     "qsp-brickwall-n8": "19cab6c2f4d56b2e",
     "qsp-complete-n3": "ad3e2d1463573cdc",

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_sim as ref
-from qgsynth import sim
+from conftest import bound_copy
+from qgsynth import circuit, sim
 from qgsynth.circuit import Circuit, gate_matrix
 from qgsynth.graphs import path_graph, complete_graph
 from qgsynth.sim import (
@@ -351,9 +352,11 @@ def test_engine_slices_and_batches_agree(monkeypatch):
         c.add("s", (n,))
         want = np.stack([ref.dense_state(c, b) for b in range(1 << n)], axis=1)
         assert np.max(np.abs(simulate(c, mode="unitary") - want)) < 1e-12
-        plan = sim.Plan(c)
-        res, ok = verify_target(c, UnitarySpec(n, want), 0, plan)
-        assert res < 1e-12 and ok and plan.paths == {}
+        plans = []
+        with monkeypatch.context() as mp:
+            mp.setattr(sim, "Plan", lambda c, _P=sim.Plan: plans.append(_P(c)) or plans[-1])
+            res, ok = verify_target(bound_copy(c), UnitarySpec(n, want), 0)
+        assert res < 1e-12 and ok and [p.paths for p in plans] == [{}]
 
 
 def test_sparse_results_hold_no_cancelled_entries():
@@ -414,11 +417,11 @@ def test_trajectory_matches_reference_on_branching_circuits(case, seed):
         assert np.max(np.abs(simulate(c, mode="unitary") - want)) < 1e-12
         for b, amp in sparse_run(c, 1 << m).items():
             assert abs(amp - want[b, 1 << m]) < 1e-12
-        plan = sim.Plan(c)
+        bound = bound_copy(c)  # its template keeps one plan for every target
         for target in targets:
-            got = verify_target(c, target, m, plan)
+            got = verify_target(bound, target, m)
             _agree(got, ref.verify_target(c, target, m))
-            assert verify_target(c, target, m, plan) == got  # along the kept one
+            assert verify_target(bound, target, m) == got  # along the kept one
 
 
 def test_state_residual_is_a_clamped_python_float():
@@ -502,26 +505,24 @@ def test_ancilla_holding_input_parity_is_not_restored():
 
 # -- a kept plan never hides a wrong circuit ---------------------------------
 
-def _plan_key(g):
-    """The key of the one plan a verified call kept on g."""
-    (key,) = [k[1:] for k in g._memo if k[0] == "plan"]
-    return key
-
-
 def _warm_keyed(kind):
-    """(circuit, graph, target, m, key) of a second verified call of one
-    family, whose plan is kept on the graph under ("plan", *key)."""
+    """(circuit, graph, target, m) of a second verified call of one family:
+    the circuit is unread, so its scan and plan are its template's.  The
+    target is the call's own for a cascade and a fresh one for a
+    diagonal."""
     from qgsynth.diag_ancilla import synth_diag_auto
     from qgsynth.states import gus_synthesize, qsp_synthesize
 
     rng = np.random.default_rng(61)
     if kind == "qsp":
         g, m, n = path_graph(5), 2, 3
-        call = lambda: qsp_synthesize(g, StateSpec(n, _unit(rng, n)), m)
+        target = StateSpec(n, _unit(rng, n))
+        call = lambda: qsp_synthesize(g, target, m)
     elif kind == "gus":
         g, m, n = path_graph(3), 1, 2
         u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
-        call = lambda: gus_synthesize(g, UnitarySpec(n, u), m)
+        target = UnitarySpec(n, u)
+        call = lambda: gus_synthesize(g, target, m)
     else:
         g, m, n = path_graph(16), 12, 4
         call = lambda: synth_diag_auto(
@@ -529,9 +530,10 @@ def _warm_keyed(kind):
     call()
     c, rep = call()
     assert rep["residual"] <= 1e-9 and rep["ancilla_restored"] is True
-    target = (DiagonalSpec(n, rng.uniform(0, 2 * np.pi, 1 << n)) if kind == "diag"
-              else None)
-    return c, g, target, m, _plan_key(g)
+    assert c.template is not None and c.template.plan is not None
+    if kind == "diag":
+        target = DiagonalSpec(n, rng.uniform(0, 2 * np.pi, 1 << n))
+    return c, g, target, m
 
 
 def _unit(rng, n):
@@ -564,46 +566,51 @@ def _tampered(c, kind):
 @pytest.mark.parametrize("tamper", ["angle", "move", "reverse", "drop"])
 @pytest.mark.parametrize("kind", ["qsp", "gus", "diag"])
 def test_kept_plan_cannot_hide_a_wrong_circuit(kind, tamper, monkeypatch):
-    c, g, target, m, key = _warm_keyed(kind)
-    if target is None:  # the target the circuit was made for
-        target = _cascade_target(c, kind, m)
-    kept = g._memo[("plan", *key)]
+    c, g, target, m = _warm_keyed(kind)
+    t = c.template
+    kept = t.plan
     bad = _tampered(c, tamper)
     compiled, compile_plan = [], sim.Plan
+    scanned, scan = [], circuit._scan
     with monkeypatch.context() as mp:
         mp.setattr(sim, "Plan", lambda c: compiled.append(c) or compile_plan(c))
-        rep = assemble_report(bad, g, target, m=m, key=key)
+        mp.setattr(circuit, "_scan", lambda c, *a: scanned.append(c) or scan(c, *a))
+        rep = assemble_report(bad, g, target, m=m)
     assert (rep["residual"], rep["ancilla_restored"]) == verify_target(bad, target, m)
-    # an angle is read from the circuit through the kept plan; any other
-    # change fails the plan's equality check and compiles a fresh one
-    assert compiled == ([bad] if tamper != "angle" else [])
-    assert g._memo[("plan", *key)] is kept
+    # a plain circuit is bound from no template: it is scanned and planned
+    # as itself, and the template's own plan is left alone
+    assert compiled == scanned == [bad]
+    assert t.plan is kept
     assert rep["residual"] > 1e-6 or not rep["ancilla_restored"]
 
 
 @pytest.mark.parametrize("kind", ["qsp", "gus"])
 def test_warm_keyed_verification_builds_no_trajectory(kind, monkeypatch):
-    c, g, _, m, key = _warm_keyed(kind)
-    target = _cascade_target(c, kind, m)
+    # a warm bound circuit compiles no plan, builds no trajectory and
+    # scans nothing: all three are its template's
+    c, g, target, m = _warm_keyed(kind)
     built, numpy_calls, trajectory = [], [], sim._Trajectory
     monkeypatch.setattr(sim, "_Trajectory", lambda *a: built.append(a) or trajectory(*a))
+    monkeypatch.setattr(sim, "Plan", lambda *a: built.append(a))
+    monkeypatch.setattr(circuit, "_scan", lambda *a: built.append(a))
     for name in ("unique", "bitwise_count"):
         def counted(*args, _fn=getattr(np, name), **kw):
             numpy_calls.append(_fn.__name__)
             return _fn(*args, **kw)
         monkeypatch.setattr(np, name, counted)
-    rep = assemble_report(c, g, target, m=m, key=key)
+    rep = assemble_report(c, g, target, m=m)
     assert rep["residual"] <= 1e-9 and rep["ancilla_restored"] is True
     assert built == [] and numpy_calls == []
+    assert c.template is not None  # nor were its gates built
 
 
 @pytest.mark.parametrize("kind", ["qsp", "gus"])
 def test_moved_branching_gate_is_replanned(kind, monkeypatch):
     # the kept trajectory follows the branching gates' qubits, so a circuit
     # with one moved gets a plan and a trajectory of its own
-    c, g, _, m, key = _warm_keyed(kind)
-    target = _cascade_target(c, kind, m)
-    kept = g._memo[("plan", *key)]
+    c, g, target, m = _warm_keyed(kind)
+    t = c.template
+    kept = t.plan
     paths = dict(kept.paths)
     gates = list(c.gates)
     k = next(i for i, gate in enumerate(gates) if gate[0] in ("h", "ry"))
@@ -613,30 +620,19 @@ def test_moved_branching_gate_is_replanned(kind, monkeypatch):
     bad.meta = dict(c.meta)
     compiled, compile_plan = [], sim.Plan
     monkeypatch.setattr(sim, "Plan", lambda c: compiled.append(c) or compile_plan(c))
-    rep = assemble_report(bad, g, target, m=m, key=key)
+    rep = assemble_report(bad, g, target, m=m)
     assert compiled == [bad]
-    assert kept.paths == paths and g._memo[("plan", *key)] is kept
+    assert kept.paths == paths and t.plan is kept
     assert (rep["residual"], rep["ancilla_restored"]) == verify_target(bad, target, m)
     assert rep["residual"] > 1e-6 or not rep["ancilla_restored"]
-
-
-def _cascade_target(c, kind, m):
-    """The state or unitary a verified cascade circuit realizes on its
-    first n qubits, read back from the reference simulator."""
-    n = c.n - m
-    if kind == "qsp":
-        state = ref.dense_state(c)
-        return StateSpec(n, state[::1 << m])
-    cols = np.stack([ref.dense_state(c, x << m)[::1 << m] for x in range(1 << n)],
-                    axis=1)
-    return UnitarySpec(n, cols)
 
 
 @given(circuits(), st.integers(0, 2**5 - 1))
 @settings(max_examples=60, deadline=None)
 def test_keyed_plan_agrees_with_reference(case, seed):
-    # the first keyed call compiles and keeps the plan, the second reads
-    # new angles through it; both must agree with the per-gate reference
+    # two circuits bound from one template: the first report compiles the
+    # template's plan, the second reads new angles through it; both must
+    # agree with the per-gate reference
     c, n, m = case
     rng = np.random.default_rng(seed)
     g = complete_graph(c.n)
@@ -646,13 +642,17 @@ def test_keyed_plan_agrees_with_reference(case, seed):
     again = Circuit(c.n, c.ancilla, [
         (name, qs, float(rng.uniform(-np.pi, np.pi)) if p is not None else p)
         for name, qs, p in c.gates])
-    for k, target in enumerate(targets):
+    t = bound_copy(c).template
+    plans = set()
+    for target in targets:
         for circ in (c, again):
-            rep = assemble_report(circ, g, target, m=m, key=("property", k))
+            bound = t.bind(np.array([p for name, _, p in circ.gates
+                                     if name in ("r", "rz", "ry")], dtype=float))
+            rep = assemble_report(bound, g, target, m=m)
             _agree((rep["residual"], rep["ancilla_restored"]),
                    ref.verify_target(circ, target, m))
-        assert g._memo[("plan", "property", k)].fits(again)
-    assert len([k for k in g._memo if k[0] == "plan"]) == len(targets)
+            plans.add(id(t.plan))
+    assert len(plans) == 1
 
 
 # -- verified sizes: exact checks at the sizes synthesis reaches -------------
@@ -693,8 +693,9 @@ def test_sparse_index_width():
 
 
 def test_keyed_verified_report_rescans_a_circuit_that_is_not_the_keys():
-    # a warm diagonal whose last gate became an off-graph CNOT: its plan
-    # does not fit the kept one, so its scan is not the kept one either
+    # a warm diagonal whose last gate became an off-graph CNOT: a plain
+    # circuit, so neither its scan nor its plan is the template's, verified
+    # or not
     from qgsynth.diag_ancilla import synth_diag_auto
 
     g, n, m = path_graph(16), 4, 12
@@ -704,9 +705,12 @@ def test_keyed_verified_report_rescans_a_circuit_that_is_not_the_keys():
     c, _ = synth_diag_auto(g, spec, m)
     bad = Circuit(c.n, c.ancilla, c.gates[:-1] + [("cx", (1, 16), None)])
     bad.meta = dict(c.meta)
-    rep = assemble_report(bad, g, spec, m=m, key=("auto", n, m))
-    assert {"g": "cx", "q": [1, 16]} in rep["violations"]
-    assert rep == assemble_report(bad, g, spec, m=m)
+    for target in (None, spec):
+        rep = assemble_report(bad, g, target, m=m)
+        assert {"g": "cx", "q": [1, 16]} in rep["violations"]
+        assert rep["depth"] == bad.metrics()[0]
+    assert rep["residual"] > 1e-6 or not rep["ancilla_restored"]
+    assert assemble_report(c, g, spec, m=m)["violations"] == []
 
 
 def test_diagonal_check_keeps_its_term_indices_on_the_plan():
@@ -718,8 +722,9 @@ def test_diagonal_check_keeps_its_term_indices_on_the_plan():
         spec = DiagonalSpec(n, rng.uniform(0, 2 * np.pi, 1 << n))
         c, rep = synth_diag_auto(g, spec, m)
         assert rep["residual"] <= 1e-9
-        plan = g._memo[("plan", *_plan_key(g))]
+        plan = c.template.plan
         kept = plan.projected[m]
-        assert verify_target(c, spec, m, plan) == (rep["residual"], True)
+        assert verify_target(c, spec, m) == (rep["residual"], True)
+        assert c.template.plan is plan
         assert plan.projected[m] is kept and list(plan.projected) == [m]
         assert np.array_equal(kept, [s >> m for s in plan.runs[0].terms])

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_state, random_unitary
-from qgsynth import diag, diag_ancilla, graphs, linear, sim, states
+from qgsynth import circuit, diag, diag_ancilla, graphs, linear, sim, states
 from qgsynth.circuit import Template, circuit_to_json
 from qgsynth.diag import DiagonalSpec, synth_diag_noancilla
 from qgsynth.diag_ancilla import (
@@ -158,7 +158,7 @@ def kept(g):
 def test_gus_builds_each_key_once():
     # the 7 UCGs of an n = 3 unitary are all 3-qubit: their nonzero
     # diagonal factors share the one template ("auto", 3, 0); the cascade's
-    # template and its scan are kept under one key each beside it
+    # template is kept beside it and keeps its own scan and plan
     g = path_graph(3)
     U = UnitarySpec(3, random_unitary(np.random.default_rng(5), 8))
     with counting([(diag_ancilla, "_build_auto")]) as counts, \
@@ -167,9 +167,9 @@ def test_gus_builds_each_key_once():
     assert counts == {"_build_auto": 1}
     assert len(skeletons) == 7
     assert kept(g) == [("auto", 3, 0),
-                       ("cascade", "gus-demux", 3, 0, tuple(skeletons)),
-                                  ("scan", "gus-demux", 3, 0, tuple(skeletons)),
-                                  ("plan", "gus-demux", 3, 0, tuple(skeletons))]
+                       ("cascade", "gus-demux", 3, 0, tuple(skeletons))]
+    t = g._memo[kept(g)[-1]]
+    assert t._scanned[0] is g._pairs and t.plan is not None
     assert report["residual"] <= 1e-8
 
 
@@ -184,9 +184,9 @@ def test_qsp_factors_share_one_key_per_ucg():
     assert len(skeletons) == 4
     assert kept(g) == [
         *(("auto", j, 4 - j) for j in (2, 3, 4)),
-        ("cascade", "qsp-cascade", 4, 0, tuple(skeletons)),
-        ("scan", "qsp-cascade", 4, 0, tuple(skeletons)),
-        ("plan", "qsp-cascade", 4, 0, tuple(skeletons))]
+        ("cascade", "qsp-cascade", 4, 0, tuple(skeletons))]
+    t = g._memo[kept(g)[-1]]
+    assert t._scanned[0] is g._pairs and t.plan is not None
 
 
 @pytest.mark.parametrize("make, n", [(lambda: path_graph(12), 3),
@@ -254,8 +254,8 @@ def _live(kind):
 def test_relabelled_hosts_do_not_accumulate():
     # breadth-first order 1, 3, 2, 4, 5: the cascade runs on a relabelled
     # host graph, built once and kept in g's cache with its templates and
-    # its qubit map, so warm calls build nothing, reuse the one kept plan,
-    # and host and plan die with g
+    # its qubit map, so warm calls build nothing, reuse the one plan kept on
+    # the cascade's template, and host and plan die with g
     g = explicit_graph(5, [(1, 3), (3, 2), (2, 4), (4, 5)])
     v = StateSpec(3, random_state(np.random.default_rng(10), 3))
     hosts = []
@@ -273,21 +273,19 @@ def test_relabelled_hosts_do_not_accumulate():
         first = tuple(skeletons)
         graphs_before, templates_before = (_live(graphs.ConstraintGraph),
                                            _live(Template))
-        plan = weakref.ref(g._memo[("plan", "qsp-cascade", 3, 2, first)])
+        plan = weakref.ref(g._memo[("cascade", "qsp-cascade", 3, 2, first)].plan)
         with counting([(sim, "Plan")]) as counts:
-            for _ in range(19):
-                _, report = qsp_synthesize(g, v, 2)
+            for _ in range(19):  # no circuit is held: it holds its template
+                report = qsp_synthesize(g, v, 2)[1]
         assert counts == {"Plan": 0}
         assert report["residual"] <= 1e-8
         assert len(hosts) == 1
         assert _live(graphs.ConstraintGraph) == graphs_before
         assert _live(Template) == templates_before
     assert kept(g) == [("host",), ("relabel",),
-                       ("cascade", "qsp-cascade", 3, 2, first),
-                       ("scan", "qsp-cascade", 3, 2, first),
-                       ("plan", "qsp-cascade", 3, 2, first)]
+                       ("cascade", "qsp-cascade", 3, 2, first)]
     assert hosts[0]() is g._memo[("host",)]
-    assert plan() is g._memo[("plan", "qsp-cascade", 3, 2, first)]
+    assert plan() is g._memo[("cascade", "qsp-cascade", 3, 2, first)].plan
     del g
     gc.collect()
     assert hosts[0]() is None
@@ -363,14 +361,14 @@ def test_unread_circuit_serialises_as_its_gates(kind, monkeypatch):
 @pytest.mark.parametrize("edit", ["angle", "angle+move"])
 @pytest.mark.parametrize("kind", ["diag", "qsp", "gus"])
 def test_edited_bound_circuit_is_checked_as_edited(kind, edit, monkeypatch):
-    # a read and edited circuit reported under its key: an edited angle is
-    # read through the kept plan, a moved gate needs a plan and a scan of
-    # its own; either way the report is the circuit's own
+    # a read and edited circuit is bound from no template: it gets a plan
+    # and a scan of its own, the template keeps its plan, and the report is
+    # the circuit's own
     g, m, call = _keyed_family(kind, True)
     call()
     c, _, target = call()
-    (key,) = [k[1:] for k in g._memo if k[0] == "plan"]
-    kept = g._memo[("plan", *key)]
+    t = c.template
+    kept = t.plan
     rs = [i for i, gate in enumerate(c.gates) if gate[0] == "r"]
     name, qs, p = c.gates[rs[0]]
     c.gates[rs[0]] = (name, qs, p + 0.5)
@@ -378,12 +376,12 @@ def test_edited_bound_circuit_is_checked_as_edited(kind, edit, monkeypatch):
         name, (q,), p = c.gates[rs[-1]]
         c.gates[rs[-1]] = (name, (q % c.n + 1,), p)
     compiled, scanned = [], []
-    compile_plan, scan = sim.Plan, sim._scan
+    compile_plan, scan = sim.Plan, circuit._scan
     monkeypatch.setattr(sim, "Plan", lambda c: compiled.append(c) or compile_plan(c))
-    monkeypatch.setattr(sim, "_scan", lambda c, *a: scanned.append(c) or scan(c, *a))
-    rep = sim.assemble_report(c, g, target, m=m, key=key)
-    assert compiled == scanned == ([c] if edit == "angle+move" else [])
-    assert g._memo[("plan", *key)] is kept
+    monkeypatch.setattr(circuit, "_scan", lambda c, *a: scanned.append(c) or scan(c, *a))
+    rep = sim.assemble_report(c, g, target, m=m)
+    assert compiled == scanned == [c]
+    assert t.plan is kept
     assert (rep["residual"], rep["ancilla_restored"]) == sim.verify_target(c, target, m)
     assert rep["residual"] > 1e-6
     monkeypatch.undo()
