@@ -36,7 +36,6 @@ from .diag_ancilla import (
 )
 from .linear import (
     fanout,
-    route_cnot,
     route_cnot_gates,
     synth_permutation,
 )
@@ -55,7 +54,6 @@ from .states import (
     UnitarySpec,
     gus_synthesize,
     qsp_synthesize,
-    retarget_last,
     state_to_ucgs,
     synth_ucg,
     ucg_to_diagonals,

@@ -125,8 +125,11 @@ class Circuit:
         self.add("swap", (a, b))
 
     def mark(self, name):
-        """End stage `name` here: the gates since the previous mark are its."""
-        self.meta.setdefault("marks", []).append((name, len(self.gates)))
+        """End stage `name` here: the gates since the previous mark are its.
+        The marks are a tuple, replaced by each mark: a circuit bound from a
+        template shares the template's until it replaces its own."""
+        self.meta["marks"] = (*self.meta.get("marks", ()),
+                              (name, len(self.gates)))
 
     def extend(self, other):
         if isinstance(other, Circuit):
@@ -252,8 +255,6 @@ class Template(Circuit):
         c.n, c.ancilla = self.n, self.ancilla
         c.template, c.angles = self, params[self.idx]
         c.meta = dict(self.meta)
-        if "marks" in c.meta:
-            c.meta["marks"] = list(c.meta["marks"])
         return c
 
     def _fill(self, angles):

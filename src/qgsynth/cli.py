@@ -277,7 +277,7 @@ def build_parser():
     ve.add_argument("--angles")
     ve.add_argument("--state")
     ve.add_argument("--unitary")
-    ve.add_argument("-m", type=int, default=0)
+    ve.add_argument("-m", type=int)
     ve.set_defaults(func=_cmd_verify)
 
     bo = sub.add_parser("bound", help="depth lower bound terms")

@@ -1,20 +1,21 @@
 """Diagonal unitaries without ancilla qubits.
 
-The multiplexed-rotation walk (`_diag_walk`: 2^n - 1 rotations, a Gray
-code per level) realises any diagonal; `_walk` lays it on graph vertices
-and routes its CNOTs.  On top of it sits a connectivity-aware pipeline: it
-splits the qubits into a control and a target register, sweeps
-Gray-coded parities onto the target register in phases C_1..C_l, undoes
-the register rewrites, and ends with the walk over the control register.
-A strategy picks the register split and how a parallel CNOT step is laid
-on the graph; a strategy with no split on g falls back to the walk over
-all of g, reported as backend "<strategy>-walk".
+The multiplexed-rotation walk (`_walk`: 2^n - 1 rotations, a Gray code per
+level, after Welch, Greenbaum, Mostame and Aspuru-Guzik, NJP 2014)
+realises any diagonal on graph vertices, its CNOTs routed.  On top of it
+sits the register-split pipeline of Sun, Tian, Yang, Yuan and Zhang
+(arXiv 2108.06150): it splits the qubits into a control and a target
+register, sweeps Gray-coded parities onto the target register in phases
+C_1..C_l, undoes the register rewrites, and ends with the walk over the
+control register.  Each graph family has its split; a family with no
+split on g falls back to the walk over all of g, reported as backend
+"<family>-walk".
 
 Every builder emits a `Template` whose rotations are slots, since the
 gates do not depend on the angles.  Each diagonal entry point, here and in
 diag_ancilla, binds theta to its cached template and builds the report in
 `_bind_report`.  Every two-qubit gate lies on a graph edge, and routed
-CNOTs restore every intermediate qubit, so each strategy is exact for
+CNOTs restore every intermediate qubit, so each construction is exact for
 every angle vector.
 """
 
@@ -36,10 +37,6 @@ from .graphs import (
 from .gray import gray_code, solve_phase_coefficients
 from .linear import _f2_reduce, route_cnot_gates
 from .sim import assemble_report
-
-
-class StrategyGraphMismatch(ValueError):
-    pass
 
 
 class ExpansionUnknown(ValueError):
@@ -147,27 +144,6 @@ def independent_cover(r_t):
 # ---------------------------------------------------------------------------
 
 
-def _diag_walk(n_bits, emit_rot, emit_cnot):
-    """Emit the standard diagonal decomposition over n_bits virtual qubits;
-    emit_rot(k, s) rotates virtual qubit k by the angle of virtual mask s.
-
-    Level k handles every mask whose lowest-numbered support reaches bit k
-    (bits k+1..n zero, bit k set): walk a (k-1)-bit Gray code on the prefix
-    while rotating virtual qubit k.  Masks use bit 1 as MSB."""
-    if n_bits == 0:
-        return
-    emit_rot(1, 1 << (n_bits - 1))
-    for k in range(2, n_bits + 1):
-        bit_k = 1 << (n_bits - k)
-        shift = n_bits - k + 1
-        code = gray_code(k - 1, 1)
-        emit_rot(k, bit_k)
-        for p in range(1, 2 ** (k - 1)):
-            emit_cnot(code.flips[p], k)
-            emit_rot(k, (code.codewords[p] << shift) | bit_k)
-        emit_cnot(code.flips[0], k)
-
-
 def _spread(bits):
     """Table over the words of a len(bits)-bit register (bit 1 = MSB): the
     n-bit mask that sets bits[j] wherever the word sets bit j + 1."""
@@ -178,15 +154,23 @@ def _spread(bits):
 
 
 def _walk(t, g, verts):
-    """Append to t the walk over `verts` (virtual bit j on verts[j-1]),
-    every CNOT routed on g; on an edge that is the single CNOT."""
+    """Append to t the walk over `verts` (virtual bit j on verts[j-1], bit
+    1 the MSB), every CNOT routed on g; on an edge that is the single CNOT.
+    Level k rotates verts[k-1] once per mask whose last set bit is bit k,
+    walking a (k-1)-bit Gray code on the bits before it."""
+    n_bits = len(verts)
     real = _spread([1 << (g.n - v) for v in verts]).tolist()
-    _diag_walk(
-        len(verts),
-        lambda q, virt: t.rot(verts[q - 1], real[virt]),
-        lambda j1, j2: t.gates.extend(
-            route_cnot_gates(g, verts[j1 - 1], verts[j2 - 1])),
-    )
+    t.rot(verts[0], real[1 << (n_bits - 1)])
+    for k in range(2, n_bits + 1):
+        bit_k = 1 << (n_bits - k)
+        shift = n_bits - k + 1
+        code = gray_code(k - 1, 1)
+        q = verts[k - 1]
+        t.rot(q, real[bit_k])
+        for p in range(1, 2 ** (k - 1)):
+            t.gates.extend(route_cnot_gates(g, verts[code.flips[p] - 1], q))
+            t.rot(q, real[(code.codewords[p] << shift) | bit_k])
+        t.gates.extend(route_cnot_gates(g, verts[code.flips[0] - 1], q))
 
 
 def _seal(t, backend, ell=None):
@@ -287,37 +271,20 @@ def _routed_pair_emitter(g):
     return emit
 
 
-def _cascade_emitter(g, casc):
-    """Shared-control multi-target CNOT: accumulate along the matchings
-    toward the seed set, inject the control, then redistribute.  Every
-    vertex of the final set picks up the control bit; interior values are
-    restored because each matching is replayed."""
-    seeds = list(casc.sets[0])
-    up = [("cx", (u, v), None) for m in casc.matchings for u, v in m]
-    down = [("cx", (u, v), None) for m in reversed(casc.matchings)
-            for u, v in m]
+def _ladder_emitter(g, rungs, seeds):
+    """Shared-control multi-target CNOT as a ladder: go down the rungs
+    (gate lists), inject the control at every seed, then go back up.  Each
+    vertex the ladder reaches picks up the control bit, and every other
+    value is restored because each rung is replayed.  Only the injection
+    depends on the control."""
+    down = [gate for rung in reversed(rungs) for gate in rung]
+    up = [gate for rung in rungs for gate in rung]
 
     def emit(pairs):
         control = pairs[0][0]
         assert all(u == control for u, _ in pairs)
         return down + [gate for v in seeds
                        for gate in route_cnot_gates(g, control, v)] + up
-
-    return emit
-
-
-def _chain_emitter(g, tverts):
-    """Shared-control multi-target CNOT as a routed ladder along the target
-    chain (accumulate down, inject, sweep back up); the two ladders are
-    routed once and only the injection depends on the control."""
-    links = [route_cnot_gates(g, u, v) for u, v in zip(tverts, tverts[1:])]
-    down = [gate for link in reversed(links) for gate in link]
-    up = [gate for link in links for gate in link]
-
-    def emit(pairs):
-        control = pairs[0][0]
-        assert all(u == control for u, _ in pairs)
-        return down + list(route_cnot_gates(g, control, tverts[0])) + up
 
     return emit
 
@@ -337,14 +304,8 @@ def _path_split(order):
     tau = 2 * math.ceil(math.log2(n))
     if (n - tau) % 2:
         tau += 1
-    tau = min(tau, n - 2)
-    if (n - tau) % 2:
-        tau -= 1
-    if tau < 0:
-        return None
+    tau = min(tau, n - 2)  # n - 2 has n's parity: n - tau stays even
     r_t = (n - tau) // 2
-    if r_t < 1:
-        return None
     cverts = [order[2 * m - 2] for m in range(1, r_t + 1)]
     cverts += [order[2 * r_t + j - 1] for j in range(1, tau + 1)]
     tverts = [order[2 * i - 1] for i in range(1, r_t + 1)]
@@ -357,26 +318,15 @@ def _tree2_split(g):
     consecutive block of control bits so most Gray flips stay local."""
     n = g.n
     kappa = (n + 1).bit_length() - 2  # depth of a heap-complete binary tree
-    if kappa < 1 or n < 4:
+    if kappa < 2:  # a >= 1 level of interior below a non-root target
         return None
     a = math.ceil(math.log2(max(2.0, 2 * math.log2(n))))
     a = min(a, kappa - 1)
-    if a < 1:
-        return None
     step = a + 1
-    s = (kappa + 1) // step
-    depths = sorted(
-        d for d in (kappa - j * step + 1 for j in range(1, s + 1)) if d >= 1
-    )
-    if not depths:
-        return None
-
-    def depth(v):
-        return v.bit_length() - 1
-
-    troots = [v for v in range(1, n + 1) if depth(v) in set(depths)]
-    if not troots:
-        return None
+    # target levels kappa - a, kappa - a - step, ..., never the root's
+    depths = {kappa - j * step + 1
+              for j in range(1, (kappa + 1) // step + 1)} - {0}
+    troots = [v for v in range(1, n + 1) if v.bit_length() - 1 in depths]
     tset = set(troots)
     cverts, gray_plan = [], []
     for z in troots:
@@ -393,11 +343,9 @@ def _tree2_split(g):
             frontier = nxt
         gray_plan.append(len(cverts) + 1)
         cverts.extend(block)
-    rest = [v for v in range(1, n + 1) if v not in tset and v not in set(cverts)]
-    cverts.extend(rest)
+    used = tset.union(cverts)
+    cverts.extend(v for v in range(1, n + 1) if v not in used)
     r_c = len(cverts)
-    if r_c < 1:
-        return None
     gray_plan = [((j - 1) % r_c) + 1 for j in gray_plan]
     return RegisterSplit(cverts, troots, gray_plan)
 
@@ -426,10 +374,7 @@ def _expander_split(g):
     tverts = list(casc.sets[-1])
     tset = set(tverts)
     cverts = [v for v in range(1, g.n + 1) if v not in tset]
-    if not cverts or not tverts:
-        return None, None
-    split = RegisterSplit(cverts, tverts, [1] * len(tverts))
-    return split, casc
+    return RegisterSplit(cverts, tverts, [1] * len(tverts)), casc
 
 
 # ---------------------------------------------------------------------------
@@ -462,13 +407,17 @@ def _bind_report(g, key, build, spec, verify):
 
 
 def synth_diag_noancilla(g, spec, strategy="auto", verify=True):
-    """Connectivity-respecting circuit for diag(e^{i theta}) on g, with a
-    per-strategy register split; returns (circuit, report).  The template
-    of (g, strategy) is built once and cached on g.
+    """Connectivity-respecting circuit for diag(e^{i theta}) on g; returns
+    (circuit, report).  `strategy` names the construction: "general" (the
+    depth-first split), "expander" (the matching-cascade split) or "auto"
+    (the split of g's family, see `_auto_strategy`).  The template of
+    (g, strategy) is built once and cached on g.
 
     verify=False skips the simulation residual (counting-only runs)."""
     if g.n != spec.n:
         raise ValueError("graph size must equal qubit count")
+    if strategy not in ("auto", "general", "expander"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     return _bind_report(g, ("noancilla", strategy),
                         lambda: _dispatch(g, strategy), spec, verify)
 
@@ -478,6 +427,8 @@ def _is_complete(g):
 
 
 def _auto_strategy(g):
+    """The construction "auto" runs on g: its family's split, the walk on a
+    complete graph, else the general split."""
     if g.kind in ("path", "grid", "tree", "star"):
         return g.kind
     if _is_complete(g):
@@ -493,12 +444,8 @@ def _dispatch(g, strategy="auto"):
     by distance from it."""
     if strategy == "auto":
         strategy = _auto_strategy(g)
-    if strategy in ("path", "grid", "tree", "star") and g.kind != strategy:
-        raise StrategyGraphMismatch(f"{strategy} strategy on {g.kind} graph")
     split = casc = None
     if strategy == "complete":
-        if not _is_complete(g):
-            raise StrategyGraphMismatch("complete strategy on sparse graph")
         if g.n > 20:
             raise ValueError("n too large for dense angle solve")
         t = Template(g.n, g.n)
@@ -514,8 +461,6 @@ def _dispatch(g, strategy="auto"):
         split, casc = _expander_split(g)
     elif strategy == "general":
         split = _general_split(g)
-    elif strategy not in ("tree", "star"):
-        raise ValueError(f"unknown strategy {strategy!r}")
 
     if split is None:
         dist = g.bfs_dist(g.center())
@@ -523,9 +468,14 @@ def _dispatch(g, strategy="auto"):
         _walk(t, g, sorted(range(1, g.n + 1), key=lambda v: (dist[v], v)))
         return _seal(t, f"{strategy}-walk")
     if casc is not None:
-        emitter = _cascade_emitter(g, casc)
+        emitter = _ladder_emitter(
+            g, [[("cx", e, None) for e in m] for m in casc.matchings],
+            casc.sets[0])
     elif strategy == "general":
-        emitter = _chain_emitter(g, split.tverts)
+        emitter = _ladder_emitter(
+            g, [route_cnot_gates(g, u, v)
+                for u, v in zip(split.tverts, split.tverts[1:])],
+            split.tverts[:1])
     else:
         emitter = _routed_pair_emitter(g)
     return _framework(g, split, emitter,

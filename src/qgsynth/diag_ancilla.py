@@ -86,7 +86,7 @@ def _aux_width(n_pre):
     return min(2 * math.ceil(math.log2(n_pre)), n_pre)
 
 
-def _blocks_on_line(order, n, m_eff, p0):
+def _blocks_on_line(order, n, m, p0):
     """Greedy placement of R_1..R_r along `order` (ancilla vertices in line
     order): per block, n-p alternating copy/target pairs then tau aux slots.
     Returns (p, tau, blocks); shrinks p (and then tau, possibly to 0)
@@ -95,8 +95,8 @@ def _blocks_on_line(order, n, m_eff, p0):
     for p in range(min(p0, n // 2), 0, -1):
         npf = n - p
         r = -(-(1 << p) // npf)
-        if 2 * r * npf <= m_eff:
-            tau = min(_aux_width(npf), max(0, m_eff // r - 2 * npf))
+        if 2 * r * npf <= m:
+            tau = min(_aux_width(npf), max(0, m // r - 2 * npf))
             break
     else:
         raise InsufficientAncilla("no block arrangement fits")
@@ -118,12 +118,14 @@ def _blocks_on_line(order, n, m_eff, p0):
     return p, tau, blocks
 
 
-def _line_layout(n, m, order, p0, kind):
+def _line_layout(n, m, order, kind):
     """Blocks along the ancilla vertices n+1..n+m of `order`, inputs on
-    1..n."""
-    m_eff = min(m, 3 * (1 << n))
+    1..n.  At most 2^p0 targets, p0 = log2(m / c) with m clipped to
+    2c..c 2^n: c = 18 ancilla per target on a grid, 3 on other lines."""
+    c = 18 if kind == "grid" else 3
+    p0 = int(math.log2(max(2 * c, min(m, c << n)) / c))
     line = [v for v in order if n < v <= n + m]
-    p, tau, blocks = _blocks_on_line(line[:m_eff], n, m_eff, p0)
+    p, tau, blocks = _blocks_on_line(line, n, m, p0)
     npf = n - p
     r_targ, ell_plan = [], []
     for b in blocks:
@@ -215,14 +217,12 @@ def build_layout(g, n, m):
     if n + m > g.n:
         raise ValueError("graph has fewer than n + m vertices")
     if g.kind == "path":
-        p0 = max(1, int(math.log2(max(2.0, min(m, 3 << n) / 3))))
-        return _line_layout(n, m, list(range(1, n + m + 1)), p0, "path")
+        return _line_layout(n, m, list(range(1, n + m + 1)), "path")
     if g.kind == "grid":
         if m < 36 * n:
             raise InsufficientAncilla(f"grid layout needs m >= 36n, got {m}")
-        order = hamiltonian_path_grid(g.params["dims"])
-        p0 = int(math.log2(min(m, 18 << n) / 18))
-        return _line_layout(n, m, order, p0, "grid")
+        return _line_layout(n, m, hamiltonian_path_grid(g.params["dims"]),
+                            "grid")
     if g.kind == "tree" and g.params.get("arity") == 2:
         try:
             return _tree_layout(n, m)
@@ -236,8 +236,7 @@ def build_layout(g, n, m):
                 if v <= g.n:
                     order.append(v)
                     stack += (2 * v + 1, 2 * v)
-            p0 = max(1, int(math.log2(max(2.0, min(m, 3 << n) / 3))))
-            return _line_layout(n, m, order, p0, "tree")
+            return _line_layout(n, m, order, "tree")
     raise InsufficientAncilla(f"no ancilla layout for graph kind {g.kind!r}")
 
 

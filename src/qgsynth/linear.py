@@ -51,12 +51,6 @@ def route_cnot_gates(g, u, v):
                     lambda: tuple(cnot_along(shortest_path(g, u, v))))
 
 
-def route_cnot(g, u, v):
-    c = Circuit(g.n)
-    c.gates.extend(route_cnot_gates(g, u, v))
-    return c
-
-
 def fanout(g, control, targets):
     """XOR the control qubit into every target: |x>|y_1..y_t> ->
     |x>|y_1 + x .. y_t + x>, where control,t_1,..,t_k is a path in g.

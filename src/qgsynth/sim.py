@@ -381,6 +381,8 @@ def verify_target(c, target, m=None):
         if len(plan.runs) == 1:  # phase-type
             return _diagonal_check(plan, c, theta, n, m)
     state = hasattr(target, "amplitudes")
+    if theta is None and not state and n > UNITARY_QUBIT_CAP:
+        raise TooLarge(f"{n}-qubit matrix target > cap {UNITARY_QUBIT_CAP}")
     cols, idx, amp = _run(c, plan, 0, 0 if state else n, m)
     anc = (idx & np.uint64((1 << m) - 1)) != 0
     leak = np.abs(amp[anc])
@@ -420,10 +422,15 @@ def _phase_type(c):
 def assemble_report(c, g, target=None, m=None, backend="", extra=None):
     """The report of c on g.  Scan and plan of an unread bound circuit are
     its template's, kept there (the template's gates are c's but for the
-    angles), so such a report builds none of c's gates; any other circuit
-    is scanned and planned afresh.  The angles are always read from c, so
-    verification is a check of c itself."""
-    depth, size, twoq, bad, stages = (c.template or c).scan(g)
+    angles), so such a report builds none of c's gates; any other circuit,
+    or one whose stage marks are no longer the template's, is scanned and
+    planned afresh.  The angles are always read from c, so verification is
+    a check of c itself; a target beyond the simulation caps is reported
+    "not simulated"."""
+    t = c.template
+    if t is None or c.meta.get("marks") is not t.meta.get("marks"):
+        t = c
+    depth, size, twoq, bad, stages = t.scan(g)
     residual = restored = None
     if target is not None:
         n = target.n
@@ -434,7 +441,10 @@ def assemble_report(c, g, target=None, m=None, backend="", extra=None):
         residual = "not simulated"
         if n + m <= STATE_QUBIT_CAP or (n <= STATE_QUBIT_CAP and hasattr(
                 target, "theta") and _phase_type(c)):
-            residual, restored = verify_target(c, target, m)
+            try:
+                residual, restored = verify_target(c, target, m)
+            except TooLarge:
+                pass
     report = {
         "depth": depth,
         "size": size,

@@ -226,12 +226,6 @@ def _last_target_branches(V):
     return np.moveaxis(tensor, n - 2, t - 1).reshape(-1, 2, 2)
 
 
-def retarget_last(V):
-    """Equivalent UCG with target n, valid after exchanging the contents of
-    qubits V.target and n (branch table reindexed accordingly)."""
-    return V if V.target == V.n else UcgSpec(V.n, _last_target_branches(V))
-
-
 def _cascade_template(g, skeletons, ms):
     """Template of a UCG cascade on g, slots reading `_cascade`'s params:
     UCG k, skeleton (n, target, emitted), on qubits 1..n with ms[k]

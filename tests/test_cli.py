@@ -136,6 +136,30 @@ def test_strategy_with_ancilla_exits_2(files, capsys):
     assert capsys.readouterr().err.startswith("error: --strategy")
 
 
+@pytest.mark.parametrize("strategy", ["path", "complete", "tree", "bogus"])
+def test_strategy_outside_the_constructions_exits_2(files, strategy, capsys):
+    rc = run_command(["synth", "diag", "--graph", files["path3"], "--angles",
+                      files["angles"], "--strategy", strategy])
+    assert rc == 2
+    assert "unknown strategy" in capsys.readouterr().err
+    assert run_command(["synth", "diag", "--graph", files["path3"],
+                        "--angles", files["angles"], "--strategy",
+                        "general"]) == 0
+
+
+def test_verify_takes_the_ancilla_from_the_saved_circuit(files, capsys):
+    # the circuit of `synth -m 8` has 3 + 8 qubits; verify without -m
+    # takes the 8 trailing ones as ancilla
+    graph = write(files["tmp"] / "path11.json", {"kind": "path", "n": 11})
+    out = str(files["tmp"] / "c.json")
+    assert run_command(["synth", "diag", "--graph", graph, "--angles",
+                        files["angles"], "-m", "8", "--out", out]) == 0
+    capsys.readouterr()
+    assert run_command(["verify", "--graph", graph, "--circuit", out,
+                        "--angles", files["angles"]]) == 0
+    assert json.loads(capsys.readouterr().out)["residual"] <= 1e-8
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["synth", "diag"], "--angles"),
     (["synth", "qsp"], "--state"),

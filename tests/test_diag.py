@@ -4,7 +4,9 @@ import pytest
 
 from qgsynth.diag import (
     DiagonalSpec,
-    StrategyGraphMismatch,
+    _expander_split,
+    _path_split,
+    _tree2_split,
     synth_diag_noancilla,
 )
 from qgsynth.gray import solve_phase_coefficients
@@ -71,11 +73,15 @@ def test_general_connected_graph():
     check_diag(g, random_spec(rng, 5))
 
 
-def test_strategy_graph_mismatch_raises():
+@pytest.mark.parametrize("name", ["path", "grid", "tree", "star", "complete",
+                                  "tree2", "Auto", ""])
+def test_strategy_names_a_construction(name):
+    # "auto", "general" and "expander" are the constructions; a graph
+    # family's name is not a strategy, even on its own family
     rng = np.random.default_rng(24)
-    with pytest.raises(StrategyGraphMismatch):
-        synth_diag_noancilla(star_graph(4), random_spec(rng, 4),
-                             strategy="path")
+    for g in (star_graph(4), path_graph(4), complete_graph(4)):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            synth_diag_noancilla(g, random_spec(rng, 4), strategy=name)
 
 
 def test_size_stays_within_linear_blowup():
@@ -128,3 +134,32 @@ def test_expander_strategy_needs_three_vertices():
     with pytest.raises(InvalidParameters):
         synth_diag_noancilla(complete_graph(2), random_spec(rng, 2),
                              strategy="expander")
+
+
+def test_path_split_registers():
+    # tau tail controls after r_t interleaved control/target pairs
+    for n in range(2, 601):
+        split = _path_split(list(range(1, n + 1)))
+        tau = split.r_c - split.r_t
+        assert tau >= 0 and split.r_t >= 1 and 2 * split.r_t + tau == n
+        assert sorted(split.cverts + split.tverts) == list(range(1, n + 1))
+
+
+def test_tree2_split_registers():
+    # no split below a full third level; above it both registers are used
+    for n in range(1, 7):
+        assert _tree2_split(tree_graph(2, n=n)) is None
+    for n in range(7, 1101):
+        split = _tree2_split(tree_graph(2, n=n))
+        assert split.r_c >= 1 and split.r_t >= 1, n
+        assert sorted(split.cverts + split.tverts) == list(range(1, n + 1))
+        assert 1 not in split.tverts
+
+
+@pytest.mark.parametrize("g", [complete_graph(n) for n in range(3, 15)]
+                         + [CIRCULANT], ids=lambda g: f"{g.kind}{g.n}")
+def test_expander_split_registers(g):
+    split, casc = _expander_split(g)
+    assert split.r_c >= 1 and split.r_t >= 1
+    assert sorted(split.cverts + split.tverts) == list(range(1, g.n + 1))
+    assert split.tverts == list(casc.sets[-1])

@@ -291,9 +291,9 @@ def _pipeline_on(k):
     (complete_graph(12), 3, 9, [_noancilla_on(complete_graph(3))],
      "noancilla-complete"),
     (star_graph(9), 9, 0, [_strategy("auto")], "noancilla-star-walk"),
-    (grid_graph([3, 3]), 9, 0, [_strategy("general"), _strategy("grid")],
+    (grid_graph([3, 3]), 9, 0, [_strategy("general"), _strategy("auto")],
      "noancilla-general"),
-    (grid_graph([2, 7]), 14, 0, [_strategy("general"), _strategy("grid")],
+    (grid_graph([2, 7]), 14, 0, [_strategy("general"), _strategy("auto")],
      "noancilla-grid"),
     # the general split wins here: 959, against 2,290 for the path
     # strategy and 2,156 and 1,564 for the pipeline on m' = 32 and 16

@@ -45,8 +45,7 @@ GRAPHS = {
     "point": lambda: path_graph(1),
     "grid-point": lambda: grid_graph([1]),
 }
-STRATEGIES = ["auto", "complete", "path", "grid", "tree", "star", "expander",
-              "general", "unknown"]
+STRATEGIES = ["auto", "expander", "general", "unknown"]
 
 
 def _spec(n, seed):
@@ -170,92 +169,42 @@ GOLDEN = {
     "auto-noancilla-star": "6af5cd6c3f126b47",
     "auto-noancilla-tree3": "925fa41f4af046d4",
     "noanc-brickwall-auto": "4576e78fc891f534",
-    "noanc-brickwall-complete": "5a16129878293757",
     "noanc-brickwall-expander": "30bd9c65c66bbd15",
     "noanc-brickwall-general": "4576e78fc891f534",
-    "noanc-brickwall-grid": "ba08f452f68968c1",
-    "noanc-brickwall-path": "5ae94230b819a1e0",
-    "noanc-brickwall-star": "51b7bb8b0c4f4ecd",
-    "noanc-brickwall-tree": "fd4b23a83aaa48d0",
     "noanc-brickwall-unknown": "3fd6e61f300b2ca2",
     "noanc-complete-auto": "2cd9c71113865516",
-    "noanc-complete-complete": "2cd9c71113865516",
     "noanc-complete-expander": "28bf3ec5ae36f06b",
     "noanc-complete-general": "b96a7cd89a125dd0",
-    "noanc-complete-grid": "ad915c8c4c0fa0b2",
-    "noanc-complete-path": "c0755c2e7b6c15c6",
-    "noanc-complete-star": "294ab878fb1b4a4b",
-    "noanc-complete-tree": "480b443df80f888d",
     "noanc-complete-unknown": "3fd6e61f300b2ca2",
     "noanc-cycle-auto": "9218115bf59c5c64",
-    "noanc-cycle-complete": "5a16129878293757",
     "noanc-cycle-expander": "73e7973641fb0127",
     "noanc-cycle-general": "9218115bf59c5c64",
-    "noanc-cycle-grid": "ad915c8c4c0fa0b2",
-    "noanc-cycle-path": "c0755c2e7b6c15c6",
-    "noanc-cycle-star": "294ab878fb1b4a4b",
-    "noanc-cycle-tree": "480b443df80f888d",
     "noanc-cycle-unknown": "3fd6e61f300b2ca2",
     "noanc-grid-auto": "51936c1798d13c40",
-    "noanc-grid-complete": "5a16129878293757",
     "noanc-grid-expander": "4ae983d525f2e636",
     "noanc-grid-general": "8550e8554c638afa",
-    "noanc-grid-grid": "51936c1798d13c40",
-    "noanc-grid-path": "32c205af7a8d829f",
     "noanc-grid-point-auto": "7b3adeef08909de7",
-    "noanc-grid-point-complete": "092fac7fc45687fe",
     "noanc-grid-point-general": "82467cdb143598e6",
-    "noanc-grid-point-grid": "7b3adeef08909de7",
-    "noanc-grid-point-path": "32c205af7a8d829f",
-    "noanc-grid-point-star": "1f3ad309a2cbd8bd",
-    "noanc-grid-point-tree": "856e3cae54bfe394",
     "noanc-grid-point-unknown": "3fd6e61f300b2ca2",
-    "noanc-grid-star": "1f3ad309a2cbd8bd",
-    "noanc-grid-tree": "856e3cae54bfe394",
     "noanc-grid-unknown": "3fd6e61f300b2ca2",
     "noanc-path-auto": "56876d8f772db0e2",
-    "noanc-path-complete": "5a16129878293757",
     "noanc-path-expander": "0a8b027f8ce7dc11",
     "noanc-path-general": "7b9b691b3e8544df",
-    "noanc-path-grid": "378807bc99c5f01a",
-    "noanc-path-path": "56876d8f772db0e2",
-    "noanc-path-star": "ae29cbd30c53d2fa",
-    "noanc-path-tree": "abcf837ce2949977",
     "noanc-path-unknown": "3fd6e61f300b2ca2",
     "noanc-point-auto": "2421341411b930dd",
-    "noanc-point-complete": "3c32579045a331b2",
     "noanc-point-general": "d477a1c9e48f7344",
-    "noanc-point-grid": "378807bc99c5f01a",
-    "noanc-point-path": "2421341411b930dd",
-    "noanc-point-star": "ae29cbd30c53d2fa",
-    "noanc-point-tree": "abcf837ce2949977",
     "noanc-point-unknown": "3fd6e61f300b2ca2",
     "noanc-star-auto": "fba19c0bb7a4d5e3",
-    "noanc-star-complete": "5a16129878293757",
     "noanc-star-expander": "d1903435af002c20",
     "noanc-star-general": "a5f1157b39e846b0",
-    "noanc-star-grid": "93ad5ee33d777490",
-    "noanc-star-path": "d1f3a373e3974369",
-    "noanc-star-star": "fba19c0bb7a4d5e3",
-    "noanc-star-tree": "72c9727e3cf87962",
     "noanc-star-unknown": "3fd6e61f300b2ca2",
     "noanc-tree2-auto": "7265f7fd80eb28cf",
-    "noanc-tree2-complete": "5a16129878293757",
     "noanc-tree2-expander": "97c3c6d80a071dae",
     "noanc-tree2-general": "e1de73dd06982e62",
-    "noanc-tree2-grid": "570fe565fe432d6a",
-    "noanc-tree2-path": "3d294f35dda0cde0",
-    "noanc-tree2-star": "51d6bec5b33ab68d",
-    "noanc-tree2-tree": "7265f7fd80eb28cf",
     "noanc-tree2-unknown": "3fd6e61f300b2ca2",
     "noanc-tree3-auto": "c6102d4e511d68c4",
-    "noanc-tree3-complete": "5a16129878293757",
     "noanc-tree3-expander": "0f1630edbe9d7651",
     "noanc-tree3-general": "af54d69a9cccfc1d",
-    "noanc-tree3-grid": "570fe565fe432d6a",
-    "noanc-tree3-path": "3d294f35dda0cde0",
-    "noanc-tree3-star": "51d6bec5b33ab68d",
-    "noanc-tree3-tree": "c6102d4e511d68c4",
     "noanc-tree3-unknown": "3fd6e61f300b2ca2",
 }
 

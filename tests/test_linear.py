@@ -5,7 +5,6 @@ from qgsynth.graphs import grid_graph, path_graph, shortest_path
 from qgsynth.linear import (
     cnot_along,
     fanout,
-    route_cnot,
     route_cnot_gates,
     synth_permutation,
 )
@@ -26,7 +25,7 @@ def classical_out(c, basis):
 
 def test_routed_cnot_is_exact_cnot():
     g = path_graph(6)
-    c = route_cnot(g, 1, 6)
+    c = as_circuit(6, route_cnot_gates(g, 1, 6))
     n = 6
     # brute force over all basis states on 6 qubits
     for b in range(1 << n):

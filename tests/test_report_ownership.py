@@ -125,3 +125,30 @@ def test_warm_report_equals_report_of_a_plain_copy(entry, family, n, m,
     if verify:
         assert report["residual"] <= 1e-8 and report["ancilla_restored"]
     assert {k[0] for k in g._memo} <= MEMO_FAMILIES
+
+
+def test_report_follows_the_circuits_own_marks():
+    # a warm bound circuit whose marks were replaced is reported by its own
+    # marks, as a plain copy is, not by its template's scan
+    g = path_graph(16)
+    spec = DiagonalSpec(4, np.random.default_rng(82).uniform(0, 6, 16))
+    synth_diag_auto(g, spec, 12)
+    c, report = synth_diag_auto(g, spec, 12)
+    assert len(report["stages"]) == 4 and c.template is not None
+    assert c.meta["marks"] is c.template.meta["marks"]
+    c.meta["marks"] = c.meta["marks"][:1]
+    rep = assemble_report(c, g, spec)
+    first = report["stages"][0]["stage"]
+    assert [row["stage"] for row in rep["stages"]] == [first, None]
+    assert rep == assemble_report(plain(c), g, spec)
+    # an equal tuple in a new object gives the template's rows back
+    d, _ = synth_diag_auto(g, spec, 12)
+    d.meta["marks"] = tuple(list(d.meta["marks"]))
+    assert assemble_report(d, g, spec)["stages"] == report["stages"]
+    # and a replaced tuple naming other stages is honoured
+    e, _ = synth_diag_auto(g, spec, 12)
+    end = len(e.gates)
+    e.meta["marks"] = (("first", end // 2), ("second", end))
+    rows = assemble_report(e, g, spec)["stages"]
+    assert [row["stage"] for row in rows] == ["first", "second"]
+    assert sum(row["depth"] for row in rows) == report["depth"]

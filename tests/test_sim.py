@@ -728,3 +728,15 @@ def test_diagonal_check_keeps_its_term_indices_on_the_plan():
         assert c.template.plan is plan
         assert plan.projected[m] is kept and list(plan.projected) == [m]
         assert np.array_equal(kept, [s >> m for s in plan.runs[0].terms])
+
+
+def test_report_on_a_ucg_beyond_the_matrix_cap_is_not_simulated():
+    # a 13-qubit UCG would need two dense 2^13 x 2^13 matrices (2 GB):
+    # verify_target refuses before simulating, and the report says so
+    n = sim.UNITARY_QUBIT_CAP + 1
+    spec = UcgSpec(n, np.tile(np.eye(2, dtype=complex), (1 << (n - 1), 1, 1)))
+    with pytest.raises(sim.TooLarge):
+        verify_target(Circuit(n), spec)
+    rep = assemble_report(Circuit(n), path_graph(n), target=spec)
+    assert rep["residual"] == "not simulated"
+    assert rep["ancilla_restored"] is None

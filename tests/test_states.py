@@ -18,9 +18,9 @@ from qgsynth.states import (
     StateSpec,
     UcgSpec,
     UnitarySpec,
+    _last_target_branches,
     gus_synthesize,
     qsp_synthesize,
-    retarget_last,
     state_to_ucgs,
     synth_ucg,
     unitary_to_ucgs,
@@ -93,7 +93,7 @@ def test_ucg_reconstruction_any_target():
 def test_retarget_last_preserves_matrix():
     rng = np.random.default_rng(43)
     V = random_ucg(rng, 3, 1)
-    W = retarget_last(V)
+    W = UcgSpec(V.n, _last_target_branches(V))
     assert W.target == W.n
     # same operator after relabeling qubit 1 <-> qubit 3
     u = ucg_matrix(V)

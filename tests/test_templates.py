@@ -54,7 +54,7 @@ def _relabelled_path(k):
 
 
 # builders that a warm call must not enter
-BUILDERS = [(diag, "_framework"), (diag, "_diag_walk"),
+BUILDERS = [(diag, "_framework"), (diag, "_walk"),
             (diag_ancilla, "_ancilla_pipeline"),
             (diag_ancilla, "_expander_template")]
 ROUTERS = [diag, diag_ancilla, linear]
@@ -199,7 +199,7 @@ def test_mutating_results_leaves_the_next_call_alone(make, n):
     want_c, want_r = dump(c), json.dumps(report)
     c.gates[0] = ("x", (1,), None)
     c.gates.append(("x", (2,), None))
-    c.meta["marks"].append(("extra", 0))
+    c.meta["marks"] += (("extra", 0),)
     c.meta["backend"] = "changed"
     report["stages"][0]["depth"] = -1
     report["stages"].append({"stage": "extra"})
