@@ -275,6 +275,8 @@ def depth_lower_bound(g, task, n, m):
     """
     if task not in TASK_DIMENSION:
         raise ValueError(f"unknown task {task!r}")
+    if not 1 <= n <= g.n:
+        raise ValueError(f"n = {n} is not in 1..{g.n}, the graph's vertices")
     if m != g.n - n:
         raise ValueError("m must equal |V| - n")
     base = TASK_DIMENSION[task]

@@ -94,27 +94,6 @@ class Circuit:
                     raise ValueError(f"qubit {q} out of range")
         self.gates.append((name, tuple(qubits), param))
 
-    def r(self, q, theta):
-        self.add("r", (q,), theta)
-
-    def rz(self, q, theta):
-        self.add("rz", (q,), theta)
-
-    def ry(self, q, theta):
-        self.add("ry", (q,), theta)
-
-    def h(self, q):
-        self.add("h", (q,))
-
-    def s(self, q):
-        self.add("s", (q,))
-
-    def sdg(self, q):
-        self.add("sdg", (q,))
-
-    def x(self, q):
-        self.add("x", (q,))
-
     def u2(self, q, mat):
         self.add("u2", (q,), np.asarray(mat, dtype=complex))
 
@@ -449,6 +428,8 @@ def circuit_from_json(obj):
         anc = int(obj.get("ancilla", 0))
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad circuit header: {e}") from None
+    if not 0 <= anc <= n:
+        raise ParseError(f"bad circuit header: ancilla {anc} not in 0..{n}")
     c = Circuit(n, anc)
     for i, g in enumerate(obj.get("gates", [])):
         try:

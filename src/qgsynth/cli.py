@@ -20,10 +20,10 @@ import numpy as np
 
 from .bounds import (brickwall_embedding, depth_lower_bound,
                      lightcone_budget_check, transform_circuit)
-from .circuit import Circuit, circuit_from_json, circuit_to_json
+from .circuit import circuit_from_json, circuit_to_json
 from .diag import DiagonalSpec, synth_diag_noancilla
 from .diag_ancilla import synth_diag_auto
-from .graphs import build_graph, explicit_graph, graph_to_json, path_graph, \
+from .graphs import build_graph, graph_to_json, path_graph, \
     star_graph, tree_graph
 from .sim import assemble_report
 from .states import (StateSpec, UcgSpec, UnitarySpec, gus_synthesize,
@@ -141,8 +141,7 @@ def _cmd_verify(args):
 
 def _cmd_bound(args):
     g = _load_graph(args.graph)
-    m = g.n - args.n if args.m is None else args.m
-    rep = depth_lower_bound(g, args.task, args.n, m)
+    rep = depth_lower_bound(g, args.task, args.n, g.n - args.n)
     print(json.dumps({"terms": rep["terms"], "max": rep["max"],
                       "nu": rep["nu"], "note": rep["note"]}, indent=2))
     return 0
@@ -158,18 +157,12 @@ def _cmd_lightcone(args):
 
 def _cmd_transform(args):
     bw = _load_graph(args.graph)
-    grid, vmap, bridge = brickwall_embedding(bw)
+    grid, _, bridge = brickwall_embedding(bw)
     c = circuit_from_json(_load_json(args.circuit))
     if c.n != grid.n:
         print("circuit size does not match the embedded grid", file=sys.stderr)
         return 2
-    lifted = Circuit(bw.n, c.ancilla)
-    for name, qs, p in c.gates:
-        lifted.gates.append((name, tuple(vmap[q] for q in qs), p))
-    gp = explicit_graph(bw.n, set(bw.edges) | {
-        (u, v) for u, v in bridge.edge_paths()
-    })
-    out = transform_circuit(lifted, bw, gp, bridge)
+    out = transform_circuit(c, bw, grid, bridge)
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(circuit_to_json(out), fh)
@@ -284,7 +277,6 @@ def build_parser():
     bo.add_argument("--graph", required=True)
     bo.add_argument("--task", choices=["qsp", "diag", "gus"], required=True)
     bo.add_argument("-n", type=int, required=True)
-    bo.add_argument("-m", type=int)
     bo.set_defaults(func=_cmd_bound)
 
     li = sub.add_parser("lightcone", help="reachable-set budget audit")

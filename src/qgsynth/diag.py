@@ -35,7 +35,7 @@ from .graphs import (
     vertex_expansion,
 )
 from .gray import gray_code, solve_phase_coefficients
-from .linear import _f2_reduce, route_cnot_gates
+from .linear import _f2_reduce, ladder, route_cnot_gates
 from .sim import assemble_report
 
 
@@ -272,19 +272,15 @@ def _routed_pair_emitter(g):
 
 
 def _ladder_emitter(g, rungs, seeds):
-    """Shared-control multi-target CNOT as a ladder: go down the rungs
-    (gate lists), inject the control at every seed, then go back up.  Each
-    vertex the ladder reaches picks up the control bit, and every other
-    value is restored because each rung is replayed.  Only the injection
-    depends on the control."""
-    down = [gate for rung in reversed(rungs) for gate in rung]
-    up = [gate for rung in rungs for gate in rung]
+    """Shared-control multi-target CNOT as the `linear.ladder` of `rungs`
+    around routed CNOTs from the control to every seed.  Only the
+    injection depends on the control."""
 
     def emit(pairs):
         control = pairs[0][0]
         assert all(u == control for u, _ in pairs)
-        return down + [gate for v in seeds
-                       for gate in route_cnot_gates(g, control, v)] + up
+        return ladder(rungs, [gate for v in seeds
+                              for gate in route_cnot_gates(g, control, v)])
 
     return emit
 

@@ -4,10 +4,14 @@ The main pipeline splits the phase function theta(x) = sum_s alpha_s <s,x>
 by suffix: with p suffix bits, 2^p borrowed target qubits each track one
 suffix pattern t_k, and a Gray cycle over the 2^{n-p} prefixes visits every
 nonzero s exactly once.  Five stages, each marked on the one circuit:
-suffix-copy, gray-init, prefix-copy, gray-cycle, inverse.  Layouts exist
-for paths, grids (along a Hamiltonian path) and binary trees; expanders use
-a 3-stage variant (gray-init, gray-cycle, inverse) that re-fans single bits
-through the matching cascade instead of keeping copies.  `synth_diag_auto`
+suffix-copy, gray-init, prefix-copy, gray-cycle, inverse.  A layout keeps
+the inputs on 1..n and splits the ancilla into blocks of copy, target and
+aux slots; it exists for paths, grids (along a Hamiltonian path) and binary
+trees (subtree blocks, or a depth-first line on shallow trees).  Every copy
+stage is one loop that fills slots from the nearest holder of each bit, and
+the inverse replays the copies backwards.  Expanders use a 3-stage variant
+(gray-init, gray-cycle, inverse) that re-fans single bits through the
+matching cascade instead of keeping copies.  `synth_diag_auto`
 builds the no-ancilla strategies of diag.py (on a path the general split
 too) and the pipeline on a ladder of m, m//2, m//4, ... ancilla, and keeps
 the shallowest; the expander variant has its own entry point only.
@@ -19,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Template
+from .circuit import Template
 from .diag import _as_spec, _bind_report, _check_ancilla, _dispatch
 from .graphs import (
     GrowthStalled,
+    dfs_order,
     explicit_graph,
     hamiltonian_path_grid,
     path_graph,
@@ -54,10 +59,10 @@ class SubRegister:
 
 @dataclass
 class RegisterLayout:
-    r_inp: list
-    r_copy: list
-    r_targ: list  # exactly 2^p vertices; index k-1 is target k
-    r_aux: list
+    """Inputs on 1..n and the ancilla blocks that hold the 2^p targets; no
+    vertex is in two slots."""
+
+    n: int
     p: int
     tau: int
     ell_plan: list  # Gray-code index for each target, length 2^p
@@ -66,17 +71,20 @@ class RegisterLayout:
     wasted: int = 0
 
     def __post_init__(self):
-        regs = [self.r_inp, self.r_copy, self.r_targ, self.r_aux]
-        seen = set()
-        for reg in regs:
-            for v in reg:
-                if v in seen:
-                    raise ValueError(f"vertex {v} in two registers")
-                seen.add(v)
+        slots = [*range(1, self.n + 1)]
+        for b in self.sub_registers:
+            slots += b.copy_slots + b.targ_slots + b.aux_slots
+        if len(set(slots)) != len(slots):
+            raise ValueError("a vertex in two slots")
         if len(self.r_targ) != 1 << self.p:
             raise ValueError("target register must have 2^p qubits")
         if len(self.ell_plan) != 1 << self.p:
             raise ValueError("ell_plan length mismatch")
+
+    @property
+    def r_targ(self):
+        """The 2^p target vertices, block by block; index k-1 is target k."""
+        return [v for b in self.sub_registers for v in b.targ_slots]
 
 
 def _aux_width(n_pre):
@@ -101,20 +109,14 @@ def _blocks_on_line(order, n, m, p0):
     else:
         raise InsufficientAncilla("no block arrangement fits")
     npf = n - p
+    width = 2 * npf + tau
     blocks = []
-    pos = iter(order)
-    placed = 0
-    for _ in range(r):
-        copy, targ, aux = [], [], []
-        for _ in range(npf):
-            copy.append(next(pos))
-            v = next(pos)
-            if placed < (1 << p):
-                targ.append(v)
-                placed += 1
-        for _ in range(tau):
-            aux.append(next(pos))
-        blocks.append(SubRegister(copy, targ, aux))
+    for q in range(r):
+        seg = order[q * width:(q + 1) * width]
+        # the first 2^p target slots, block by block
+        free = max(0, (1 << p) - q * npf)
+        blocks.append(SubRegister(seg[:2 * npf:2], seg[1:2 * npf:2][:free],
+                                  seg[2 * npf:]))
     return p, tau, blocks
 
 
@@ -127,22 +129,8 @@ def _line_layout(n, m, order, kind):
     line = [v for v in order if n < v <= n + m]
     p, tau, blocks = _blocks_on_line(line, n, m, p0)
     npf = n - p
-    r_targ, ell_plan = [], []
-    for b in blocks:
-        for v in b.targ_slots:
-            k = len(r_targ) + 1
-            r_targ.append(v)
-            ell_plan.append((k - 1) % npf + 1)
-    return _layout(n, blocks, r_targ, ell_plan, p=p, tau=tau, kind=kind,
-                   wasted=m - (2 * npf + tau) * len(blocks))
-
-
-def _layout(n, blocks, r_targ, ell_plan, **kw):
-    """The RegisterLayout of `blocks`, inputs on 1..n."""
-    return RegisterLayout(list(range(1, n + 1)),
-                          [v for b in blocks for v in b.copy_slots], r_targ,
-                          [v for b in blocks for v in b.aux_slots],
-                          ell_plan=ell_plan, sub_registers=blocks, **kw)
+    return RegisterLayout(n, p, tau, [k % npf + 1 for k in range(1 << p)],
+                          blocks, kind, m - (2 * npf + tau) * len(blocks))
 
 
 def _tree_layout(n, m):
@@ -185,28 +173,20 @@ def _tree_layout(n, m):
     def level_of(z, rel):
         return list(range(z << rel, (z << rel) + (1 << rel)))
 
-    total_targets = len(roots) * (1 << targ_layer)
-    p = min(int(math.log2(total_targets)), n - 1)
-    if p < 1:
-        raise InsufficientAncilla("no room for target qubits in tree")
-    npf = n - p
-    tau = min((1 << b) - 2, npf) if len(aux_layers) else 0
-    blocks, r_targ, ell_plan = [], [], []
-    for z in roots:
-        copy = [v for rel in copy_layers for v in level_of(z, rel)]
-        targ_all = level_of(z, targ_layer)
-        aux = [v for rel in aux_layers for v in level_of(z, rel)]
-        targ = []
-        for v in targ_all:
-            if len(r_targ) < (1 << p):
-                targ.append(v)
-                r_targ.append(v)
-                ell_plan.append(1)
-        blocks.append(SubRegister(copy, targ, aux))
+    # every root has 2^targ_layer >= 2 target slots and n >= 2, so p >= 1
+    p = min(int(math.log2(len(roots) << targ_layer)), n - 1)
+    tau = min((1 << b) - 2, n - p) if len(aux_layers) else 0
+    blocks = []
+    for i, z in enumerate(roots):
+        # the first 2^p target slots, root by root
+        free = max(0, (1 << p) - (i << targ_layer))
+        blocks.append(SubRegister(
+            [v for rel in copy_layers for v in level_of(z, rel)],
+            level_of(z, targ_layer)[:free],
+            [v for rel in aux_layers for v in level_of(z, rel)]))
     used = sum(len(b.copy_slots) + len(b.targ_slots) + len(b.aux_slots)
                for b in blocks)
-    return _layout(n, blocks, r_targ, ell_plan, p=p, tau=tau, kind="tree",
-                   wasted=m - used)
+    return RegisterLayout(n, p, tau, [1] * (1 << p), blocks, "tree", m - used)
 
 
 def build_layout(g, n, m):
@@ -230,13 +210,7 @@ def build_layout(g, n, m):
             # shallow trees cannot host complete subtree blocks; fall back
             # to greedy blocks over a depth-first order of the tree (the
             # router keeps every CNOT on tree edges)
-            order, stack = [], [1]
-            while stack:
-                v = stack.pop()
-                if v <= g.n:
-                    order.append(v)
-                    stack += (2 * v + 1, 2 * v)
-            return _line_layout(n, m, order, "tree")
+            return _line_layout(n, m, dfs_order(g), "tree")
     raise InsufficientAncilla(f"no ancilla layout for graph kind {g.kind!r}")
 
 
@@ -246,8 +220,8 @@ class _Router:
     strictly closer to it, so the input qubit (the seed), then the earliest
     holder, wins ties."""
 
-    def __init__(self, g, r_inp, size):
-        self.r_inp = r_inp
+    def __init__(self, g, inputs, size):
+        self.inputs = inputs
         # vertex -> BFS distances to 1..size, scratch for one build (kept on
         # g, the rows of a large ancilla graph would hold megabytes)
         self._row = functools.cache(
@@ -258,7 +232,7 @@ class _Router:
         """Forget every copy: each bit is held by its input qubit alone."""
         # input-bit index -> ({vertex: nearest holder}, {vertex: its distance})
         self._near = {bit: (dict.fromkeys(self._row(u), u), dict(self._row(u)))
-                      for bit, u in enumerate(self.r_inp, start=1)}
+                      for bit, u in enumerate(self.inputs, start=1)}
 
     def hold(self, v, bit):
         src, dist = self._near[bit]
@@ -272,21 +246,24 @@ class _Router:
         return self._near[bit][0][near]
 
 
+def _copy(c, g, rt, slots, bits):
+    """Copy input bit bits[i mod len(bits)] into slot i by a routed CNOT
+    from its nearest holder; the slot then holds that bit too."""
+    for idx, v in enumerate(slots):
+        bit = bits[idx % len(bits)]
+        c.gates.extend(route_cnot_gates(g, rt.source(bit, v), v))
+        rt.hold(v, bit)
+
+
 def _stage_sufcopy(c, g, layout, rt):
-    n = len(layout.r_inp)
-    p = layout.p
+    n, p = layout.n, layout.p
     for blk in layout.sub_registers:
-        for idx, v in enumerate(blk.copy_slots):
-            bit = n - p + 1 + (idx % p)
-            c.gates.extend(route_cnot_gates(g, rt.source(bit, v), v))
-            rt.hold(v, bit)
+        _copy(c, g, rt, blk.copy_slots, range(n - p + 1, n + 1))
 
 
 def _stage_grayinit(c, g, layout, rt):
-    n = len(layout.r_inp)
-    p = layout.p
-    for k, v in enumerate(layout.r_targ, start=1):
-        t = k - 1
+    n, p = layout.n, layout.p
+    for t, v in enumerate(layout.r_targ):
         for j in range(1, p + 1):
             if (t >> (p - j)) & 1:
                 c.gates.extend(route_cnot_gates(g, rt.source(n - p + j, v), v))
@@ -296,17 +273,10 @@ def _stage_precopy(c, g, layout, rt, sufcopy_end):
     # the suffix copies are all CNOTs: reversing their slice inverts them
     c.gates.extend(reversed(c.gates[:sufcopy_end]))
     rt.clear()
-    npf = len(layout.r_inp) - layout.p
     for blk in layout.sub_registers:
-        for idx, v in enumerate(blk.copy_slots):
-            bit = (idx % npf) + 1
-            c.gates.extend(route_cnot_gates(g, rt.source(bit, v), v))
-            rt.hold(v, bit)
-        if layout.tau:
-            for idx, v in enumerate(blk.aux_slots):
-                bit = (idx % layout.tau) + 1
-                c.gates.extend(route_cnot_gates(g, rt.source(bit, v), v))
-                rt.hold(v, bit)
+        _copy(c, g, rt, blk.copy_slots, range(1, layout.n - layout.p + 1))
+        # a block has aux slots only when tau >= 1, so bits is not empty
+        _copy(c, g, rt, blk.aux_slots, range(1, layout.tau + 1))
 
 
 def _stage_graycycle(c, g, layout, rt):
@@ -316,7 +286,7 @@ def _stage_graycycle(c, g, layout, rt):
     here, so each target's CNOT per flipped bit is routed once, and a step
     is one of the few distinct CNOT layers plus one run of rotations."""
     p = layout.p
-    npf = len(layout.r_inp) - p
+    npf = layout.n - p
     targ = layout.r_targ
     codes = {l: gray_code(npf, l) for l in set(layout.ell_plan)}
     plan = [codes[l] for l in layout.ell_plan]
@@ -342,7 +312,7 @@ def _ancilla_pipeline(g, n, m):
     """The sealed 5-stage template, with its stages marked and its report
     fields set (no report)."""
     layout = build_layout(g, n, m)
-    rt = _Router(g, layout.r_inp, n + m)
+    rt = _Router(g, range(1, n + 1), n + m)
     c = Template(g.n, n)
 
     _stage_sufcopy(c, g, layout, rt)
@@ -409,7 +379,7 @@ def _expander_template(g, n, cascade):
             perm[i + 1] = f
             perm[f] = i + 1
             inp_vert[i] = f
-    relabel = synth_permutation(g, perm) if perm else Circuit(g.n)
+    relabel = synth_permutation(g, perm).gates
 
     targ = [w for _, w in last]
     p = min(int(math.log2(len(targ))), n - 1)
@@ -427,14 +397,14 @@ def _expander_template(g, n, cascade):
         return gates
 
     c = Template(g.n, n)
-    c.gates.extend(relabel.gates)
+    c.gates.extend(relabel)
 
     grayinit = []
     for j in range(1, p + 1):
         fg = fan_gates(n - p + j)
         grayinit.extend(fg)
-        for k, w in enumerate(targ, start=1):
-            if ((k - 1) >> (p - j)) & 1:
+        for t, w in enumerate(targ):
+            if (t >> (p - j)) & 1:
                 grayinit.append(("cx", (partners[w], w), None))
         grayinit.extend(reversed(fg))
     c.gates.extend(grayinit)
@@ -457,7 +427,8 @@ def _expander_template(g, n, cascade):
     c.mark("gray-cycle")
 
     c.gates.extend(reversed(grayinit))
-    c.gates.extend(relabel.inverse().gates)
+    # a swap network is undone by its reverse
+    c.gates.extend(reversed(relabel))
     c.mark("inverse")
     c.meta.update(backend="ancilla-expander", p=p)
     return c.seal()

@@ -375,13 +375,10 @@ def hamiltonian_path_grid(dims):
     return [grid_vertex(dims, c) for c in rec(list(dims))]
 
 
-def dfs_labeling(g):
-    """DFS spanning tree from vertex 1 with labels in reverse preorder
-    (first-visited vertex gets label n), so consecutive labels are close in
-    the tree: sum_i dist_T(i, i+1) <= 2(n-1).
-
-    Returns the labels, a dict vertex -> label.
-    """
+def dfs_order(g):
+    """Vertices of g in depth-first preorder from vertex 1, smaller
+    neighbours first; a vertex is claimed when it is first pushed.  On a
+    heap-labelled binary tree this visits child 2v before 2v+1."""
     order = []
     stack = [1]
     seen = {1}
@@ -392,4 +389,14 @@ def dfs_labeling(g):
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return {v: g.n - i for i, v in enumerate(order)}
+    return order
+
+
+def dfs_labeling(g):
+    """The `dfs_order` of g labelled in reverse (first-visited vertex gets
+    label n), so consecutive labels are close in the DFS spanning tree:
+    sum_i dist_T(i, i+1) <= 2(n-1).
+
+    Returns the labels, a dict vertex -> label.
+    """
+    return {v: g.n - i for i, v in enumerate(dfs_order(g))}

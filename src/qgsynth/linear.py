@@ -8,6 +8,9 @@ these primitives can be reasoned about as if the graph were complete.
 nearest-neighbour CNOTs of CNOT(path[0] -> path[-1]).  `route_cnot_gates`
 applies it to a shortest path and keeps the gate tuple in the graph's memo,
 so every synthesis routine that routes on one graph shares its routes.
+`ladder` is the one shared-control fanout: down a chain of rungs, one
+injection, back up.  `fanout` and the target-register CNOT steps of the
+no-ancilla diagonals are ladders.
 """
 
 from __future__ import annotations
@@ -51,23 +54,29 @@ def route_cnot_gates(g, u, v):
                     lambda: tuple(cnot_along(shortest_path(g, u, v))))
 
 
+def ladder(rungs, inject):
+    """The gates of a ladder: the rungs (gate lists) from the last to the
+    first, then `inject`, then the rungs from the first to the last.  With
+    CNOT rungs leading away from the injection, every vertex the ladder
+    reaches picks up the bit that `inject` XORs in, and every other value
+    is restored because each rung is replayed."""
+    return ([gate for rung in reversed(rungs) for gate in rung] + list(inject)
+            + [gate for rung in rungs for gate in rung])
+
+
 def fanout(g, control, targets):
     """XOR the control qubit into every target: |x>|y_1..y_t> ->
     |x>|y_1 + x .. y_t + x>, where control,t_1,..,t_k is a path in g.
 
-    Exactly 2t-1 CNOTs (ladder down, root injection, ladder up)."""
+    Exactly 2t-1 CNOTs: the `ladder` of the target chain around the root
+    injection."""
     chain = [control] + list(targets)
     for a, b in zip(chain, chain[1:]):
         if not g.has_edge(a, b):
             raise NotAPath(f"({a},{b}) not an edge")
-    c = Circuit(g.n)
-    t = len(targets)
-    for i in range(t - 1, 0, -1):
-        c.cx(targets[i - 1], targets[i])
-    c.cx(control, targets[0])
-    for i in range(1, t):
-        c.cx(targets[i - 1], targets[i])
-    return c
+    rungs = [[("cx", (a, b), None)] for a, b in zip(targets, targets[1:])]
+    root = ("cx", (control, targets[0]), None)
+    return Circuit(g.n, gates=ladder(rungs, [root]))
 
 
 def _f2_reduce(mat):

@@ -318,16 +318,19 @@ def sparse_run(c, basis=0):
 def simulate(c, mode="state", basis=0):
     """Exact simulation.
 
-    mode 'state'/'basis': statevector from |0..0> or |basis>; returns a dense
-    vector for n <= 16, else the sparse dict.  mode 'unitary': full matrix.
+    mode 'state': statevector from |basis> (|0..0> by default); returns a
+    dense vector for n <= 16, else the sparse dict.  mode 'unitary': full
+    matrix.
     """
     n = c.n
-    if mode in ("state", "basis"):
+    if mode == "state":
         if n > STATE_QUBIT_CAP:
             raise TooLarge(f"{n} qubits > cap {STATE_QUBIT_CAP}")
+        if not 0 <= basis < 1 << n:
+            raise ValueError(f"basis {basis} not in 0..{(1 << n) - 1}")
         if n > 16:
-            return sparse_run(c, basis if mode == "basis" else 0)
-        _, idx, amp = _live(c, basis if mode == "basis" else 0)
+            return sparse_run(c, basis)
+        _, idx, amp = _live(c, basis)
         vec = np.zeros(1 << n, dtype=complex)
         vec[idx] = amp
         return vec

@@ -11,7 +11,7 @@ from qgsynth.linear import route_cnot_gates
 
 
 def stage_graycycle(c, g, layout, rt):
-    n = len(layout.r_inp)
+    n = layout.n
     p = layout.p
     codes = {l: gray_code(n - p, l) for l in set(layout.ell_plan)}
     plan = [codes[l] for l in layout.ell_plan]

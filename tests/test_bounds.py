@@ -185,6 +185,12 @@ def test_depth_lower_bound_path_example():
     assert out["max"] == max(terms.values())
 
 
+def test_depth_lower_bound_refuses_n_outside_the_graph():
+    for n in (10, 0, -2):
+        with pytest.raises(ValueError, match="not in 1..4"):
+            depth_lower_bound(path_graph(4), "qsp", n, 4 - n)
+
+
 def test_depth_lower_bound_star_and_gus():
     out = depth_lower_bound(star_graph(5), "qsp", 4, 1)
     assert out["terms"]["star"] == 16

@@ -25,11 +25,11 @@ def small_random_circuit(rng, n, length):
     for _ in range(length):
         k = rng.integers(0, 4)
         if k == 0:
-            c.ry(int(rng.integers(1, n + 1)), float(rng.normal()))
+            c.add("ry", (int(rng.integers(1, n + 1)),), float(rng.normal()))
         elif k == 1:
-            c.r(int(rng.integers(1, n + 1)), float(rng.normal()))
+            c.add("r", (int(rng.integers(1, n + 1)),), float(rng.normal()))
         elif k == 2:
-            c.h(int(rng.integers(1, n + 1)))
+            c.add("h", (int(rng.integers(1, n + 1)),))
         else:
             u, v = rng.choice(range(1, n + 1), size=2, replace=False)
             c.cx(int(u), int(v))
@@ -88,6 +88,14 @@ def test_json_round_trip(rng):
 def test_json_rejects_garbage():
     with pytest.raises(ParseError):
         circuit_from_json({"n": 2, "gates": [{"g": "zz", "q": [1, 2]}]})
+
+
+def test_json_ancilla_header_lies_in_0_to_n():
+    for anc in (-3, 3, 7):
+        with pytest.raises(ParseError, match="ancilla"):
+            circuit_from_json({"n": 2, "ancilla": anc, "gates": []})
+    for anc in (0, 2):
+        assert circuit_from_json({"n": 2, "ancilla": anc}).ancilla == anc
 
 
 @given(st.floats(-6, 6))

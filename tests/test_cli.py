@@ -60,12 +60,23 @@ def test_synth_qsp_and_lightcone(files, capsys):
 
 def test_bound_prints_terms(files, capsys):
     rc = run_command(
-        ["bound", "--graph", files["path10"], "--task", "qsp", "-n", "10",
-         "-m", "0"]
+        ["bound", "--graph", files["path10"], "--task", "qsp", "-n", "10"]
     )
     assert rc == 0
     text = capsys.readouterr().out
     assert "102.4" in text
+
+
+def test_bound_refuses_more_inputs_than_vertices(files, capsys):
+    # path(3) has no room for 10 inputs: no bound for m = -7
+    rc = run_command(
+        ["bound", "--graph", files["path3"], "--task", "qsp", "-n", "10"])
+    assert rc == 2
+    assert "n = 10 is not in 1..3" in capsys.readouterr().err
+    # m is always |V| - n, so there is no flag for it
+    with pytest.raises(SystemExit):
+        run_command(["bound", "--graph", files["path10"], "--task", "qsp",
+                     "-n", "10", "-m", "0"])
 
 
 def test_verify_detects_wrong_target(files, tmp_path, capsys):

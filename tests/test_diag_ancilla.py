@@ -9,6 +9,8 @@ from qgsynth.circuit import validate_connectivity
 from qgsynth.diag import DiagonalSpec, synth_diag_noancilla
 from qgsynth.diag_ancilla import (
     InsufficientAncilla,
+    RegisterLayout,
+    SubRegister,
     _Router,
     _induced_subgraph,
     build_layout,
@@ -78,6 +80,12 @@ def test_tree_pipeline_exact():
     assert_exact(c, g, spec, m)
 
 
+def _slots(layout):
+    """Every copy, target and aux slot of the layout's blocks."""
+    return [v for b in layout.sub_registers
+            for v in b.copy_slots + b.targ_slots + b.aux_slots]
+
+
 @pytest.mark.parametrize("dims, n", [([80, 2], 3), ([80, 2], 4),
                                      ([100, 2], 5), ([2, 40, 3], 4)])
 def test_grid_rows_shorter_than_n_keep_inputs_on_1_to_n(dims, n):
@@ -85,7 +93,8 @@ def test_grid_rows_shorter_than_n_keep_inputs_on_1_to_n(dims, n):
     # the input register must not be read off the line's first n vertices
     g = grid_graph(dims)
     layout = build_layout(g, n, g.n - n)
-    assert layout.r_inp == list(range(1, n + 1))
+    assert layout.n == n
+    assert all(n < v <= g.n for v in _slots(layout))
     spec = random_spec(np.random.default_rng(n), n)
     _, _, report = synth_diag_ancilla(g, spec, g.n - n)
     assert report["backend"] == "ancilla-grid"
@@ -109,6 +118,21 @@ def test_pipeline_inverse_restores_ancilla_exactly():
         for b, a in state.items():
             if b & anc_mask:
                 assert abs(a) <= 1e-10
+
+
+def test_layout_refuses_a_vertex_in_two_slots():
+    layout = build_layout(path_graph(40), 4, 36)
+    blk = layout.sub_registers[0]
+    with pytest.raises(ValueError, match="two slots"):
+        RegisterLayout(4, layout.p, layout.tau, layout.ell_plan,
+                       [SubRegister(blk.copy_slots, blk.targ_slots,
+                                    [blk.copy_slots[0]]),
+                        *layout.sub_registers[1:]])
+    with pytest.raises(ValueError, match="two slots"):
+        RegisterLayout(4, layout.p, layout.tau, layout.ell_plan,
+                       [SubRegister([4, *blk.copy_slots[1:]], blk.targ_slots,
+                                    blk.aux_slots),
+                        *layout.sub_registers[1:]])
 
 
 def test_insufficient_ancilla_raises():
@@ -137,8 +161,8 @@ def test_layout_uses_only_vertices_up_to_n_plus_m(g):
             except InsufficientAncilla:
                 continue
             built += 1
-            ancilla = layout.r_copy + layout.r_targ + layout.r_aux
-            assert layout.r_inp == list(range(1, n + 1))
+            ancilla = _slots(layout)
+            assert layout.n == n
             assert all(n < v <= n + m for v in ancilla), (n, m)
             assert 0 <= layout.wasted <= m - len(ancilla), (n, m)
     assert built >= 5
@@ -172,6 +196,44 @@ def test_every_block_holds_every_suffix_bit(g, n, m):
     for blk in layout.sub_registers:
         held = {n - p + 1 + idx % p for idx in range(len(blk.copy_slots))}
         assert held == set(range(n - p + 1, n + 1))
+
+
+@pytest.mark.parametrize("g, n, m", [
+    (path_graph(20), 4, 16), (path_graph(412), 12, 400),
+    (grid_graph([8, 37]), 6, 290), (tree_graph(2, n=127), 3, 124),
+    (tree_graph(2, n=150), 6, 144), (tree_graph(2, n=32), 6, 26),
+], ids=["path20", "path412", "grid8x37", "tree127", "tree150", "tree32"])
+def test_prefix_copy_leaves_every_slot_holding_its_bits(g, n, m):
+    # the first three stages are CNOTs: run each input bit through them
+    # alone and collect, per vertex, the input bits whose parity it holds.
+    # Copy slot idx holds prefix bit idx mod (n - p) + 1, aux slot idx bit
+    # idx mod tau + 1, target t its suffix pattern; every other ancilla is
+    # clear again
+    from qgsynth import diag_ancilla
+    layout = build_layout(g, n, m)
+    t = diag_ancilla._ancilla_pipeline(g, n, m)
+    end = dict(t.meta["marks"])["prefix-copy"]
+    held = {}
+    for bit in range(1, n + 1):
+        ones = {bit}
+        for name, (u, v), _ in t.gates[:end]:
+            assert name == "cx"
+            if u in ones:
+                ones ^= {v}
+        for v in ones:
+            held.setdefault(v, set()).add(bit)
+    p, tau = layout.p, layout.tau
+    want = {v: {v} for v in range(1, n + 1)}
+    for blk in layout.sub_registers:
+        for i, v in enumerate(blk.copy_slots):
+            want[v] = {i % (n - p) + 1}
+        for i, v in enumerate(blk.aux_slots):
+            want[v] = {i % tau + 1}
+    for k, v in enumerate(layout.r_targ):
+        bits = {n - p + j for j in range(1, p + 1) if (k >> (p - j)) & 1}
+        if bits:
+            want[v] = bits
+    assert held == want
 
 
 @pytest.mark.parametrize("g, n, m", [

@@ -8,6 +8,8 @@ from qgsynth.graphs import (
     brickwall_row_length,
     build_graph,
     complete_graph,
+    dfs_labeling,
+    dfs_order,
     explicit_graph,
     graph_to_json,
     grid_graph,
@@ -58,6 +60,20 @@ def test_tree_heap_indexing():
         assert g.has_edge(v, v // 2)
     t = tree_graph(3, n=7)
     assert t.n == 7 and t.has_edge(1, 4) and t.has_edge(2, 6)
+
+
+def test_dfs_order_is_the_heap_preorder_on_binary_trees():
+    # the shallow-tree ancilla layout reads its line off this order
+    for n in range(1, 130):
+        g = tree_graph(2, n=n)
+        want, stack = [], [1]
+        while stack:
+            v = stack.pop()
+            if v <= n:
+                want.append(v)
+                stack += (2 * v + 1, 2 * v)
+        assert dfs_order(g) == want
+        assert dfs_labeling(g) == {v: n - i for i, v in enumerate(want)}
 
 
 def test_star_center():

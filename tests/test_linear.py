@@ -5,6 +5,7 @@ from qgsynth.graphs import grid_graph, path_graph, shortest_path
 from qgsynth.linear import (
     cnot_along,
     fanout,
+    ladder,
     route_cnot_gates,
     synth_permutation,
 )
@@ -62,11 +63,11 @@ def test_routed_cnot_restores_any_intermediate_state():
     # intermediates in superposition must come back untouched
     g = path_graph(4)
     c = Circuit(4)
-    c.h(2)
-    c.ry(3, 0.71)
+    c.add("h", (2,))
+    c.add("ry", (3,), 0.71)
     c.gates.extend(route_cnot_gates(g, 1, 4))
-    c.ry(3, -0.71)
-    c.h(2)
+    c.add("ry", (3,), -0.71)
+    c.add("h", (2,))
     for b in (0b0000, 0b1000):
         state = sparse_run(c.expanded(), b)
         want = b ^ ((b >> 3) & 1)
@@ -81,6 +82,13 @@ def test_fanout_multi_target_cnot_count():
         c = fanout(g, 1, list(range(2, t + 2)))
         gates = [x for x in c.gates if x[0] == "cx"]
         assert len(gates) == 2 * (t + 1) - 1 - 2  # 2n-1 with n = t+1 qubits
+
+
+def test_ladder_goes_down_injects_and_goes_back_up():
+    rungs = [["a1", "a2"], ["b"], ["c1", "c2"]]
+    assert ladder(rungs, ["i"]) == ["c1", "c2", "b", "a1", "a2", "i",
+                                    "a1", "a2", "b", "c1", "c2"]
+    assert ladder([], ["i"]) == ["i"]
 
 
 def test_fanout_semantics():

@@ -106,6 +106,19 @@ def test_simulate_is_unitary_and_linear():
     assert np.max(np.abs(out - acc)) < 1e-12
 
 
+def test_simulate_starts_from_the_basis_state():
+    # X on qubit 1 (the high bit) maps |01> to |11>
+    c = Circuit(2)
+    c.add("x", (1,))
+    assert np.flatnonzero(simulate(c, basis=1)).tolist() == [3]
+    assert np.flatnonzero(simulate(c)).tolist() == [2]
+    for basis in (4, -1):
+        with pytest.raises(ValueError, match="not in 0..3"):
+            simulate(c, basis=basis)
+    with pytest.raises(ValueError, match="unknown mode"):
+        simulate(c, mode="basis", basis=1)
+
+
 def test_sparse_run_basis_agrees_with_dense():
     rng = np.random.default_rng(9)
     c = random_circ(rng, 3, 15)
