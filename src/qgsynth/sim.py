@@ -370,7 +370,7 @@ def _target_matrix(target):
 def verify_target(c, target, m=None):
     """(residual, ancilla_restored) against a diagonal/state/unitary/UCG
     target on the first n qubits; trailing qubits are ancilla expected to
-    return to |0..m>.  The residual is a non-negative float."""
+    return to |0..m>.  The residual is a non-negative float or NaN."""
     n = target.n
     if m is None:
         m = c.n - n
@@ -393,7 +393,7 @@ def verify_target(c, target, m=None):
 
     if state:
         inner = np.vdot(np.asarray(target.amplitudes, dtype=complex)[idx], amp)
-        return max(0.0, 1.0 - float(abs(inner))), float(np.sum(leak**2)) <= 1e-10
+        return float(np.maximum(1.0 - abs(inner), 0.0)), float(np.sum(leak**2)) <= 1e-10
     restored = not np.any(leak > 1e-10)
     if theta is not None:  # diagonal, circuit not phase-type
         diag = np.zeros(size, dtype=complex)

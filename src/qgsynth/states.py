@@ -15,12 +15,15 @@ holds |0> when the stage runs, and lam1 (rz(d) at width 1) leaves |0>
 alone, so `qsp_synthesize` never emits it; GUS targets hold anything and
 keep it.
 
-A cascade is bound in one pass: the branches of all its UCGs go through
-one ZYZ batch and their diagonal factors through one FWHT, into one angle
-vector.  Its gates, up to those angles, follow from the graph, n, m and
-which pieces each UCG emitted, its skeletons (see `synth_ucg`): g's memo
-keeps its template, which keeps its scan and plan, so a warm call gathers
-one angle vector, builds no gate and scans nothing.
+A cascade is bound in one pass into one angle vector.  GUS and UCG
+cascades put the branches of all their UCGs through one ZYZ batch and
+their factors through one FWHT.  QSP takes stages 1..n-1, real Ry
+multiplexors, straight from the amplitude tree; only stage n, which
+carries the phases, gets a branch table and ZYZ, and one FWHT solves just
+the rows a template reads.  The gates, up to the angles, follow from the
+graph, n, m and which pieces each UCG emitted, its skeletons (see
+`synth_ucg`): g's memo keeps its template, which keeps its scan and plan,
+so a warm call gathers one angle vector, builds no gate and scans nothing.
 """
 
 from __future__ import annotations
@@ -91,10 +94,9 @@ def _unitary(br):
     """br, a stack of 2x2 matrices, once all are unitary."""
     t = np.ascontiguousarray(br.transpose(1, 2, 0))  # branches on the last axis
     p = t.conj()[:, :, None] * t[:, None]
-    err = np.abs(p[0] + p[1] - _EYE)
-    if err.max() > 1e-12:
-        bad = (err > 1e-12).any(axis=(0, 1))
-        raise ValueError(f"branch {bad.argmax()} is not unitary")
+    ok = (np.abs(p[0] + p[1] - _EYE) <= 1e-12).all(axis=(0, 1))  # NaN fails
+    if not ok.all():
+        raise ValueError(f"branch {ok.argmin()} is not unitary")
     return br
 
 
@@ -107,6 +109,8 @@ class StateSpec:
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.shape != (1 << self.n,):
             raise ValueError(f"expected {1 << self.n} amplitudes")
+        if not np.all(np.isfinite(amp)):
+            raise ValueError("amplitudes must be finite")
         if abs(np.sum(np.abs(amp) ** 2) - 1.0) > 1e-12:
             raise ValueError("amplitudes must have unit norm")
         self.amplitudes = amp
@@ -158,15 +162,14 @@ def zyz_angles(u):
 UCG_MID_GATES = (("sdg", "h"), ("h", "s"))
 
 
-def _factors(heads, branches, clean=False):
+def _factors(heads, branches):
     """(theta, euler, skeletons) of UCGs with heads[k] = (n, target), n
     non-decreasing, from one ZYZ batch over their `branches` (each UCG's
     reindexed for a last target).  theta[f] holds factor f (see
     ucg_to_diagonals) of every UCG back to back, UCG k's 2^n angles from
     2 * (its first branch) on, its first angle 0; euler holds every
     branch's d, c, b, the rz/ry/rz of a width-1 UCG; skeletons[k] is as in
-    synth_ucg.  With `clean`, every target still holds |0> when its UCG
-    runs, where lam1 and rz(d) act as the identity: both are left zero."""
+    synth_ucg."""
     widths = np.array([n for n, _ in heads])
     counts = 1 << (widths - 1)  # branches per UCG
     first = np.cumsum(counts) - counts
@@ -176,7 +179,7 @@ def _factors(heads, branches, clean=False):
     # rows lam2 = (-c/2, c/2), lam3 = (p, p + b), each less its UCG's head,
     # and lam1's d; lam3 and d can leave [0, 2 pi) and are reduced, while
     # lam2 stays in [-pi/2, pi], as c is in [0, pi]
-    free = np.array([-half, half, p, p + b] if clean else [-half, half, p, p + b, d])
+    free = np.array([-half, half, p, p + b, d])
     if not np.isfinite(free).all():
         raise ValueError("angles must be finite")
     pairs = free[:4].reshape(2, 2, -1)  # pairs[f - 1, t]: factor f, target bit t
@@ -184,12 +187,9 @@ def _factors(heads, branches, clean=False):
     np.mod(free[2:], 2 * math.pi, out=free[2:])
     th = np.zeros((3, len(a), 2))  # th[f, z, t]: factor f, branch z, target bit t
     th[1:] = pairs.transpose(0, 2, 1)
-    if not clean:
-        th[0, :, 1] = free[4]
+    th[0, :, 1] = free[4]
     theta = th.reshape(3, -1)
     euler = np.array([d, c, b])
-    if clean:
-        euler[0] = 0.0
     emitted = np.logical_or.reduceat(np.abs(theta) > 1e-14, 2 * first, axis=1).T
     ones = bisect_right(widths, 1)  # the width-1 UCGs come first, one branch each
     if ones:
@@ -255,21 +255,18 @@ def _cascade_template(g, skeletons, ms):
     return t.seal()
 
 
-def _cascade(g, heads, branches, key, build, clean=False):
-    """(circuit, skeletons) of the UCG cascade of `_factors`, its template
-    `build(skeletons)` kept on g under ("cascade", *key, skeletons) and
-    bound to the Walsh coefficients of every factor some UCG emits (one
-    FWHT; the other rows are never read), then the Euler angles."""
-    theta, euler, skeletons = _factors(heads, branches, clean)
-    widths = np.array([n for n, _ in heads])
-    rows = [f for f, col in enumerate(zip(*[e for n, _, e in skeletons if n > 1]))
-            if True in col]
-    params = np.zeros(theta.size + euler.size)
-    if rows:  # rows[0]..rows[-1], one slice
-        span = slice(rows[0], rows[-1] + 1)
-        params[:theta.size].reshape(theta.shape)[span] = solve_phase_coefficients(
-            theta[span], widths)
-    params[theta.size:] = euler.ravel()
+def _ucg_params(heads, branches):
+    """(params, skeletons) of the cascade of `_factors`: the Walsh
+    coefficients of its factor rows (one FWHT), then the Euler angles."""
+    theta, euler, skeletons = _factors(heads, branches)
+    alpha = solve_phase_coefficients(theta, np.array([n for n, _ in heads]))
+    return np.concatenate([alpha.ravel(), euler.ravel()]), skeletons
+
+
+def _cascade(g, params, skeletons, key, build):
+    """(circuit, skeletons): the template `build(skeletons)`, kept on g
+    under ("cascade", *key, skeletons), bound to params laid out as in
+    `_ucg_params`."""
     t = g.cached(("cascade", *key, skeletons), lambda: build(skeletons))
     return t.bind(params), skeletons
 
@@ -283,7 +280,8 @@ def synth_ucg(g, V, m):
     factors otherwise (the mid gates go with the second); with g and m it
     fixes every gate but the angles."""
     _check_ancilla(g, V.n, m)
-    c, (skeleton,) = _cascade(g, [(V.n, V.target)], _last_target_branches(V),
+    c, (skeleton,) = _cascade(g, *_ucg_params([(V.n, V.target)],
+                                              _last_target_branches(V)),
                               ("ucg", V.n, m), lambda s: _cascade_template(g, s, [m]))
     c.meta.update(backend="ucg", skeleton=skeleton)
     return c
@@ -291,28 +289,71 @@ def synth_ucg(g, V, m):
 
 # -- QSP via a UCG cascade --------------------------------------------------
 
+def _tree(v):
+    """v's amplitude tree as a heap, node i over nodes 2i + 1 and 2i + 2:
+    node w < 2^n - 1 is the magnitude of branch w's prefix of the cascade."""
+    at = (1 << v.n) - 1
+    tree = np.empty(2 * at + 1)
+    tree[at:] = np.abs(v.amplitudes)
+    while at:
+        sq = tree[at:2 * at + 1] ** 2
+        at >>= 1
+        tree[at:2 * at + 1] = np.sqrt(sq[0::2] + sq[1::2])
+    return tree
+
+
+def _table(parent, below):
+    """Branches [[p, -q*], [q, p*]] mapping |0> to the pair (p, q) below
+    each parent over its magnitude; identity where that is <= 1e-15."""
+    live = parent > 1e-15
+    p, q = (below.reshape(-1, 2) / np.where(live, parent, 1.0)[:, None]).T
+    br = np.stack([p, -np.conj(q), q, np.conj(p)], axis=1).reshape(-1, 2, 2)
+    br[~live] = np.eye(2)
+    return br
+
+
 def _state_branches(v):
     """The branch tables of v's UCGs V_1..V_n (see state_to_ucgs), one
     after the other: stages 1..n-1 real, the last complex."""
-    n, amp = v.n, v.amplitudes
-    mags = [np.abs(amp)]  # mags[j]: the amplitude tree's level j
-    for _ in range(n):
-        sq = mags[0] ** 2
-        mags.insert(0, np.sqrt(sq[0::2] + sq[1::2]))
-    parts = [(mags[n - 1], amp)]
-    if n > 1:
-        parts.insert(0, (np.concatenate(mags[:n - 1]),
-                         np.concatenate(mags[1:n])))
-    tables = []
-    for cw, below in parts:
-        live = cw > 1e-15
-        # branch w maps |0> to the normalised pair (p, q) below prefix w
-        col = below.reshape(-1, 2) / np.where(live, cw, 1.0)[:, None]
-        p, q = col[:, 0], col[:, 1]
-        br = np.stack([p, -np.conj(q), q, np.conj(p)], axis=1).reshape(-1, 2, 2)
-        br[~live] = np.eye(2)
-        tables.append(br)
-    return np.concatenate(tables)
+    tree, size, last = _tree(v), (1 << v.n) - 1, (1 << (v.n - 1)) - 1
+    return np.concatenate([_table(tree[:last], tree[1:size]),
+                           _table(tree[last:size], v.amplitudes)])
+
+
+def _qsp_params(v):
+    """(params, skeletons) of v's cascade on clean targets: at every slot a
+    template reads, bit for bit those of `_ucg_params(_state_branches(v))`
+    with lam1 and rz(d) zero.  A stage j < n branch [[p, -q], [q, p]],
+    p, q >= 0, has ZYZ a = b = d = +-0 and c = 2 atan2(q, p) of the same
+    floats: these stages build no table, run no ZYZ and emit lam2 alone.
+    One FWHT solves the rows a template reads, lam2 of every stage and lam3
+    of stage n."""
+    n, tree = v.n, _tree(v)
+    size, last = (1 << n) - 1, (1 << (n - 1)) - 1  # branches; stage n's first
+    live = tree[:last, None] > 1e-15  # as in _table
+    col = tree[1:size].reshape(-1, 2) / np.where(live, tree[:last, None], 1.0)
+    p, q = np.where(live, col, (1.0, 0.0)).T
+    ok = np.abs(p * p + q * q - 1.0) <= 1e-12  # NaN fails
+    if not ok.all():
+        raise ValueError(f"branch {ok.argmin()} is not unitary")
+    a, b, c, d = zyz_angles_batch(_unitary(_table(tree[last:size], v.amplitudes)))
+    c = np.concatenate([2.0 * np.arctan2(q, p), c])
+    half = c / 2.0
+    counts = 1 << np.arange(n)  # branches per stage, from counts - 1 on
+    head = np.repeat(-half[counts - 1], counts)
+    lam2 = np.stack([-half - head, half - head], axis=1).ravel()
+    phase = a - (b + d) / 2.0
+    lam3 = np.mod(np.stack([phase - phase[0], phase + b - phase[0]],
+                           axis=1).ravel(), 2 * math.pi)
+    on = np.logical_or.reduceat(np.abs(lam2) > 1e-14, 2 * (counts - 1)).tolist()
+    on3 = bool((np.abs(lam3 if n > 1 else b) > 1e-14).any())  # rz(b) at n = 1
+    coef = solve_phase_coefficients(np.concatenate([lam2, lam3]),
+                                    np.append(np.arange(1, n + 1), n))
+    z = np.zeros  # `_ucg_params`' rows lam1, lam2, lam3, then d, c, b
+    params = np.concatenate([z(2 * size), coef[:2 * size], z(2 * last),
+                             coef[2 * size:], z(size), c, z(last), b])
+    return params, tuple((j, j, (False, on[j - 1], j == n and on3))
+                         for j in range(1, n + 1))
 
 
 def state_to_ucgs(v):
@@ -380,9 +421,7 @@ def qsp_synthesize(g, v, m, verify=True):
         t.mark("relabel")
         return t
 
-    c, _ = _cascade(g, [(j, j) for j in range(1, n + 1)],
-                    _unitary(_state_branches(v)), ("qsp-cascade", n, m), build,
-                    clean=True)
+    c, _ = _cascade(g, *_qsp_params(v), ("qsp-cascade", n, m), build)
     report = assemble_report(c, g, v if verify else None, m=m,
                              backend="qsp-cascade")
     return c, report
@@ -444,8 +483,9 @@ def gus_synthesize(g, U, m, verify=True):
     if n > 5:
         raise ValueError("dense demultiplexing is guarded to n <= 5")
     ucgs = unitary_to_ucgs(U)
-    c, _ = _cascade(g, [(V.n, V.target) for V in ucgs],
-                    np.concatenate([_last_target_branches(V) for V in ucgs]),
+    c, _ = _cascade(g, *_ucg_params([(V.n, V.target) for V in ucgs],
+                                    np.concatenate([_last_target_branches(V)
+                                                    for V in ucgs])),
                     ("gus-demux", n, m),
                     lambda s: _cascade_template(g, s, [m] * len(ucgs)))
     report = assemble_report(c, g, U if verify else None, m=m,

@@ -3,7 +3,9 @@ used before its angles became one factor-major vector.
 
 `fwht` is the in-place radix-2 transform, one stage at a time; `factors`
 derives every branch's three factor pairs from its 2x2 algebra and
-scatters them into a UCG-major vector through a computed index;
+scatters them into a UCG-major vector through a computed index, and
+`cascade_params` solves every row of them; `state_branches` builds a
+state's every branch table, the real stages' too;
 `unitary_to_ucgs` splits each block with `scipy.linalg.cossin` and builds
 every Y-rotation branch with `gate_matrix`.  The fast versions must give
 exactly these bits.
@@ -72,6 +74,44 @@ def factors(heads, branches, clean=False):
     emitted[widths == 1] = np.abs(euler[:, first[widths == 1]].T) > 1e-14
     return theta, euler, tuple((*h, tuple(e))
                                for h, e in zip(heads, emitted.tolist()))
+
+
+def state_branches(v):
+    """The branch tables of v's UCGs V_1..V_n, one after the other, from
+    the amplitude tree kept as a list of levels."""
+    n, amp = v.n, v.amplitudes
+    mags = [np.abs(amp)]  # mags[j]: the amplitude tree's level j
+    for _ in range(n):
+        sq = mags[0] ** 2
+        mags.insert(0, np.sqrt(sq[0::2] + sq[1::2]))
+    parts = [(mags[n - 1], amp)]
+    if n > 1:
+        parts.insert(0, (np.concatenate(mags[:n - 1]),
+                         np.concatenate(mags[1:n])))
+    tables = []
+    for cw, below in parts:
+        live = cw > 1e-15
+        # branch w maps |0> to the normalised pair (p, q) below prefix w
+        col = below.reshape(-1, 2) / np.where(live, cw, 1.0)[:, None]
+        p, q = col[:, 0], col[:, 1]
+        br = np.stack([p, -np.conj(q), q, np.conj(p)], axis=1).reshape(-1, 2, 2)
+        br[~live] = np.eye(2)
+        tables.append(br)
+    return np.concatenate(tables)
+
+
+def cascade_params(heads, branches, clean=False):
+    """(params, skeletons) of a cascade as its template reads them: every
+    factor row of `factors` solved for its Walsh coefficients by `fwht`,
+    one 2^n-entry row per UCG, then the Euler angles."""
+    theta, euler, skeletons = factors(heads, branches, clean)
+    widths = np.array([n for n, _ in heads])
+    lens = 1 << widths
+    scale = np.repeat(-(2.0 ** (1 - widths)), lens)
+    alpha = np.array([scale * fwht(row, widths)
+                      for row in factor_major(theta, heads)])
+    alpha[:, np.cumsum(lens) - lens] = 0.0
+    return np.concatenate([alpha.ravel(), euler.ravel()]), skeletons
 
 
 def factor_major(theta, heads):

@@ -1,18 +1,19 @@
 """The angle pipeline must give the bits of its reference forms
 (reference_angles.py): the transform on every shape it takes, the
-factor-major factors of every kind of cascade, and the direct LAPACK
-cosine-sine split.  Bits are compared as int64 views, so +0.0 and -0.0
-differ."""
+factor-major factors of every kind of cascade, the angles a QSP cascade
+binds, and the direct LAPACK cosine-sine split.  Bits are compared as
+int64 views, so +0.0 and -0.0 differ."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cossin
 
 import reference_angles as ref
 from qgsynth import states
+from qgsynth.graphs import path_graph, star_graph
 from qgsynth.gray import fwht
-from qgsynth.states import StateSpec, UcgSpec, UnitarySpec
+from qgsynth.states import StateSpec, UcgSpec, UnitarySpec, qsp_synthesize
 from test_cascade_scan import STATE_KINDS, UNITARY_KINDS, make_state, make_unitary
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -56,21 +57,41 @@ def test_fwht_of_a_run_equals_reference(widths, stack, seed):
     same_bits(got, want)
 
 
-def same_factors(heads, branches, clean=False):
-    theta, euler, skeletons = states._factors(heads, branches, clean)
-    want, want_euler, want_skeletons = ref.factors(heads, branches, clean)
+def same_factors(heads, branches):
+    theta, euler, skeletons = states._factors(heads, branches)
+    want, want_euler, want_skeletons = ref.factors(heads, branches)
     same_bits(theta, ref.factor_major(want, heads))
     same_bits(euler, want_euler)
     assert skeletons == want_skeletons
 
 
-@given(n=st.integers(1, 12), kind=st.sampled_from(STATE_KINDS), seed=SEEDS,
-       clean=st.booleans())
+@given(n=st.integers(1, 12), kind=st.sampled_from(STATE_KINDS), seed=SEEDS)
 @settings(max_examples=40, deadline=None)
-def test_state_factors_equal_reference(n, kind, seed, clean):
+def test_state_factors_equal_reference(n, kind, seed):
     v = StateSpec(n, make_state(kind, n, seed))
-    same_factors([(j, j) for j in range(1, n + 1)], states._state_branches(v),
-                 clean)
+    same_factors([(j, j) for j in range(1, n + 1)], states._state_branches(v))
+
+
+QSP_GRAPHS = {}  # n -> the star (path for n = 1) every example at n reuses
+
+
+@given(n=st.integers(1, 12), kind=st.sampled_from(STATE_KINDS), seed=SEEDS)
+@example(n=1, kind="real", seed=4)  # b = 2 pi: rz(b) is emitted, lam3 is 0
+@settings(max_examples=60, deadline=None)
+def test_qsp_binds_the_reference_angles(n, kind, seed):
+    # a warm call binds the template kept under the reference's skeletons
+    # to the reference's angles: every branch table, the real stages' too,
+    # through ZYZ with clean targets and every factor row through the FWHT
+    g = QSP_GRAPHS.setdefault(n, star_graph(n) if n > 1 else path_graph(1))
+    v = StateSpec(n, make_state(kind, n, seed))
+    branches = ref.state_branches(v)
+    same_bits(states._state_branches(v).view(float), branches.view(float))
+    qsp_synthesize(g, v, 0, verify=False)
+    c, _ = qsp_synthesize(g, v, 0, verify=False)
+    params, skeletons = ref.cascade_params([(j, j) for j in range(1, n + 1)],
+                                           branches, clean=True)
+    assert c.template is g._memo[("cascade", "qsp-cascade", n, 0, skeletons)]
+    same_bits(c.angles, params[c.template.idx])
 
 
 @given(n=st.integers(2, 5), kind=st.sampled_from(UNITARY_KINDS), seed=SEEDS)

@@ -175,6 +175,15 @@ def test_verify_target_is_global_phase_invariant():
     assert res2 <= 1e-9 and ok2
 
 
+def test_verify_target_reports_a_nan_overlap_as_nan():
+    # a target changed after StateSpec's checks: its residual is NaN, not 0
+    v = StateSpec(1, [1.0, 0.0])
+    v.amplitudes[0] = np.nan
+    res, ok = verify_target(Circuit(1), v)
+    assert math.isnan(res) and ok
+    assert math.isnan(assemble_report(Circuit(1), path_graph(1), v)["residual"])
+
+
 def test_verify_diagonal_and_unitary_targets():
     rng = np.random.default_rng(12)
     from qgsynth.diag import synth_diag_noancilla

@@ -57,6 +57,9 @@ def test_ucg_spec_rejects_bad_branches():
         bad[3] = 2.0 * bad[3]  # only the first non-unitary branch is named
         with pytest.raises(ValueError, match=f"^branch {k} is not unitary$"):
             UcgSpec(3, bad)
+        bad[k] = np.array([[np.nan, 0.0], [0.0, 1.0]])  # NaN fails every bound
+        with pytest.raises(ValueError, match=f"^branch {k} is not unitary$"):
+            UcgSpec(3, bad)
 
 
 def test_ucg_spec_list_and_array_agree():
@@ -234,6 +237,25 @@ def test_gus_verify_switch(monkeypatch):
     assert report2["residual"] is None and report2["ancilla_restored"] is None
     assert circuit_to_json(c2) == circuit_to_json(c)
     assert report2["ucg_count"] == report["ucg_count"] == 3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_state_spec_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+        StateSpec(2, [bad, 0, 0, 0])
+    with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+        qsp_synthesize(path_graph(2), np.array([bad, 0, 0, 0]), 0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
+@pytest.mark.parametrize("n", [2, 3])
+def test_qsp_refuses_an_infinite_amplitude_set_after_the_checks(n):
+    # stage 1's pair is then (1, inf) / inf = (0, NaN); stage n's first
+    # pair that holds NaN is its last, so "branch 0" names stage 1's
+    v = StateSpec(n, np.eye(1 << n)[0])
+    v.amplitudes[-1] = np.inf
+    with pytest.raises(ValueError, match="^branch 0 is not unitary$"):
+        qsp_synthesize(path_graph(n), v, 0)
 
 
 def test_gus_rejects_non_unitary_and_large_n():

@@ -83,14 +83,14 @@ def recording_skeletons():
     active."""
     seen = []
     with pytest.MonkeyPatch.context() as mp:
-        factors = states._factors
+        cascade = states._cascade
 
         def record(*args):
-            out = factors(*args)
+            out = cascade(*args)
             seen.extend(out[-1])
             return out
 
-        mp.setattr(states, "_factors", record)
+        mp.setattr(states, "_cascade", record)
         yield seen
 
 
