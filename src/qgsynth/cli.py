@@ -47,35 +47,6 @@ def _complex(obj):
     return re + 1j * np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
 
 
-def _load_state(path):
-    obj = _load_json(path)
-    return StateSpec(int(obj["n"]), _complex(obj))
-
-
-def _load_unitary(path):
-    obj = _load_json(path)
-    return UnitarySpec(int(obj["n"]), _complex(obj))
-
-
-def _load_ucg(path):
-    obj = _load_json(path)
-    return UcgSpec(int(obj["n"]), [_complex(b) for b in obj["branches"]],
-                   int(obj.get("target", 0)))
-
-
-def _load_angles(path):
-    obj = _load_json(path)
-    return DiagonalSpec(int(obj["n"]), np.asarray(obj["theta"], dtype=float))
-
-
-def _need(args, flag):
-    """The file given with --flag; its absence is a ValueError (exit 2)."""
-    path = getattr(args, flag)
-    if path is None:
-        raise ValueError(f"missing --{flag}")
-    return path
-
-
 def _verified(report):
     """A report passes: no off-graph gate, a simulated residual within
     VERIFY_THRESHOLD and the ancilla restored."""
@@ -94,43 +65,42 @@ def _emit(args, circuit, report):
     return 0
 
 
+# synth target -> (file flag, spec of the file's JSON, entry point(g, spec, m))
+_SYNTH = {
+    "diag": ("angles", lambda o: DiagonalSpec(int(o["n"]), o["theta"]),
+             synth_diag_auto),
+    "qsp": ("state", lambda o: StateSpec(int(o["n"]), _complex(o)),
+            qsp_synthesize),
+    "ucg": ("target",
+            lambda o: UcgSpec(int(o["n"]), [_complex(b) for b in o["branches"]],
+                              int(o.get("target", 0))),
+            synth_ucg),
+    "gus": ("unitary", lambda o: UnitarySpec(int(o["n"]), _complex(o)),
+            gus_synthesize),
+}
+
+
 def _cmd_synth(args):
     g = _load_graph(args.graph)
-    m = args.m
-    if args.what == "diag":
-        spec = _load_angles(_need(args, "angles"))
-        if m and args.strategy:
+    flag, spec_of, synth = _SYNTH[args.what]
+    path = getattr(args, flag)
+    if path is None:
+        raise ValueError(f"missing --{flag}")
+    spec = spec_of(_load_json(path))
+    if args.what == "diag" and args.strategy:
+        if args.m:
             raise ValueError("--strategy needs -m 0: with ancilla the "
                              "backend is chosen by depth")
-        if args.strategy:
-            c, rep = synth_diag_noancilla(g, spec, strategy=args.strategy)
-        else:
-            c, rep = synth_diag_auto(g, spec, m)
-        return _emit(args, c, rep)
-    if args.what == "qsp":
-        spec = _load_state(_need(args, "state"))
-        c, rep = qsp_synthesize(g, spec, m)
-        return _emit(args, c, rep)
-    if args.what == "ucg":
-        spec = _load_ucg(_need(args, "target"))
-        c = synth_ucg(g, spec, m)
-        rep = assemble_report(c, g, target=spec, m=m, backend="ucg")
-        return _emit(args, c, rep)
-    if args.what == "gus":
-        spec = _load_unitary(_need(args, "unitary"))
-        c, rep = gus_synthesize(g, spec, m)
-        return _emit(args, c, rep)
-    raise AssertionError
+        return _emit(args, *synth_diag_noancilla(g, spec, args.strategy))
+    return _emit(args, *synth(g, spec, args.m))
 
 
 def _cmd_verify(args):
-    if args.angles:
-        target = _load_angles(args.angles)
-    elif args.state:
-        target = _load_state(args.state)
-    elif args.unitary:
-        target = _load_unitary(args.unitary)
-    else:
+    # the first of --angles, --state, --unitary given (verify has no --target)
+    target = next((spec_of(_load_json(path))
+                   for flag, spec_of, _ in _SYNTH.values()
+                   if (path := getattr(args, flag, None))), None)
+    if target is None:
         raise ValueError("missing one of --angles, --state, --unitary")
     g = _load_graph(args.graph)
     c = circuit_from_json(_load_json(args.circuit))

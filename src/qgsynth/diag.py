@@ -12,11 +12,12 @@ split on g falls back to the walk over all of g, reported as backend
 "<family>-walk".
 
 Every builder emits a `Template` whose rotations are slots, since the
-gates do not depend on the angles.  Each diagonal entry point, here and in
-diag_ancilla, binds theta to its cached template and builds the report in
-`_bind_report`.  Every two-qubit gate lies on a graph edge, and routed
-CNOTs restore every intermediate qubit, so each construction is exact for
-every angle vector.
+gates do not depend on the angles.  Every entry point, here, in
+diag_ancilla and in states, ends in `_compile`: it binds its angle vector
+to the template cached on g and builds the report from the template's
+backend and extra fields.  Every two-qubit gate lies on a graph edge, and
+routed CNOTs restore every intermediate qubit, so each construction is
+exact for every angle vector.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ class ExpansionUnknown(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiagonalSpec:
     """Target diagonal diag(e^{i theta(x)}) with theta[0] normalised to 0
-    and all angles reduced mod 2*pi."""
+    and all angles reduced mod 2*pi, held read-only."""
 
     n: int
     theta: np.ndarray
@@ -57,8 +58,14 @@ class DiagonalSpec:
             raise ValueError(f"expected {2 ** self.n} angles, got {theta.shape}")
         if not np.all(np.isfinite(theta)):
             raise ValueError("angles must be finite")
-        theta = np.mod(theta - theta[0], 2 * math.pi)
-        self.theta = theta
+        _freeze(self, "theta", np.mod(theta - theta[0], 2 * math.pi))
+
+
+def _freeze(spec, name, value):
+    """Set field `name` of the frozen spec to value, an array of its own,
+    made read-only."""
+    value.flags.writeable = False
+    object.__setattr__(spec, name, value)
 
 
 @dataclass
@@ -175,7 +182,7 @@ def _walk(t, g, verts):
 
 def _seal(t, backend, ell=None):
     """Seal t with its report fields: the backend and the cover size."""
-    t.backend = t.meta["backend"] = backend
+    t.backend = backend
     t.extra = {"ell": ell}
     return t.seal()
 
@@ -378,11 +385,11 @@ def _expander_split(g):
 # ---------------------------------------------------------------------------
 
 
-def _as_spec(spec):
-    """spec itself, or the DiagonalSpec of an array of 2^n angles."""
-    if isinstance(spec, DiagonalSpec):
+def _as_spec(cls, spec):
+    """spec itself if a cls, else the cls of spec's 2^n entries (or rows)."""
+    if isinstance(spec, cls):
         return spec
-    return DiagonalSpec(int(np.log2(len(spec))), spec)
+    return cls(int(np.log2(len(spec))), spec)
 
 
 def _check_ancilla(g, n, m):
@@ -392,14 +399,15 @@ def _check_ancilla(g, n, m):
                          f"than n + m = {n + m} vertices")
 
 
-def _bind_report(g, key, build, spec, verify):
-    """(circuit, report) of g's template under `key`, built by `build()` on
-    first use, bound to spec.  verify=False skips the simulation residual."""
+def _compile(g, key, build, params, target, verify):
+    """(circuit, report) of every entry point: g's template under `key`,
+    built by `build()` on first use, bound to params.  The report takes
+    the template's backend and extra fields and counts every qubit past
+    target.n as an ancilla; verify=False skips the simulation residual."""
     t = g.cached(key, build)
-    c = t.bind(solve_phase_coefficients(spec.theta))
-    report = assemble_report(c, g, spec if verify else None, m=g.n - spec.n,
-                             backend=t.backend, extra=t.extra)
-    return c, report
+    c = t.bind(params)
+    return c, assemble_report(c, g, target if verify else None,
+                              backend=t.backend, extra=t.extra)
 
 
 def synth_diag_noancilla(g, spec, strategy="auto", verify=True):
@@ -410,12 +418,13 @@ def synth_diag_noancilla(g, spec, strategy="auto", verify=True):
     (g, strategy) is built once and cached on g.
 
     verify=False skips the simulation residual (counting-only runs)."""
+    spec = _as_spec(DiagonalSpec, spec)
     if g.n != spec.n:
         raise ValueError("graph size must equal qubit count")
     if strategy not in ("auto", "general", "expander"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    return _bind_report(g, ("noancilla", strategy),
-                        lambda: _dispatch(g, strategy), spec, verify)
+    return _compile(g, ("noancilla", strategy), lambda: _dispatch(g, strategy),
+                    solve_phase_coefficients(spec.theta), spec, verify)
 
 
 def _is_complete(g):

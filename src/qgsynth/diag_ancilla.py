@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Template
-from .diag import _as_spec, _bind_report, _check_ancilla, _dispatch
+from .diag import DiagonalSpec, _as_spec, _check_ancilla, _compile, _dispatch
 from .graphs import (
     GrowthStalled,
     dfs_order,
@@ -329,7 +329,7 @@ def _ancilla_pipeline(g, n, m):
     c.gates.extend(reversed(c.gates[:copies_end]))
     c.mark("inverse")
 
-    c.backend = c.meta["backend"] = f"ancilla-{layout.kind}"
+    c.backend = f"ancilla-{layout.kind}"
     c.extra = {"p": layout.p, "tau": layout.tau, "wasted": layout.wasted,
                "ancilla_used": m}
     return c.seal()
@@ -337,27 +337,29 @@ def _ancilla_pipeline(g, n, m):
 
 def synth_diag_ancilla(g, spec, m, verify=True):
     """5-stage ancilla-assisted circuit for diag(e^{i theta}) on the first
-    spec.n qubits of g; returns (circuit, stage table, report).  The stage
-    table is report["stages"]: per stage, the depth, size and two-qubit
-    count it adds, summing to the report's totals.  The template of
-    (g, n, m) is built once and cached on g."""
-    spec = _as_spec(spec)
+    spec.n qubits of g; returns (circuit, report).  report["stages"] holds,
+    per stage, the depth, size and two-qubit count it adds, summing to the
+    report's totals.  The template of (g, n, m) is built once and cached
+    on g."""
+    spec = _as_spec(DiagonalSpec, spec)
     _check_ancilla(g, spec.n, m)
-    c, report = _bind_report(g, ("ancilla", spec.n, m),
-                             lambda: _ancilla_pipeline(g, spec.n, m),
-                             spec, verify)
-    return c, report["stages"], report
+    return _compile(g, ("ancilla", spec.n, m),
+                    lambda: _ancilla_pipeline(g, spec.n, m),
+                    solve_phase_coefficients(spec.theta), spec, verify)
 
 
-def synth_diag_expander_ancilla(g, spec, cascade):
+def synth_diag_expander_ancilla(g, spec, cascade, verify=True):
     """3-stage expander variant: no persistent copies; each Gray step fans
     one input bit out through the matching cascade, applies a matched CNOT
     layer plus rotations, then unwinds the fanout.  The stages are marked
     gray-init, gray-cycle and inverse; the swaps that move input qubits out
-    of the cascade count in the first and the last."""
-    spec = _as_spec(spec)
-    return _expander_template(g, spec.n, cascade).bind(
-        solve_phase_coefficients(spec.theta))
+    of the cascade count in the first and the last.  Returns (circuit,
+    report); the template of (g, n, cascade) is cached on g."""
+    spec = _as_spec(DiagonalSpec, spec)
+    key = ("expander", spec.n, tuple(cascade.sets),
+           tuple(map(tuple, cascade.matchings)))
+    return _compile(g, key, lambda: _expander_template(g, spec.n, cascade),
+                    solve_phase_coefficients(spec.theta), spec, verify)
 
 
 def _expander_template(g, n, cascade):
@@ -430,7 +432,7 @@ def _expander_template(g, n, cascade):
     # a swap network is undone by its reverse
     c.gates.extend(reversed(relabel))
     c.mark("inverse")
-    c.meta.update(backend="ancilla-expander", p=p)
+    c.backend, c.extra = "ancilla-expander", {"p": p}
     return c.seal()
 
 
@@ -510,7 +512,7 @@ def synth_diag_auto(g, spec, m, verify=True):
     report) with the backend that ran in report["decision"].
 
     verify=False skips the simulation residual (counting-only runs)."""
-    spec = _as_spec(spec)
+    spec = _as_spec(DiagonalSpec, spec)
     _check_ancilla(g, spec.n, m)
-    return _bind_report(g, ("auto", spec.n, m),
-                        lambda: _build_auto(g, spec.n, m), spec, verify)
+    return _compile(g, ("auto", spec.n, m), lambda: _build_auto(g, spec.n, m),
+                    solve_phase_coefficients(spec.theta), spec, verify)

@@ -63,9 +63,10 @@ class ConstraintGraph:
         """The object kept on this graph under `key`, built by `build()` on
         first use.  Everything that depends on the graph alone is kept here:
         routed CNOTs ("route", u, v), diagonal templates ("auto", n, m),
-        ("noancilla", strategy) and ("ancilla", n, m), the relabelled QSP
-        host ("host",) and its qubit map ("relabel",), cascade templates
-        ("cascade", *key) and the vertex expansion ("expansion",).  A
+        ("noancilla", strategy), ("ancilla", n, m) and ("expander", n,
+        sets, matchings), the relabelled QSP host ("host",) and its qubit
+        map ("relabel",), cascade templates ("cascade", *key) and the
+        vertex expansion ("expansion",).  A
         template carries its own gate scan and simulation plan.  Angles,
         circuits and reports are never kept."""
         value = self._memo.get(key)

@@ -36,12 +36,11 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .circuit import Template
-from .diag import DiagonalSpec, _check_ancilla
+from .diag import DiagonalSpec, _as_spec, _check_ancilla, _compile, _freeze
 from .diag_ancilla import _auto_template
 from .graphs import explicit_graph
 from .gray import solve_phase_coefficients
 from .linear import synth_permutation
-from .sim import assemble_report
 
 
 class DecompositionFailure(ValueError):
@@ -50,14 +49,15 @@ class DecompositionFailure(ValueError):
 
 # -- domain types -----------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class UcgSpec:
     """Block-diagonal gate applying branches[z] to the target qubit for
     every control word z (the non-target qubits read most significant
     first).
 
-    Any array-like of 2x2 matrices is accepted; it is stored as one
-    (2^(n-1), 2, 2) complex array and checked for unitarity in one pass."""
+    Any array-like of 2x2 matrices is accepted; a copy is kept read-only
+    as one (2^(n-1), 2, 2) complex array, checked for unitarity in one
+    pass."""
 
     n: int
     branches: np.ndarray
@@ -65,7 +65,7 @@ class UcgSpec:
 
     def __post_init__(self):
         if self.target == 0:
-            self.target = self.n
+            object.__setattr__(self, "target", self.n)
         if not 1 <= self.target <= self.n:
             raise ValueError(f"target {self.target} out of range")
         count = 1 << (self.n - 1)
@@ -74,12 +74,12 @@ class UcgSpec:
                 f"expected {count} branches, got {len(self.branches)}"
             )
         try:
-            br = np.asarray(self.branches, dtype=complex)
+            br = np.array(self.branches, dtype=complex)
         except ValueError:  # ragged: matrices of different shapes
             br = None
         if br is None or br.shape != (count, 2, 2):
             raise ValueError("branches must be 2x2")
-        self.branches = _unitary(br)
+        _freeze(self, "branches", _unitary(br))
 
     def __eq__(self, other):
         return (isinstance(other, UcgSpec) and self.n == other.n
@@ -100,35 +100,39 @@ def _unitary(br):
     return br
 
 
-@dataclass
+@dataclass(frozen=True)
 class StateSpec:
+    """A unit vector of 2^n amplitudes, a read-only copy."""
+
     n: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
+        amp = np.array(self.amplitudes, dtype=complex)
         if amp.shape != (1 << self.n,):
             raise ValueError(f"expected {1 << self.n} amplitudes")
         if not np.all(np.isfinite(amp)):
             raise ValueError("amplitudes must be finite")
         if abs(np.sum(np.abs(amp) ** 2) - 1.0) > 1e-12:
             raise ValueError("amplitudes must have unit norm")
-        self.amplitudes = amp
+        _freeze(self, "amplitudes", amp)
 
 
-@dataclass
+@dataclass(frozen=True)
 class UnitarySpec:
+    """A 2^n x 2^n unitary matrix, a read-only copy."""
+
     n: int
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)
         size = 1 << self.n
         if mat.shape != (size, size):
             raise ValueError(f"expected a {size}x{size} matrix")
         if not np.max(np.abs(mat.conj().T @ mat - np.eye(size))) <= 1e-10:
             raise DecompositionFailure("matrix is not unitary")
-        self.matrix = mat
+        _freeze(self, "matrix", mat)
 
 
 # -- UCG -> diagonals -------------------------------------------------------
@@ -141,7 +145,7 @@ def zyz_angles_batch(u):
     a = 0.5 * np.arctan2(det.imag, det.real)
     v = x[:, [0, 2, 3]] * np.exp(-1j * a)[:, None]  # v00 v10 v11
     m00, m10 = np.abs(v[:, :2]).T
-    _, bmd, bpd = 2.0 * np.arctan2(v.imag, v.real).T
+    bmd, bpd = 2.0 * np.arctan2(v[:, 1:].imag, v[:, 1:].real).T
     c = 2.0 * np.arctan2(m10, m00)
     b, d = (bpd + bmd) / 2.0, (bpd - bmd) / 2.0
     # a (near-)zero column entry leaves one phase free: put it all in b
@@ -226,13 +230,14 @@ def _last_target_branches(V):
     return np.moveaxis(tensor, n - 2, t - 1).reshape(-1, 2, 2)
 
 
-def _cascade_template(g, skeletons, ms):
-    """Template of a UCG cascade on g, slots reading `_cascade`'s params:
-    UCG k, skeleton (n, target, emitted), on qubits 1..n with ms[k]
-    ancilla, marked ucg_k.  Width 1 is rz(d) ry(c) rz(b) on qubit 1; wider
-    UCGs splice the automatic diagonal template for (g, n, m) per factor,
-    solved for target n, with Walsh index bits n - target and 0 exchanged
-    (qubits target and n trade places); the mid gates go on the target."""
+def _cascade_template(g, skeletons, ms, backend, **extra):
+    """Template of a UCG cascade on g, its slots reading params laid out as
+    in `_ucg_params`, its report fields `backend` and `extra`: UCG k,
+    skeleton (n, target, emitted), on qubits 1..n with ms[k] ancilla,
+    marked ucg_k.  Width 1 is rz(d) ry(c) rz(b) on qubit 1; wider UCGs
+    splice the automatic diagonal template for (g, n, m) per factor, solved
+    for target n, with Walsh index bits n - target and 0 exchanged (qubits
+    target and n trade places); the mid gates go on the target."""
     counts = [1 << (n - 1) for n, _, _ in skeletons]
     size = sum(counts)
     t = Template(g.n, None)
@@ -252,6 +257,7 @@ def _cascade_template(g, skeletons, ms):
                              n - target)
                     t.extend(mid2 if f == 1 else ())
         t.mark(f"ucg_{k + 1}")
+    t.backend, t.extra = backend, extra
     return t.seal()
 
 
@@ -263,28 +269,25 @@ def _ucg_params(heads, branches):
     return np.concatenate([alpha.ravel(), euler.ravel()]), skeletons
 
 
-def _cascade(g, params, skeletons, key, build):
-    """(circuit, skeletons): the template `build(skeletons)`, kept on g
-    under ("cascade", *key, skeletons), bound to params laid out as in
-    `_ucg_params`."""
-    t = g.cached(("cascade", *key, skeletons), lambda: build(skeletons))
-    return t.bind(params), skeletons
-
-
-def synth_ucg(g, V, m):
+def synth_ucg(g, V, m, verify=True):
     """Compile a UCG on the first V.n qubits of g with m ancilla: the
-    one-UCG cascade, marked ucg_1 (see `_cascade_template`).
+    one-UCG cascade, marked ucg_1 (see `_cascade_template`); returns
+    (circuit, report).
 
     `meta["skeleton"]` is (n, target, emitted): emitted flags the three
     pieces not skipped as all-zero, the rz/ry/rz for n = 1 and the diagonal
     factors otherwise (the mid gates go with the second); with g and m it
     fixes every gate but the angles."""
     _check_ancilla(g, V.n, m)
-    c, (skeleton,) = _cascade(g, *_ucg_params([(V.n, V.target)],
-                                              _last_target_branches(V)),
-                              ("ucg", V.n, m), lambda s: _cascade_template(g, s, [m]))
-    c.meta.update(backend="ucg", skeleton=skeleton)
-    return c
+    params, skeletons = _ucg_params([(V.n, V.target)], _last_target_branches(V))
+
+    def build():
+        t = _cascade_template(g, skeletons, [m], "ucg")
+        t.meta["skeleton"] = skeletons[0]
+        return t
+
+    return _compile(g, ("cascade", "ucg", V.n, m, skeletons), build, params,
+                    V, verify)
 
 
 # -- QSP via a UCG cascade --------------------------------------------------
@@ -363,8 +366,7 @@ def state_to_ucgs(v):
     branch; magnitudes come from the amplitude tree and all phases fold
     into the last stage.  Zero-mass branches become identity.
     """
-    if not isinstance(v, StateSpec):
-        v = StateSpec(int(np.log2(len(v))), v)
+    v = _as_spec(StateSpec, v)
     br = _state_branches(v)
     return [UcgSpec(j, br[(1 << (j - 1)) - 1:(1 << j) - 1], j)
             for j in range(1, v.n + 1)]
@@ -400,31 +402,29 @@ def qsp_synthesize(g, v, m, verify=True):
     g's memo, and a final swap network moves the state onto qubits 1..n.
     The stages are marked ucg_1..ucg_n, then relabel for the swap network.
     """
-    if not isinstance(v, StateSpec):
-        v = StateSpec(int(np.log2(len(v))), v)
+    v = _as_spec(StateSpec, v)
     n = v.n
     _check_ancilla(g, n, m)
     if n + m != g.n:
         raise ValueError("graph must host exactly n + m qubits")
+    params, skeletons = _qsp_params(v)
 
-    def build(skeletons):
+    def build():
         ms = range(g.n - 1, m - 1, -1)
         order = _prefix_order(g)
         if order == list(range(1, g.n + 1)):
-            return _cascade_template(g, skeletons, ms)
+            return _cascade_template(g, skeletons, ms, "qsp-cascade")
         pos = {vtx: i + 1 for i, vtx in enumerate(order)}
         host = g.cached(("host",), lambda: explicit_graph(
             g.n, [(pos[a], pos[b]) for a, b in g.edges]))
-        t = _cascade_template(host, skeletons, ms)
+        t = _cascade_template(host, skeletons, ms, "qsp-cascade")
         t.gates = _map_gates(t.gates, g.cached(("relabel",), dict), order)
         t.extend(synth_permutation(g, {o: i + 1 for i, o in enumerate(order)}))
         t.mark("relabel")
         return t
 
-    c, _ = _cascade(g, *_qsp_params(v), ("qsp-cascade", n, m), build)
-    report = assemble_report(c, g, v if verify else None, m=m,
-                             backend="qsp-cascade")
-    return c, report
+    return _compile(g, ("cascade", "qsp-cascade", n, m, skeletons), build,
+                    params, v, verify)
 
 
 # -- general unitaries ------------------------------------------------------
@@ -441,8 +441,7 @@ def unitary_to_ucgs(U):
     LAPACK ?uncsd call of scipy.linalg.cossin(blk, p=h, q=h), with its work
     sizes, made directly.
     """
-    if not isinstance(U, UnitarySpec):
-        U = UnitarySpec(int(np.log2(len(U))), U)
+    U = _as_spec(UnitarySpec, U)
     n = U.n
     out = []
 
@@ -476,18 +475,16 @@ def gus_synthesize(g, U, m, verify=True):
     """Compile an arbitrary unitary on the first n qubits of g through the
     UCG sequence, one marked stage ucg_k per UCG; exact up to global phase.
     verify=False skips the simulation residual (counting-only runs)."""
-    if not isinstance(U, UnitarySpec):
-        U = UnitarySpec(int(np.log2(len(U))), U)
+    U = _as_spec(UnitarySpec, U)
     n = U.n
     _check_ancilla(g, n, m)
     if n > 5:
         raise ValueError("dense demultiplexing is guarded to n <= 5")
     ucgs = unitary_to_ucgs(U)
-    c, _ = _cascade(g, *_ucg_params([(V.n, V.target) for V in ucgs],
+    params, skeletons = _ucg_params([(V.n, V.target) for V in ucgs],
                                     np.concatenate([_last_target_branches(V)
-                                                    for V in ucgs])),
-                    ("gus-demux", n, m),
-                    lambda s: _cascade_template(g, s, [m] * len(ucgs)))
-    report = assemble_report(c, g, U if verify else None, m=m,
-                             backend="gus-demux", extra={"ucg_count": len(ucgs)})
-    return c, report
+                                                    for V in ucgs]))
+    return _compile(g, ("cascade", "gus-demux", n, m, skeletons),
+                    lambda: _cascade_template(g, skeletons, [m] * len(ucgs),
+                                              "gus-demux", ucg_count=len(ucgs)),
+                    params, U, verify)

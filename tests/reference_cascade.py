@@ -26,7 +26,8 @@ def qsp_circuit(g, v, m):
         g.n, [(pos[a], pos[b]) for a, b in g.edges])
     c = Circuit(g.n)
     for j, V in enumerate(state_to_ucgs(v), start=1):
-        gates = _on_clean_target(synth_ucg(host, V, g.n - j), host, g.n - j)
+        gates = _on_clean_target(synth_ucg(host, V, g.n - j, verify=False)[0],
+                                 host, g.n - j)
         if not natural:
             gates = [(name, tuple(order[q - 1] for q in qs), p)
                      for name, qs, p in gates]
@@ -52,6 +53,6 @@ def gus_circuit(g, U, m):
     """The sequence of U's UCGs on g with m ancilla, one synth_ucg per UCG."""
     c = Circuit(g.n)
     for k, V in enumerate(unitary_to_ucgs(U), start=1):
-        c.extend(synth_ucg(g, V, m))
+        c.extend(synth_ucg(g, V, m, verify=False)[0])
         c.mark(f"ucg_{k}")
     return c

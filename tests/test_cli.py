@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qgsynth import cli
+from qgsynth import cli, diag
 from qgsynth.cli import run_command
 
 
@@ -98,13 +98,13 @@ def test_verify_detects_wrong_target(files, tmp_path, capsys):
 def test_leaked_ancilla_fails_synth_and_verify_alike(files, monkeypatch,
                                                       capsys):
     # a residual within the threshold does not pass when the ancilla are
-    # not restored, in `synth --verify` as in `verify`
+    # not restored, in `synth --verify` as in `verify`; every entry point
+    # builds its report in diag._compile
     def leaking(fn):
         def run(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            report = out if isinstance(out, dict) else out[-1]
+            report = fn(*args, **kwargs)
             report["ancilla_restored"] = False
-            return out
+            return report
         return run
 
     out = str(files["tmp"] / "c.json")
@@ -114,8 +114,8 @@ def test_leaked_ancilla_fails_synth_and_verify_alike(files, monkeypatch,
               "--angles", files["angles"]]
     assert run_command(synth) == 0
     assert run_command(verify) == 0
-    for name in ("synth_diag_auto", "synth_diag_noancilla", "assemble_report"):
-        monkeypatch.setattr(cli, name, leaking(getattr(cli, name)))
+    for mod in (diag, cli):
+        monkeypatch.setattr(mod, "assemble_report", leaking(mod.assemble_report))
     capsys.readouterr()
     assert run_command(synth) == 1
     assert json.loads(capsys.readouterr().out)["residual"] <= 1e-8
@@ -169,6 +169,31 @@ def test_verify_takes_the_ancilla_from_the_saved_circuit(files, capsys):
     assert run_command(["verify", "--graph", graph, "--circuit", out,
                         "--angles", files["angles"]]) == 0
     assert json.loads(capsys.readouterr().out)["residual"] <= 1e-8
+
+
+def _complex_json(mat):
+    mat = np.asarray(mat)
+    return {"re": mat.real.tolist(), "im": mat.imag.tolist()}
+
+
+@pytest.mark.parametrize("what", ["gus", "ucg"])
+def test_synth_verifies_with_idle_qubits_past_n_plus_m(files, what, capsys):
+    # path(5) hosts n = 2 inputs and m = 1 ancilla with two qubits to
+    # spare: the report counts them as ancilla too, and --verify passes
+    rng = np.random.default_rng(72)
+    graph = write(files["tmp"] / "path5.json", {"kind": "path", "n": 5})
+    if what == "gus":
+        q = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        flag, obj = "--unitary", {"n": 2, **_complex_json(q)}
+    else:
+        branches = [np.linalg.qr(rng.normal(size=(2, 2)))[0] for _ in range(2)]
+        flag, obj = "--target", {"n": 2, "branches": [_complex_json(b)
+                                                      for b in branches]}
+    spec = write(files["tmp"] / f"{what}.json", obj)
+    assert run_command(["synth", what, "--graph", graph, flag, spec,
+                        "-m", "1", "--verify"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["residual"] <= 1e-8 and report["ancilla_restored"] is True
 
 
 @pytest.mark.parametrize("argv, flag", [

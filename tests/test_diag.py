@@ -84,6 +84,15 @@ def test_strategy_names_a_construction(name):
             synth_diag_noancilla(g, random_spec(rng, 4), strategy=name)
 
 
+@pytest.mark.parametrize("theta", [np.zeros(4), np.arange(4.0)], ids=["zeros", "ramp"])
+def test_noancilla_takes_a_bare_angle_array(theta):
+    # an array of 2^n angles stands for its DiagonalSpec, as in synth_diag_auto
+    c, report = synth_diag_noancilla(path_graph(2), theta)
+    want_c, want_r = synth_diag_noancilla(path_graph(2), DiagonalSpec(2, theta))
+    assert c.gates == want_c.gates and report == want_r
+    assert report["residual"] <= 1e-8
+
+
 def test_size_stays_within_linear_blowup():
     rng = np.random.default_rng(25)
     for n in (3, 5, 7):

@@ -46,7 +46,7 @@ def test_path_pipeline_exact():
         m = 3 * n
         g = path_graph(n + m)
         spec = random_spec(rng, n)
-        c, trace, report = synth_diag_ancilla(g, spec, m)
+        c, report = synth_diag_ancilla(g, spec, m)
         assert report["violations"] == []
         assert_exact(c, g, spec, m)
 
@@ -59,13 +59,13 @@ def test_auto_ancilla_report_matches_pipeline_report():
     g, n = tree_graph(2, n=9 + 63), 9
     spec = random_spec(np.random.default_rng(32), n)
     c, report = synth_diag_auto(g, spec, g.n - n)
-    c2, table, report2 = synth_diag_ancilla(g, spec, g.n - n)
+    c2, report2 = synth_diag_ancilla(g, spec, g.n - n)
     assert report["decision"] == "ancilla-tree"
     assert report["ancilla_used"] == g.n - n
     assert c.gates == c2.gates
     assert list(report) == list(report2) + ["decision"]
     assert {k: report[k] for k in report2} == report2
-    assert report["stages"] == table
+    assert report["stages"] == report2["stages"]
     assert sum(s["size"] for s in report["stages"]) == report["size"]
 
 
@@ -75,7 +75,7 @@ def test_tree_pipeline_exact():
     m = 3 * n
     g = tree_graph(2, n=n + m)
     spec = random_spec(rng, n)
-    c, trace, report = synth_diag_ancilla(g, spec, m)
+    c, report = synth_diag_ancilla(g, spec, m)
     assert report["violations"] == []
     assert_exact(c, g, spec, m)
 
@@ -96,7 +96,7 @@ def test_grid_rows_shorter_than_n_keep_inputs_on_1_to_n(dims, n):
     assert layout.n == n
     assert all(n < v <= g.n for v in _slots(layout))
     spec = random_spec(np.random.default_rng(n), n)
-    _, _, report = synth_diag_ancilla(g, spec, g.n - n)
+    _, report = synth_diag_ancilla(g, spec, g.n - n)
     assert report["backend"] == "ancilla-grid"
     assert report["residual"] <= 1e-8 and report["ancilla_restored"]
 
@@ -111,7 +111,7 @@ def test_pipeline_inverse_restores_ancilla_exactly():
     m = 3 * n
     g = path_graph(n + m)
     spec = random_spec(rng, n)
-    c, _, _ = synth_diag_ancilla(g, spec, m)
+    c, _ = synth_diag_ancilla(g, spec, m)
     anc_mask = (1 << m) - 1
     for x in range(1 << n):
         state = sparse_run(c.expanded(), x << m)
@@ -282,8 +282,8 @@ def test_auto_keeps_the_ladder_rung_it_ran_on():
     g, n, m = tree_graph(2, n=330), 10, 320
     spec = random_spec(np.random.default_rng(45), n)
     c, report = synth_diag_auto(g, spec, m, verify=False)
-    c2, _, report2 = synth_diag_ancilla(g, spec, 160, verify=False)
-    full = synth_diag_ancilla(g, spec, m, verify=False)[2]
+    c2, report2 = synth_diag_ancilla(g, spec, 160, verify=False)
+    full = synth_diag_ancilla(g, spec, m, verify=False)[1]
     assert report["decision"] == "ancilla-tree"
     assert report["ancilla_used"] == report2["ancilla_used"] == 160
     assert full["ancilla_used"] == m
@@ -298,8 +298,8 @@ def test_expander_three_stage_exact():
     n = 3
     g = complete_graph(6)
     spec = random_spec(rng, n)
-    c = synth_diag_expander_ancilla(g, spec, expander_cascade(g, 1, 2))
-    assert c.meta["backend"] == "ancilla-expander"
+    c, report = synth_diag_expander_ancilla(g, spec, expander_cascade(g, 1, 2))
+    assert report["backend"] == "ancilla-expander"
     assert validate_connectivity(c, g) == []
     assert_exact(c, g, spec, 3)
 
@@ -337,7 +337,7 @@ def _strategy(name):
 
 def _pipeline_on(k):
     """The ancilla pipeline on k of the m ancilla (vertices 1..n+k)."""
-    return lambda g, spec, m: synth_diag_ancilla(g, spec, k)[2]
+    return lambda g, spec, m: synth_diag_ancilla(g, spec, k)[1]
 
 
 # every candidate: the strategy on 1..n, the general split there when 1..n
@@ -447,7 +447,7 @@ def test_auto_with_ancilla_beats_hard_cases_on_depth():
     m = 3 * n
     g = path_graph(n + m)
     spec = random_spec(rng, n)
-    c, _, report = synth_diag_ancilla(g, spec, m)
+    c, report = synth_diag_ancilla(g, spec, m)
     assert report["depth"] <= 64 * (1 << n)
 
 
@@ -508,7 +508,7 @@ def _check_router(g, size):
                          ids=["path", "grid", "tree"])
 def test_stage_table_sums_to_report(g, n):
     spec = random_spec(np.random.default_rng(39), n)
-    c, _, report = synth_diag_ancilla(g, spec, g.n - n, verify=False)
+    c, report = synth_diag_ancilla(g, spec, g.n - n, verify=False)
     assert report["backend"].startswith("ancilla-")
     stages = report["stages"]
     assert len(stages) == 5

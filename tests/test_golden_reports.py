@@ -70,8 +70,7 @@ def _auto(make, n, seed, patch=None):
 def _ancilla(make, n, seed):
     def run():
         g = make()
-        c, _, report = synth_diag_ancilla(g, _spec(n, seed), g.n - n)
-        return c, report
+        return synth_diag_ancilla(g, _spec(n, seed), g.n - n)
     return run
 
 

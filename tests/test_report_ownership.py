@@ -86,7 +86,7 @@ def _call(entry, family, n, m, rng, verify):
             elif entry == "noancilla":
                 c, rep = synth_diag_noancilla(g, spec, verify=verify)
             else:
-                c, _, rep = synth_diag_ancilla(g, spec, m, verify=verify)
+                c, rep = synth_diag_ancilla(g, spec, m, verify=verify)
             target = spec
         elif entry == "qsp":
             target = StateSpec(n, random_state(rng, n))
@@ -97,9 +97,7 @@ def _call(entry, family, n, m, rng, verify):
         else:
             target = UcgSpec(n, [random_unitary(rng, 2) for _ in range(1 << n - 1)],
                              int(rng.integers(1, n + 1)))
-            c = synth_ucg(g, target, m)
-            rep = assemble_report(c, g, target if verify else None, m=m,
-                                  backend="ucg")
+            c, rep = synth_ucg(g, target, m, verify=verify)
         return c, rep, target, m
 
     return g, call

@@ -17,7 +17,6 @@ from qgsynth.graphs import (
     path_graph,
     star_graph,
 )
-from qgsynth.sim import assemble_report
 from qgsynth.states import StateSpec, UnitarySpec, gus_synthesize, qsp_synthesize
 
 ANCILLA = ["suffix-copy", "gray-init", "prefix-copy", "gray-cycle", "inverse"]
@@ -32,8 +31,7 @@ def state(n):
 
 
 def _expander(g, spec):
-    c = synth_diag_expander_ancilla(g, spec, expander_cascade(g, 1, 2))
-    return assemble_report(c, g, spec, m=g.n - spec.n)
+    return synth_diag_expander_ancilla(g, spec, expander_cascade(g, 1, 2))[1]
 
 
 def noancilla_names(names):
@@ -43,7 +41,7 @@ def noancilla_names(names):
 CASES = {
     "noancilla": (lambda: synth_diag_noancilla(path_graph(6), diag(6))[1],
                   noancilla_names),
-    "ancilla": (lambda: synth_diag_ancilla(path_graph(12), diag(3), 9)[2],
+    "ancilla": (lambda: synth_diag_ancilla(path_graph(12), diag(3), 9)[1],
                 ANCILLA.__eq__),
     # m < 3n on a path: the no-ancilla path strategy on vertices 1..n
     "auto": (lambda: synth_diag_auto(path_graph(10), diag(6), 4)[1],

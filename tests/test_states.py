@@ -1,12 +1,16 @@
 """State preparation, uniformly controlled gates and full-unitary
 synthesis."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import distance_up_to_phase
 from qgsynth.circuit import gate_matrix
+from qgsynth.diag import DiagonalSpec
 from qgsynth.graphs import (
     complete_graph,
+    expander_cascade,
     grid_graph,
     path_graph,
     star_graph,
@@ -88,7 +92,7 @@ def test_ucg_reconstruction_any_target():
     rng = np.random.default_rng(42)
     for target in (1, 2, 3):
         V = random_ucg(rng, 3, target)
-        c = synth_ucg(complete_graph(3), V, 0)
+        c, _ = synth_ucg(complete_graph(3), V, 0, verify=False)
         res, ok = verify_target(c, V, m=0)
         assert res <= 1e-10 and ok
 
@@ -109,7 +113,7 @@ def test_ucg_with_ancilla_on_tree():
     rng = np.random.default_rng(44)
     V = random_ucg(rng, 3)
     g = tree_graph(2, n=9)
-    c = synth_ucg(g, V, 6)
+    c, _ = synth_ucg(g, V, 6, verify=False)
     res, ok = verify_target(c, V, m=6)
     assert res <= 1e-10 and ok
 
@@ -251,9 +255,10 @@ def test_state_spec_rejects_non_finite_amplitudes(bad):
 @pytest.mark.parametrize("n", [2, 3])
 def test_qsp_refuses_an_infinite_amplitude_set_after_the_checks(n):
     # stage 1's pair is then (1, inf) / inf = (0, NaN); stage n's first
-    # pair that holds NaN is its last, so "branch 0" names stage 1's
+    # pair that holds NaN is its last, so "branch 0" names stage 1's.  The
+    # spec's own array is read-only: the bad set is swapped in past it
     v = StateSpec(n, np.eye(1 << n)[0])
-    v.amplitudes[-1] = np.inf
+    object.__setattr__(v, "amplitudes", np.append(v.amplitudes[:-1], np.inf))
     with pytest.raises(ValueError, match="^branch 0 is not unitary$"):
         qsp_synthesize(path_graph(n), v, 0)
 
@@ -274,10 +279,9 @@ def test_each_entry_point_builds_one_report(monkeypatch):
     import qgsynth.diag as diag
     import qgsynth.diag_ancilla as diag_ancilla
     import qgsynth.states as states
-    from qgsynth.diag import DiagonalSpec
 
     calls = []
-    real = states.assemble_report
+    real = diag.assemble_report
 
     def counting(*args, **kwargs):
         calls.append(args[0])
@@ -305,8 +309,57 @@ def test_each_entry_point_builds_one_report(monkeypatch):
         lambda: qsp_synthesize(path_graph(6), state(3), 3),
         lambda: gus_synthesize(path_graph(3), UnitarySpec(
             2, np.linalg.qr(rng.normal(size=(4, 4)))[0]), 1),
+        lambda: synth_ucg(path_graph(4), random_ucg(rng, 2), 1),
+        lambda: diag_ancilla.synth_diag_expander_ancilla(
+            complete_graph(6), diag_spec(3), expander_cascade(complete_graph(6), 1, 2)),
     ]
     for run in runs:
         calls.clear()
-        circuit = run()[0]
+        circuit, report = run()
         assert calls == [circuit]
+        assert report["residual"] <= 1e-8 and report["ancilla_restored"]
+
+
+def _two_qubit_unitary(seed):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return UnitarySpec(2, np.linalg.qr(z)[0])
+
+
+@pytest.mark.parametrize("run", [
+    lambda: gus_synthesize(path_graph(5), _two_qubit_unitary(60), 1),
+    lambda: synth_ucg(path_graph(4), random_ucg(np.random.default_rng(61), 2), 1),
+], ids=["gus", "ucg"])
+def test_cascades_verify_on_a_graph_larger_than_n_plus_m(run):
+    # the qubits past n + m are idle ancilla: the report counts every qubit
+    # past n as one instead of refusing a size mismatch
+    c, report = run()
+    assert c.n > 2 + 1
+    assert report["residual"] <= 1e-8 and report["ancilla_restored"]
+
+
+def test_specs_keep_read_only_copies():
+    rng = np.random.default_rng(62)
+    amp = np.eye(4)[0].astype(complex)
+    mat = _two_qubit_unitary(63).matrix.copy()
+    theta = rng.uniform(0, 1, 4)
+    branches = np.array([random_su2(rng) for _ in range(2)])
+    specs = [(StateSpec(2, amp), "amplitudes", amp),
+             (UnitarySpec(2, mat), "matrix", mat),
+             (DiagonalSpec(2, theta), "theta", theta),
+             (UcgSpec(2, branches), "branches", branches)]
+    for spec, name, source in specs:
+        held = getattr(spec, name)
+        before = held.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            held.flat[0] = np.nan
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, name, source)
+        source.flat[0] = np.nan  # the caller's array is not the spec's
+        assert np.array_equal(held, before)
+    # the write that used to hand QSP a NaN state, compiled without error
+    v = StateSpec(2, np.eye(4)[1])
+    with pytest.raises(ValueError, match="read-only"):
+        v.amplitudes[0] = np.nan
+    c, report = qsp_synthesize(path_graph(2), v, 0)
+    assert c.gates and report["residual"] <= 1e-8
