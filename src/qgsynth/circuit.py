@@ -24,6 +24,7 @@ scan (`Template.scan`) and simulation plan (`sim.Plan`), and the vector.
 from __future__ import annotations
 
 import cmath
+import gc
 import json
 import math
 from itertools import islice
@@ -403,17 +404,25 @@ _JSON_GATES = {"r", "rz", "ry", "h", "s", "sdg", "x", "cx", "swap"}
 def circuit_to_json(c):
     """The gate-list JSON object of c.  An unread `Bound` circuit is read
     from its template, whose r, rz and ry gates are its slots in order, with
-    the angles of its angle vector: no gate tuple is built."""
+    the angles of its angle vector: no gate tuple is built.  The cyclic
+    collector is paused meanwhile: the gate dicts hold no cycles, and each
+    collection their allocations trigger would walk all made so far."""
     t = c.template
     angles = iter(() if t is None else c.angles.tolist())
     gates = []
-    for name, qs, p in (t or c).gates:
-        if name == "u2":
-            raise ParseError("u2 gates are internal-only and not serializable")
-        g = {"g": name, "q": list(qs)}
-        if name in PARAM_GATES:
-            g["p"] = [float(p) if t is None else next(angles)]
-        gates.append(g)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name, qs, p in (t or c).gates:
+            if name == "u2":
+                raise ParseError("u2 gates are internal-only and not serializable")
+            g = {"g": name, "q": list(qs)}
+            if name in PARAM_GATES:
+                g["p"] = [float(p) if t is None else next(angles)]
+            gates.append(g)
+    finally:
+        if enabled:
+            gc.enable()
     return {"n": c.n, "ancilla": c.ancilla, "gates": gates}
 
 

@@ -80,15 +80,26 @@ def fwht(a, widths=None):
         src, dst, seg = dst, src, 2 * seg
 
 
+@lru_cache(maxsize=None)
+def _run_scales(widths):
+    """(scale, starts) of a run of rows of 2^w entries, w in widths: each
+    entry's factor -2^(1 - w) and each row's first index, read-only."""
+    lens = 1 << np.array(widths)
+    scale, starts = np.repeat(-2.0 / lens, lens), np.cumsum(lens) - lens
+    scale.flags.writeable = starts.flags.writeable = False
+    return scale, starts
+
+
 def solve_phase_coefficients(theta, widths=None):
     """Coefficients alpha with sum_s alpha_s <s,x> = theta(x) for all x.
 
     theta is a length-2^n array with theta[0] = 0; returns alpha of the same
     length with alpha[0] = 0.  For s != 0:
         alpha_s = -2^(1-n) sum_x (-1)^<s,x> theta(x).
-    Given `widths` (an array, non-decreasing), the last axis of theta is a
-    run of such rows of 2^widths[i] angles each, not checked, all solved by
-    one transform (leading axes are a stack of such runs).
+    Given `widths` (non-decreasing), the last axis of theta is a run of
+    such rows of 2^widths[i] angles each, not checked, all solved by one
+    transform (leading axes are a stack of such runs); the run's scales and
+    row starts are computed once per widths.
     """
     theta = np.asarray(theta, dtype=float)
     if widths is None:
@@ -100,9 +111,7 @@ def solve_phase_coefficients(theta, widths=None):
             raise ValueError("theta[0] must be 0 (phase normalization)")
         scale, starts = -(2.0 ** (1 - n)), 0
     else:
-        lens = 1 << widths
-        scale = np.repeat(-(2.0 ** (1 - widths)), lens)
-        starts = np.cumsum(lens) - lens
+        scale, starts = _run_scales(tuple(widths))
     alpha = scale * fwht(theta, widths)
     alpha[..., starts] = 0.0
     return alpha

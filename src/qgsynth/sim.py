@@ -18,9 +18,13 @@ the circuit's angle vector without building its gates.
     (`_Trajectory`), compiled from the plan once per input set: the basis
     keys before each run form an affine subspace, so each run's phase
     polynomial projects onto it, one Walsh-Hadamard transform gives the
-    phase of every key of every run, and a branching gate (h, ry, u2)
-    either doubles the array or mixes each entry with a fixed partner.
-    The basis inputs of a unitary or UCG target run as one batch.
+    phase of every key of every run (as cos + i sin), and a branching gate
+    (h, ry, u2) either doubles the array or mixes each entry with a fixed
+    partner, read through a reshaped and reversed view.  Each step is
+    compiled with the trajectory; an h step's matrix is fixed by its name,
+    so its coefficient arrays are too, and a call builds them only for its
+    ry and u2 gates.  The basis inputs of a unitary or UCG target run as
+    one batch.
 
 Qubit 1 is the most significant bit of a basis index; ancilla are trailing
 qubits and therefore the least significant bits.
@@ -74,12 +78,13 @@ class _Run:
 class Plan:
     """How a circuit is simulated, compiled once from its gate names and
     qubits: its runs, split at each branching gate (at `branches`, with its
-    bit).  Each r/rz/s/sdg gate is a term of run `runof` with a mask index
-    (`uidx`), a sign (-1 if its qubit is flipped), a share of the constant
-    phase (`cw`) and `src`, its index in a call's angle vector (`weights`):
-    the r/rz angles at `angles`, then those of s and sdg; a call reads the
-    params at `params`.  Compiled from a sealed `Template`, it reads an
-    unread circuit bound from it through `slots`, each param's slot.
+    bit and, for an h, its fixed matrix).  Each r/rz/s/sdg gate is a term
+    of run `runof` with a mask index (`uidx`), a sign (-1 if its qubit is
+    flipped), a share of the constant phase (`cw`) and `src`, its index in
+    a call's angle vector (`weights`): the r/rz angles at `angles`, then
+    those of s and sdg; a call reads the params at `params`, the angles
+    and then the ry/u2 gates.  Compiled from a sealed `Template`, it reads
+    an unread circuit bound from it through `slots`, each param's slot.
     `projected[m]` keeps `_diagonal_check`'s term indices for m ancilla and
     `paths` the key trajectory of each input set (`_run`)."""
 
@@ -112,23 +117,24 @@ class Plan:
             else:
                 (q,) = qs
                 self.runs.append(_Run(rows, flips, terms, lo, own))
-                self.branches.append((k, own[q]))
+                self.branches.append((k, own[q],
+                                      gate_matrix(name) if name == "h" else None))
                 rows, flips, terms, lo = own.copy(), [0] * (nq + 1), {}, lo + len(terms)
         self.runs.append(_Run(rows, flips, terms, lo, own))
         self.src, self.uidx, self.runof = (np.array(a, dtype=np.intp)
                                            for a in (src, uidx, runof))
         self.sign, self.cw = np.array(sign), np.array(cw)
-        self.params = self.angles + [k for k, _ in self.branches]
+        self.params = self.angles + [k for k, _, mat in self.branches if mat is None]
         self.slots = None
         if isinstance(c, Template) and len(c.pos):
-            slot = np.zeros(len(c.gates), dtype=np.intp)  # an h reads 0
+            slot = np.zeros(len(c.gates), dtype=np.intp)
             slot[c.pos] = np.arange(len(c.pos))
             self.slots = slot[self.params]
         self.projected, self.paths = {}, {}
 
     def weights(self, c):
         """(w, mats): the angle of every r/rz/s/sdg gate of c in plan order,
-        and the 2x2 matrix of every branching gate.  The params of an
+        and the 2x2 matrix of every ry/u2 gate.  The params of an
         unread circuit bound from the plan's template come from its angle
         vector by one gather, any other circuit's from its gates."""
         if c.template is not None and self.slots is not None:
@@ -139,7 +145,7 @@ class Plan:
         na = len(self.angles)
         w = np.concatenate([p[:na], _FIXED_ANGLES])[self.src]
         return w, [gate_matrix(gates[k][0], a)
-                   for (k, _), a in zip(self.branches, p[na:])]
+                   for k, a in zip(self.params[na:], p[na:])]
 
 
 def _plan(c):
@@ -202,11 +208,25 @@ def _combo(vecs, t):
 
 
 def _flipper(mask, d):
-    """(shape, axes) with a[z ^ mask] == np.flip(a.reshape(shape), axes)
-    for z < 2^d: one axis per run of equal bits of mask, top bits first."""
+    """(shape, flip) with a[z ^ mask] == a.reshape(shape)[flip].ravel() for
+    z < 2^d: one axis per run of equal bits of mask, top bits first, and
+    flip reverses those of the set bits."""
     cuts = [d, *(i for i in range(d - 1, 0, -1) if (mask >> i ^ mask >> i - 1) & 1), 0]
     shape = tuple(1 << hi - lo for hi, lo in zip(cuts, cuts[1:]))
-    return shape, tuple(a for a, lo in enumerate(cuts[1:]) if mask >> lo & 1)
+    return shape, tuple(slice(None, None, -1 if mask >> lo & 1 else 1)
+                        for lo in cuts[1:])
+
+
+def _coefs(on, view, mat):
+    """The coefficients of a branching step with matrix mat.  A grow has
+    one array, mat[out, on(z)] for output row out and entry z; a mix has
+    mat[on(z), on(z)] for entry z itself and mat[on(z), 1 - on(z)] for its
+    partner, the latter one scalar when mat[1, 0] == mat[0, 1]."""
+    if view is None:
+        return (np.where(on, mat[:, 1:], mat[:, :1]),)
+    partner = (mat[1, 0] if mat[1, 0] == mat[0, 1]
+               else np.where(on, mat[1, 0], mat[0, 1]))
+    return np.where(on, mat[1, 1], mat[0, 0]), partner
 
 
 class _Trajectory:
@@ -216,11 +236,15 @@ class _Trajectory:
     mapped through the runs so far.  A term s of a run adds <s, key> =
     <s, c> xor <sigma(s), z>, sigma(s)_i = <s, B_i>, so the weights bin by
     sigma into one row per run (`offs`, `widths`) and one Walsh transform of
-    the rows gives every key's phase in every run.  A branching gate on bit
+    the rows gives every key's phase in every run, taken as cos + i sin of
+    the transform of weights pre-scaled by -1/2.  A branching gate on bit
     b, with `on` bit b of each key, either grows (e_b is not in the span: c
     and B drop bit b, e_b joins B on top, the array doubles) or mixes entry
     z with z ^ I, whose key differs in bit b alone (e_b = sum over I of B_i,
-    `flip`).  Only grown vectors pair: the inputs are separate states."""
+    read through a reshaped and reversed view).  Each step is compiled to
+    (view, on, coefs): an h step's coefficient arrays are built here from
+    its fixed matrix, and only ry/u2 steps build theirs from a call's
+    matrices.  Only grown vectors pair: the inputs are separate states."""
 
     def __init__(self, plan, c, inputs):
         vec = np.array([c, *inputs], dtype=np.uint64)  # c, then B
@@ -241,13 +265,16 @@ class _Trajectory:
             vec[0] ^= run.xor
             if r == len(plan.branches):
                 break
-            bit = plan.branches[r][1]
+            _, bit, mat = plan.branches[r]
             hit = (vec & np.uint64(bit)) != 0
             lam = int((1 << np.arange(d)) @ hit[1:])
             on = (np.bitwise_count(np.arange(1 << d, dtype=np.uint64) & np.uint64(lam))
                   & 1).astype(bool) ^ hit[0] if lam else hit[0]
             pair = _combo(vec[1 + j:].tolist(), bit)
-            self.steps.append((on, pair and _flipper(pair << j, d)))
+            view = pair and _flipper(pair << j, d)
+            if view:
+                on = on.reshape(view[0])
+            self.steps.append((view, on, mat is not None and _coefs(on, view, mat)))
             if pair is None:
                 vec = np.append(vec & ~np.uint64(bit), np.uint64(bit))
                 d += 1
@@ -258,28 +285,29 @@ class _Trajectory:
         flip = np.concatenate(parity)[plan.uidx]
         self.bins = np.concatenate([np.concatenate(rows)[plan.uidx],
                                     np.array(self.offs)[plan.runof]])
-        # a phase is -1/2 the transform of w fac[0] at its row's index sigma
-        # plus w fac[1] at its row's 0 (the constant, from plan.cw)
-        self.fac = np.stack([plan.sign * (1 - 2.0 * flip), -2 * plan.cw - plan.sign])
+        # a phase is the transform of w fac[0] at its row's index sigma plus
+        # w fac[1] at its row's 0 (the constant, from plan.cw), each -1/2 w's
+        self.fac = -0.5 * np.stack([plan.sign * (1 - 2.0 * flip),
+                                    -2 * plan.cw - plan.sign])
         self.size, self.start = size, 1 << j
 
     def evolve(self, w, mats):
         """Amplitudes of every key from a circuit's `Plan.weights`."""
-        w = (w * self.fac).ravel()
-        phase = np.exp(-0.5j * fwht(np.bincount(self.bins, w, self.size), self.widths))
-        amp = np.ones(self.start, dtype=complex)
-        for off, step, mat in zip(self.offs, [*self.steps, None], [*mats, None]):
+        t = fwht(np.bincount(self.bins, (w * self.fac).ravel(), self.size), self.widths)
+        phase = np.empty(self.size, dtype=complex)
+        np.cos(t, out=phase.real)
+        np.sin(t, out=phase.imag)
+        amp, mats = phase[:self.start], iter(mats)
+        for off, (view, on, coefs) in zip(self.offs[1:], self.steps):
+            coefs = coefs or _coefs(on, view, next(mats))
+            if view is None:  # amp[z + out 2^d] = mat[out, on(z)] amp[z]
+                amp = (coefs[0] * amp).ravel()
+            else:
+                a = amp.reshape(view[0])
+                amp = (coefs[0] * a + coefs[1] * a[view[1]]).ravel()
             if off >= 0:
                 amp = amp * phase[off:off + len(amp)]
-            if step is None:
-                return amp
-            on, flip = step
-            if flip is None:  # amp[z + out 2^d] = mat[out, on(z)] amp[z]
-                amp = (np.where(on, mat[:, 1:], mat[:, :1]) * amp).ravel()
-            else:
-                other = np.flip(amp.reshape(flip[0]), flip[1]).ravel()
-                amp = (np.where(on, mat[1, 1], mat[0, 0]) * amp
-                       + np.where(on, mat[1, 0], mat[0, 1]) * other)
+        return amp
 
 
 def _run(c, plan, basis=0, ncols=0, shift=0):

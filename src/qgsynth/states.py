@@ -18,12 +18,13 @@ keep it.
 A cascade is bound in one pass into one angle vector.  GUS and UCG
 cascades put the branches of all their UCGs through one ZYZ batch and
 their factors through one FWHT.  QSP takes stages 1..n-1, real Ry
-multiplexors, straight from the amplitude tree; only stage n, which
-carries the phases, gets a branch table and ZYZ, and one FWHT solves just
-the rows a template reads.  The gates, up to the angles, follow from the
-graph, n, m and which pieces each UCG emitted, its skeletons (see
-`synth_ucg`): g's memo keeps its template, which keeps its scan and plan,
-so a warm call gathers one angle vector, builds no gate and scans nothing.
+multiplexors, straight from the amplitude tree; stage n, which carries
+the phases, runs the ZYZ column kernel straight on its amplitude pairs,
+and one FWHT solves just the rows a template reads.  The gates, up to
+the angles, follow from the graph, n, m and which pieces each UCG
+emitted, its skeletons (see `synth_ucg`): g's memo keeps its template,
+which keeps its scan and plan, so a warm call gathers one angle vector,
+builds no gate and scans nothing.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -137,15 +139,13 @@ class UnitarySpec:
 
 # -- UCG -> diagonals -------------------------------------------------------
 
-def zyz_angles_batch(u):
-    """Euler angles (a, b, c, d), each an array over the stack u of 2x2
-    unitaries, with u[k] = e^{ia[k]} Rz(b[k]) Ry(c[k]) Rz(d[k])."""
-    x = np.asarray(u, dtype=complex).reshape(-1, 4)  # u00 u01 u10 u11
-    det = x[:, 0] * x[:, 3] - x[:, 1] * x[:, 2]
+def _zyz_columns(det, u):
+    """`zyz_angles_batch` of a stack of 2x2 unitaries given as det, their
+    determinants, and u, the rows u00, u10, u11 (u01 enters det alone)."""
     a = 0.5 * np.arctan2(det.imag, det.real)
-    v = x[:, [0, 2, 3]] * np.exp(-1j * a)[:, None]  # v00 v10 v11
-    m00, m10 = np.abs(v[:, :2]).T
-    bmd, bpd = 2.0 * np.arctan2(v[:, 1:].imag, v[:, 1:].real).T
+    v = u * np.exp(-1j * a)  # v00 v10 v11
+    m00, m10 = np.abs(v[:2])
+    bmd, bpd = 2.0 * np.arctan2(v[1:].imag, v[1:].real)
     c = 2.0 * np.arctan2(m10, m00)
     b, d = (bpd + bmd) / 2.0, (bpd - bmd) / 2.0
     # a (near-)zero column entry leaves one phase free: put it all in b
@@ -154,6 +154,13 @@ def zyz_angles_batch(u):
     b[anti], b[diag] = bmd[anti], bpd[diag]
     d[anti | diag] = 0.0
     return a, b, c, d
+
+
+def zyz_angles_batch(u):
+    """Euler angles (a, b, c, d), each an array over the stack u of 2x2
+    unitaries, with u[k] = e^{ia[k]} Rz(b[k]) Ry(c[k]) Rz(d[k])."""
+    x = np.asarray(u, dtype=complex).reshape(-1, 4)  # u00 u01 u10 u11
+    return _zyz_columns(x[:, 0] * x[:, 3] - x[:, 1] * x[:, 2], x[:, [0, 2, 3]].T)
 
 
 def zyz_angles(u):
@@ -218,15 +225,14 @@ def ucg_to_diagonals(V):
     return (*(DiagonalSpec(V.n, f) for f in theta), UCG_MID_GATES)
 
 
-def _last_target_branches(V):
-    """V's branch table for target n, valid after exchanging the contents
-    of qubits V.target and n."""
-    n, t = V.n, V.target
+def _last_target_branches(branches, n, t):
+    """The branch table for target n of an n-qubit UCG with target t,
+    valid after exchanging the contents of qubits t and n."""
     if t == n:
-        return V.branches
+        return branches
     # one axis per control bit: the new last control is old qubit n, whose
     # bit moves into qubit t's place
-    tensor = V.branches.reshape((2,) * (n - 1) + (2, 2))
+    tensor = branches.reshape((2,) * (n - 1) + (2, 2))
     return np.moveaxis(tensor, n - 2, t - 1).reshape(-1, 2, 2)
 
 
@@ -265,7 +271,7 @@ def _ucg_params(heads, branches):
     """(params, skeletons) of the cascade of `_factors`: the Walsh
     coefficients of its factor rows (one FWHT), then the Euler angles."""
     theta, euler, skeletons = _factors(heads, branches)
-    alpha = solve_phase_coefficients(theta, np.array([n for n, _ in heads]))
+    alpha = solve_phase_coefficients(theta, tuple(n for n, _ in heads))
     return np.concatenate([alpha.ravel(), euler.ravel()]), skeletons
 
 
@@ -279,7 +285,8 @@ def synth_ucg(g, V, m, verify=True):
     factors otherwise (the mid gates go with the second); with g and m it
     fixes every gate but the angles."""
     _check_ancilla(g, V.n, m)
-    params, skeletons = _ucg_params([(V.n, V.target)], _last_target_branches(V))
+    params, skeletons = _ucg_params([(V.n, V.target)],
+                                    _last_target_branches(V.branches, V.n, V.target))
 
     def build():
         t = _cascade_template(g, skeletons, [m], "ucg")
@@ -323,38 +330,64 @@ def _state_branches(v):
                            _table(tree[last:size], v.amplitudes)])
 
 
+@lru_cache(maxsize=None)
+def _qsp_layout(n):
+    """`_qsp_params`' constants for n qubits: the FWHT row widths (lam2 of
+    every stage, then lam3 of stage n), each branch's stage head and the
+    offsets of the stages' lam2 rows, read-only."""
+    counts = 1 << np.arange(n)  # branches per stage, from counts - 1 on
+    head, starts = np.repeat(counts - 1, counts), 2 * (counts - 1)
+    head.flags.writeable = starts.flags.writeable = False
+    return (*range(1, n + 1), n), head, starts
+
+
 def _qsp_params(v):
     """(params, skeletons) of v's cascade on clean targets: at every slot a
     template reads, bit for bit those of `_ucg_params(_state_branches(v))`
     with lam1 and rz(d) zero.  A stage j < n branch [[p, -q], [q, p]],
     p, q >= 0, has ZYZ a = b = d = +-0 and c = 2 atan2(q, p) of the same
     floats: these stages build no table, run no ZYZ and emit lam2 alone.
+    Stage n's ZYZ reads its pairs (p, q) as the columns of
+    [[p, -q*], [q, p*]], the identity where dead, as `_table` builds them.
     One FWHT solves the rows a template reads, lam2 of every stage and lam3
     of stage n."""
     n, tree = v.n, _tree(v)
     size, last = (1 << n) - 1, (1 << (n - 1)) - 1  # branches; stage n's first
+    widths, head, starts = _qsp_layout(n)
     live = tree[:last, None] > 1e-15  # as in _table
     col = tree[1:size].reshape(-1, 2) / np.where(live, tree[:last, None], 1.0)
     p, q = np.where(live, col, (1.0, 0.0)).T
-    ok = np.abs(p * p + q * q - 1.0) <= 1e-12  # NaN fails
+    live = tree[last:size, None] > 1e-15
+    u = np.empty((last + 1, 3), dtype=complex)  # u00 u10 u11 of each branch
+    np.divide(v.amplitudes.reshape(-1, 2), np.where(live, tree[last:size, None], 1.0),
+              out=u[:, :2])
+    np.conj(u[:, 0], out=u[:, 2])
+    u = np.where(live, u, (1.0, 0.0, 1.0)).T
+    det = u[0] * u[2] - (-np.conj(u[1])) * u[1]
+    # |p|^2 + |q|^2 of every branch; NaN fails
+    ok = np.abs(np.concatenate([p * p + q * q, det.real]) - 1.0) <= 1e-12
     if not ok.all():
         raise ValueError(f"branch {ok.argmin()} is not unitary")
-    a, b, c, d = zyz_angles_batch(_unitary(_table(tree[last:size], v.amplitudes)))
-    c = np.concatenate([2.0 * np.arctan2(q, p), c])
-    half = c / 2.0
-    counts = 1 << np.arange(n)  # branches per stage, from counts - 1 on
-    head = np.repeat(-half[counts - 1], counts)
-    lam2 = np.stack([-half - head, half - head], axis=1).ravel()
+    a, b, c, d = _zyz_columns(det, u)
+    half = np.concatenate([np.arctan2(q, p), c / 2.0])  # c / 2 of every branch
+    theta = np.empty(2 * size + (1 << n))  # lam2 of every stage, lam3 of stage n
+    lam2, lam3 = theta[:2 * size], theta[2 * size:]
+    rise = half[head]  # less each stage's head entry, -c/2 of its first branch
+    np.subtract(rise, half, out=lam2[0::2])
+    np.add(half, rise, out=lam2[1::2])
     phase = a - (b + d) / 2.0
-    lam3 = np.mod(np.stack([phase - phase[0], phase + b - phase[0]],
-                           axis=1).ravel(), 2 * math.pi)
-    on = np.logical_or.reduceat(np.abs(lam2) > 1e-14, 2 * (counts - 1)).tolist()
+    np.subtract(phase, phase[0], out=lam3[0::2])
+    np.add(phase, b, out=lam3[1::2])
+    lam3[1::2] -= phase[0]
+    np.mod(lam3, 2 * math.pi, out=lam3)
+    on = np.logical_or.reduceat(np.abs(lam2) > 1e-14, starts).tolist()
     on3 = bool((np.abs(lam3 if n > 1 else b) > 1e-14).any())  # rz(b) at n = 1
-    coef = solve_phase_coefficients(np.concatenate([lam2, lam3]),
-                                    np.append(np.arange(1, n + 1), n))
-    z = np.zeros  # `_ucg_params`' rows lam1, lam2, lam3, then d, c, b
-    params = np.concatenate([z(2 * size), coef[:2 * size], z(2 * last),
-                             coef[2 * size:], z(size), c, z(last), b])
+    coef = solve_phase_coefficients(theta, widths)
+    params = np.zeros(9 * size)  # `_ucg_params`' rows lam1, lam2, lam3, d, c, b
+    params[2 * size:4 * size] = coef[:2 * size]
+    params[4 * size + 2 * last:6 * size] = coef[2 * size:]
+    np.multiply(half, 2.0, out=params[7 * size:8 * size])
+    params[8 * size + last:] = b
     return params, tuple((j, j, (False, on[j - 1], j == n and on3))
                          for j in range(1, n + 1))
 
@@ -432,22 +465,23 @@ def qsp_synthesize(g, v, m, verify=True):
 _UNCSD, _UNCSD_LWORK = get_lapack_funcs(("uncsd", "uncsd_lwork"), dtype=complex)
 
 
-def unitary_to_ucgs(U):
-    """Exactly 2^n - 1 UCGs whose left-to-right product is U.
+def _demux(U):
+    """(heads, blocks) of U's recursive cosine-sine demultiplexing: 2^n - 1
+    UCGs whose left-to-right product is U, UCG k an (n, target) in heads
+    and its stack of 2x2 branches in blocks.
 
-    Recursive cosine-sine demultiplexing: each block splits into side
-    unitaries and a multiplexed Y-rotation whose target walks from qubit 1
-    outward to qubit n at the leaves of the recursion.  Each split is the
-    LAPACK ?uncsd call of scipy.linalg.cossin(blk, p=h, q=h), with its work
-    sizes, made directly.
+    Each block splits into side unitaries and a multiplexed Y-rotation
+    whose target walks from qubit 1 outward to qubit n at the leaves of the
+    recursion.  Each split is the LAPACK ?uncsd call of
+    scipy.linalg.cossin(blk, p=h, q=h), with its work sizes, made directly.
     """
-    U = _as_spec(UnitarySpec, U)
     n = U.n
-    out = []
+    heads, out = [], []
 
     def demux(blocks, k):
         if k == n - 1:
-            out.append(UcgSpec(n, blocks, n))
+            heads.append((n, n))
+            out.append(np.array(blocks, dtype=complex))
             return
         h = 1 << (n - k - 1)
         work, rwork, _ = _UNCSD_LWORK(2 * h, h, h)
@@ -463,28 +497,35 @@ def unitary_to_ucgs(U):
             angles += th.tolist()
         demux(rs, k + 1)
         c, s = np.array([(math.cos(t), math.sin(t)) for t in angles]).T
-        out.append(UcgSpec(n, np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2),
-                           k + 1))
+        heads.append((n, k + 1))
+        out.append(np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2))
         demux(ls, k + 1)
 
     demux([U.matrix], 0)
-    return out
+    return heads, out
+
+
+def unitary_to_ucgs(U):
+    """Exactly 2^n - 1 UCGs whose left-to-right product is U (`_demux`),
+    each a checked `UcgSpec`."""
+    return [UcgSpec(n, br, t) for (n, t), br in zip(*_demux(_as_spec(UnitarySpec, U)))]
 
 
 def gus_synthesize(g, U, m, verify=True):
     """Compile an arbitrary unitary on the first n qubits of g through the
     UCG sequence, one marked stage ucg_k per UCG; exact up to global phase.
-    verify=False skips the simulation residual (counting-only runs)."""
+    The branches of all 2^n - 1 UCGs, each retargeted to qubit n, are
+    checked for unitarity as one stack.  verify=False skips the simulation
+    residual (counting-only runs)."""
     U = _as_spec(UnitarySpec, U)
     n = U.n
     _check_ancilla(g, n, m)
     if n > 5:
         raise ValueError("dense demultiplexing is guarded to n <= 5")
-    ucgs = unitary_to_ucgs(U)
-    params, skeletons = _ucg_params([(V.n, V.target) for V in ucgs],
-                                    np.concatenate([_last_target_branches(V)
-                                                    for V in ucgs]))
+    heads, blocks = _demux(U)
+    params, skeletons = _ucg_params(heads, _unitary(np.concatenate(
+        [_last_target_branches(br, *h) for h, br in zip(heads, blocks)])))
     return _compile(g, ("cascade", "gus-demux", n, m, skeletons),
-                    lambda: _cascade_template(g, skeletons, [m] * len(ucgs),
-                                              "gus-demux", ucg_count=len(ucgs)),
+                    lambda: _cascade_template(g, skeletons, [m] * len(heads),
+                                              "gus-demux", ucg_count=len(heads)),
                     params, U, verify)

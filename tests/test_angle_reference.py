@@ -94,12 +94,44 @@ def test_qsp_binds_the_reference_angles(n, kind, seed):
     same_bits(c.angles, params[c.template.idx])
 
 
+def kernel_state(kind, n, seed):
+    """make_state's kinds, plus a state whose first half has zero mass:
+    every stage has dead branches, which `_table` builds as the identity."""
+    if kind != "zero-half":
+        return make_state(kind, n, seed)
+    v = make_state("generic", n, seed)
+    v[:len(v) // 2] = 0
+    return v / np.linalg.norm(v)
+
+
+@given(n=st.integers(1, 10), kind=st.sampled_from(["zero-half", "real", "generic"]),
+       seed=SEEDS)
+@example(n=1, kind="zero-half", seed=0)
+@example(n=1, kind="real", seed=1)
+@example(n=1, kind="generic", seed=2)
+@settings(max_examples=80, deadline=None)
+def test_stage_n_kernel_equals_reference(n, kind, seed):
+    # stage n's ZYZ, taken straight from its amplitude pairs, must give the
+    # bits of the reference's branch table through zyz_angles_batch in
+    # every row it feeds: lam2 of every stage, stage n's lam3, c and b
+    v = StateSpec(n, kernel_state(kind, n, seed))
+    size, last = (1 << n) - 1, (1 << (n - 1)) - 1
+    heads = [(j, j) for j in range(1, n + 1)]
+    params, skeletons = states._qsp_params(v)
+    want, want_skeletons = ref.cascade_params(heads, ref.state_branches(v), clean=True)
+    for row in (slice(2 * size, 4 * size), slice(4 * size + 2 * last, 6 * size),
+                slice(7 * size, 8 * size), slice(8 * size + last, 9 * size)):
+        same_bits(params[row], want[row])
+    assert skeletons == want_skeletons
+
+
 @given(n=st.integers(2, 5), kind=st.sampled_from(UNITARY_KINDS), seed=SEEDS)
 @settings(max_examples=20, deadline=None)
 def test_unitary_factors_equal_reference(n, kind, seed):
     ucgs = states.unitary_to_ucgs(UnitarySpec(n, make_unitary(kind, n, seed)))
     same_factors([(V.n, V.target) for V in ucgs],
-                 np.concatenate([states._last_target_branches(V) for V in ucgs]))
+                 np.concatenate([states._last_target_branches(V.branches, V.n, V.target)
+                                 for V in ucgs]))
 
 
 @given(n=st.integers(1, 6), data=st.data(), seed=SEEDS)
@@ -116,7 +148,8 @@ def test_one_ucg_factors_equal_reference(n, data, seed):
     else:
         branches = [np.diag(np.exp(1j * rng.uniform(0, 7, 2))) for _ in range(count)]
     V = UcgSpec(n, branches, data.draw(st.integers(1, n)))
-    same_factors([(n, V.target)], states._last_target_branches(V))
+    same_factors([(n, V.target)],
+                 states._last_target_branches(V.branches, n, V.target))
 
 
 @pytest.mark.parametrize("kind", UNITARY_KINDS)

@@ -94,7 +94,7 @@ def test_gus_equals_per_ucg_reference(data, n, m, kinds, seeds):
 # builders a warm cascade call must not enter, and its one batch and transform
 REBUILDERS = [(states, "synth_permutation"), (linear, "synth_permutation"),
               (states, "_map_gates"), (states, "synth_ucg")]
-ONCE = [(states, "zyz_angles_batch"), (gray, "fwht")]
+ONCE = [(states, "_zyz_columns"), (gray, "fwht")]
 
 
 @pytest.mark.parametrize("task, make, n", [
@@ -118,6 +118,6 @@ def test_warm_call_binds_in_one_pass(task, make, n):
         with counting(REBUILDERS + ONCE) as counts:
             _, report = call(g, spec(n, draw()), g.n - n, verify=verify)
         assert counts == {"synth_permutation": 0, "_map_gates": 0,
-                          "synth_ucg": 0, "zyz_angles_batch": 1, "fwht": 1}
+                          "synth_ucg": 0, "_zyz_columns": 1, "fwht": 1}
         assert list(g._memo) == keys
     assert report["residual"] <= 1e-8

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,6 +85,25 @@ def test_json_round_trip(rng):
     c = small_random_circuit(rng, 4, 20)
     c2 = circuit_from_json(circuit_to_json(c))
     assert c2.gates == c.gates and c2.n == c.n
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_json_writer_restores_the_collector(rng, enabled):
+    # the writer pauses the cyclic collector and leaves it as it found it,
+    # after a circuit and after refusing a u2 gate
+    c = small_random_circuit(rng, 3, 10)
+    bad = Circuit(1)
+    bad.u2(1, np.eye(2))
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert circuit_from_json(circuit_to_json(c)).gates == c.gates
+        assert gc.isenabled() is enabled
+        with pytest.raises(ParseError, match="u2"):
+            circuit_to_json(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_json_rejects_garbage():

@@ -447,6 +447,81 @@ def test_trajectory_matches_reference_on_branching_circuits(case, seed):
             assert verify_target(bound, target, m) == got  # along the kept one
 
 
+@st.composite
+def mixed_branching(draw):
+    """(gates, nq, ncols): h, ry and u2 gates among phase-type ones on nq
+    qubits, about half of the branching gates on one qubit, so that each
+    kind both grows the array and mixes it; the angles and u2 matrices are
+    drawn per circuit by `_with_params`.  ncols input columns run as one
+    batch."""
+    nq = draw(st.integers(1, 4))
+    focus = draw(st.integers(1, nq))
+    gates = []
+    for _ in range(draw(st.integers(1, 20))):
+        name = draw(st.sampled_from(["h", "ry", "u2", "cx", "x", "rz", "s"]
+                                    if nq > 1 else ["h", "ry", "u2", "x", "rz", "s"]))
+        if name == "cx":
+            a, b = draw(st.permutations(range(1, nq + 1)))[:2]
+            gates.append((name, (a, b)))
+        else:
+            on = name in ("h", "ry", "u2") and draw(st.booleans())
+            gates.append((name, (focus if on else draw(st.integers(1, nq)),)))
+    return gates, nq, draw(st.integers(0, min(nq, 2)))
+
+
+def _with_params(gates, nq, rng):
+    """A circuit of gates with fresh ry/rz angles and u2 matrices."""
+    c = Circuit(nq)
+    for name, qs in gates:
+        p = None
+        if name in ("ry", "rz"):
+            p = float(rng.uniform(-math.pi, math.pi))
+        elif name == "u2":
+            p = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+        c.add(name, qs, p)
+    return c
+
+
+# every branching kind grows (on a fresh qubit) and mixes (on it again);
+# qubit 3 also holds the input column's bit
+_EVERY_STEP = ([("ry", (1,)), ("h", (1,)), ("cx", (1, 2)), ("u2", (2,)),
+                ("u2", (2,)), ("h", (3,)), ("rz", (3,)), ("ry", (3,))], 3, 1)
+
+
+@given(mixed_branching(), st.integers(0, 2**5 - 1))
+@example(_EVERY_STEP, 0)
+@settings(max_examples=100, deadline=None)
+def test_compiled_steps_match_reference(case, seed):
+    # a trajectory compiles its steps once; the first call and a second
+    # call with new angles and matrices along the kept trajectory must
+    # both give the per-gate reference's amplitudes on every input column
+    gates, nq, ncols = case
+    rng = np.random.default_rng(seed)
+    first, again = (_with_params(gates, nq, rng) for _ in range(2))
+    plan = sim.Plan(first)
+    basis = int(rng.integers(1 << nq)) & -(1 << ncols)
+    path = sim._Trajectory(plan, basis, [1 << i for i in range(ncols)])
+    assert path.start == 1 << ncols
+    for c in (first, again):
+        amp = path.evolve(*plan.weights(c))
+        for col in range(1 << ncols):
+            got = np.zeros(1 << nq, dtype=complex)
+            got[path.keys[path.cols == col]] = amp[path.cols == col]
+            want = ref.dense_state(c, basis ^ col)
+            assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_every_step_example_grows_and_mixes_each_kind():
+    gates, nq, ncols = _EVERY_STEP
+    c = _with_params(gates, nq, np.random.default_rng(0))
+    plan = sim.Plan(c)
+    path = sim._Trajectory(plan, 0, [1 << i for i in range(ncols)])
+    kinds = {(c.gates[k][0], view is None)
+             for (k, _, _), (view, _, _) in zip(plan.branches, path.steps)}
+    assert kinds == {(name, grow) for name in ("h", "ry", "u2")
+                     for grow in (True, False)}
+
+
 def test_state_residual_is_a_clamped_python_float():
     from qgsynth.states import qsp_synthesize
 

@@ -100,7 +100,7 @@ def test_ucg_reconstruction_any_target():
 def test_retarget_last_preserves_matrix():
     rng = np.random.default_rng(43)
     V = random_ucg(rng, 3, 1)
-    W = UcgSpec(V.n, _last_target_branches(V))
+    W = UcgSpec(V.n, _last_target_branches(V.branches, V.n, V.target))
     assert W.target == W.n
     # same operator after relabeling qubit 1 <-> qubit 3
     u = ucg_matrix(V)
