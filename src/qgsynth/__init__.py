@@ -34,15 +34,10 @@ from .diag_ancilla import (
     synth_diag_auto,
     synth_diag_expander_ancilla,
 )
-from .linear import (
-    fanout,
-    route_cnot_gates,
-    synth_permutation,
-)
+from .linear import route_cnot_gates, synth_permutation
 from .sim import (
     TooLarge,
     assemble_report,
-    f2_matrix,
     simulate,
     ucg_matrix,
     verify_target,
@@ -58,7 +53,6 @@ from .states import (
     synth_ucg,
     ucg_to_diagonals,
     unitary_to_ucgs,
-    zyz_angles,
 )
 from .bounds import (
     BridgeInvalid,

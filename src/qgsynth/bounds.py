@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from .circuit import Circuit, TWO_QUBIT, to_layered_form
 from .graphs import (brickwall_chains, brickwall_row_length,
                      brickwall_vertical_columns, grid_graph)
@@ -260,10 +258,73 @@ def lightcone_budget_check(c, task, n):
 
 
 def max_matching_size(g):
-    G = nx.Graph()
-    G.add_nodes_from(range(1, g.n + 1))
-    G.add_edges_from(g.edges)
-    return len(nx.max_weight_matching(G, maxcardinality=True))
+    """nu(G), the size of a maximum matching of g: Edmonds' blossom
+    algorithm (Edmonds, "Paths, trees, and flowers", 1965), started from a
+    greedy matching in edge order.  A free vertex with no augmenting path
+    never gets one later, so one search per free vertex suffices."""
+    mate = {}
+    for u, v in sorted(g.edges):
+        if u not in mate and v not in mate:
+            mate[u], mate[v] = v, u
+    for root in range(1, g.n + 1):
+        if root not in mate:
+            _augment(g, mate, root)
+    return len(mate) // 2
+
+
+def _augment(g, mate, root):
+    """Grow an alternating tree from the free vertex root, shrinking each
+    odd cycle (blossom) into its base, and flip the first augmenting path
+    it finds in mate."""
+    base = {}  # vertex -> the base of the blossom it was shrunk into
+    parent = {}  # inner vertex -> the outer vertex it was reached from
+    outer, queue = {root}, [root]
+
+    def top(v):
+        return base.get(v, v)
+
+    def lca(a, b):
+        """The base where the tree paths up from a and b first meet."""
+        seen = {top(a)}
+        while top(a) in mate:  # up to the root, the one free vertex
+            a = parent[mate[top(a)]]
+            seen.add(top(a))
+        while top(b) not in seen:
+            b = parent[mate[top(b)]]
+        return top(b)
+
+    def mark(v, b, child, blossom):
+        """Collect the bases from v up to the blossom base b, pointing the
+        inner vertices on the way at their other side of the cycle."""
+        while top(v) != b:
+            blossom.update((top(v), top(mate[v])))
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+
+    for u in queue:  # grows while it is walked
+        for w in g.neighbors(u):
+            if top(u) == top(w) or mate.get(u) == w:
+                continue
+            if w in outer:  # an odd cycle: shrink it
+                b, blossom = lca(u, w), set()
+                mark(u, b, w, blossom)
+                mark(w, b, u, blossom)
+                for v in [*outer, *parent]:  # the tree's vertices
+                    if top(v) in blossom:
+                        base[v] = b
+                        if v not in outer:
+                            outer.add(v)
+                            queue.append(v)
+            elif w not in parent:
+                parent[w] = u
+                if w not in mate:  # augmenting path root .. u, w: flip it
+                    while w is not None:
+                        v = parent[w]
+                        mate[w], mate[v], w = v, w, mate.get(v)
+                    return
+                outer.add(mate[w])
+                queue.append(mate[w])
 
 
 def depth_lower_bound(g, task, n, m):
@@ -282,11 +343,9 @@ def depth_lower_bound(g, task, n, m):
     base = TASK_DIMENSION[task]
     big = float(base) ** n
     nu = max_matching_size(g)
-    terms = {
-        "input_count": float(n),
-        "ancilla_volume": big / (n + m),
-        "matching": big / nu,
-    }
+    terms = {"input_count": float(n), "ancilla_volume": big / (n + m)}
+    if nu:  # a one-vertex graph has no edge, so no CNOT to count
+        terms["matching"] = big / nu
     dims = None
     if g.kind == "path":
         dims = [g.n]

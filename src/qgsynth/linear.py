@@ -9,18 +9,14 @@ nearest-neighbour CNOTs of CNOT(path[0] -> path[-1]).  `route_cnot_gates`
 applies it to a shortest path and keeps the gate tuple in the graph's memo,
 so every synthesis routine that routes on one graph shares its routes.
 `ladder` is the one shared-control fanout: down a chain of rungs, one
-injection, back up.  `fanout` and the target-register CNOT steps of the
-no-ancilla diagonals are ladders.
+injection, back up.  The target-register CNOT steps of the no-ancilla
+diagonals are ladders.
 """
 
 from __future__ import annotations
 
 from .circuit import Circuit
 from .graphs import shortest_path
-
-
-class NotAPath(ValueError):
-    pass
 
 
 class SingularMatrix(ValueError):
@@ -62,21 +58,6 @@ def ladder(rungs, inject):
     is restored because each rung is replayed."""
     return ([gate for rung in reversed(rungs) for gate in rung] + list(inject)
             + [gate for rung in rungs for gate in rung])
-
-
-def fanout(g, control, targets):
-    """XOR the control qubit into every target: |x>|y_1..y_t> ->
-    |x>|y_1 + x .. y_t + x>, where control,t_1,..,t_k is a path in g.
-
-    Exactly 2t-1 CNOTs: the `ladder` of the target chain around the root
-    injection."""
-    chain = [control] + list(targets)
-    for a, b in zip(chain, chain[1:]):
-        if not g.has_edge(a, b):
-            raise NotAPath(f"({a},{b}) not an edge")
-    rungs = [[("cx", (a, b), None)] for a, b in zip(targets, targets[1:])]
-    root = ("cx", (control, targets[0]), None)
-    return Circuit(g.n, gates=ladder(rungs, [root]))
 
 
 def _f2_reduce(mat):

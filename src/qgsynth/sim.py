@@ -157,15 +157,6 @@ def _plan(c):
     return Plan(c) if t is None else t.plan
 
 
-def f2_matrix(c):
-    """Linear map of a CNOT/SWAP-only circuit as row bitmasks: row i (1-based
-    qubit) is the mask of input qubits XORed into output qubit i."""
-    for name, _, _ in c.gates:
-        if name not in ("cx", "swap"):
-            raise ValueError(f"not a CNOT-only circuit: {name}")
-    return Plan(c).runs[0].rows[1:]
-
-
 def _phase_residual(phases, theta):
     """max |f(x) - f(0) - theta(x)| with each difference wrapped to a circle."""
     err = np.remainder(phases - phases[0] - theta + math.pi, 2 * math.pi) - math.pi

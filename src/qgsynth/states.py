@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .circuit import Template
 from .diag import DiagonalSpec, _as_spec, _check_ancilla, _compile, _freeze
@@ -161,11 +160,6 @@ def zyz_angles_batch(u):
     unitaries, with u[k] = e^{ia[k]} Rz(b[k]) Ry(c[k]) Rz(d[k])."""
     x = np.asarray(u, dtype=complex).reshape(-1, 4)  # u00 u01 u10 u11
     return _zyz_columns(x[:, 0] * x[:, 3] - x[:, 1] * x[:, 2], x[:, [0, 2, 3]].T)
-
-
-def zyz_angles(u):
-    """Euler angles (a, b, c, d) with u = e^{ia} Rz(b) Ry(c) Rz(d)."""
-    return tuple(float(x[0]) for x in zyz_angles_batch(np.asarray(u)[None]))
 
 
 #: target-qubit gates between the three diagonals: apply the first pair
@@ -462,7 +456,12 @@ def qsp_synthesize(g, v, m, verify=True):
 
 # -- general unitaries ------------------------------------------------------
 
-_UNCSD, _UNCSD_LWORK = get_lapack_funcs(("uncsd", "uncsd_lwork"), dtype=complex)
+@lru_cache(maxsize=None)
+def _uncsd():
+    """LAPACK's complex ?uncsd and its work-size query, bound on the first
+    demultiplexing so that importing the package does not load scipy."""
+    from scipy.linalg import get_lapack_funcs
+    return get_lapack_funcs(("uncsd", "uncsd_lwork"), dtype=complex)
 
 
 def _demux(U):
@@ -477,6 +476,7 @@ def _demux(U):
     """
     n = U.n
     heads, out = [], []
+    uncsd, uncsd_lwork = _uncsd()
 
     def demux(blocks, k):
         if k == n - 1:
@@ -484,10 +484,10 @@ def _demux(U):
             out.append(np.array(blocks, dtype=complex))
             return
         h = 1 << (n - k - 1)
-        work, rwork, _ = _UNCSD_LWORK(2 * h, h, h)
+        work, rwork, _ = uncsd_lwork(2 * h, h, h)
         ls, rs, angles = [], [], []
         for blk in blocks:
-            *_, th, u1, u2, v1h, v2h, info = _UNCSD(
+            *_, th, u1, u2, v1h, v2h, info = uncsd(
                 blk[:h, :h], blk[:h, h:], blk[h:, :h], blk[h:, h:],
                 lwork=int(work.real), lrwork=int(rwork))
             if info:

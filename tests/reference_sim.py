@@ -19,6 +19,22 @@ _PRUNE = 1e-14
 _PHASE_GATES = {"cx", "swap", "x", "r", "rz", "s", "sdg"}
 
 
+def f2_matrix(c):
+    """Linear map of a CNOT/SWAP-only circuit as row bitmasks, one gate at a
+    time: row i (1-based qubit) is the mask of input qubits XORed into
+    output qubit i."""
+    rows = [0] + [1 << (c.n - q) for q in range(1, c.n + 1)]
+    for name, qs, _ in c.gates:
+        if name not in ("cx", "swap"):
+            raise ValueError(f"not a CNOT-only circuit: {name}")
+        a, b = qs
+        if name == "cx":
+            rows[b] ^= rows[a]
+        else:
+            rows[a], rows[b] = rows[b], rows[a]
+    return rows[1:]
+
+
 def is_phase_circuit(c):
     return all(name in _PHASE_GATES for name, _, _ in c.gates)
 

@@ -158,8 +158,9 @@ def test_direct_csd_equals_cossin(kind, n):
     for seed in range(3):
         U = make_unitary(kind, n, seed)
         h = 1 << (n - 1)
-        work, rwork, _ = states._UNCSD_LWORK(2 * h, h, h)
-        *_, th, u1, u2, v1h, v2h, info = states._UNCSD(
+        uncsd, uncsd_lwork = states._uncsd()
+        work, rwork, _ = uncsd_lwork(2 * h, h, h)
+        *_, th, u1, u2, v1h, v2h, info = uncsd(
             U[:h, :h], U[:h, h:], U[h:, :h], U[h:, h:],
             lwork=int(work.real), lrwork=int(rwork))
         (w1, w2), want, (x1, x2) = cossin(U, p=h, q=h, separate=True)

@@ -1,8 +1,12 @@
 """Circuit transformation between connectivity graphs, brick-wall-to-grid
 embedding, lightcone accounting, and closed-form depth lower bounds."""
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_matching as ref
 from qgsynth.bounds import (
     BridgeInvalid,
     EdgeBridge,
@@ -18,6 +22,8 @@ from qgsynth.diag import DiagonalSpec, synth_diag_noancilla
 from qgsynth.graphs import (
     brickwall_graph,
     complete_graph,
+    explicit_graph,
+    grid_graph,
     path_graph,
     star_graph,
     tree_graph,
@@ -175,6 +181,66 @@ def test_max_matching_values():
     assert max_matching_size(complete_graph(6)) == 3
 
 
+def relabeled(g, seed):
+    """g with its vertices shuffled, so the greedy start of the matching
+    (in edge order) differs from one copy to the next."""
+    perm = list(range(1, g.n + 1))
+    random.Random(seed).shuffle(perm)
+    return explicit_graph(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
+
+
+PETERSEN = explicit_graph(10, [(i, i % 5 + 1) for i in range(1, 6)]
+                          + [(i, i + 5) for i in range(1, 6)]
+                          + [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)])
+
+
+@pytest.mark.parametrize("g, nu", [
+    (explicit_graph(5, [(i, i % 5 + 1) for i in range(1, 6)]), 2),  # C5
+    (PETERSEN, 5),
+    (explicit_graph(6, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (4, 6)]), 3),
+    (complete_graph(3), 1),
+    (complete_graph(5), 2),
+    (complete_graph(7), 3),
+    (complete_graph(9), 4),
+], ids=["C5", "petersen", "two-triangles", "K3", "K5", "K7", "K9"])
+def test_max_matching_blossom_cases(g, nu):
+    # odd cycles are where a greedy matching can leave an augmenting path
+    # that only a shrunk blossom exposes; every relabeling must find nu
+    for seed in range(30):
+        h = relabeled(g, seed)
+        assert max_matching_size(h) == ref.max_matching_size(h) == nu
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree on 1..12 vertices plus any extra edges."""
+    n = draw(st.integers(1, ref.LIMIT))
+    edges = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    if n > 1:
+        vertex = st.integers(1, n)
+        edges += [(u, v) for u, v in draw(st.lists(st.tuples(vertex, vertex),
+                                                   max_size=3 * n)) if u != v]
+    return relabeled(explicit_graph(n, edges), draw(st.integers(0, 2**32 - 1)))
+
+
+@given(connected_graphs())
+@settings(max_examples=300, deadline=None)
+def test_max_matching_equals_exhaustive_search(g):
+    assert max_matching_size(g) == ref.max_matching_size(g)
+
+
+@pytest.mark.parametrize("g, nu", [
+    (path_graph(398), 199),
+    (grid_graph([12, 37]), 222),
+    (grid_graph([8, 37]), 148),
+    (tree_graph(2, n=56), 20),
+    (complete_graph(24), 12),
+], ids=["path(398)", "grid(12x37)", "grid(8x37)", "tree2(56)", "complete(24)"])
+def test_max_matching_of_the_benchmark_graphs(g, nu):
+    # pinned from networkx's max_weight_matching(maxcardinality=True)
+    assert max_matching_size(g) == nu
+
+
 def test_depth_lower_bound_path_example():
     out = depth_lower_bound(path_graph(10), "qsp", 10, 0)
     terms = out["terms"]
@@ -189,6 +255,15 @@ def test_depth_lower_bound_refuses_n_outside_the_graph():
     for n in (10, 0, -2):
         with pytest.raises(ValueError, match="not in 1..4"):
             depth_lower_bound(path_graph(4), "qsp", n, 4 - n)
+
+
+def test_depth_lower_bound_on_one_vertex_has_no_matching_term():
+    # a one-vertex graph has no edge (nu = 0), so no CNOT bounds the depth
+    for g in (path_graph(1), complete_graph(1)):
+        for task, big in (("diag", 2.0), ("qsp", 2.0), ("gus", 4.0)):
+            out = depth_lower_bound(g, task, 1, 0)
+            assert out["nu"] == 0 and "matching" not in out["terms"]
+            assert out["max"] == big
 
 
 def test_depth_lower_bound_star_and_gus():

@@ -1,5 +1,8 @@
 """End-to-end command-line runs through temp files, exit codes included."""
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -295,3 +298,20 @@ def test_ancilla_count_out_of_range_is_refused(call, m, files, capsys):
         return
     with pytest.raises(ValueError, match=f"m = {m} ancilla"):
         _out_of_range_calls()[call](m)
+
+
+def test_import_loads_neither_networkx_nor_scipy():
+    # a fresh interpreter: the package and its CLI load numpy alone, and
+    # scipy's ?uncsd binds on the first demultiplexing
+    code = """if True:
+        import sys
+        import numpy as np
+        import qgsynth, qgsynth.cli
+        assert not {"networkx", "scipy"} & set(sys.modules), sorted(sys.modules)
+        U = np.linalg.qr(np.arange(16).reshape(4, 4) + 1j * np.eye(4))[0]
+        c, report = qgsynth.gus_synthesize(qgsynth.path_graph(2), U, 0)
+        assert report["residual"] < 1e-9 and report["ancilla_restored"]
+        assert "scipy" in sys.modules
+    """
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})

@@ -2,14 +2,10 @@ import pytest
 
 from qgsynth.circuit import Circuit
 from qgsynth.graphs import grid_graph, path_graph, shortest_path
-from qgsynth.linear import (
-    cnot_along,
-    fanout,
-    ladder,
-    route_cnot_gates,
-    synth_permutation,
-)
-from qgsynth.sim import f2_matrix, sparse_run
+from qgsynth.linear import cnot_along, ladder, route_cnot_gates, synth_permutation
+from qgsynth.sim import sparse_run
+from reference_linear import fanout
+from reference_sim import f2_matrix
 
 
 def as_circuit(n, gates):

@@ -16,7 +16,6 @@ from qgsynth import circuit, sim
 from qgsynth.circuit import Circuit, gate_matrix
 from qgsynth.graphs import path_graph, complete_graph
 from qgsynth.sim import (
-    f2_matrix,
     simulate,
     sparse_run,
     ucg_matrix,
@@ -141,7 +140,9 @@ def test_f2_fast_path_matches_dense():
             c.add("swap", (int(a), int(b)))
         else:
             c.add("cx", (int(a), int(b)))
-    rows = f2_matrix(c.expanded())
+    # the plan's row masks are the literal gate-by-gate F2 map
+    rows = ref.f2_matrix(c.expanded())
+    assert sim.Plan(c.expanded()).runs[0].rows[1:] == rows
     for _ in range(16):
         b = int(rng.integers(0, 1 << n))
         state = sparse_run(c.expanded(), b)

@@ -28,7 +28,7 @@ from qgsynth.states import (
     state_to_ucgs,
     synth_ucg,
     unitary_to_ucgs,
-    zyz_angles,
+    zyz_angles_batch,
 )
 
 
@@ -79,9 +79,9 @@ def test_ucg_spec_list_and_array_agree():
 
 def test_zyz_reconstruction():
     rng = np.random.default_rng(41)
-    for _ in range(20):
-        u = random_su2(rng) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        a, b, c, d = zyz_angles(u)
+    us = [random_su2(rng) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+          for _ in range(20)]
+    for u, a, b, c, d in zip(us, *zyz_angles_batch(np.array(us))):
         rebuilt = (np.exp(1j * a)
                    * gate_matrix("rz", b) @ gate_matrix("ry", c)
                    @ gate_matrix("rz", d))
