@@ -115,7 +115,7 @@ def transform_circuit(c, g, gp, bridge):
             path = paths[key]
             if path[0] != u:
                 path = path[::-1]
-            out.gates.extend(cnot_along(path))
+            out.gates.extend(cnot_along(path, g.cx_gates))
         else:
             out.gates.append((name, qs, p))
     out.meta["bridge_classes"] = bridge.c

@@ -17,7 +17,6 @@ too) and the pipeline on a ladder of m, m//2, m//4, ... ancilla, and keeps
 the shallowest; the expander variant has its own entry point only.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -215,35 +214,32 @@ def build_layout(g, n, m):
 
 
 class _Router:
-    """Per input bit, the nearest holder of it seen from every vertex of
-    1..size, and its distance.  A new holder takes only the vertices
-    strictly closer to it, so the input qubit (the seed), then the earliest
-    holder, wins ties."""
+    """Per input bit, its holders in the order they got it, the input qubit
+    first.  A source is searched outward from the slot one BFS level of g
+    at a time: the earliest holder on the first level that has one, so the
+    nearest, and the earliest on a tie."""
 
-    def __init__(self, g, inputs, size):
-        self.inputs = inputs
-        # vertex -> BFS distances to 1..size, scratch for one build (kept on
-        # g, the rows of a large ancilla graph would hold megabytes)
-        self._row = functools.cache(
-            lambda v: {w: d for w, d in g.bfs_dist(v).items() if w <= size})
+    def __init__(self, g, inputs):
+        self._adj, self.inputs = g.neighbors, inputs
         self.clear()
 
     def clear(self):
         """Forget every copy: each bit is held by its input qubit alone."""
-        # input-bit index -> ({vertex: nearest holder}, {vertex: its distance})
-        self._near = {bit: (dict.fromkeys(self._row(u), u), dict(self._row(u)))
-                      for bit, u in enumerate(self.inputs, start=1)}
+        # input-bit index -> {holder: the order it got the bit in}
+        self._rank = {bit: {u: 0} for bit, u in enumerate(self.inputs, start=1)}
 
     def hold(self, v, bit):
-        src, dist = self._near[bit]
-        for w, d in self._row(v).items():
-            if d < dist[w]:
-                dist[w] = d
-                src[w] = v
+        rank = self._rank[bit]
+        rank.setdefault(v, len(rank))
 
     def source(self, bit, near):
         """Closest vertex currently holding x_bit."""
-        return self._near[bit][0][near]
+        rank, adj = self._rank[bit], self._adj
+        level, seen = {near}, {near}
+        while not (found := rank.keys() & level):
+            level = {w for v in level for w in adj(v)} - seen
+            seen |= level
+        return min(found, key=rank.__getitem__)
 
 
 def _copy(c, g, rt, slots, bits):
@@ -312,7 +308,7 @@ def _ancilla_pipeline(g, n, m):
     """The sealed 5-stage template, with its stages marked and its report
     fields set (no report)."""
     layout = build_layout(g, n, m)
-    rt = _Router(g, range(1, n + 1), n + m)
+    rt = _Router(g, range(1, n + 1))
     c = Template(g.n, n)
 
     _stage_sufcopy(c, g, layout, rt)

@@ -6,7 +6,7 @@ parameters it was built from, which the synthesis backends dispatch on.
 
 What the compiler derives from a graph alone (routes, diagonal and cascade
 templates, the vertex expansion) is built once and kept in the graph's one
-memo, `ConstraintGraph.cached`; nothing is kept at module level.
+memo, `ConstraintGraph.cached`; routes share `cx_gates`, one CNOT per edge.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 
 class DisconnectedGraph(ValueError):
@@ -62,17 +63,23 @@ class ConstraintGraph:
     def cached(self, key, build):
         """The object kept on this graph under `key`, built by `build()` on
         first use.  Everything that depends on the graph alone is kept here:
-        routed CNOTs ("route", u, v), diagonal templates ("auto", n, m),
-        ("noancilla", strategy), ("ancilla", n, m) and ("expander", n,
-        sets, matchings), the relabelled QSP host ("host",) and its qubit
-        map ("relabel",), cascade templates ("cascade", *key) and the
-        vertex expansion ("expansion",).  A
-        template carries its own gate scan and simulation plan.  Angles,
-        circuits and reports are never kept."""
+        routed CNOTs ("route", u, v) made of `cx_gates`, diagonal templates
+        ("auto", n, m), ("noancilla", strategy), ("ancilla", n, m) and
+        ("expander", n, sets, matchings), the relabelled QSP host ("host",)
+        and its qubit map ("relabel",), cascade templates ("cascade", *key)
+        and the vertex expansion ("expansion",).  A template carries its
+        own gate scan and simulation plan.  Angles, circuits and reports are
+        never kept."""
         value = self._memo.get(key)
         if value is None:
             value = self._memo[key] = build()
         return value
+
+    @cached_property
+    def cx_gates(self):
+        """("cx", (a, b), None) of every directed edge (a, b), built on first
+        use: every route on this graph is made of these gate tuples."""
+        return {e: ("cx", e, None) for e in self._pairs}
 
     def neighbors(self, v):
         return self._adj[v]

@@ -22,12 +22,11 @@ class GrayCode:
     codewords: tuple  # integers, bit 1 = MSB; c_1 = 0
 
 
-@lru_cache(maxsize=None)
 def gray_code(n, i):
     """The (n, i) Gray code: step j flips bit h_{i,j} = (r + i - 2) mod n + 1,
     r the 1-based place of the lowest set bit of j - 1 (0 for j = 1).
-    Memoised since it is pure and immutable; a cached code of width n holds
-    2 * 2^n integers for the process's life."""
+    Not cached: a code of width n holds 2 * 2^n integers, so each build
+    makes the codes it uses and drops them when it ends."""
     if not 1 <= i <= n:
         raise ValueError(f"code index i={i} out of [1,{n}]")
     size = 1 << n

@@ -7,7 +7,8 @@ these primitives can be reasoned about as if the graph were complete.
 `cnot_along` is the one routing sweep: it turns any vertex path into the
 nearest-neighbour CNOTs of CNOT(path[0] -> path[-1]).  `route_cnot_gates`
 applies it to a shortest path and keeps the gate tuple in the graph's memo,
-so every synthesis routine that routes on one graph shares its routes.
+so every routine that routes on one graph shares its routes, made of the
+graph's one gate tuple per directed edge (`g.cx_gates`).
 `ladder` is the one shared-control fanout: down a chain of rungs, one
 injection, back up.  The target-register CNOT steps of the no-ancilla
 diagonals are ladders.
@@ -23,8 +24,10 @@ class SingularMatrix(ValueError):
     pass
 
 
-def cnot_along(path):
-    """CNOT(path[0] -> path[-1]) from CNOTs on consecutive path vertices.
+def cnot_along(path, cx):
+    """CNOT(path[0] -> path[-1]) from CNOTs on consecutive path vertices,
+    each edge's gate taken from `cx` (directed edge -> gate tuple, the
+    `cx_gates` of the path's graph).
 
     Uses 4d-4 CNOTs for d = len(path) - 1 >= 2 and 1 for d = 1; all
     intermediate qubits are restored, so the net unitary is exactly the
@@ -33,21 +36,23 @@ def cnot_along(path):
     d = len(path) - 1
     if d == 0:
         raise ValueError("control equals target")
+    hops = [cx[e] for e in zip(path, path[1:])]
     # forward difference sweep, accumulate sweep, then the two restoring
     # sweeps (all but the second empty for d = 1); only q_d keeps the x_0
     # contribution
     sweeps = [*range(d - 1, 0, -1), *range(d), *range(d - 2, 0, -1), *range(d - 1)]
-    return [("cx", (path[i], path[i + 1]), None) for i in sweeps]
+    return [hops[i] for i in sweeps]
 
 
 def route_cnot_gates(g, u, v):
     """Gate tuple for CNOT(u -> v) routed along a shortest path of g.
 
     Uses <= 4d(u,v) CNOTs.  The tuple is built once per (u, v) and kept on
-    g under ("route", u, v); repeat calls return the same object.
+    g under ("route", u, v); repeat calls return the same object.  Its
+    gates are g's `cx_gates`, so a one-hop route holds its edge's one gate.
     """
     return g.cached(("route", u, v),
-                    lambda: tuple(cnot_along(shortest_path(g, u, v))))
+                    lambda: tuple(cnot_along(shortest_path(g, u, v), g.cx_gates)))
 
 
 def ladder(rungs, inject):

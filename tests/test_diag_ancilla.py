@@ -2,6 +2,7 @@
 and the automatic dispatch, which keeps the shallowest of its candidates."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_ancilla
 
@@ -481,16 +482,31 @@ def test_router_on_a_prefix_matches_holder_scan(g):
 def _check_router(g, size):
     rng = np.random.default_rng(38)
     r_inp = [int(v) for v in rng.choice(np.arange(1, size + 1), 4, replace=False)]
-    rt = _Router(g, r_inp, size)
-    holders = {}
-    ties = 0
+    steps = []
     for step in range(400):
         bit = int(rng.integers(1, 5))
         v = int(rng.integers(1, size + 1))
         if step % 150 == 149:
+            steps.append(("clear", v, bit))
+        elif rng.random() < 0.3:
+            steps.append(("hold", v, bit))
+        else:
+            steps.append(("source", v, bit))
+    assert _replay_router(g, r_inp, steps) > 0  # the tie-break was exercised
+
+
+def _replay_router(g, r_inp, steps):
+    """Run (kind, vertex, bit) steps on a `_Router` and on `_holder_scan`,
+    checking every source; returns how many holders tied with the one
+    chosen."""
+    rt = _Router(g, r_inp)
+    holders = {}
+    ties = 0
+    for kind, v, bit in steps:
+        if kind == "clear":
             rt.clear()
             holders.clear()
-        elif rng.random() < 0.3:
+        elif kind == "hold":
             rt.hold(v, bit)
             holders.setdefault(bit, []).append(v)
         else:
@@ -499,7 +515,38 @@ def _check_router(g, size):
             dist = g.bfs_dist(v)
             ties += sum(dist[u] == dist[want]
                         for u in holders.get(bit, ()) if u != want)
-    assert ties > 0  # the tie-break was exercised
+    return ties
+
+
+@st.composite
+def router_runs(draw):
+    """A random connected explicit graph, a prefix 1..size of its
+    vertices, up to 4 inputs there and a run of clear, hold and source
+    steps on prefix vertices (distances are g's, through any vertex)."""
+    n = draw(st.integers(1, 16))
+    edges = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    vertex = st.integers(1, n)
+    edges += [(u, v) for u, v in draw(st.lists(st.tuples(vertex, vertex),
+                                               max_size=2 * n)) if u != v]
+    size = draw(st.integers(1, n))
+    inside = st.integers(1, size)
+    r_inp = draw(st.lists(inside, min_size=1, max_size=4, unique=True))
+    kinds = st.sampled_from(["clear"] + ["hold"] * 3 + ["source"] * 6)
+    steps = draw(st.lists(st.tuples(kinds, inside,
+                                    st.integers(1, len(r_inp))), max_size=80))
+    return explicit_graph(n, edges), r_inp, steps
+
+
+def test_router_matches_holder_scan_on_random_graphs():
+    ties = []
+
+    @given(router_runs())
+    @settings(max_examples=200, deadline=None)
+    def check(run):
+        ties.append(_replay_router(*run))
+
+    check()
+    assert sum(ties) > 0  # the tie-break was exercised
 
 
 @pytest.mark.parametrize("g, n", [(path_graph(3 + 9), 3),
@@ -533,6 +580,29 @@ def test_route_cache_survives_whole_graph_calls():
         assert cached > 0
         synth_diag_auto(g, spec, 0, verify=False)
         assert routes(g) == cached
+
+
+@pytest.mark.parametrize("g", [path_graph(60), grid_graph([6, 10]),
+                               tree_graph(2, n=63)], ids=lambda g: g.kind)
+def test_routes_share_one_gate_per_directed_edge(g):
+    # every route and every template CNOT is one of a graph's per-edge gate
+    # tuples, so the CNOT objects kept are bounded by the edges, not the
+    # gate count; a warm call builds none
+    n, m = 6, g.n - 6
+
+    def cnot_ids():
+        kept = [gate for key, route in g._memo.items() if key[0] == "route"
+                for gate in route]
+        kept += [gate for gate in g._memo[("auto", n, m)].gates
+                 if gate[0] == "cx"]
+        return {id(gate) for gate in kept}
+
+    rng = np.random.default_rng(44)
+    synth_diag_auto(g, random_spec(rng, n), m, verify=False)
+    cold = cnot_ids()
+    assert len(cold) <= 2 * len(g.edges)
+    synth_diag_auto(g, random_spec(rng, n), m, verify=False)
+    assert cnot_ids() == cold
 
 
 def test_cascade_refusal_falls_back():

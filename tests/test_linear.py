@@ -44,7 +44,7 @@ def test_route_cache_returns_one_tuple_per_pair():
         first = route_cnot_gates(g, u, v)
         assert type(first) is tuple
         assert route_cnot_gates(g, u, v) is first
-        assert first == tuple(cnot_along(shortest_path(g, u, v)))
+        assert first == tuple(cnot_along(shortest_path(g, u, v), g.cx_gates))
 
 
 def test_route_cnot_rejects_equal_endpoints():
