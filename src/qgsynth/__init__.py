@@ -4,12 +4,10 @@ with exact verification and depth lower-bound analysis."""
 
 from .circuit import (
     Circuit,
-    LayeredCircuit,
     ParseError,
     circuit_from_json,
     circuit_to_json,
     gate_matrix,
-    to_layered_form,
     validate_connectivity,
 )
 from .graphs import (

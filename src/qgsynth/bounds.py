@@ -4,7 +4,8 @@ Three pieces live here: an edge-bridge mechanism that rewrites a circuit
 valid on a denser graph into one valid on a sparser graph by routing the
 extra CNOTs along vertex-disjoint host paths, the brick-wall-to-grid
 embedding built on that mechanism, and the lightcone (reachable-subset)
-analyzer with the closed-form depth lower bounds it supports.
+analyzer, which reads a circuit's layers straight from its gate list,
+with the closed-form depth lower bounds it supports.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .circuit import Circuit, TWO_QUBIT, to_layered_form
+from .circuit import Circuit, TWO_QUBIT
 from .graphs import (brickwall_chains, brickwall_row_length,
                      brickwall_vertical_columns, grid_graph)
 from .linear import cnot_along
@@ -92,7 +93,8 @@ def transform_circuit(c, g, gp, bridge):
     gp's edges must be g's edges plus the bridged edges; every CNOT on a
     bridged edge is replaced by a routed CNOT along its host path, which
     keeps the unitary exact.  The depth grows by at most a factor
-    1 + 4 c' c over the layered depth of the input.
+    1 + 4 c' c over the layered depth of the input, the number of ASAP
+    layers of its CNOTs alone (a SWAP as 3).
     """
     bridge.validate(g)
     paths = bridge.edge_paths()
@@ -124,10 +126,11 @@ def transform_circuit(c, g, gp, bridge):
 
 
 def brickwall_embedding(bw):
-    """2-D grid supergraph of a brick wall plus the bridge that undoes it.
+    """(grid, bridge): the 2-D grid supergraph of a brick wall and the
+    bridge that undoes it.
 
-    The grid has one vertex per brick-wall row vertex (identity vertex map;
-    the subdivision vertices of the vertical sides only serve routing).
+    Grid vertex i is brick-wall vertex i, one per row vertex (the
+    subdivision vertices of the vertical sides only serve routing).
     Missing vertical edges are grouped by (gap parity, brick parity, offset)
     into at most 4(b2-2) classes, each edge routed through the nearest
     vertical side of its brick; grid verticals that exist as subdivided
@@ -140,7 +143,6 @@ def brickwall_embedding(bw):
     w = b2 - 1
     width = brickwall_row_length(n2, b2)
     grid = grid_graph([n1 + 1, width])
-    vertex_map = {i: i for i in range(1, grid.n + 1)}
 
     def row_v(r, c):
         return r * width + c + 1
@@ -178,7 +180,7 @@ def brickwall_embedding(bw):
         contracted=contracted,
     )
     bridge.validate(bw)
-    return grid, vertex_map, bridge
+    return grid, bridge
 
 
 # -- lightcone analysis -----------------------------------------------------
@@ -200,29 +202,46 @@ class LightconeProfile:
         return sum(len(s) for s in self.sets[:-1])
 
 
-def lightcone_profile(lc, n_inputs):
-    """Reachable subsets of a layered circuit, counting qubits 1..n_inputs
-    as the inputs.
+def lightcone_profile(c, n_inputs):
+    """Reachable subsets of circuit c, counting qubits 1..n_inputs as the
+    inputs.  One pass over the gates (a SWAP as 3 CNOTs) layers the CNOTs
+    ASAP; slot i holds the qubits with one-qubit gates just before their
+    CNOT in layer i, the last slot those with gates after their last CNOT.
 
-    Layer 2i+1 is the i-th single-qubit layer, layer 2i the i-th CNOT
-    layer; a wire edge persists from the first single-qubit gate on that
-    qubit onward, and a CNOT connects both its qubits to both successors.
+    Layer 2i+1 is slot i, layer 2i the i-th CNOT layer; a wire edge
+    persists from the first single-qubit gate on that qubit onward, and a
+    CNOT connects both its qubits to both successors.
     """
-    d_total = 2 * lc.d + 1
+    last = [0] * (c.n + 1)  # CNOT layers so far on each qubit
+    pending = set()  # qubits with one-qubit gates since their last CNOT
+    slots, cnot_layers = [set()], []
+    for _, qs, _ in c.expanded().gates:
+        if len(qs) == 1:
+            pending.add(qs[0])
+            continue
+        lay = max(last[qs[0]], last[qs[1]])
+        if lay == len(cnot_layers):
+            cnot_layers.append([])
+            slots.append(set())
+        cnot_layers[lay].append(qs)
+        for q in qs:
+            if q in pending:
+                pending.remove(q)
+                slots[lay].add(q)
+            last[q] = lay + 1
+    slots[-1] |= pending
+
+    d_total = 2 * len(cnot_layers) + 1
     first1q = {}
-    for i, layer in enumerate(lc.layers_1q):
+    for i, layer in enumerate(slots):
         for q in layer:
             first1q.setdefault(q, 2 * i + 1)
 
     def acting(layer):
         """qubits acted on in 1-based digraph layer `layer`"""
         if layer % 2 == 1:
-            return set(lc.layers_1q[(layer - 1) // 2].keys())
-        touched = set()
-        for a, b in lc.cnot_layers[layer // 2 - 1]:
-            touched.add(a)
-            touched.add(b)
-        return touched
+            return slots[(layer - 1) // 2]
+        return {q for qs in cnot_layers[layer // 2 - 1] for q in qs}
 
     reached = set(range(1, n_inputs + 1))
     layer_sets = [None] * (d_total + 1)
@@ -233,7 +252,7 @@ def lightcone_profile(lc, n_inputs):
             if first1q.get(j, d_total + 2) <= layer:
                 nxt.add(j)
         if layer % 2 == 0:
-            for a, b in lc.cnot_layers[layer // 2 - 1]:
+            for a, b in cnot_layers[layer // 2 - 1]:
                 if a in reached or b in reached:
                     nxt.add(a)
                     nxt.add(b)
@@ -250,8 +269,10 @@ def lightcone_budget_check(c, task, n):
     prepares an n-qubit state / diagonal / unitary must be at least
     2^n - 1 (or 4^n - 1).  Constant factors are dropped, which makes this
     a weaker check than the underlying dimension bound."""
+    if not 1 <= n <= c.n:
+        raise ValueError(f"n = {n} is not in 1..{c.n}, the circuit's qubits")
     base = TASK_DIMENSION[task]
-    profile = lightcone_profile(to_layered_form(c), n)
+    profile = lightcone_profile(c, n)
     required = base**n - 1
     budget = profile.budget
     return budget, required, budget >= required

@@ -1,9 +1,10 @@
 """Gate-level IR over {1-qubit gates, CNOT} with a SWAP macro.
 
 Gates are stored as plain tuples (name, qubits, param) to keep circuits with
-~10^6 gates cheap.  `param` is an angle for r/rz/ry, a 2x2 ndarray for u2,
-and None otherwise; `qubits` is a tuple.  Qubits are 1-based, matching graph
-vertices; ancilla are the trailing `ancilla` qubits by convention.
+~10^6 gates cheap.  `param` is an angle for r/rz/ry, a 2x2 ndarray for u2
+(a gate only `add` makes; JSON refuses it), and None otherwise; `qubits` is
+a tuple.  Qubits are 1-based, matching graph vertices; ancilla are the
+trailing `ancilla` qubits by convention.
 
 A pipeline builds one circuit and calls `mark(name)` at the end of each
 stage.  Depth, size, two-qubit count, the connectivity audit and the
@@ -95,9 +96,6 @@ class Circuit:
                     raise ValueError(f"qubit {q} out of range")
         self.gates.append((name, tuple(qubits), param))
 
-    def u2(self, q, mat):
-        self.add("u2", (q,), np.asarray(mat, dtype=complex))
-
     def cx(self, c, t):
         self.add("cx", (c, t))
 
@@ -128,22 +126,6 @@ class Circuit:
                 c.gates.append(("cx", (b, a), None))
                 c.gates.append(("cx", (a, b), None))
             else:
-                c.gates.append((name, qs, p))
-        return c
-
-    def inverse(self):
-        """Adjoint circuit (reversed order, each gate inverted)."""
-        c = Circuit(self.n, self.ancilla)
-        for name, qs, p in reversed(self.gates):
-            if name in PARAM_GATES:
-                c.gates.append((name, qs, -p))
-            elif name == "s":
-                c.gates.append(("sdg", qs, None))
-            elif name == "sdg":
-                c.gates.append(("s", qs, None))
-            elif name == "u2":
-                c.gates.append(("u2", qs, p.conj().T))
-            else:  # h, x, cx, swap are self-inverse
                 c.gates.append((name, qs, p))
         return c
 
@@ -326,74 +308,6 @@ def _scan(c, pairs=None):
 def validate_connectivity(c, g):
     """Every 2-qubit gate whose pair is not a graph edge."""
     return (c.template or c).scan(g)[3]
-
-
-class LayeredCircuit:
-    """Alternating normal form: d+1 single-qubit layers (dicts qubit -> 2x2
-    matrix) interleaved with d CNOT layers (lists of (c, t) pairs).
-
-    layers_1q[i] sits before cnot_layers[i]; layers_1q[d] is the final layer.
-    """
-
-    def __init__(self, n, layers_1q, cnot_layers):
-        self.n = n
-        self.layers_1q = layers_1q
-        self.cnot_layers = cnot_layers
-
-    @property
-    def d(self):
-        return len(self.cnot_layers)
-
-    def to_circuit(self):
-        c = Circuit(self.n)
-        for i, oneq in enumerate(self.layers_1q):
-            for q, mat in sorted(oneq.items()):
-                c.u2(q, mat)
-            if i < len(self.cnot_layers):
-                for a, b in self.cnot_layers[i]:
-                    c.cx(a, b)
-        return c
-
-
-def to_layered_form(c):
-    """Merge single-qubit runs and schedule CNOTs ASAP into the alternating
-    normal form (computes the same unitary)."""
-    c = c.expanded()
-    pending = {}  # qubit -> accumulated 2x2
-    last = [0] * (c.n + 1)  # last CNOT layer touching each qubit
-    oneq_layers = [dict()]
-    cnot_layers = []
-
-    def flush(q, layer):
-        # merge pending 1q matrix into the 1q slot right before cnot layer
-        # index `layer` (0-based)
-        if q in pending:
-            while len(oneq_layers) <= layer:
-                oneq_layers.append(dict())
-            slot = oneq_layers[layer]
-            slot[q] = pending.pop(q) @ slot.get(q, np.eye(2, dtype=complex))
-
-    for name, qs, p in c.gates:
-        if name == "cx":
-            a, b = qs
-            lay = max(last[a], last[b])  # 0-based cnot layer index
-            flush(a, lay)
-            flush(b, lay)
-            while len(cnot_layers) <= lay:
-                cnot_layers.append([])
-            cnot_layers[lay].append((a, b))
-            last[a] = last[b] = lay + 1
-        else:
-            (q,) = qs
-            pending[q] = gate_matrix(name, p) @ pending.get(
-                q, np.eye(2, dtype=complex)
-            )
-    final = len(cnot_layers)
-    for q in list(pending):
-        flush(q, final)
-    while len(oneq_layers) < len(cnot_layers) + 1:
-        oneq_layers.append(dict())
-    return LayeredCircuit(c.n, oneq_layers, cnot_layers)
 
 
 # -- serialization ----------------------------------------------------------

@@ -127,7 +127,7 @@ def _cmd_lightcone(args):
 
 def _cmd_transform(args):
     bw = _load_graph(args.graph)
-    grid, _, bridge = brickwall_embedding(bw)
+    grid, bridge = brickwall_embedding(bw)
     c = circuit_from_json(_load_json(args.circuit))
     if c.n != grid.n:
         print("circuit size does not match the embedded grid", file=sys.stderr)

@@ -474,7 +474,7 @@ def _dispatch(g, strategy="auto"):
         return _seal(t, f"{strategy}-walk")
     if casc is not None:
         emitter = _ladder_emitter(
-            g, [[("cx", e, None) for e in m] for m in casc.matchings],
+            g, [[g.cx_gates[e] for e in m] for m in casc.matchings],
             casc.sets[0])
     elif strategy == "general":
         emitter = _ladder_emitter(

@@ -366,6 +366,7 @@ def _expander_template(g, n, cascade):
         raise GrowthStalled("cascade leaves no room for the input register")
     last = cascade.matchings[-1]
     partners = {w: u for u, w in last}
+    cx = g.cx_gates
 
     # move any input qubit that sits inside the cascade to a free vertex
     free = [v for v in range(1, g.n + 1) if v not in s_final and v > n]
@@ -390,8 +391,7 @@ def _expander_template(g, n, cascade):
         for s in cascade.sets[0]:
             gates.extend(route_cnot_gates(g, src, s))
         for mt in cascade.matchings[:-1]:
-            for u, w in mt:
-                gates.append(("cx", (u, w), None))
+            gates.extend(map(cx.__getitem__, mt))
         return gates
 
     c = Template(g.n, n)
@@ -403,7 +403,7 @@ def _expander_template(g, n, cascade):
         grayinit.extend(fg)
         for t, w in enumerate(targ):
             if (t >> (p - j)) & 1:
-                grayinit.append(("cx", (partners[w], w), None))
+                grayinit.append(cx[partners[w], w])
         grayinit.extend(reversed(fg))
     c.gates.extend(grayinit)
     c.mark("gray-init")
@@ -415,8 +415,7 @@ def _expander_template(g, n, cascade):
         h = code.flips[jn - 1]
         fg = fan_gates(h)
         c.gates.extend(fg)
-        for w in targ:
-            c.cx(partners[w], w)
+        c.gates.extend([cx[partners[w], w] for w in targ])
         for k, w in enumerate(targ):
             s = (code.codewords[jn - 1] << p) | k
             if s:

@@ -16,7 +16,7 @@ from qgsynth.bounds import (
     lightcone_profile,
     transform_circuit,
 )
-from qgsynth.circuit import Circuit, to_layered_form, validate_connectivity
+from qgsynth.circuit import Circuit, validate_connectivity
 from qgsynth.diag import DiagonalSpec, synth_diag_noancilla
 from qgsynth.diag_ancilla import (
     synth_diag_ancilla,
@@ -46,6 +46,7 @@ from qgsynth.states import (
     synth_ucg,
     unitary_to_ucgs,
 )
+import reference_lightcone as ref_lc
 from reference_linear import fanout
 
 # (graph, task, n, m, measured depth) for every circuit synthesized by the
@@ -353,12 +354,12 @@ def test_08_transformation_suite():
     rng = np.random.default_rng(108)
     # disjointness audit on the specified brick wall
     bw = brickwall_graph(2, 2, 3, 5)
-    grid, vmap, bridge = brickwall_embedding(bw)
+    grid, bridge = brickwall_embedding(bw)
     bridge.validate(bw)  # raises on any overlap / non-path
     assert len(bridge.classes) <= 4 * (5 - 2)
     # pullback with simulation on a small brick wall
     bw_s = brickwall_graph(1, 1, 3, 3)
-    grid_s, _, bridge_s = brickwall_embedding(bw_s)
+    grid_s, bridge_s = brickwall_embedding(bw_s)
     assert bw_s.n <= 12
     n = 3
     v = random_state(rng, n)
@@ -368,8 +369,8 @@ def test_08_transformation_suite():
     res, ok = verify_target(out, StateSpec(n, v), m=bw_s.n - n)
     assert res <= 1e-9 and ok
     # depth growth factor
-    d_in = to_layered_form(c).d
-    d_out = to_layered_form(out).d
+    d_in = len(ref_lc.layers(c)[1])
+    d_out = len(ref_lc.layers(out)[1])
     factor = 1 + 4 * bridge_s.c_prime * bridge_s.c
     assert d_out <= factor * d_in
     elapsed = time.time() - t0
@@ -401,7 +402,7 @@ def figure_circuit():
 def test_09_lightcone_and_bounds():
     t0 = time.time()
     # frozen reachable-set pattern of the worked 6-qubit example
-    profile = lightcone_profile(to_layered_form(figure_circuit()), 3)
+    profile = lightcone_profile(figure_circuit(), 3)
     assert list(profile.sizes)[:7] == [4, 4, 2, 2, 2, 2, 3]
     assert profile.budget == 19
     # budget audit on fresh representative circuits

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_lightcone as ref_lc
 import reference_matching as ref
 from qgsynth.bounds import (
     BridgeInvalid,
@@ -17,7 +18,7 @@ from qgsynth.bounds import (
     max_matching_size,
     transform_circuit,
 )
-from qgsynth.circuit import Circuit, to_layered_form, validate_connectivity
+from qgsynth.circuit import Circuit, validate_connectivity
 from qgsynth.diag import DiagonalSpec, synth_diag_noancilla
 from qgsynth.graphs import (
     brickwall_graph,
@@ -74,8 +75,8 @@ def test_transform_depth_factor():
         a, b = rng.choice(np.arange(1, 6), size=2, replace=False)
         c.add("cx", (int(a), int(b)))
     out = transform_circuit(c, g, gp, bridge)
-    d_in = to_layered_form(c).d
-    d_out = to_layered_form(out).d
+    d_in = len(ref_lc.layers(c)[1])
+    d_out = len(ref_lc.layers(out)[1])
     assert d_out <= (1 + 4 * bridge.c_prime * bridge.c) * d_in
 
 
@@ -93,7 +94,7 @@ def test_transform_rejects_unbridged_edges():
 
 def test_brickwall_embedding_structure():
     bw = brickwall_graph(2, 2, 3, 5)
-    grid, vmap, bridge = brickwall_embedding(bw)
+    grid, bridge = brickwall_embedding(bw)
     b2 = 5
     assert len(bridge.classes) <= 4 * (b2 - 2)
     bridge.validate(bw)
@@ -108,7 +109,7 @@ def test_brickwall_embedding_structure():
 
 def test_brickwall_embedding_paths_disjoint_within_class():
     bw = brickwall_graph(2, 2, 3, 5)
-    _, _, bridge = brickwall_embedding(bw)
+    _, bridge = brickwall_embedding(bw)
     for cls in bridge.classes:
         seen = set()
         for path in cls.values():
@@ -121,7 +122,7 @@ def test_brickwall_pullback_of_grid_circuit():
     # synthesize under the grid supergraph, pull back to the brick wall
     rng = np.random.default_rng(63)
     bw = brickwall_graph(1, 1, 3, 3)
-    grid, _, bridge = brickwall_embedding(bw)
+    grid, bridge = brickwall_embedding(bw)
     n = 3
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
     v /= np.linalg.norm(v)
@@ -158,7 +159,7 @@ def figure_circuit():
 def test_lightcone_profile_frozen_oracle():
     # hand-derived backward-reachability trace of the fixed 6-qubit circuit
     # 3 input qubits, 3 ancilla
-    profile = lightcone_profile(to_layered_form(figure_circuit()), 3)
+    profile = lightcone_profile(figure_circuit(), 3)
     assert list(profile.sizes)[:7] == [4, 4, 2, 2, 2, 2, 3]
     assert profile.budget == 19
 
@@ -171,6 +172,41 @@ def test_lightcone_budget_check_on_synthesized_circuit():
     budget, required, ok = lightcone_budget_check(c, "diag", n)
     assert required == 15
     assert ok and budget >= required
+
+
+@pytest.mark.parametrize("n", [0, -2, 4, 9])
+def test_lightcone_budget_check_refuses_n_outside_the_circuit(n):
+    c = Circuit(3)
+    c.add("h", (1,))
+    c.add("cx", (1, 2))
+    with pytest.raises(ValueError, match=f"n = {n} is not in 1..3"):
+        lightcone_budget_check(c, "qsp", n)
+
+
+@st.composite
+def layered_cases(draw):
+    """(circuit, n_inputs): random cx, swap and h/s/x/ry/rz gates on 1..7
+    qubits, and any input count 0..n."""
+    n = draw(st.integers(1, 7))
+    c = Circuit(n)
+    names = ["h", "s", "x", "ry", "rz"] + (["cx", "swap"] if n > 1 else [])
+    for _ in range(draw(st.integers(0, 40))):
+        name = draw(st.sampled_from(names))
+        if name in ("cx", "swap"):
+            a = draw(st.integers(1, n))
+            b = draw(st.integers(1, n - 1))
+            c.add(name, (a, b if b < a else b + 1))
+        else:
+            c.add(name, (draw(st.integers(1, n)),),
+                  0.4 if name in ("ry", "rz") else None)
+    return c, draw(st.integers(0, n))
+
+
+@given(layered_cases())
+@settings(max_examples=300, deadline=None)
+def test_lightcone_profile_matches_reference_layering(case):
+    c, k = case
+    assert lightcone_profile(c, k).sets == ref_lc.profile_sets(c, k)
 
 
 # --- lower bounds ---------------------------------------------------------

@@ -61,6 +61,19 @@ def test_synth_qsp_and_lightcone(files, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("n", ["0", "-2", "9"])
+def test_lightcone_refuses_n_outside_the_circuit(files, capsys, n):
+    # a 3-qubit circuit has no budget for 0, -2 or 9 inputs
+    out = str(files["tmp"] / "q.json")
+    run_command(["synth", "qsp", "--graph", files["path3"], "--state",
+                 files["state"], "--out", out])
+    capsys.readouterr()
+    rc = run_command(["lightcone", "--circuit", out, "--task", "qsp", "-n", n])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert f"error: n = {n} is not in 1..3" in captured.err
+
+
 def test_bound_prints_terms(files, capsys):
     rc = run_command(
         ["bound", "--graph", files["path10"], "--task", "qsp", "-n", "10"]

@@ -605,6 +605,34 @@ def test_routes_share_one_gate_per_directed_edge(g):
     assert cnot_ids() == cold
 
 
+@pytest.mark.parametrize("g, strategy", [
+    (complete_graph(8), "auto"),
+    (complete_graph(8), "general"),
+    (complete_graph(8), "expander"),
+    (complete_graph(10), "expander"),
+    (path_graph(8), "auto"),
+    (grid_graph([2, 4]), "auto"),
+    (complete_graph(10), None),  # the ancilla expander variant
+], ids=["complete-auto", "complete-general", "complete-expander",
+        "complete10-expander", "path-auto", "grid-auto", "expander-ancilla"])
+def test_template_cnots_are_the_graphs_edge_gates(g, strategy):
+    # every CNOT of a sealed template is its edge's one gate tuple in
+    # g.cx_gates, the expander constructions' matching CNOTs included
+    # (complete(8)'s no-ancilla cascade has none, complete(10)'s has one)
+    rng = np.random.default_rng(45)
+    if strategy is None:
+        cascade = expander_cascade(g, 1, 4)
+        assert len(cascade.matchings) == 2  # fan-outs hold matching CNOTs
+        c, _ = synth_diag_expander_ancilla(g, random_spec(rng, 4), cascade,
+                                           verify=False)
+    else:
+        c, _ = synth_diag_noancilla(g, random_spec(rng, g.n), strategy,
+                                    verify=False)
+    cnots = [gate for gate in c.template.gates if gate[0] == "cx"]
+    assert cnots
+    assert all(gate is g.cx_gates[gate[1]] for gate in cnots)
+
+
 def test_cascade_refusal_falls_back():
     # auto never builds a cascade: with every cascade builder stalled, a
     # complete graph still gets the walk on vertices 1..n
