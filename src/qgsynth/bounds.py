@@ -194,10 +194,6 @@ class LightconeProfile:
     sets: list  # S'_1 .. S'_{d+1} as frozensets of qubit indices
 
     @property
-    def sizes(self):
-        return [len(s) for s in self.sets]
-
-    @property
     def budget(self):
         return sum(len(s) for s in self.sets[:-1])
 

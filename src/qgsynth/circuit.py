@@ -20,6 +20,12 @@ theta; a UCG cascade's template splices its diagonals' and is bound to one
 vector of every coefficient.  A `Bound` circuit builds its gates when they
 are first read: reports and `sim` read the template, which keeps the gate
 scan (`Template.scan`) and simulation plan (`sim.Plan`), and the vector.
+
+`Template.seal` runs one commutation-aware pass (`_cancelled`) that drops
+every pair of equal CNOTs whose gates in between all commute with them,
+within each stage; it keeps every slot and every stage's unitary.  It runs
+once per template, in the builder that seals it, so candidates are
+compared as cancelled and a warm call pays nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import cmath
 import gc
 import json
 import math
-from itertools import islice
+from itertools import compress, islice
 
 import numpy as np
 
@@ -95,9 +101,6 @@ class Circuit:
                 if not 1 <= q <= self.n:
                     raise ValueError(f"qubit {q} out of range")
         self.gates.append((name, tuple(qubits), param))
-
-    def cx(self, c, t):
-        self.add("cx", (c, t))
 
     def swap(self, a, b):
         self.add("swap", (a, b))
@@ -197,10 +200,23 @@ class Template(Circuit):
         return scan
 
     def seal(self):
-        """Freeze the slots, in gate order; in a diagonal's template every
-        nonzero alpha index has exactly one."""
+        """Cancel the template's CNOT pairs within each stage
+        (`_cancelled`), then freeze the slots, in gate order; in a
+        diagonal's template every nonzero alpha index has exactly one."""
         self.pos = np.array(self.pos, dtype=np.int32)
         self.idx = np.array(self.idx, dtype=np.int32)
+        marks = self.meta.get("marks", ())
+        keep = _cancelled(self.gates, [end for _, end in marks], self.n)
+        if keep is not None:
+            # kept[i]: the gates kept before gate i; slots are all kept
+            kept = np.zeros(len(keep) + 1, dtype=np.int32)
+            np.cumsum(np.frombuffer(keep, dtype=np.uint8), dtype=np.int32,
+                      out=kept[1:])
+            self.gates = list(compress(self.gates, keep))
+            self.pos = kept[self.pos]
+            if marks:
+                self.meta["marks"] = tuple((name, int(kept[end]))
+                                           for name, end in marks)
         assert (self.pos[1:] > self.pos[:-1]).all()
         if self.inputs is not None:
             hits = np.bincount(self.idx, minlength=1 << self.inputs)
@@ -252,6 +268,74 @@ class Bound(Circuit):
     def gates(self, gates):
         self.template = self.angles = None
         Circuit.gates.__set__(self, gates)
+
+
+def _cancelled(gates, ends, n):
+    """The keep mask (a bytearray, 0 at a dropped gate) of one pass that
+    cancels CNOT pairs on qubits 1..n, or None when it drops nothing.  A
+    cx(a, b) cancels the latest live cx(a, b) when every live gate between
+    them commutes with it: on a only r, rz and CNOTs from a, on b only x
+    and CNOTs into b (Nam, Ross, Su, Childs and Maslov, arXiv 1710.07345).
+    The gates are cut into stages at `ends`, and no pair spans two.
+
+    Per qubit the pass keeps its live gates, a CNOT by its index and a
+    one-qubit gate by its kind (-1 r or rz, -2 x, -3 any other), and walks
+    back from the last.  A cancelled pair leaves both lists, so a gate that
+    blocked a pair and cancels later uncovers it: the pass leaves no
+    cancellable pair.  After every `chunk` gates each list is cut to its
+    last `look_back` entries.  A cut only hides pairs, so the look-back is
+    bounded and every pair the pass cancels is a true one."""
+    keep = None
+    it = enumerate(gates)
+    start = 0
+    chunk, look_back = 4096, 64
+    for end in (*ends, len(gates)):
+        live = [[] for _ in range(n + 1)]
+        for left in range(max(end - start, 0), 0, -chunk):
+            for i, (name, qs, _) in islice(it, min(left, chunk)):
+                if name == "cx":
+                    a, b = qs
+                    la, lb = live[a], live[b]
+                    hit = False
+                    for j in reversed(la):  # past r, rz and cx(a, c)
+                        if j == -1:
+                            continue
+                        if j >= 0 and gates[j][1][0] == a:
+                            if gates[j][1][1] != b:
+                                continue
+                            hit = _clear_target(gates, lb, j)  # j is cx(a, b)
+                        break
+                    if hit:
+                        la.remove(j)
+                        lb.remove(j)
+                        if keep is None:
+                            keep = bytearray(b"\1") * len(gates)
+                        keep[i] = keep[j] = 0
+                    else:
+                        la.append(i)
+                        lb.append(i)
+                elif name == "r" or name == "rz":
+                    live[qs[0]].append(-1)
+                else:
+                    for q in qs:
+                        live[q].append(-2 if name == "x" else -3)
+            for held in live:
+                if len(held) > 2 * look_back:
+                    del held[:-look_back]
+        start = end
+    return keep
+
+
+def _clear_target(gates, live, j):
+    """Whether the live gates after j, a cx(a, b), on b (their list `live`)
+    are all x or CNOTs into b from controls other than a."""
+    a, b = gates[j][1]
+    for k in reversed(live):
+        if k == j:
+            return True
+        if k != -2 and (k < 0 or gates[k][1][1] != b or gates[k][1][0] == a):
+            return False
+    return False
 
 
 def _scan(c, pairs=None):

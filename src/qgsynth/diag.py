@@ -9,7 +9,11 @@ register, sweeps Gray-coded parities onto the target register in phases
 C_1..C_l, undoes the register rewrites, and ends with the walk over the
 control register.  Each graph family has its split; a family with no
 split on g falls back to the walk over all of g, reported as backend
-"<family>-walk".
+"<family>-walk".  The path, grid and tree2 splits route each CNOT of a
+sweep on its own, so phase C_k flips only the target slots it owns and
+rotates: the flips of an unowned slot close a Gray cycle and would be the
+identity.  Seal (`Template.seal`) then cancels the CNOT pairs that are
+left within each stage.
 
 Every builder emits a `Template` whose rotations are slots, since the
 gates do not depend on the angles.  Every entry point, here, in
@@ -192,7 +196,7 @@ def _seal(t, backend, ell=None):
 # ---------------------------------------------------------------------------
 
 
-def _framework(g, split, cp1_emitter, backend):
+def _framework(g, split, backend, fanout=None):
     """Control/target register pipeline: for each cover set, re-express the
     target register, then sweep all control prefixes by Gray codes while
     rotating; finish by undoing the register rewrites and applying the
@@ -202,9 +206,13 @@ def _framework(g, split, cp1_emitter, backend):
 
     The sweep is table-driven.  Each Gray code of the plan gives a
     flip-vertex table and a control-mask table (the n-bit mask of codeword
-    p); `cp1_emitter(pairs)` returns the gates of one parallel CNOT step,
-    and the step of each Gray phase is emitted once and replayed in every
-    cover set.  The owned target slots of a sweep rotate in one run per
+    p).  A step p is one parallel CNOT step from the flip vertices onto the
+    target slots.  `fanout(pairs)`, a shared-control ladder, returns the
+    gates of a step over every slot, emitted once and replayed in every
+    cover set.  Without it a step is the routed CNOTs of the cover set's
+    owned slots alone: a slot the set does not own is never rotated in its
+    sweep, and its flips close a Gray cycle, so they would compose to the
+    identity.  The owned target slots of a sweep rotate in one run per
     step, and the 2^r_c masks of each slot come from one table lookup."""
     n = g.n
     r_t = split.r_t
@@ -215,9 +223,17 @@ def _framework(g, split, cp1_emitter, backend):
     flipv = {j: [split.cverts[h - 1] for h in code.flips]
              for j, code in codes.items()}
     cmask = {j: ctab[list(code.codewords)] for j, code in codes.items()}
-    steps = [cp1_emitter([(flipv[j][p], tv) for j, tv in
-                          zip(split.gray_plan, split.tverts)])
-             for p in range(1 << split.r_c)]
+
+    def sweep(slots):
+        pairs = [(flipv[split.gray_plan[i]], split.tverts[i]) for i in slots]
+        if fanout is not None:
+            return [fanout([(fv[p], tv) for fv, tv in pairs])
+                    for p in range(1 << split.r_c)]
+        return [[gate for fv, tv in pairs
+                 for gate in route_cnot_gates(g, fv[p], tv)]
+                for p in range(1 << split.r_c)]
+
+    every = sweep(range(r_t)) if fanout is not None else None
     out = Template(n, n)
     gates = out.gates
 
@@ -249,6 +265,7 @@ def _framework(g, split, cp1_emitter, backend):
         # slot rotates by that codeword's mask; replaying step 0 closes the
         # cycle
         owned = [i for i, t in enumerate(tset) if cover.owner[t] == k]
+        steps = every or sweep(owned)
         qubits = [split.tverts[i] for i in owned]
         masks = np.reshape([cmask[split.gray_plan[i]] | ttab[tset[i]]
                             for i in owned], (len(owned), 1 << split.r_c))
@@ -269,13 +286,6 @@ def _framework(g, split, cp1_emitter, backend):
     _walk(out, g, split.cverts)
     out.mark("lambda_rc")
     return _seal(out, backend, cover.ell)
-
-
-def _routed_pair_emitter(g):
-    def emit(pairs):
-        return [gate for u, v in pairs for gate in route_cnot_gates(g, u, v)]
-
-    return emit
 
 
 def _ladder_emitter(g, rungs, seeds):
@@ -401,11 +411,13 @@ def _check_ancilla(g, n, m):
 
 def _compile(g, key, build, params, target, verify):
     """(circuit, report) of every entry point: g's template under `key`,
-    built by `build()` on first use, bound to params.  The report takes
-    the template's backend and extra fields and counts every qubit past
-    target.n as an ancilla; verify=False skips the simulation residual."""
+    built by `build()` on first use, bound to params.  The circuit and the
+    report count every qubit past target.n as an ancilla; the report takes
+    the template's backend and extra fields; verify=False skips the
+    simulation residual."""
     t = g.cached(key, build)
     c = t.bind(params)
+    c.ancilla = g.n - target.n
     return c, assemble_report(c, g, target if verify else None,
                               backend=t.backend, extra=t.extra)
 
@@ -472,16 +484,15 @@ def _dispatch(g, strategy="auto"):
         t = Template(g.n, g.n)
         _walk(t, g, sorted(range(1, g.n + 1), key=lambda v: (dist[v], v)))
         return _seal(t, f"{strategy}-walk")
+    fanout = None  # the path, grid and tree2 splits route each pair
     if casc is not None:
-        emitter = _ladder_emitter(
+        fanout = _ladder_emitter(
             g, [[g.cx_gates[e] for e in m] for m in casc.matchings],
             casc.sets[0])
     elif strategy == "general":
-        emitter = _ladder_emitter(
+        fanout = _ladder_emitter(
             g, [route_cnot_gates(g, u, v)
                 for u, v in zip(split.tverts, split.tverts[1:])],
             split.tverts[:1])
-    else:
-        emitter = _routed_pair_emitter(g)
-    return _framework(g, split, emitter,
-                      "tree2" if strategy == "tree" else strategy)
+    return _framework(g, split, "tree2" if strategy == "tree" else strategy,
+                      fanout)

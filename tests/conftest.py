@@ -31,8 +31,9 @@ def distance_up_to_phase(a, b):
 
 def bound_copy(c):
     """c as a circuit bound from a sealed template of its gates, one slot
-    per r, rz and ry gate: the template keeps the scan and the plan of
-    every circuit bound from it."""
+    per r, rz and ry gate, less the CNOT pairs the seal cancels (the same
+    unitary): the template keeps the scan and the plan of every circuit
+    bound from it."""
     from qgsynth.circuit import PARAM_GATES, Template
 
     t = Template(c.n, None)

@@ -6,10 +6,17 @@ Each UCG is compiled on its own by `synth_ucg`, on a fresh relabelled host
 where QSP needs one, and the circuits are joined and marked stage by
 stage.  A QSP stage's target still holds |0>, so its first factor,
 lam1 = diag(1, e^{id}) per branch (rz(d) at width 1), acts as the identity
-and its gates are cut from the UCG's circuit.  The batched binder must
-give exactly these gate lists.
+and its gates are cut from the UCG's circuit.  The cut needs the UCG's
+gates before the cancellation pass of `Template.seal` (a pair may span two
+factors), so a QSP stage's UCG is sealed without it, and the pass runs on
+the joined cascade, stage by stage, as it does on the batched template.
+The batched binder must give exactly these gate lists.
 """
 
+from itertools import compress
+from unittest import mock
+
+from qgsynth import circuit
 from qgsynth.circuit import Circuit
 from qgsynth.diag_ancilla import _auto_template
 from qgsynth.graphs import explicit_graph
@@ -26,14 +33,16 @@ def qsp_circuit(g, v, m):
         g.n, [(pos[a], pos[b]) for a, b in g.edges])
     c = Circuit(g.n)
     for j, V in enumerate(state_to_ucgs(v), start=1):
-        gates = _on_clean_target(synth_ucg(host, V, g.n - j, verify=False)[0],
-                                 host, g.n - j)
-        if not natural:
-            gates = [(name, tuple(order[q - 1] for q in qs), p)
-                     for name, qs, p in gates]
-        c.extend(gates)
+        if j > 1:  # its factors' template, built with the pass
+            _auto_template(host, j, g.n - j)
+        with mock.patch.object(circuit, "_cancelled", lambda *args: None):
+            ucg = synth_ucg(host, V, g.n - j, verify=False)[0]
+        c.extend(_on_clean_target(ucg, host, g.n - j))
         c.mark(f"ucg_{j}")
+    c = _cancel_pairs(c)
     if not natural:
+        c.gates = [(name, tuple(order[q - 1] for q in qs), p)
+                   for name, qs, p in c.gates]
         c.extend(synth_permutation(g, {o: i + 1 for i, o in enumerate(order)}))
         c.mark("relabel")
     return c
@@ -56,3 +65,15 @@ def gus_circuit(g, U, m):
         c.extend(synth_ucg(g, V, m, verify=False)[0])
         c.mark(f"ucg_{k}")
     return c
+
+
+def _cancel_pairs(c):
+    """c less the CNOT pairs `Template.seal` cancels, stage by stage."""
+    ends = [end for _, end in c.meta["marks"]]
+    keep = circuit._cancelled(c.gates, ends, c.n)
+    if keep is None:
+        return c
+    out = Circuit(c.n, c.ancilla, compress(c.gates, keep))
+    out.meta["marks"] = tuple((name, sum(keep[:end]))
+                              for name, end in c.meta["marks"])
+    return out

@@ -403,7 +403,7 @@ def test_09_lightcone_and_bounds():
     t0 = time.time()
     # frozen reachable-set pattern of the worked 6-qubit example
     profile = lightcone_profile(figure_circuit(), 3)
-    assert list(profile.sizes)[:7] == [4, 4, 2, 2, 2, 2, 3]
+    assert [len(s) for s in profile.sets][:7] == [4, 4, 2, 2, 2, 2, 3]
     assert profile.budget == 19
     # budget audit on fresh representative circuits
     rng = np.random.default_rng(109)

@@ -160,7 +160,7 @@ def test_lightcone_profile_frozen_oracle():
     # hand-derived backward-reachability trace of the fixed 6-qubit circuit
     # 3 input qubits, 3 ancilla
     profile = lightcone_profile(figure_circuit(), 3)
-    assert list(profile.sizes)[:7] == [4, 4, 2, 2, 2, 2, 3]
+    assert [len(s) for s in profile.sets][:7] == [4, 4, 2, 2, 2, 2, 3]
     assert profile.budget == 19
 
 

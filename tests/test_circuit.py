@@ -32,7 +32,7 @@ def small_random_circuit(rng, n, length):
             c.add("h", (int(rng.integers(1, n + 1)),))
         else:
             u, v = rng.choice(range(1, n + 1), size=2, replace=False)
-            c.cx(int(u), int(v))
+            c.add("cx", (int(u), int(v)))
     return c
 
 
@@ -45,17 +45,17 @@ def test_metrics_counts_swap_as_three():
 
 def test_metrics_parallel_layers():
     c = Circuit(4)
-    c.cx(1, 2)
-    c.cx(3, 4)
-    c.cx(2, 3)
+    c.add("cx", (1, 2))
+    c.add("cx", (3, 4))
+    c.add("cx", (2, 3))
     assert c.metrics()[0] == 2
 
 
 def test_validate_connectivity_flags_offgraph():
     g = path_graph(3)
     c = Circuit(3)
-    c.cx(1, 2)
-    c.cx(1, 3)
+    c.add("cx", (1, 2))
+    c.add("cx", (1, 3))
     bad = validate_connectivity(c, g)
     assert len(bad) == 1 and bad[0][1] == (1, 3)
 
@@ -193,7 +193,7 @@ def test_report_lists_the_one_offgraph_cnot():
     c, rep = synth_diag_auto(g, DiagonalSpec(5, rng.uniform(0, 6, 32)), 0,
                              verify=False)
     assert rep["violations"] == []
-    c.cx(1, 4)
+    c.add("cx", (1, 4))
     c.swap(4, 5)
     rep = assemble_report(c, g)
     assert rep["violations"] == [{"g": "cx", "q": [1, 4]}]

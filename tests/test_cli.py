@@ -48,6 +48,20 @@ def test_synth_diag_roundtrip_and_verify(files, capsys):
     assert rc == 0
 
 
+def test_saved_circuit_counts_its_ancilla(files, capsys):
+    # a diagonal on qubits 1..3 of path(11) with the other 8 as ancilla
+    # saves "ancilla": 8 in its header, and the saved circuit verifies
+    graph = write(files["tmp"] / "path11.json", {"kind": "path", "n": 11})
+    out = str(files["tmp"] / "c.json")
+    assert run_command(["synth", "diag", "--graph", graph, "--angles",
+                        files["angles"], "-m", "8", "--out", out]) == 0
+    with open(out) as fh:
+        saved = json.load(fh)
+    assert (saved["n"], saved["ancilla"]) == (11, 8)
+    assert run_command(["verify", "--graph", graph, "--circuit", out,
+                        "--angles", files["angles"]]) == 0
+
+
 def test_synth_qsp_and_lightcone(files, capsys):
     out = str(files["tmp"] / "q.json")
     rc = run_command(
@@ -251,13 +265,13 @@ _BENCH_CSV = {
     "diag": ["task,graph_kind,n,m,depth,size,two_qubit,bound_max,ratio,seed",
              "diag,path,2,6,5,5,2,2.0,2.5,5",
              "diag,path,3,9,16,19,12,3.0,5.333333,5",
-             "diag,path,4,12,48,55,40,4.0,12.0,5",
-             "diag,path,5,15,122,169,138,5.656854,21.566757,5"],
+             "diag,path,4,12,42,53,38,4.0,10.5,5",
+             "diag,path,5,15,116,151,120,5.656854,20.506097,5"],
     "qsp": ["task,graph_kind,n,m,depth,size,two_qubit,bound_max,ratio,seed",
             "qsp,path,2,6,13,15,4,2.0,6.5,5",
             "qsp,path,3,9,39,52,26,3.0,13.0,5",
-            "qsp,path,4,12,118,147,94,4.0,29.5,5",
-            "qsp,path,5,15,309,434,330,5.656854,54.623999,5"],
+            "qsp,path,4,12,99,135,82,4.0,24.75,5",
+            "qsp,path,5,15,284,386,282,5.656854,50.204581,5"],
 }
 
 

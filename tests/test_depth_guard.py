@@ -5,11 +5,8 @@ to the candidates, a backend or the UCG factors that makes one case deeper
 fails here, whatever it gains elsewhere; a change that makes a case
 shallower may lower its entry.
 
-The diagonal table was recorded before the general split on path prefixes
-and the ancilla ladder joined the candidates (12 of its 112 path cases are
-shallower since).  The cascade tables were recorded while every UCG still
-emitted its middle diagonal as (0, c), and every QSP stage its first
-diagonal; a QSP cascade of n >= 5 must stay at most 0.70 of its entry.  The
+Every entry is the depth recorded once the templates cancelled their CNOT
+pairs at seal (`Template.seal`); each was at most the entry before.  The
 depth of a template does not depend on the angles; the inputs are seeded
 anyway (generic states and unitaries, whose UCGs emit every factor they
 can).
@@ -48,20 +45,20 @@ def _ms(n):
 
 # family -> n -> the depth ceiling for each m of _ms(n)
 CEILING = {
-    "path": {2: (5, 5, 5, 5), 5: (133, 133, 133, 133),
-             7: (919, 919, 919, 919), 10: (13032, 13032, 4501, 10775)},
-    "tree": {2: (4, 4, 4, 4), 5: (116, 116, 116, 116),
-             7: (497, 497, 497, 497), 10: (4227, 4227, 4227, 4227)},
-    "star": {2: (4, 4, 4, 4), 5: (88, 88, 88, 88),
-             7: (376, 376, 376, 376), 10: (3064, 3064, 3064, 3064)},
-    "grid2": {2: (4, 4, 4, 4), 5: (122, 122, 122, 122),
-              7: (613, 571, 571, 571), 10: (4453, 4217, 4217, 4217)},
-    "grid3": {2: (4, 4, 4, 4), 5: (148, 146, 122, 122),
-              7: (721, 673, 571, 571), 10: (3769, 5779, 4217, 4217)},
-    "grid8": {2: (4, 4, 4, 4), 5: (122, 148, 122, 122),
-              7: (571, 424, 613, 571), 10: (3178, 3937, 5379, 4217)},
-    "complete": {2: (4, 4, 4, 4), 5: (53, 53, 53, 53),
-                 7: (239, 239, 239, 239), 10: (2022, 2022, 2022, 2022)},
+    "path": {2: (5, 5, 5, 5), 5: (116, 116, 116, 116), 7: (556, 556, 556, 556),
+             10: (3901, 3901, 3901, 3901)},
+    "tree": {2: (4, 4, 4, 4), 5: (116, 116, 116, 116), 7: (459, 459, 459, 459),
+             10: (3818, 3818, 3818, 3818)},
+    "star": {2: (4, 4, 4, 4), 5: (88, 88, 88, 88), 7: (376, 376, 376, 376),
+             10: (3064, 3064, 3064, 3064)},
+    "grid2": {2: (4, 4, 4, 4), 5: (100, 116, 116, 116),
+              7: (533, 556, 556, 556), 10: (4453, 3901, 3901, 3901)},
+    "grid3": {2: (4, 4, 4, 4), 5: (128, 124, 116, 116),
+              7: (662, 593, 556, 556), 10: (3389, 5383, 3901, 3901)},
+    "grid8": {2: (4, 4, 4, 4), 5: (116, 128, 100, 116),
+              7: (556, 371, 533, 556), 10: (2902, 3541, 4983, 3901)},
+    "complete": {2: (4, 4, 4, 4), 5: (53, 53, 53, 53), 7: (239, 239, 239, 239),
+                 10: (2022, 2022, 2022, 2022)},
 }
 
 
@@ -82,32 +79,31 @@ def test_auto_is_never_deeper_than_the_table(family):
 # family -> n -> the depth ceiling on FAMILIES[family](n + m), m = 0 and n,
 # with the graph's other vertices as ancilla
 QSP_CEILING = {
-    "path": {2: (17, 17), 3: (61, 61), 4: (187, 187), 5: (495, 495),
-             6: (1164, 1164), 7: (2585, 2585), 8: (4903, 4903)},
-    "tree": {2: (17, 17), 3: (60, 60), 4: (200, 200), 5: (496, 496),
-             6: (1265, 1265), 7: (2459, 2459), 8: (4959, 4959)},
-    "star": {2: (17, 17), 3: (60, 60), 4: (164, 164), 5: (388, 388),
-             6: (852, 852), 7: (1796, 1796), 8: (3700, 3700)},
-    "grid2": {2: (17, 17), 3: (65, 60), 4: (152, 194), 5: (550, 500),
-              6: (983, 1169), 7: (2961, 2590), 8: (5213, 4908)},
-    "grid3": {2: (17, 17), 3: (60, 65), 4: (209, 254), 5: (587, 582),
-              6: (1069, 1465), 7: (3165, 3108), 8: (4951, 6255)},
-    "grid8": {2: (17, 17), 3: (60, 60), 4: (194, 194), 5: (500, 587),
-              6: (1169, 1115), 7: (2590, 2161), 8: (4908, 4251)},
-    "complete": {2: (17, 17), 3: (45, 45), 4: (102, 102), 5: (233, 233),
-                 6: (518, 518), 7: (1117, 1117), 8: (2350, 2350)},
+    "path": {2: (13, 13), 3: (39, 39), 4: (99, 99), 5: (284, 284),
+             6: (641, 641), 7: (1505, 1505), 8: (2725, 2725)},
+    "tree": {2: (12, 12), 3: (40, 40), 4: (128, 128), 5: (308, 308),
+             6: (782, 782), 7: (1404, 1404), 8: (2761, 2761)},
+    "star": {2: (12, 12), 3: (40, 40), 4: (104, 104), 5: (240, 240),
+             6: (520, 520), 7: (1088, 1088), 8: (2232, 2232)},
+    "grid2": {2: (12, 12), 3: (41, 39), 4: (93, 99), 5: (275, 284),
+              6: (548, 641), 7: (1546, 1505), 8: (2923, 2725)},
+    "grid3": {2: (12, 12), 3: (39, 41), 4: (101, 133), 5: (309, 303),
+              6: (562, 775), 7: (1741, 1661), 8: (2602, 3511)},
+    "grid8": {2: (12, 12), 3: (39, 39), 4: (99, 99), 5: (284, 309),
+              6: (641, 562), 7: (1505, 1116), 8: (2725, 2273)},
+    "complete": {2: (12, 12), 3: (30, 30), 4: (65, 65), 5: (145, 145),
+                 6: (318, 318), 7: (680, 680), 8: (1423, 1423)},
 }
 GUS_CEILING = {
-    "path": {2: (53, 53), 3: (316, 316), 4: (1865, 1865)},
-    "tree": {2: (50, 50), 3: (330, 330), 4: (2126, 2126)},
-    "star": {2: (50, 50), 3: (330, 330), 4: (1634, 1634)},
-    "grid2": {2: (50, 50), 3: (360, 316), 4: (1379, 1966)},
-    "grid3": {2: (50, 50), 3: (316, 360), 4: (2082, 2822)},
-    "grid8": {2: (50, 50), 3: (316, 316), 4: (1966, 1966)},
-    "complete": {2: (50, 50), 3: (216, 216), 4: (884, 884)},
+    "path": {2: (41, 41), 3: (242, 242), 4: (1160, 1160)},
+    "tree": {2: (40, 40), 3: (252, 252), 4: (1624, 1624)},
+    "star": {2: (40, 40), 3: (252, 252), 4: (1244, 1244)},
+    "grid2": {2: (40, 40), 3: (267, 242), 4: (1062, 1160)},
+    "grid3": {2: (40, 40), 3: (242, 267), 4: (1190, 1716)},
+    "grid8": {2: (40, 40), 3: (242, 242), 4: (1160, 1160)},
+    "complete": {2: (40, 40), 3: (173, 173), 4: (696, 696)},
 }
 TABLES = {"qsp": QSP_CEILING, "gus": GUS_CEILING}
-QSP_SHARE = 0.70  # of the ceiling, for n >= 5
 
 
 def _cascade_depth(task, family, n, m):
@@ -127,7 +123,6 @@ def test_cascade_is_never_deeper_than_the_table(task, family):
     for n, ceilings in TABLES[task][family].items():
         for m, ceiling in zip((0, n), ceilings):
             depth = _cascade_depth(task, family, n, m)
-            cap = QSP_SHARE * ceiling if task == "qsp" and n >= 5 else ceiling
-            if depth > cap:
+            if depth > ceiling:
                 deeper.append((n, m, ceiling, depth))
     assert deeper == []

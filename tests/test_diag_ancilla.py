@@ -55,9 +55,9 @@ def test_path_pipeline_exact():
 def test_auto_ancilla_report_matches_pipeline_report():
     # the dispatcher builds the pipeline itself, so its report must carry
     # the same fields and stage table as synth_diag_ancilla's, plus decision;
-    # here the pipeline on all m = 63 ancilla wins (1,933 deep, against
-    # 3,773 and 2,662 on m' = 31 and 15, and 2,001 without ancilla)
-    g, n = tree_graph(2, n=9 + 63), 9
+    # here the pipeline on all m = 62 ancilla wins (3,339 deep, against
+    # 7,246 on m' = 31, and 3,818 without ancilla; m' = 15 has no layout)
+    g, n = tree_graph(2, n=10 + 62), 10
     spec = random_spec(np.random.default_rng(32), n)
     c, report = synth_diag_auto(g, spec, g.n - n)
     c2, report2 = synth_diag_ancilla(g, spec, g.n - n)
@@ -308,9 +308,11 @@ def test_expander_three_stage_exact():
 @pytest.mark.parametrize(
     "g, n, m, want",
     [
-        (path_graph(16), 4, 12, "noancilla-path"),
-        (path_graph(12), 4, 8, "noancilla-path"),
-        (path_graph(4), 4, 0, "noancilla-path"),
+        # on a path the general split is shallower from n = 3 on; at n = 2
+        # the two tie and the path split, the first candidate, runs
+        (path_graph(14), 2, 12, "noancilla-path"),
+        (path_graph(10), 2, 8, "noancilla-path"),
+        (path_graph(2), 2, 0, "noancilla-path"),
         (tree_graph(2, n=16), 4, 12, "noancilla-tree-walk"),
         (star_graph(10), 4, 6, "noancilla-star-walk"),
         (complete_graph(8), 4, 4, "noancilla-complete"),
@@ -358,14 +360,16 @@ def _pipeline_on(k):
      "noancilla-general"),
     (grid_graph([2, 7]), 14, 0, [_strategy("general"), _strategy("auto")],
      "noancilla-grid"),
-    # the general split wins here: 959, against 2,290 for the path
-    # strategy and 2,156 and 1,564 for the pipeline on m' = 32 and 16
+    # the general split wins here: 884, against 2,290 for the path
+    # strategy and 2,138 and 1,553 for the pipeline on m' = 32 and 16
     (path_graph(40), 8, 32,
      [_noancilla_on(path_graph(8)), _noancilla_on(path_graph(8), "general"),
       _pipeline_on(32), _pipeline_on(16)], "noancilla-general"),
-    (tree_graph(2, n=72), 9, 63,
-     [_noancilla_on(tree_graph(2, n=9)), _pipeline_on(63), _pipeline_on(31),
-      _pipeline_on(15)], "ancilla-tree"),
+    # the pipeline on m' = 62 wins: 3,339, against 7,246 on m' = 31 and
+    # 3,818 for the tree2 split; m' = 15 has no layout
+    (tree_graph(2, n=72), 10, 62,
+     [_noancilla_on(tree_graph(2, n=10)), _pipeline_on(62), _pipeline_on(31)],
+     "ancilla-tree"),
 ], ids=["path14", "tree14", "complete12", "star9", "grid3x3", "grid2x7",
         "path40", "tree72"])
 def test_auto_is_the_shallowest_candidate(g, n, m, candidates, want):

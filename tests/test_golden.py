@@ -93,20 +93,20 @@ REQUESTS = {
 }
 
 GOLDEN = {
-    "ancilla-expander": "aedfb0602229d24a",
-    "auto-ancilla-expander": "ee43059c2d4b0af3",
-    "auto-ancilla-grid": "c16b6db89d7697b8",
-    "auto-ancilla-path": "adaed654f917fd11",
-    "auto-ancilla-tree": "c2e1ba0ec7bd7928",
-    "auto-induced-fallback": "b82afbd33c071662",
+    "ancilla-expander": "6ba57e32069677b7",
+    "auto-ancilla-expander": "aeec5c05ed0e15c5",
+    "auto-ancilla-grid": "9225b9647193b393",
+    "auto-ancilla-path": "7de9a850338a88f0",
+    "auto-ancilla-tree": "8929804a2fb6f356",
+    "auto-induced-fallback": "98a6f9dcd7ed5934",
     "noanc-complete": "272215dddcd58ce1",
-    "noanc-general": "7b96777a581b9ffb",
+    "noanc-general": "75cc44ed4c5ce9c5",
     "noanc-grid": "f82e7345b8f808e5",
     "noanc-path": "26849d596075c01d",
     "noanc-star-walk": "0711440b9dfef710",
-    "noanc-tree2": "0130d3deca420598",
-    "qsp-bfs-relabel": "575c4c6cc0ff8c68",
-    "qsp-path": "69e0d81d4e23554e",
+    "noanc-tree2": "c86bad06e8389bc1",
+    "qsp-bfs-relabel": "61a0d338c5cc36df",
+    "qsp-path": "63df11511d6bb06c",
     "qsp-star": "82b152e6015905a0",
 }
 
@@ -119,7 +119,7 @@ BACKENDS = {
     "noanc-complete": "complete",
     "noanc-general": "general",
     "auto-induced-fallback": "general",
-    "auto-ancilla-path": "path",
+    "auto-ancilla-path": "general",
     "auto-ancilla-grid": "complete",
     "auto-ancilla-tree": "tree-walk",
     "auto-ancilla-expander": "complete",

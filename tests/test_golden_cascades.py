@@ -111,41 +111,41 @@ REQUESTS.update({
 
 GOLDEN = {
     "gus-complete-n2-m0": "6e4375d8ffa6754a",
-    "gus-complete-n2-m2": "d82d90053c9edd43",
+    "gus-complete-n2-m2": "781d784a1605a21e",
     "gus-complete-n3-m0": "09498230af24b88a",
-    "gus-complete-n3-m2": "e81a636fb6f21abc",
+    "gus-complete-n3-m2": "bb2ae05c73d56f42",
     "gus-complete-n4-m0": "18f54f9c4f7ad5ab",
-    "gus-complete-n4-m2": "504ae19e68515f46",
-    "gus-complete-permutation": "f306a2a571ceb721",
+    "gus-complete-n4-m2": "cde9f709be801f46",
+    "gus-complete-permutation": "783845205481d261",
     "gus-path-diagonal": "b64f8425265459a5",
     "gus-path-identity": "ce93159e69a63742",
     "gus-path-n2-m0": "d242f89e6002a99f",
-    "gus-path-n2-m2": "01c7a2a43ccc3e3a",
+    "gus-path-n2-m2": "29dd25cc0687025d",
     "gus-path-n3-m0": "f361651f3b37a2ce",
-    "gus-path-n3-m2": "3a566c331cdf4734",
-    "gus-path-n4-m0": "a70b8d38e79fc88c",
-    "gus-path-n4-m2": "879bf9f9ab0b35a9",
-    "gus-path-one-qubit": "4bccfd26ca0f7628",
+    "gus-path-n3-m2": "b5785a26c9416940",
+    "gus-path-n4-m0": "fe5ce8aae4401a1d",
+    "gus-path-n4-m2": "a33b8d6fbd6cc5ff",
+    "gus-path-one-qubit": "cce1ad97d81af474",
     "gus-path-permutation": "0fdefe900eea00a9",
-    "qsp-brickwall-n6": "6b6d589a7eeb0e8f",
-    "qsp-brickwall-n8": "19cab6c2f4d56b2e",
-    "qsp-complete-n3": "ad3e2d1463573cdc",
+    "qsp-brickwall-n6": "e2157e2289d633a4",
+    "qsp-brickwall-n8": "0be81af33a889e27",
+    "qsp-complete-n3": "7c4e4826e429684d",
     "qsp-complete-n5": "0bab29c7b5d509f4",
-    "qsp-path-basis": "d4ec4503e9c30753",
-    "qsp-path-n4": "87a2f78917e9f466",
-    "qsp-path-n6": "fbed76a6ca62cffa",
-    "qsp-path-real": "03438ed2d9911514",
-    "qsp-path-sparse": "3bb5ba3230bdf2b0",
-    "qsp-path-zero": "103caede31085392",
-    "qsp-relabelled-basis": "b5349e4fa8e25aff",
-    "qsp-relabelled-n6": "60aac46de3c19cf2",
-    "qsp-relabelled-n8": "73a37eb6a73a85fb",
-    "qsp-relabelled-sparse": "7b0a4f263a054507",
-    "qsp-star-n4": "8f8edadd2099cfd3",
+    "qsp-path-basis": "3b64698d85a114e0",
+    "qsp-path-n4": "06df2daec4a77902",
+    "qsp-path-n6": "dd0fe2656ea82040",
+    "qsp-path-real": "fcaafdc59a3b328c",
+    "qsp-path-sparse": "d28f1723f7b6a7ed",
+    "qsp-path-zero": "4d367e3be4946c45",
+    "qsp-relabelled-basis": "84c4d8e256e6d26c",
+    "qsp-relabelled-n6": "c108e6bb8f858d19",
+    "qsp-relabelled-n8": "f868cfdcce0fc660",
+    "qsp-relabelled-sparse": "18409962d158ab96",
+    "qsp-star-n4": "757f952a8fdadcd2",
     "qsp-star-n6": "2c23d6157af656d7",
-    "qsp-star-one-qubit": "f6bff8daf8511b6a",
-    "qsp-tree2-n5": "85083221fe9b5e8f",
-    "qsp-tree2-n7": "c9c98c7c64aa9b77",
+    "qsp-star-one-qubit": "d43e7db9d2a98972",
+    "qsp-tree2-n5": "8081344bf1c5e6d1",
+    "qsp-tree2-n7": "71e307405212ccfa",
 }
 
 

@@ -141,69 +141,69 @@ def _digest(run):
 
 GOLDEN = {
     "ancilla-complete": "1e2f23cfc3bb21c6",
-    "ancilla-grid": "7ffa258af6cb81b3",
+    "ancilla-grid": "f54ca1d14377dfd3",
     "ancilla-grid-short": "13a4391979c8a872",
     "ancilla-one-input": "a047354f8f0357cd",
-    "ancilla-path": "b2954641473875ee",
+    "ancilla-path": "0f96f8cecb3fd142",
     "ancilla-path-m0": "9fc3131c82a5cf9e",
     "ancilla-star": "0aff943b63791dcc",
-    "ancilla-tree": "e52a82158718641f",
-    "ancilla-tree-shallow": "0e9e5e4968f6d2f7",
+    "ancilla-tree": "e4ca421ea1da07d2",
+    "ancilla-tree-shallow": "91fa61c3b5b5ad8e",
     "ancilla-tree3": "5067ca6dc105042a",
-    "auto-ancilla-expander": "5b31cf716f534f20",
-    "auto-ancilla-grid": "2722d0c27def9c82",
-    "auto-ancilla-path": "eaa6f658e303e472",
-    "auto-ancilla-tree": "6fbe3f82cd5f4a4a",
-    "auto-ancilla-tree-shallow": "02d1d839fbcaa82b",
+    "auto-ancilla-expander": "50be20fefb6f0179",
+    "auto-ancilla-grid": "6c9e72d3532b1d1b",
+    "auto-ancilla-path": "8969b13bfc9a87ec",
+    "auto-ancilla-tree": "3cae1a7563b51b0d",
+    "auto-ancilla-tree-shallow": "557c015512fe0ce2",
     "auto-disconnected-prefix": "f220c776b7fab359",
-    "auto-expander-small": "9d750363e2af618f",
-    "auto-m0-path": "1137f1af4e6c9014",
-    "auto-no-cascade": "271b6418984fd18c",
-    "auto-no-layout-grid": "751a2914bbcf1921",
-    "auto-no-layout-path": "fde95a3965ee66d4",
-    "auto-noancilla-complete": "f5b4673a11a86cc4",
-    "auto-noancilla-general": "53189abc43f8786c",
-    "auto-noancilla-grid": "72371fae8c18ea47",
-    "auto-noancilla-path": "27fb2875e879321d",
-    "auto-noancilla-star": "6af5cd6c3f126b47",
-    "auto-noancilla-tree3": "925fa41f4af046d4",
-    "noanc-brickwall-auto": "4576e78fc891f534",
-    "noanc-brickwall-expander": "30bd9c65c66bbd15",
-    "noanc-brickwall-general": "4576e78fc891f534",
+    "auto-expander-small": "bbcf4d73e43a34d6",
+    "auto-m0-path": "5174ea38a776c4fd",
+    "auto-no-cascade": "3518149ff846d87e",
+    "auto-no-layout-grid": "c0d7383d4cf70176",
+    "auto-no-layout-path": "20f0c25fe7b8da4d",
+    "auto-noancilla-complete": "4385414fec92707d",
+    "auto-noancilla-general": "90d6c97fa7dbdcc5",
+    "auto-noancilla-grid": "71a4150c44ac9026",
+    "auto-noancilla-path": "f567e12fb7f69103",
+    "auto-noancilla-star": "53ac1429d8fa5f57",
+    "auto-noancilla-tree3": "3ba04df467d48086",
+    "noanc-brickwall-auto": "04f0ec846df34497",
+    "noanc-brickwall-expander": "7cc2f3061b4470ec",
+    "noanc-brickwall-general": "04f0ec846df34497",
     "noanc-brickwall-unknown": "3fd6e61f300b2ca2",
     "noanc-complete-auto": "2cd9c71113865516",
-    "noanc-complete-expander": "28bf3ec5ae36f06b",
-    "noanc-complete-general": "b96a7cd89a125dd0",
+    "noanc-complete-expander": "4a56926f107d4249",
+    "noanc-complete-general": "3b4fed705856080b",
     "noanc-complete-unknown": "3fd6e61f300b2ca2",
-    "noanc-cycle-auto": "9218115bf59c5c64",
-    "noanc-cycle-expander": "73e7973641fb0127",
-    "noanc-cycle-general": "9218115bf59c5c64",
+    "noanc-cycle-auto": "fa522b504a128850",
+    "noanc-cycle-expander": "b7175023506a0190",
+    "noanc-cycle-general": "fa522b504a128850",
     "noanc-cycle-unknown": "3fd6e61f300b2ca2",
     "noanc-grid-auto": "51936c1798d13c40",
-    "noanc-grid-expander": "4ae983d525f2e636",
-    "noanc-grid-general": "8550e8554c638afa",
+    "noanc-grid-expander": "4a0945c3b5dfa498",
+    "noanc-grid-general": "95ec36474ce25873",
     "noanc-grid-point-auto": "7b3adeef08909de7",
     "noanc-grid-point-general": "82467cdb143598e6",
     "noanc-grid-point-unknown": "3fd6e61f300b2ca2",
     "noanc-grid-unknown": "3fd6e61f300b2ca2",
     "noanc-path-auto": "56876d8f772db0e2",
-    "noanc-path-expander": "0a8b027f8ce7dc11",
-    "noanc-path-general": "7b9b691b3e8544df",
+    "noanc-path-expander": "5ab98eafd9374a3b",
+    "noanc-path-general": "53f53fe9c7f76321",
     "noanc-path-unknown": "3fd6e61f300b2ca2",
     "noanc-point-auto": "2421341411b930dd",
     "noanc-point-general": "d477a1c9e48f7344",
     "noanc-point-unknown": "3fd6e61f300b2ca2",
     "noanc-star-auto": "fba19c0bb7a4d5e3",
-    "noanc-star-expander": "d1903435af002c20",
-    "noanc-star-general": "a5f1157b39e846b0",
+    "noanc-star-expander": "8c4f15f359c46bf9",
+    "noanc-star-general": "d01f23b322cafdc6",
     "noanc-star-unknown": "3fd6e61f300b2ca2",
-    "noanc-tree2-auto": "7265f7fd80eb28cf",
-    "noanc-tree2-expander": "97c3c6d80a071dae",
-    "noanc-tree2-general": "e1de73dd06982e62",
+    "noanc-tree2-auto": "62f27780d0df8768",
+    "noanc-tree2-expander": "d812969687a979d1",
+    "noanc-tree2-general": "1c565eaec7c4ffa7",
     "noanc-tree2-unknown": "3fd6e61f300b2ca2",
     "noanc-tree3-auto": "c6102d4e511d68c4",
-    "noanc-tree3-expander": "0f1630edbe9d7651",
-    "noanc-tree3-general": "af54d69a9cccfc1d",
+    "noanc-tree3-expander": "8c6d34ef55fad003",
+    "noanc-tree3-general": "b5ad694dc994585a",
     "noanc-tree3-unknown": "3fd6e61f300b2ca2",
 }
 

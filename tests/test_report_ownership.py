@@ -132,7 +132,8 @@ def test_report_follows_the_circuits_own_marks():
     spec = DiagonalSpec(4, np.random.default_rng(82).uniform(0, 6, 16))
     synth_diag_auto(g, spec, 12)
     c, report = synth_diag_auto(g, spec, 12)
-    assert len(report["stages"]) == 4 and c.template is not None
+    assert len(report["stages"]) == len(c.meta["marks"]) > 1
+    assert c.template is not None
     assert c.meta["marks"] is c.template.meta["marks"]
     c.meta["marks"] = c.meta["marks"][:1]
     rep = assemble_report(c, g, spec)
