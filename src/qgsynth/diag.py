@@ -9,11 +9,12 @@ register, sweeps Gray-coded parities onto the target register in phases
 C_1..C_l, undoes the register rewrites, and ends with the walk over the
 control register.  Each graph family has its split; a family with no
 split on g falls back to the walk over all of g, reported as backend
-"<family>-walk".  The path, grid and tree2 splits route each CNOT of a
-sweep on its own, so phase C_k flips only the target slots it owns and
-rotates: the flips of an unowned slot close a Gray cycle and would be the
-identity.  Seal (`Template.seal`) then cancels the CNOT pairs that are
-left within each stage.
+"<family>-walk"; a path has none of its own and takes the general split.
+The grid and tree2 splits route each CNOT of a sweep on its own, so phase
+C_k flips only the target slots it owns and rotates: the flips of an
+unowned slot close a Gray cycle and would be the identity.  Seal
+(`Template.seal`) then cancels the CNOT pairs that are left within each
+stage.
 
 Every builder emits a `Template` whose rotations are slots, since the
 gates do not depend on the angles.  Every entry point, here, in
@@ -308,9 +309,10 @@ def _ladder_emitter(g, rungs, seeds):
 
 
 def _path_split(order):
-    """Interleaved split along a vertex chain: targets on the first r_t even
-    chain positions, the most-flipped control bits on the odd positions next
-    to them, the rarely used tail controls at the chain end."""
+    """The grid's split, interleaved along its Hamiltonian chain `order`:
+    targets on the first r_t even chain positions, the most-flipped control
+    bits on the odd positions next to them, the rarely used tail controls
+    at the chain end."""
     n = len(order)
     if n < 2:
         return None
@@ -426,7 +428,8 @@ def synth_diag_noancilla(g, spec, strategy="auto", verify=True):
     """Connectivity-respecting circuit for diag(e^{i theta}) on g; returns
     (circuit, report).  `strategy` names the construction: "general" (the
     depth-first split), "expander" (the matching-cascade split) or "auto"
-    (the split of g's family, see `_auto_strategy`).  The template of
+    (the split of g's family, see `_auto_strategy`: on a path the general
+    split, the walk at n <= 2).  The template of
     (g, strategy) is built once and cached on g.
 
     verify=False skips the simulation residual (counting-only runs)."""
@@ -444,9 +447,10 @@ def _is_complete(g):
 
 
 def _auto_strategy(g):
-    """The construction "auto" runs on g: its family's split, the walk on a
-    complete graph, else the general split."""
-    if g.kind in ("path", "grid", "tree", "star"):
+    """The construction "auto" runs on g: the split of a grid, tree or
+    star, the walk on a complete graph (so on a path with n <= 2), else the
+    general split (so on a longer path)."""
+    if g.kind in ("grid", "tree", "star"):
         return g.kind
     if _is_complete(g):
         return "complete"
@@ -468,9 +472,7 @@ def _dispatch(g, strategy="auto"):
         t = Template(g.n, g.n)
         _walk(t, g, list(range(1, g.n + 1)))
         return _seal(t, "complete")
-    if strategy == "path":
-        split = _path_split(list(range(1, g.n + 1)))
-    elif strategy == "grid":
+    if strategy == "grid":
         split = _path_split(hamiltonian_path_grid(g.params["dims"]))
     elif strategy == "tree" and g.params.get("arity") == 2:
         split = _tree2_split(g)
@@ -484,7 +486,7 @@ def _dispatch(g, strategy="auto"):
         t = Template(g.n, g.n)
         _walk(t, g, sorted(range(1, g.n + 1), key=lambda v: (dist[v], v)))
         return _seal(t, f"{strategy}-walk")
-    fanout = None  # the path, grid and tree2 splits route each pair
+    fanout = None  # the grid and tree2 splits route each pair
     if casc is not None:
         fanout = _ladder_emitter(
             g, [[g.cx_gates[e] for e in m] for m in casc.matchings],

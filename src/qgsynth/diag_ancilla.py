@@ -12,7 +12,7 @@ stage is one loop that fills slots from the nearest holder of each bit, and
 the inverse replays the copies backwards.  Expanders use a 3-stage variant
 (gray-init, gray-cycle, inverse) that re-fans single bits through the
 matching cascade instead of keeping copies.  `synth_diag_auto`
-builds the no-ancilla strategies of diag.py (on a path the general split
+builds the no-ancilla strategy of diag.py (on a whole grid the grid split
 too) and the pipeline on a ladder of m, m//2, m//4, ... ancilla, and keeps
 the shallowest; the expander variant has its own entry point only.
 """
@@ -29,7 +29,6 @@ from .graphs import (
     dfs_order,
     explicit_graph,
     hamiltonian_path_grid,
-    path_graph,
     star_graph,
     tree_graph,
 )
@@ -433,13 +432,11 @@ def _expander_template(g, n, cascade):
 
 def _induced_subgraph(g, n):
     """Connected induced subgraph on vertices 1..n, typed so diag.py can
-    pick its native strategy when the shape survives the restriction.  A
-    whole path, tree, star or explicit graph is g itself, so its routes
-    carry over."""
-    if g.kind in ("path", "tree", "star", "explicit") and n == g.n:
+    pick its native strategy when the shape survives the restriction (a
+    tree or star; a path prefix is explicit, and runs `general` as a path
+    does).  A whole graph but a grid is g itself, so its routes carry over."""
+    if n == g.n and g.kind != "grid":
         return g
-    if g.kind == "path":
-        return path_graph(n)
     if g.kind == "tree":
         return tree_graph(g.params.get("arity", 2), n=n)
     if g.kind == "star" and n >= 2:
@@ -456,15 +453,13 @@ def _auto_template(g, n, m):
 
 def _candidates(g, n, m):
     """The templates `_build_auto` compares, built one at a time: the
-    no-ancilla strategy on vertices 1..n, the general split there too when
-    g is a path, g's own strategy when 1..n ran on a copy of all of g, then
-    the ancilla pipeline on m' = m, m//2, m//4, ... >= n ancilla (vertices
+    no-ancilla strategy on vertices 1..n, the grid split too when 1..n is
+    a whole grid (whose untyped copy runs the general split), then the
+    ancilla pipeline on m' = m, m//2, m//4, ... >= n ancilla (vertices
     1..n+m') up to the first rung without a layout."""
     sub = _induced_subgraph(g, n)
     yield _dispatch(sub)
-    if sub.kind == "path":
-        yield _dispatch(sub, "general")
-    if n == g.n and sub is not g:
+    if n == g.n and g.kind == "grid":
         yield _dispatch(g)
     k = m if n >= 2 else 0
     while k > 0:

@@ -166,7 +166,7 @@ def _cycle(n):
 
 # every sealed template a builder makes, on small instances
 TEMPLATES = {
-    "path": lambda: _dispatch(path_graph(8)),
+    "path": lambda: _dispatch(grid_graph([1, 8])),  # the path split
     "path-general": lambda: _dispatch(path_graph(8), "general"),
     "path-expander": lambda: _dispatch(path_graph(8), "expander"),
     "grid": lambda: _dispatch(grid_graph([3, 3])),
@@ -223,14 +223,21 @@ def test_auto_does_not_depend_on_what_ran_first():
         k: v for k, v in fresh[1].items() if k != "residual"}
 
 
-SPLITS = [(path_graph(n), "path") for n in range(2, 9)] + [
+# the path split on the chain grids 1 x n, paths in shape, then on the
+# Hamiltonian chains of 2-row grids, then the tree2 split
+SPLITS = [(grid_graph([1, n]), "grid") for n in range(2, 9)] + [
     (grid_graph([2, 2]), "grid"), (grid_graph([2, 3]), "grid"),
     (grid_graph([2, 4]), "grid"), (tree_graph(2, n=7), "tree2"),
     (tree_graph(2, n=8), "tree2")]
 
 
+def _split_id(g, backend):
+    chain = g.params.get("dims", [0])[0] == 1
+    return f"{'path' if chain else backend}{g.n}"
+
+
 @pytest.mark.parametrize("g, backend", SPLITS,
-                         ids=[f"{b}{g.n}" for g, b in SPLITS])
+                         ids=[_split_id(g, b) for g, b in SPLITS])
 @pytest.mark.parametrize("cancel", [True, False], ids=["pass", "no-pass"])
 def test_owned_slot_sweep_is_exact(g, backend, cancel, monkeypatch):
     # the routed splits sweep only the owned slots of each cover set; with

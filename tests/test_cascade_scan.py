@@ -12,6 +12,7 @@ from conftest import random_state, random_unitary
 from qgsynth import circuit, diag_ancilla
 from qgsynth.circuit import _scan
 from qgsynth.graphs import (
+    brickwall_graph,
     complete_graph,
     explicit_graph,
     path_graph,
@@ -131,15 +132,16 @@ def counting_scans(mp):
 
 
 # `compared`: the candidate templates that the diagonal keys with more than
-# one candidate scan to pick the shallowest.  On a path every prefix 1..n
-# is a path, so each key compares the path strategy with the general split:
-# qsp-path's keys ("auto", 2, 4), ("auto", 3, 3) and ("auto", 4, 2) scan
-# 3 + 2 + 2 (the first adds the path pipeline on m' = 4; m' = 2 has no
-# layout), and gus-path's one key ("auto", 3, 1) scans 2
+# one candidate scan to pick the shallowest.  On a path each prefix 1..n
+# has one no-ancilla candidate (the walk at n <= 2, else the general
+# split): of qsp-path's keys ("auto", 2, 4), ("auto", 3, 3) and
+# ("auto", 4, 2) only the first compares, the walk with the path pipeline
+# on m' = 4 (m' = 2 has no layout), and gus-path's one key ("auto", 3, 1)
+# has nothing to compare
 @pytest.mark.parametrize("task, make, n, draw, compared", [
-    ("qsp", lambda: path_graph(6), 4, lambda s: random_state(s, 4), 7),
+    ("qsp", lambda: path_graph(6), 4, lambda s: random_state(s, 4), 2),
     ("qsp", lambda: GRAPHS["relabelled"](6), 4, lambda s: random_state(s, 4), 0),
-    ("gus", lambda: path_graph(4), 3, lambda s: random_unitary(s, 8), 2),
+    ("gus", lambda: path_graph(4), 3, lambda s: random_unitary(s, 8), 0),
     ("gus", lambda: complete_graph(5), 2, lambda s: random_unitary(s, 4), 0),
 ], ids=["qsp-path", "qsp-relabelled", "gus-path", "gus-complete"])
 def test_cold_call_scans_once_and_warm_call_never(task, make, n, draw, compared):
@@ -157,23 +159,28 @@ def test_cold_call_scans_once_and_warm_call_never(task, make, n, draw, compared)
 
 
 def test_cold_auto_diagonal_scans_each_candidate_once():
-    # path(16) with n=4, m=12 compares four candidates: the path strategy
-    # and the general split on 1..4, and the ancilla pipeline on m' = 12
-    # and 6 (3 < n ends the ladder); the winner keeps its scan for the
-    # report, so a cold call scans each candidate once and a warm one
-    # scans nothing
-    g = path_graph(16)
-    rng = np.random.default_rng(14)
-    with pytest.MonkeyPatch.context() as mp:
-        calls = counting_scans(mp)
-        c, report = diag_ancilla.synth_diag_auto(
-            g, rng.uniform(0, 2 * np.pi, 16), 12, verify=False)
-        assert len(calls) == 4
-        diag_ancilla.synth_diag_auto(g, rng.uniform(0, 2 * np.pi, 16), 12)
-        assert len(calls) == 4
-    assert_fresh(c, g, report)
-    assert kept_scans(g, "auto") == [("auto", 4, 12)]
-    assert {k[0] for k in g._memo} == {"route", "auto"}
+    # path(16) with n=4, m=12 compares three candidates: the general split
+    # on 1..4 and the ancilla pipeline on m' = 12 and 6 (3 < n ends the
+    # ladder).  A whole brick wall has one: its untyped copy runs the same
+    # general split as the brick wall itself, so it is built once.  The
+    # winner keeps its scan for the report, so a cold call scans each
+    # candidate once and a warm one scans nothing
+    for g, n, m, built in [(path_graph(16), 4, 12, 3),
+                           (brickwall_graph(1, 1, 3, 3), 8, 0, 1)]:
+        rng = np.random.default_rng(14)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = counting_scans(mp)
+            dispatched, dispatch = [], diag_ancilla._dispatch
+            mp.setattr(diag_ancilla, "_dispatch",
+                       lambda *a: dispatched.append(a) or dispatch(*a))
+            c, report = diag_ancilla.synth_diag_auto(
+                g, rng.uniform(0, 2 * np.pi, 1 << n), m, verify=False)
+            assert len(calls) == built and len(dispatched) == 1
+            diag_ancilla.synth_diag_auto(g, rng.uniform(0, 2 * np.pi, 1 << n), m)
+            assert len(calls) == built and len(dispatched) == 1
+        assert_fresh(c, g, report)
+        assert kept_scans(g, "auto") == [("auto", n, m)]
+        assert {k[0] for k in g._memo} == {"route", "auto"}
 
 
 def test_generic_states_share_one_scan_entry():

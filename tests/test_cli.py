@@ -263,12 +263,12 @@ def test_graph_info(files, capsys):
 # CSVs written by `qgsynth bench` (seed 5); ratio is depth / bound_max
 _BENCH_CSV = {
     "diag": ["task,graph_kind,n,m,depth,size,two_qubit,bound_max,ratio,seed",
-             "diag,path,2,6,5,5,2,2.0,2.5,5",
+             "diag,path,2,6,4,5,2,2.0,2.0,5",
              "diag,path,3,9,16,19,12,3.0,5.333333,5",
              "diag,path,4,12,42,53,38,4.0,10.5,5",
              "diag,path,5,15,116,151,120,5.656854,20.506097,5"],
     "qsp": ["task,graph_kind,n,m,depth,size,two_qubit,bound_max,ratio,seed",
-            "qsp,path,2,6,13,15,4,2.0,6.5,5",
+            "qsp,path,2,6,12,15,4,2.0,6.0,5",
             "qsp,path,3,9,39,52,26,3.0,13.0,5",
             "qsp,path,4,12,99,135,82,4.0,24.75,5",
             "qsp,path,5,15,284,386,282,5.656854,50.204581,5"],

@@ -93,6 +93,23 @@ def test_noancilla_takes_a_bare_angle_array(theta):
     assert report["residual"] <= 1e-8
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_auto_on_a_path_is_the_general_split(n):
+    # a path has no split of its own: auto runs the walk while the path is
+    # complete (depth 4 at n = 2, below both splits) and the general split
+    # from n = 3 on
+    g = path_graph(n)
+    spec = random_spec(np.random.default_rng(30 + n), n)
+    c, report = synth_diag_noancilla(g, spec)
+    assert report["residual"] <= 1e-8
+    if n <= 2:
+        assert report["backend"] == "complete"
+        assert report["depth"] == [1, 4][n - 1]
+        return
+    want_c, want_report = synth_diag_noancilla(g, spec, "general")
+    assert c.gates == want_c.gates and report == want_report
+
+
 def test_size_stays_within_linear_blowup():
     rng = np.random.default_rng(25)
     for n in (3, 5, 7):

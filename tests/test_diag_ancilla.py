@@ -308,17 +308,18 @@ def test_expander_three_stage_exact():
 @pytest.mark.parametrize(
     "g, n, m, want",
     [
-        # on a path the general split is shallower from n = 3 on; at n = 2
-        # the two tie and the path split, the first candidate, runs
-        (path_graph(14), 2, 12, "noancilla-path"),
-        (path_graph(10), 2, 8, "noancilla-path"),
-        (path_graph(2), 2, 0, "noancilla-path"),
+        # a path prefix dispatches like any graph: the walk at n <= 2, the
+        # general split from n = 3 on
+        (path_graph(14), 2, 12, "noancilla-complete"),
+        (path_graph(10), 2, 8, "noancilla-complete"),
+        (path_graph(2), 2, 0, "noancilla-complete"),
         (tree_graph(2, n=16), 4, 12, "noancilla-tree-walk"),
         (star_graph(10), 4, 6, "noancilla-star-walk"),
         (complete_graph(8), 4, 4, "noancilla-complete"),
         (complete_graph(6), 4, 2, "noancilla-complete"),
         (grid_graph([4, 4]), 4, 12, "noancilla-general"),
-        (path_graph(4), 1, 3, "noancilla-path-walk"),
+        (path_graph(4), 1, 3, "noancilla-complete"),
+        (path_graph(12), 8, 4, "noancilla-general"),
     ],
 )
 def test_choose_backend_dispatch(g, n, m, want):
@@ -343,13 +344,14 @@ def _pipeline_on(k):
     return lambda g, spec, m: synth_diag_ancilla(g, spec, k)[1]
 
 
-# every candidate: the strategy on 1..n, the general split there when 1..n
-# is a path, and the pipeline ladder m' = m, m//2, ... >= n up to the first
-# rung without a layout (path(14): m' = 2 < n; path(40): m' = 8 has none)
+# every candidate: the strategy on 1..n, g's own strategy too when 1..n is
+# a whole grid, and the pipeline ladder m' = m, m//2, ... >= n up to the
+# first rung without a layout (path(14): m' = 2 < n; path(40): m' = 8 has
+# none)
 @pytest.mark.parametrize("g, n, m, candidates, want", [
     (path_graph(14), 3, 11,
-     [_noancilla_on(path_graph(3)), _noancilla_on(path_graph(3), "general"),
-      _pipeline_on(11), _pipeline_on(5)], "noancilla-general"),
+     [_noancilla_on(path_graph(3)), _pipeline_on(11), _pipeline_on(5)],
+     "noancilla-general"),
     (tree_graph(2, n=14), 3, 11,
      [_noancilla_on(tree_graph(2, n=3)), _pipeline_on(11), _pipeline_on(5)],
      "noancilla-tree-walk"),
@@ -360,11 +362,11 @@ def _pipeline_on(k):
      "noancilla-general"),
     (grid_graph([2, 7]), 14, 0, [_strategy("general"), _strategy("auto")],
      "noancilla-grid"),
-    # the general split wins here: 884, against 2,290 for the path
-    # strategy and 2,138 and 1,553 for the pipeline on m' = 32 and 16
+    # the general split wins here: 884, against 2,138 and 1,553 for the
+    # pipeline on m' = 32 and 16
     (path_graph(40), 8, 32,
-     [_noancilla_on(path_graph(8)), _noancilla_on(path_graph(8), "general"),
-      _pipeline_on(32), _pipeline_on(16)], "noancilla-general"),
+     [_noancilla_on(path_graph(8)), _pipeline_on(32), _pipeline_on(16)],
+     "noancilla-general"),
     # the pipeline on m' = 62 wins: 3,339, against 7,246 on m' = 31 and
     # 3,818 for the tree2 split; m' = 15 has no layout
     (tree_graph(2, n=72), 10, 62,

@@ -102,17 +102,17 @@ GOLDEN = {
     "noanc-complete": "272215dddcd58ce1",
     "noanc-general": "75cc44ed4c5ce9c5",
     "noanc-grid": "f82e7345b8f808e5",
-    "noanc-path": "26849d596075c01d",
+    "noanc-path": "678413f788ce2db3",
     "noanc-star-walk": "0711440b9dfef710",
     "noanc-tree2": "c86bad06e8389bc1",
     "qsp-bfs-relabel": "61a0d338c5cc36df",
-    "qsp-path": "63df11511d6bb06c",
+    "qsp-path": "bef6ccc8af47b9a2",
     "qsp-star": "82b152e6015905a0",
 }
 
 # the backend of the template that ran: for auto, its core backend
 BACKENDS = {
-    "noanc-path": "path",
+    "noanc-path": "general",
     "noanc-grid": "grid",
     "noanc-tree2": "tree2",
     "noanc-star-walk": "star-walk",

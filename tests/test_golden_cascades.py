@@ -119,8 +119,8 @@ GOLDEN = {
     "gus-complete-permutation": "783845205481d261",
     "gus-path-diagonal": "b64f8425265459a5",
     "gus-path-identity": "ce93159e69a63742",
-    "gus-path-n2-m0": "d242f89e6002a99f",
-    "gus-path-n2-m2": "29dd25cc0687025d",
+    "gus-path-n2-m0": "6e4375d8ffa6754a",
+    "gus-path-n2-m2": "781d784a1605a21e",
     "gus-path-n3-m0": "f361651f3b37a2ce",
     "gus-path-n3-m2": "b5785a26c9416940",
     "gus-path-n4-m0": "fe5ce8aae4401a1d",
@@ -132,10 +132,10 @@ GOLDEN = {
     "qsp-complete-n3": "7c4e4826e429684d",
     "qsp-complete-n5": "0bab29c7b5d509f4",
     "qsp-path-basis": "3b64698d85a114e0",
-    "qsp-path-n4": "06df2daec4a77902",
-    "qsp-path-n6": "dd0fe2656ea82040",
-    "qsp-path-real": "fcaafdc59a3b328c",
-    "qsp-path-sparse": "d28f1723f7b6a7ed",
+    "qsp-path-n4": "f6743771753d7514",
+    "qsp-path-n6": "c89b9dd9749015b4",
+    "qsp-path-real": "99d2f7a42ac356a9",
+    "qsp-path-sparse": "01b2560e920c5b09",
     "qsp-path-zero": "4d367e3be4946c45",
     "qsp-relabelled-basis": "84c4d8e256e6d26c",
     "qsp-relabelled-n6": "c108e6bb8f858d19",

@@ -186,11 +186,11 @@ GOLDEN = {
     "noanc-grid-point-general": "82467cdb143598e6",
     "noanc-grid-point-unknown": "3fd6e61f300b2ca2",
     "noanc-grid-unknown": "3fd6e61f300b2ca2",
-    "noanc-path-auto": "56876d8f772db0e2",
+    "noanc-path-auto": "53f53fe9c7f76321",
     "noanc-path-expander": "5ab98eafd9374a3b",
     "noanc-path-general": "53f53fe9c7f76321",
     "noanc-path-unknown": "3fd6e61f300b2ca2",
-    "noanc-point-auto": "2421341411b930dd",
+    "noanc-point-auto": "3c32579045a331b2",
     "noanc-point-general": "d477a1c9e48f7344",
     "noanc-point-unknown": "3fd6e61f300b2ca2",
     "noanc-star-auto": "fba19c0bb7a4d5e3",

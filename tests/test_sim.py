@@ -642,14 +642,16 @@ def _unit(rng, n):
 
 def _tampered(c, kind):
     """A copy of c with one r angle perturbed, one r gate moved to the next
-    qubit, one CNOT reversed or one gate dropped."""
+    qubit, one CNOT reversed or one gate dropped.  The moved r is the first
+    whose angle is nonzero mod 2 pi: moving an identity changes nothing."""
     gates = list(c.gates)
     if kind == "angle":
         k = next(i for i, g in enumerate(gates) if g[0] == "r")
         name, qs, p = gates[k]
         gates[k] = (name, qs, p + 0.5)
     elif kind == "move":
-        k = next(i for i, g in enumerate(gates) if g[0] == "r")
+        k = next(i for i, g in enumerate(gates) if g[0] == "r"
+                 and abs(math.remainder(g[2], 2 * math.pi)) > 1e-9)
         name, (q,), p = gates[k]
         gates[k] = (name, (q % c.n + 1,), p)
     elif kind == "reverse":

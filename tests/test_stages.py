@@ -43,7 +43,7 @@ CASES = {
                   noancilla_names),
     "ancilla": (lambda: synth_diag_ancilla(path_graph(12), diag(3), 9)[1],
                 ANCILLA.__eq__),
-    # m < 3n on a path: the no-ancilla path strategy on vertices 1..n
+    # m < 3n on a path: the no-ancilla general split on vertices 1..n
     "auto": (lambda: synth_diag_auto(path_graph(10), diag(6), 4)[1],
              noancilla_names),
     "expander": (lambda: _expander(complete_graph(6), diag(3)),
