@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .circuit import Circuit, TWO_QUBIT
+from .circuit import Circuit
 from .graphs import (brickwall_chains, brickwall_row_length,
                      brickwall_vertical_columns, grid_graph)
 from .linear import cnot_along
@@ -94,7 +94,7 @@ def transform_circuit(c, g, gp, bridge):
     bridged edge is replaced by a routed CNOT along its host path, which
     keeps the unitary exact.  The depth grows by at most a factor
     1 + 4 c' c over the layered depth of the input, the number of ASAP
-    layers of its CNOTs alone (a SWAP as 3).
+    layers of its CNOTs alone.
     """
     bridge.validate(g)
     paths = bridge.edge_paths()
@@ -103,23 +103,21 @@ def transform_circuit(c, g, gp, bridge):
             raise BridgeInvalid(f"bridged edge ({u},{v}) is not in gp")
     out = Circuit(g.n)
     out.ancilla = c.ancilla
-    for name, qs, p in c.expanded().gates:
-        if name in TWO_QUBIT:
-            u, v = qs
-            if g.has_edge(u, v):
-                out.gates.append((name, qs, p))
-                continue
-            key = _norm(u, v)
-            if key not in paths:
-                raise BridgeInvalid(
-                    f"gate on ({u},{v}) is neither a g-edge nor bridged"
-                )
-            path = paths[key]
-            if path[0] != u:
-                path = path[::-1]
-            out.gates.extend(cnot_along(path, g.cx_gates))
-        else:
-            out.gates.append((name, qs, p))
+    for gate in c.gates:
+        qs = gate[1]
+        if len(qs) == 1 or g.has_edge(*qs):
+            out.gates.append(gate)
+            continue
+        u, v = qs
+        key = _norm(u, v)
+        if key not in paths:
+            raise BridgeInvalid(
+                f"gate on ({u},{v}) is neither a g-edge nor bridged"
+            )
+        path = paths[key]
+        if path[0] != u:
+            path = path[::-1]
+        out.gates.extend(cnot_along(path, g.cx_gates))
     out.meta["bridge_classes"] = bridge.c
     out.meta["bridge_c_prime"] = bridge.c_prime
     return out
@@ -151,7 +149,7 @@ def brickwall_embedding(bw):
     classes = {}
     contracted = {}
     for gap in range(n1):
-        through = set(brickwall_vertical_columns(gap, n1, n2, b2))
+        through = set(brickwall_vertical_columns(gap, n2, b2))
         shift = 0 if gap % 2 == 0 else w // 2
         for col in range(width):
             edge = (row_v(gap, col), row_v(gap + 1, col))
@@ -200,9 +198,9 @@ class LightconeProfile:
 
 def lightcone_profile(c, n_inputs):
     """Reachable subsets of circuit c, counting qubits 1..n_inputs as the
-    inputs.  One pass over the gates (a SWAP as 3 CNOTs) layers the CNOTs
-    ASAP; slot i holds the qubits with one-qubit gates just before their
-    CNOT in layer i, the last slot those with gates after their last CNOT.
+    inputs.  One pass over the gates layers the CNOTs ASAP; slot i holds
+    the qubits with one-qubit gates just before their CNOT in layer i, the
+    last slot those with gates after their last CNOT.
 
     Layer 2i+1 is slot i, layer 2i the i-th CNOT layer; a wire edge
     persists from the first single-qubit gate on that qubit onward, and a
@@ -211,7 +209,7 @@ def lightcone_profile(c, n_inputs):
     last = [0] * (c.n + 1)  # CNOT layers so far on each qubit
     pending = set()  # qubits with one-qubit gates since their last CNOT
     slots, cnot_layers = [set()], []
-    for _, qs, _ in c.expanded().gates:
+    for _, qs, _ in c.gates:
         if len(qs) == 1:
             pending.add(qs[0])
             continue

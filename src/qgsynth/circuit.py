@@ -1,9 +1,10 @@
-"""Gate-level IR over {1-qubit gates, CNOT} with a SWAP macro.
+"""Gate-level IR over {1-qubit gates, CNOT}.
 
 Gates are stored as plain tuples (name, qubits, param) to keep circuits with
 ~10^6 gates cheap.  `param` is an angle for r/rz/ry, a 2x2 ndarray for u2
 (a gate only `add` makes; JSON refuses it), and None otherwise; `qubits` is
-a tuple.  Qubits are 1-based, matching graph vertices; ancilla are the
+a tuple.  CNOT is the one two-qubit gate: an input SWAP is read as its
+three CNOTs.  Qubits are 1-based, matching graph vertices; ancilla are the
 trailing `ancilla` qubits by convention.
 
 A pipeline builds one circuit and calls `mark(name)` at the end of each
@@ -39,7 +40,6 @@ from itertools import compress, islice
 import numpy as np
 
 ONE_QUBIT = {"r", "rz", "ry", "h", "s", "sdg", "x", "u2"}
-TWO_QUBIT = {"cx", "swap"}
 PARAM_GATES = {"r", "rz", "ry"}
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -93,17 +93,16 @@ class Circuit:
             (q,) = qubits
             if not 1 <= q <= self.n:
                 raise ValueError(f"qubit {q} out of range")
-        else:
+        elif name == "cx":
             a, b = qubits
             if a == b:
                 raise ValueError("two-qubit gate needs distinct qubits")
             for q in (a, b):
                 if not 1 <= q <= self.n:
                     raise ValueError(f"qubit {q} out of range")
+        else:
+            raise ValueError(f"unknown gate {name!r}")
         self.gates.append((name, tuple(qubits), param))
-
-    def swap(self, a, b):
-        self.add("swap", (a, b))
 
     def mark(self, name):
         """End stage `name` here: the gates since the previous mark are its.
@@ -118,23 +117,9 @@ class Circuit:
         else:
             self.gates.extend(other)
 
-    # -- transforms ---------------------------------------------------------
-    def expanded(self):
-        """A copy with SWAP macros expanded to 3 CNOTs."""
-        c = Circuit(self.n, self.ancilla)
-        for name, qs, p in self.gates:
-            if name == "swap":
-                a, b = qs
-                c.gates.append(("cx", (a, b), None))
-                c.gates.append(("cx", (b, a), None))
-                c.gates.append(("cx", (a, b), None))
-            else:
-                c.gates.append((name, qs, p))
-        return c
-
+    # -- views --------------------------------------------------------------
     def metrics(self):
-        """(depth, size, two_qubit_count) with greedy ASAP layering after
-        macro expansion."""
+        """(depth, size, two_qubit_count) with greedy ASAP layering."""
         return _scan(self.template or self)[:3]
 
     def scan(self, g):
@@ -317,8 +302,7 @@ def _cancelled(gates, ends, n):
                 elif name == "r" or name == "rz":
                     live[qs[0]].append(-1)
                 else:
-                    for q in qs:
-                        live[q].append(-2 if name == "x" else -3)
+                    live[qs[0]].append(-2 if name == "x" else -3)
             for held in live:
                 if len(held) > 2 * look_back:
                     del held[:-look_back]
@@ -340,9 +324,9 @@ def _clear_target(gates, live, j):
 
 def _scan(c, pairs=None):
     """(depth, size, two_qubit_count, off-edge gates, stage rows) in one
-    pass: ASAP layers, a SWAP as 3 CNOTs; with `pairs` (every edge in both
-    orientations) each 2-qubit gate whose pair is not in it, in gate order,
-    tested against per-vertex neighbour sets built from `pairs` once.
+    pass: ASAP layers; with `pairs` (every edge in both orientations)
+    each 2-qubit gate whose pair is not in it, in gate order, tested
+    against per-vertex neighbour sets built from `pairs` once.
 
     A marked circuit gets one row per stage with the depth, size and
     two-qubit count it adds; the depth added is the growth of the ASAP
@@ -350,7 +334,7 @@ def _scan(c, pairs=None):
     form a row named None; an unmarked circuit has no rows."""
     marks = c.meta.get("marks", [])
     last = [0] * (c.n + 1)
-    twoq = swaps = 0
+    twoq = 0
     bad = []
     rows = []
     nbr = None
@@ -372,9 +356,6 @@ def _scan(c, pairs=None):
             lb = last[b]
             if lb > lay:
                 lay = lb
-            if gate[0] == "swap":
-                swaps += 1
-                lay += 2
             last[a] = last[b] = lay + 1
             twoq += 1
             if nbr is not None and b not in nbr[a]:
@@ -382,11 +363,10 @@ def _scan(c, pairs=None):
         if marks and (stage is not None or end > start):
             front = max(last)
             rows.append({"stage": stage, "depth": front - front0,
-                         "size": end + 2 * swaps - size0,
-                         "two_qubit": twoq + 2 * swaps - twoq0})
-            front0, size0, twoq0 = front, end + 2 * swaps, twoq + 2 * swaps
+                         "size": end - size0, "two_qubit": twoq - twoq0})
+            front0, size0, twoq0 = front, end, twoq
         start = end
-    return max(last), len(c.gates) + 2 * swaps, twoq + 2 * swaps, bad, rows
+    return max(last), len(c.gates), twoq, bad, rows
 
 
 def validate_connectivity(c, g):
@@ -396,7 +376,7 @@ def validate_connectivity(c, g):
 
 # -- serialization ----------------------------------------------------------
 
-_JSON_GATES = {"r", "rz", "ry", "h", "s", "sdg", "x", "cx", "swap"}
+_JSON_GATES = ONE_QUBIT - {"u2"} | {"cx"}
 
 
 def circuit_to_json(c):
@@ -444,7 +424,7 @@ def circuit_from_json(obj):
             qs = tuple(int(q) for q in g["q"])
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"gate {i}: {e}") from None
-        if name not in _JSON_GATES:
+        if name not in _JSON_GATES and name != "swap":
             raise ParseError(f"gate {i}: unknown gate {name!r}")
         p = None
         if name in PARAM_GATES:
@@ -454,7 +434,11 @@ def circuit_from_json(obj):
             except (KeyError, TypeError, ValueError) as e:
                 raise ParseError(f"gate {i}: bad params: {e}") from None
         try:
-            c.add(name, qs, p)
+            if name == "swap":  # read as its three CNOTs
+                for pair in (qs, qs[::-1], qs):
+                    c.add("cx", pair)
+            else:
+                c.add(name, qs, p)
         except ValueError as e:
             raise ParseError(f"gate {i}: {e}") from None
     return c

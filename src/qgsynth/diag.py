@@ -427,16 +427,19 @@ def _compile(g, key, build, params, target, verify):
 def synth_diag_noancilla(g, spec, strategy="auto", verify=True):
     """Connectivity-respecting circuit for diag(e^{i theta}) on g; returns
     (circuit, report).  `strategy` names the construction: "general" (the
-    depth-first split), "expander" (the matching-cascade split) or "auto"
-    (the split of g's family, see `_auto_strategy`: on a path the general
-    split, the walk at n <= 2).  The template of
+    depth-first split), "expander" (the matching-cascade split) or "auto",
+    which is `synth_diag_auto(g, spec, 0)`: the shallowest of the
+    constructions `_strategies` lists for g.  The template of
     (g, strategy) is built once and cached on g.
 
     verify=False skips the simulation residual (counting-only runs)."""
     spec = _as_spec(DiagonalSpec, spec)
     if g.n != spec.n:
         raise ValueError("graph size must equal qubit count")
-    if strategy not in ("auto", "general", "expander"):
+    if strategy == "auto":
+        from .diag_ancilla import synth_diag_auto  # it imports this module
+        return synth_diag_auto(g, spec, 0, verify)
+    if strategy not in ("general", "expander"):
         raise ValueError(f"unknown strategy {strategy!r}")
     return _compile(g, ("noancilla", strategy), lambda: _dispatch(g, strategy),
                     solve_phase_coefficients(spec.theta), spec, verify)
@@ -446,25 +449,23 @@ def _is_complete(g):
     return 2 * len(g.edges) == g.n * (g.n - 1)
 
 
-def _auto_strategy(g):
-    """The construction "auto" runs on g: the split of a grid, tree or
-    star, the walk on a complete graph (so on a path with n <= 2), else the
-    general split (so on a longer path)."""
-    if g.kind in ("grid", "tree", "star"):
-        return g.kind
-    if _is_complete(g):
-        return "complete"
-    return "general"
+def _strategies(g):
+    """The constructions the no-ancilla chooser compares on all of g, in
+    tie order: the split of a tree or star; on any other graph the walk if
+    g is complete (so a path with n <= 2), else the general split, then on
+    a grid the grid split."""
+    if g.kind in ("tree", "star"):
+        return (g.kind,)
+    first = "complete" if _is_complete(g) else "general"
+    return (first, "grid") if g.kind == "grid" else (first,)
 
 
-def _dispatch(g, strategy="auto"):
+def _dispatch(g, strategy):
     """The sealed no-ancilla template of `strategy` for a diagonal on all of
     g; the backend that actually ran is its `backend`.  A strategy without
     a register split on g falls back to the walk named f"{strategy}-walk",
     with the most active control at the graph center and the other bits
     by distance from it."""
-    if strategy == "auto":
-        strategy = _auto_strategy(g)
     split = casc = None
     if strategy == "complete":
         if g.n > 20:

@@ -12,9 +12,10 @@ stage is one loop that fills slots from the nearest holder of each bit, and
 the inverse replays the copies backwards.  Expanders use a 3-stage variant
 (gray-init, gray-cycle, inverse) that re-fans single bits through the
 matching cascade instead of keeping copies.  `synth_diag_auto`
-builds the no-ancilla strategy of diag.py (on a whole grid the grid split
-too) and the pipeline on a ladder of m, m//2, m//4, ... ancilla, and keeps
-the shallowest; the expander variant has its own entry point only.
+builds the no-ancilla constructions of diag.py (on a whole grid the
+general and the grid split) and the pipeline on a ladder of m, m//2,
+m//4, ... ancilla, and keeps the shallowest; the expander variant has its
+own entry point only.
 """
 
 import math
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Template
-from .diag import DiagonalSpec, _as_spec, _check_ancilla, _compile, _dispatch
+from .diag import (DiagonalSpec, _as_spec, _check_ancilla, _compile, _dispatch,
+                   _strategies)
 from .graphs import (
     GrowthStalled,
     dfs_order,
@@ -423,7 +425,7 @@ def _expander_template(g, n, cascade):
     c.mark("gray-cycle")
 
     c.gates.extend(reversed(grayinit))
-    # a swap network is undone by its reverse
+    # the relabelling is CNOTs too: its reverse undoes it
     c.gates.extend(reversed(relabel))
     c.mark("inverse")
     c.backend, c.extra = "ancilla-expander", {"p": p}
@@ -434,8 +436,8 @@ def _induced_subgraph(g, n):
     """Connected induced subgraph on vertices 1..n, typed so diag.py can
     pick its native strategy when the shape survives the restriction (a
     tree or star; a path prefix is explicit, and runs `general` as a path
-    does).  A whole graph but a grid is g itself, so its routes carry over."""
-    if n == g.n and g.kind != "grid":
+    does).  A whole graph is g itself, so its routes carry over."""
+    if n == g.n:
         return g
     if g.kind == "tree":
         return tree_graph(g.params.get("arity", 2), n=n)
@@ -452,15 +454,13 @@ def _auto_template(g, n, m):
 
 
 def _candidates(g, n, m):
-    """The templates `_build_auto` compares, built one at a time: the
-    no-ancilla strategy on vertices 1..n, the grid split too when 1..n is
-    a whole grid (whose untyped copy runs the general split), then the
+    """The templates `_build_auto` compares, built one at a time: each
+    no-ancilla construction `_strategies` lists for vertices 1..n, then the
     ancilla pipeline on m' = m, m//2, m//4, ... >= n ancilla (vertices
     1..n+m') up to the first rung without a layout."""
     sub = _induced_subgraph(g, n)
-    yield _dispatch(sub)
-    if n == g.n and g.kind == "grid":
-        yield _dispatch(g)
+    for strategy in _strategies(sub):
+        yield _dispatch(sub, strategy)
     k = m if n >= 2 else 0
     while k > 0:
         try:
@@ -491,7 +491,7 @@ def _build_auto(g, n, m):
         return t
     decision = f"noancilla-{t.backend}"
     t.n = g.n
-    t.backend, t.extra = decision, {"decision": decision,
+    t.backend, t.extra = decision, {**t.extra, "decision": decision,
                                     "core_backend": t.backend}
     return t
 

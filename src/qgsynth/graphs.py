@@ -64,12 +64,12 @@ class ConstraintGraph:
         """The object kept on this graph under `key`, built by `build()` on
         first use.  Everything that depends on the graph alone is kept here:
         routed CNOTs ("route", u, v) made of `cx_gates`, diagonal templates
-        ("auto", n, m), ("noancilla", strategy), ("ancilla", n, m) and
-        ("expander", n, sets, matchings), the relabelled QSP host ("host",)
-        and its qubit map ("relabel",), cascade templates ("cascade", *key)
-        and the vertex expansion ("expansion",).  A template carries its
-        own gate scan and simulation plan.  Angles, circuits and reports are
-        never kept."""
+        ("auto", n, m), ("noancilla", "general" or "expander"),
+        ("ancilla", n, m) and ("expander", n, sets, matchings), the
+        relabelled QSP host ("host",) and its moved gates ("relabel",),
+        cascade templates ("cascade", *key) and the vertex expansion
+        ("expansion",).  A template carries its own gate scan and
+        simulation plan.  Angles, circuits and reports are never kept."""
         value = self._memo.get(key)
         if value is None:
             value = self._memo[key] = build()
@@ -189,7 +189,7 @@ def brickwall_row_length(n2, b2):
     return n2 * (b2 - 1) + 1
 
 
-def brickwall_vertical_columns(gap, n1, n2, b2):
+def brickwall_vertical_columns(gap, n2, b2):
     """Columns (0-based) of the through-wall vertical edges in a given gap."""
     w = b2 - 1
     if gap % 2 == 0:
@@ -205,7 +205,7 @@ def brickwall_chains(n1, n2, b1, b2):
     chains = {}
     nxt = (n1 + 1) * width + 1
     for gap in range(n1):
-        for col in brickwall_vertical_columns(gap, n1, n2, b2):
+        for col in brickwall_vertical_columns(gap, n2, b2):
             chains[(gap, col)] = [gap * width + col + 1,
                                   *range(nxt, nxt + b1 - 2),
                                   (gap + 1) * width + col + 1]

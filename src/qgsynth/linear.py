@@ -96,8 +96,10 @@ def _f2_reduce(mat):
 
 
 def synth_permutation(g, perm):
-    """SWAP network realizing |x_1..x_n> -> content of qubit i moves to
-    qubit perm[i].  perm is a dict or list (1-based)."""
+    """Swap network realizing |x_1..x_n> -> content of qubit i moves to
+    qubit perm[i], each swap on an edge (a, b) the three CNOTs
+    cx(a, b) cx(b, a) cx(a, b) of g's `cx_gates`.  perm is a dict or list
+    (1-based)."""
     if isinstance(perm, dict):
         pm = dict(perm)
     else:
@@ -107,16 +109,16 @@ def synth_permutation(g, perm):
     if sorted(pm.values()) != list(range(1, g.n + 1)):
         raise ValueError("not a permutation")
     c = Circuit(g.n)
+    cx = g.cx_gates
 
     def transpose(u, v):
         # exact exchange of the contents of u and v along a shortest path:
         # the down-sweep shifts everything one step, the up-sweep (skipping
         # the last edge) shifts the rest back, leaving only u,v exchanged
         path = shortest_path(g, u, v)
-        for a, b in zip(path, path[1:]):
-            c.swap(a, b)
-        for a, b in list(zip(path, path[1:]))[-2::-1]:
-            c.swap(a, b)
+        hops = list(zip(path, path[1:]))
+        for a, b in hops + hops[-2::-1]:
+            c.gates += cx[a, b], cx[b, a], cx[a, b]
 
     # cycle decomposition; each transposition is exact so order is free
     where = {i: i for i in pm}  # current position of content originating at i

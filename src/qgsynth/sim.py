@@ -1,6 +1,6 @@
 """Exact simulation and verification.
 
-A run of phase-type gates {CNOT, SWAP, X, r, rz, s, sdg} is composed
+A run of phase-type gates {CNOT, X, r, rz, s, sdg} is composed
 symbolically into an affine F2 map (a row mask and a constant bit per qubit)
 and a phase polynomial f(y) = c + sum_s a_s <s,y> over the run's input bits:
 the Walsh form theta(x) = sum_s alpha_s <s,x> that synthesis solves for
@@ -50,7 +50,7 @@ class TooLarge(ValueError):
     pass
 
 
-_PHASE_GATES = {"cx", "swap", "x", "r", "rz", "s", "sdg"}
+_PHASE_GATES = {"cx", "x", "r", "rz", "s", "sdg"}
 _FIXED = {"s": -2, "sdg": -1}  # their angles close every angle vector
 _FIXED_ANGLES = [0.5 * math.pi, -0.5 * math.pi]
 
@@ -99,10 +99,6 @@ class Plan:
                 a, b = qs
                 rows[b] ^= rows[a]
                 flips[b] ^= flips[a]
-            elif name == "swap":
-                a, b = qs
-                rows[a], rows[b] = rows[b], rows[a]
-                flips[a], flips[b] = flips[b], flips[a]
             elif name == "x":
                 flips[qs[0]] ^= 1
             elif name in _PHASE_GATES:  # w <s, y>, or w (1 - <s, y>) if flipped

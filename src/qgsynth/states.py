@@ -410,12 +410,19 @@ def _prefix_order(g):
     return list(g.bfs_dist(1))
 
 
-def _map_gates(gates, qubits, order):
-    """gates moved from the host's labels (vertex i) to g's (order[i-1]) by
-    `qubits`, g's memo of qubit tuples: one lookup per gate."""
-    return [(name, qubits.get(qs)
-             or qubits.setdefault(qs, tuple(order[q - 1] for q in qs)), p)
-            for name, qs, p in gates]
+def _map_gates(gates, g, order):
+    """gates moved from the host's labels (vertex i) to g's (order[i-1]),
+    a CNOT to its edge's gate in g.cx_gates.  g's memo ("relabel",) keeps
+    each moved gate: one lookup per gate."""
+    moved = g.cached(("relabel",), dict)
+
+    def move(gate):
+        name, qs, p = gate
+        qs = tuple(order[q - 1] for q in qs)
+        return g.cx_gates[qs] if name == "cx" else (name, qs, p)
+
+    return [moved.get(gate) or moved.setdefault(gate, move(gate))
+            for gate in gates]
 
 
 def qsp_synthesize(g, v, m, verify=True):
@@ -426,8 +433,9 @@ def qsp_synthesize(g, v, m, verify=True):
     leaves out its first factor, which fixes its target j in |0>.  On
     graphs whose natural labeling has disconnected prefixes the cascade
     runs in breadth-first coordinates, on a relabelled host graph kept in
-    g's memo, and a final swap network moves the state onto qubits 1..n.
-    The stages are marked ucg_1..ucg_n, then relabel for the swap network.
+    g's memo, and a final swap network of CNOTs moves the state onto
+    qubits 1..n.  The stages are marked ucg_1..ucg_n, then relabel for the
+    swap network.
     """
     v = _as_spec(StateSpec, v)
     n = v.n
@@ -445,7 +453,7 @@ def qsp_synthesize(g, v, m, verify=True):
         host = g.cached(("host",), lambda: explicit_graph(
             g.n, [(pos[a], pos[b]) for a, b in g.edges]))
         t = _cascade_template(host, skeletons, ms, "qsp-cascade")
-        t.gates = _map_gates(t.gates, g.cached(("relabel",), dict), order)
+        t.gates = _map_gates(t.gates, g, order)
         t.extend(synth_permutation(g, {o: i + 1 for i, o in enumerate(order)}))
         t.mark("relabel")
         return t

@@ -29,6 +29,15 @@ def distance_up_to_phase(a, b):
     return float(np.max(np.abs(a - ph * b)))
 
 
+def add_gate(c, name, qubits, param=None):
+    """c.add(name, qubits, param), a "swap" as its three CNOTs."""
+    if name != "swap":
+        return c.add(name, qubits, param)
+    a, b = qubits
+    for qs in ((a, b), (b, a), (a, b)):
+        c.add("cx", qs)
+
+
 def bound_copy(c):
     """c as a circuit bound from a sealed template of its gates, one slot
     per r, rz and ry gate, less the CNOT pairs the seal cancels (the same

@@ -25,7 +25,7 @@ def layers(c):
             slots[layer].add(q)
             pending.discard(q)
 
-    for name, qs, _ in c.expanded().gates:
+    for name, qs, _ in c.gates:
         if name == "cx":
             a, b = qs
             lay = max(last[a], last[b])

@@ -5,23 +5,14 @@ scan.  Every gate is handled literally, so they are the oracle the fused
 kernel is checked against.
 """
 
-from qgsynth.circuit import TWO_QUBIT
-
 
 def metrics(c):
-    """(depth, size, two_qubit_count) with greedy ASAP layering after
-    macro expansion."""
+    """(depth, size, two_qubit_count) with greedy ASAP layering."""
     last = [0] * (c.n + 1)
     size = 0
     twoq = 0
     for name, qs, _ in c.gates:
-        if name == "swap":
-            size += 3
-            twoq += 3
-            a, b = qs
-            lay = max(last[a], last[b]) + 3
-            last[a] = last[b] = lay
-        elif name == "cx":
+        if name == "cx":
             size += 1
             twoq += 1
             a, b = qs
@@ -39,6 +30,6 @@ def validate_connectivity(c, g):
     bad = []
     for gate in c.gates:
         name, qs, _ = gate
-        if name in TWO_QUBIT and not g.has_edge(*qs):
+        if name == "cx" and not g.has_edge(*qs):
             bad.append(gate)
     return bad

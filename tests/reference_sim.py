@@ -16,22 +16,19 @@ from qgsynth.circuit import gate_matrix
 from qgsynth.sim import ucg_matrix
 
 _PRUNE = 1e-14
-_PHASE_GATES = {"cx", "swap", "x", "r", "rz", "s", "sdg"}
+_PHASE_GATES = {"cx", "x", "r", "rz", "s", "sdg"}
 
 
 def f2_matrix(c):
-    """Linear map of a CNOT/SWAP-only circuit as row bitmasks, one gate at a
+    """Linear map of a CNOT-only circuit as row bitmasks, one gate at a
     time: row i (1-based qubit) is the mask of input qubits XORed into
     output qubit i."""
     rows = [0] + [1 << (c.n - q) for q in range(1, c.n + 1)]
     for name, qs, _ in c.gates:
-        if name not in ("cx", "swap"):
+        if name != "cx":
             raise ValueError(f"not a CNOT-only circuit: {name}")
         a, b = qs
-        if name == "cx":
-            rows[b] ^= rows[a]
-        else:
-            rows[a], rows[b] = rows[b], rows[a]
+        rows[b] ^= rows[a]
     return rows[1:]
 
 
@@ -60,14 +57,8 @@ def run_phase_basis(c, x):
         elif name == "sdg":
             if (b >> (n - qs[0])) & 1:
                 phase -= 0.5 * math.pi
-        elif name == "x":
+        else:  # x
             b ^= 1 << (n - qs[0])
-        else:  # swap
-            aq, bq = qs
-            abit = (b >> (n - aq)) & 1
-            bbit = (b >> (n - bq)) & 1
-            if abit != bbit:
-                b ^= (1 << (n - aq)) | (1 << (n - bq))
     return b, phase
 
 
@@ -80,16 +71,6 @@ def sparse_run(c, basis=0):
             cq, tq = qs
             cb, tb = 1 << (n - cq), 1 << (n - tq)
             state = {(b ^ tb if b & cb else b): a for b, a in state.items()}
-        elif name == "swap":
-            aq, bq = qs
-            ab, bb = 1 << (n - aq), 1 << (n - bq)
-            new = {}
-            for b, a in state.items():
-                x, y = b & ab, b & bb
-                if (x == 0) != (y == 0):
-                    b ^= ab | bb
-                new[b] = a
-            state = new
         elif name == "x":
             tb = 1 << (n - qs[0])
             state = {b ^ tb: a for b, a in state.items()}

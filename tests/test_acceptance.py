@@ -202,7 +202,7 @@ def ancilla_off_mass(c, n, m):
     anc_mask = (1 << m) - 1
     worst = 0.0
     for x in range(1 << n):
-        state = sparse_run(c.expanded(), x << m)
+        state = sparse_run(c, x << m)
         mass = sum(abs(a) ** 2 for b, a in state.items() if b & anc_mask)
         worst = max(worst, mass)
     return worst
@@ -256,7 +256,7 @@ def test_05_structural_counts():
     for n in (1, 2, 5, 9):
         g = path_graph(n + 1)
         c = fanout(g, 1, list(range(2, n + 2)))
-        assert sum(1 for name, _, _ in c.expanded().gates if name == "cx") \
+        assert sum(1 for name, _, _ in c.gates if name == "cx") \
             == 2 * n - 1
     # routed CNOT over distance d: at most 4d CNOTs
     g = path_graph(10)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_lightcone as ref_lc
 import reference_matching as ref
+from conftest import add_gate
 from qgsynth.bounds import (
     BridgeInvalid,
     EdgeBridge,
@@ -185,8 +186,8 @@ def test_lightcone_budget_check_refuses_n_outside_the_circuit(n):
 
 @st.composite
 def layered_cases(draw):
-    """(circuit, n_inputs): random cx, swap and h/s/x/ry/rz gates on 1..7
-    qubits, and any input count 0..n."""
+    """(circuit, n_inputs): random cx, swap (as three CNOTs) and
+    h/s/x/ry/rz gates on 1..7 qubits, and any input count 0..n."""
     n = draw(st.integers(1, 7))
     c = Circuit(n)
     names = ["h", "s", "x", "ry", "rz"] + (["cx", "swap"] if n > 1 else [])
@@ -195,7 +196,7 @@ def layered_cases(draw):
         if name in ("cx", "swap"):
             a = draw(st.integers(1, n))
             b = draw(st.integers(1, n - 1))
-            c.add(name, (a, b if b < a else b + 1))
+            add_gate(c, name, (a, b if b < a else b + 1))
         else:
             c.add(name, (draw(st.integers(1, n)),),
                   0.4 if name in ("ry", "rz") else None)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_report as ref
+from conftest import add_gate
 from qgsynth.circuit import (
     Circuit,
     ParseError,
@@ -37,10 +38,22 @@ def small_random_circuit(rng, n, length):
 
 
 def test_metrics_counts_swap_as_three():
-    c = Circuit(2)
-    c.swap(1, 2)
+    # an input swap is read as its three CNOTs
+    c = circuit_from_json({"n": 2, "gates": [{"g": "swap", "q": [1, 2]}]})
+    assert c.gates == [("cx", (1, 2), None), ("cx", (2, 1), None),
+                       ("cx", (1, 2), None)]
     depth, size, twoq = c.metrics()
     assert (depth, size, twoq) == (3, 3, 3)
+
+
+@pytest.mark.parametrize("name, qubits", [
+    ("zz", (1, 2)), ("swap", (1, 2)), ("cz", (1, 2)), ("u3", (1,))])
+def test_add_refuses_an_unknown_gate(name, qubits):
+    # cx is the one two-qubit gate; any other name raises, naming it
+    c = Circuit(2)
+    with pytest.raises(ValueError, match=repr(name)):
+        c.add(name, qubits)
+    assert c.gates == []
 
 
 def test_metrics_parallel_layers():
@@ -134,7 +147,7 @@ def circuits_on_graphs(draw):
                 a = draw(st.integers(1, n))
                 b = draw(st.integers(1, n - 1))
                 pair = (a, b if b < a else b + 1)
-            c.add(name, pair)
+            add_gate(c, name, pair)
         else:
             q = draw(st.integers(1, n))
             p = {"r": 0.3, "rz": -0.7, "ry": 1.1, "u2": np.eye(2)}.get(name)
@@ -194,7 +207,7 @@ def test_report_lists_the_one_offgraph_cnot():
                              verify=False)
     assert rep["violations"] == []
     c.add("cx", (1, 4))
-    c.swap(4, 5)
+    add_gate(c, "swap", (4, 5))
     rep = assemble_report(c, g)
     assert rep["violations"] == [{"g": "cx", "q": [1, 4]}]
     assert (rep["depth"], rep["size"], rep["two_qubit"]) == ref.metrics(c)

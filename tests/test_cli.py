@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from qgsynth import cli, diag
+from qgsynth.circuit import circuit_to_json
 from qgsynth.cli import run_command
+from qgsynth.graphs import grid_graph
 
 
 def write(path, obj):
@@ -342,3 +344,43 @@ def test_import_loads_neither_networkx_nor_scipy():
     """
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
+def test_input_swap_reads_as_three_cnots(files, capsys):
+    # a circuit file with swaps and the same file with each swap written
+    # as cx(a,b) cx(b,a) cx(a,b) give the same verify, lightcone and
+    # transform output and exit codes: a swap is read as its three CNOTs
+    tmp = files["tmp"]
+    theta = np.random.default_rng(72).uniform(0, 2 * np.pi, size=64).tolist()
+    angles = write(tmp / "angles6.json", {"n": 6, "theta": theta})
+    grid = write(tmp / "grid.json", {"kind": "grid", "dims": [2, 3]})
+    bw = write(tmp / "bw.json", {"kind": "brickwall", "n1": 1, "n2": 1,
+                                 "b1": 3, "b2": 3})
+    c, _ = diag.synth_diag_noancilla(grid_graph([2, 3]), theta, "general",
+                                     verify=False)
+    gates = circuit_to_json(c)["gates"]
+    # swap pairs, the identity: one on a bridged grid edge, one on a row
+    pairs = [{"g": "swap", "q": [1, 4]}] * 2 + [{"g": "swap", "q": [2, 3]}] * 2
+    with_swaps = pairs[:2] + gates[:9] + pairs[2:] + gates[9:]
+    as_cnots = [cx for gate in with_swaps for cx in (
+        [{"g": "cx", "q": gate["q"]}, {"g": "cx", "q": gate["q"][::-1]},
+         {"g": "cx", "q": gate["q"]}] if gate["g"] == "swap" else [gate])]
+    outputs = []
+    for name, gate_list in (("swaps", with_swaps), ("cnots", as_cnots)):
+        circ = write(tmp / f"{name}.json", {"n": 6, "gates": gate_list})
+        out = str(tmp / f"{name}-bw.json")
+        runs = [
+            ["verify", "--graph", grid, "--circuit", circ, "--angles", angles],
+            ["lightcone", "--circuit", circ, "--task", "diag", "-n", "6"],
+            ["transform", "brickwall", "--graph", bw, "--circuit", circ,
+             "--out", out],
+        ]
+        got = []
+        for argv in runs:
+            rc = run_command(argv)
+            got.append((rc, capsys.readouterr().out))
+        with open(out) as fh:
+            got.append(json.load(fh))
+        outputs.append(got)
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0][0] == 0  # the swap pairs cancel: it verifies

@@ -1,14 +1,19 @@
 """No-ancilla diagonal synthesis against a dense diagonal oracle."""
+import json
+
 import numpy as np
 import pytest
 
+from qgsynth.circuit import circuit_to_json
 from qgsynth.diag import (
     DiagonalSpec,
+    _dispatch,
     _expander_split,
     _path_split,
     _tree2_split,
     synth_diag_noancilla,
 )
+from qgsynth.diag_ancilla import synth_diag_auto
 from qgsynth.gray import solve_phase_coefficients
 from qgsynth.graphs import (
     InvalidParameters,
@@ -103,11 +108,31 @@ def test_auto_on_a_path_is_the_general_split(n):
     c, report = synth_diag_noancilla(g, spec)
     assert report["residual"] <= 1e-8
     if n <= 2:
-        assert report["backend"] == "complete"
+        assert report["backend"] == "noancilla-complete"
         assert report["depth"] == [1, 4][n - 1]
         return
     want_c, want_report = synth_diag_noancilla(g, spec, "general")
-    assert c.gates == want_c.gates and report == want_report
+    assert c.gates == want_c.gates
+    assert report == {**want_report, "backend": "noancilla-general",
+                      "decision": "noancilla-general", "core_backend": "general"}
+
+
+@pytest.mark.parametrize("dims", [[3, 3], [2, 3], [1, 4]])
+def test_noancilla_auto_is_the_auto_template(dims):
+    # one chooser: the no-ancilla default is synth_diag_auto with m = 0, in
+    # circuit and report, and keeps the winner's cover size ell
+    g = grid_graph(dims)
+    spec = random_spec(np.random.default_rng(sum(dims)), g.n)
+    c, report = synth_diag_noancilla(g, spec)
+    want_c, want_report = synth_diag_auto(grid_graph(dims), spec, 0)
+    assert json.dumps(circuit_to_json(c)) == json.dumps(circuit_to_json(want_c))
+    assert list(report.items()) == list(want_report.items())
+    core = report["core_backend"]
+    assert report["ell"] == _dispatch(grid_graph(dims), core).extra["ell"]
+    if dims == [3, 3]:
+        # the general split wins; the grid split alone is 2,364 deep
+        assert (core, report["depth"], report["ell"]) == ("general", 1380, 4)
+        assert _dispatch(g, "grid").scan(g)[0] == 2364
 
 
 def test_size_stays_within_linear_blowup():

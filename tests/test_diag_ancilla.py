@@ -20,6 +20,7 @@ from qgsynth.diag_ancilla import (
     synth_diag_expander_ancilla,
 )
 from qgsynth.graphs import (
+    brickwall_graph,
     complete_graph,
     expander_cascade,
     explicit_graph,
@@ -29,6 +30,7 @@ from qgsynth.graphs import (
     tree_graph,
 )
 from qgsynth.sim import verify_target
+from qgsynth.states import qsp_synthesize
 
 
 def random_spec(rng, n):
@@ -115,7 +117,7 @@ def test_pipeline_inverse_restores_ancilla_exactly():
     c, _ = synth_diag_ancilla(g, spec, m)
     anc_mask = (1 << m) - 1
     for x in range(1 << n):
-        state = sparse_run(c.expanded(), x << m)
+        state = sparse_run(c, x << m)
         for b, a in state.items():
             if b & anc_mask:
                 assert abs(a) <= 1e-10
@@ -172,7 +174,7 @@ def test_layout_uses_only_vertices_up_to_n_plus_m(g):
 # paths, grids, the depth-first fallback of shallow binary trees
 # (tree(32), tree(64)) and the deep subtree tier (tree(127)).  The small
 # tree tier, one layer of subtrees right below the inputs, is left out:
-# its blocks can have fewer than p copy slots (ROADMAP item 2(a))
+# its blocks can have fewer than p copy slots (ROADMAP item 6(c))
 SUFFIX_CASES = (
     [(path_graph(n + m), n, m) for n in (2, 3, 5, 8, 12)
      for m in (2 * n, 3 * n, 8 * n, 400)]
@@ -611,6 +613,24 @@ def test_routes_share_one_gate_per_directed_edge(g):
     assert cnot_ids() == cold
 
 
+def _qsp_template(g, n):
+    """The template of QSP on g with n inputs, a relabelled host on g's
+    prefix-disconnected labels."""
+    state = np.random.default_rng(46).normal(size=1 << n) + 0j
+    return qsp_synthesize(g, state / np.linalg.norm(state), g.n - n,
+                          verify=False)[0].template
+
+
+def _expander_inside_template(g, n):
+    """The ancilla expander variant with inputs inside the cascade, so its
+    relabelling moves them out."""
+    cascade = expander_cascade(g, 1, 4)
+    assert set(range(1, n + 1)) & set(cascade.sets[-1])
+    return synth_diag_expander_ancilla(
+        g, random_spec(np.random.default_rng(47), n), cascade,
+        verify=False)[0].template
+
+
 @pytest.mark.parametrize("g, strategy", [
     (complete_graph(8), "auto"),
     (complete_graph(8), "general"),
@@ -619,24 +639,36 @@ def test_routes_share_one_gate_per_directed_edge(g):
     (path_graph(8), "auto"),
     (grid_graph([2, 4]), "auto"),
     (complete_graph(10), None),  # the ancilla expander variant
+    (brickwall_graph(1, 1, 3, 3), "qsp"),
+    (explicit_graph(7, [(1, 4), (4, 2), (2, 5), (5, 3), (3, 6), (6, 7),
+                        (1, 7), (4, 6)]), "qsp"),
+    (complete_graph(10), "expander-inside"),
 ], ids=["complete-auto", "complete-general", "complete-expander",
-        "complete10-expander", "path-auto", "grid-auto", "expander-ancilla"])
+        "complete10-expander", "path-auto", "grid-auto", "expander-ancilla",
+        "qsp-brickwall", "qsp-explicit", "expander-ancilla-inside"])
 def test_template_cnots_are_the_graphs_edge_gates(g, strategy):
-    # every CNOT of a sealed template is its edge's one gate tuple in
-    # g.cx_gates, the expander constructions' matching CNOTs included
-    # (complete(8)'s no-ancilla cascade has none, complete(10)'s has one)
+    # every two-qubit gate of a sealed template is its edge's one gate
+    # tuple in g.cx_gates, the expander constructions' matching CNOTs and
+    # the swap networks of QSP's relabelled hosts and of the expander
+    # variant's inputs included (complete(8)'s no-ancilla cascade has no
+    # matching CNOT, complete(10)'s has one)
     rng = np.random.default_rng(45)
     if strategy is None:
         cascade = expander_cascade(g, 1, 4)
         assert len(cascade.matchings) == 2  # fan-outs hold matching CNOTs
-        c, _ = synth_diag_expander_ancilla(g, random_spec(rng, 4), cascade,
-                                           verify=False)
+        t = synth_diag_expander_ancilla(g, random_spec(rng, 4), cascade,
+                                        verify=False)[0].template
+    elif strategy == "qsp":
+        t = _qsp_template(g, g.n - 1)
+        assert t.meta["marks"][-1][0] == "relabel"
+    elif strategy == "expander-inside":
+        t = _expander_inside_template(g, 4)
     else:
-        c, _ = synth_diag_noancilla(g, random_spec(rng, g.n), strategy,
-                                    verify=False)
-    cnots = [gate for gate in c.template.gates if gate[0] == "cx"]
-    assert cnots
-    assert all(gate is g.cx_gates[gate[1]] for gate in cnots)
+        t = synth_diag_noancilla(g, random_spec(rng, g.n), strategy,
+                                 verify=False)[0].template
+    pairs = [gate for gate in t.gates if len(gate[1]) == 2]
+    assert pairs
+    assert all(gate is g.cx_gates[gate[1]] for gate in pairs)
 
 
 def test_cascade_refusal_falls_back():

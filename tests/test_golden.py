@@ -93,7 +93,7 @@ REQUESTS = {
 }
 
 GOLDEN = {
-    "ancilla-expander": "6ba57e32069677b7",
+    "ancilla-expander": "29223b62499457c7",
     "auto-ancilla-expander": "aeec5c05ed0e15c5",
     "auto-ancilla-grid": "9225b9647193b393",
     "auto-ancilla-path": "7de9a850338a88f0",
@@ -105,7 +105,7 @@ GOLDEN = {
     "noanc-path": "678413f788ce2db3",
     "noanc-star-walk": "0711440b9dfef710",
     "noanc-tree2": "c86bad06e8389bc1",
-    "qsp-bfs-relabel": "61a0d338c5cc36df",
+    "qsp-bfs-relabel": "90fd7af9a3dd4421",
     "qsp-path": "bef6ccc8af47b9a2",
     "qsp-star": "82b152e6015905a0",
 }

@@ -127,8 +127,8 @@ GOLDEN = {
     "gus-path-n4-m2": "a33b8d6fbd6cc5ff",
     "gus-path-one-qubit": "cce1ad97d81af474",
     "gus-path-permutation": "0fdefe900eea00a9",
-    "qsp-brickwall-n6": "e2157e2289d633a4",
-    "qsp-brickwall-n8": "0be81af33a889e27",
+    "qsp-brickwall-n6": "443dc9a1271906da",
+    "qsp-brickwall-n8": "cd0d8d76dc2d7f38",
     "qsp-complete-n3": "7c4e4826e429684d",
     "qsp-complete-n5": "0bab29c7b5d509f4",
     "qsp-path-basis": "3b64698d85a114e0",
@@ -137,10 +137,10 @@ GOLDEN = {
     "qsp-path-real": "99d2f7a42ac356a9",
     "qsp-path-sparse": "01b2560e920c5b09",
     "qsp-path-zero": "4d367e3be4946c45",
-    "qsp-relabelled-basis": "84c4d8e256e6d26c",
-    "qsp-relabelled-n6": "c108e6bb8f858d19",
-    "qsp-relabelled-n8": "f868cfdcce0fc660",
-    "qsp-relabelled-sparse": "18409962d158ab96",
+    "qsp-relabelled-basis": "dec2dcf43d8d086d",
+    "qsp-relabelled-n6": "f24a8f0f6b4eb398",
+    "qsp-relabelled-n8": "f79697bdce6e0bcb",
+    "qsp-relabelled-sparse": "b05f989cf1bd0cb9",
     "qsp-star-n4": "757f952a8fdadcd2",
     "qsp-star-n6": "2c23d6157af656d7",
     "qsp-star-one-qubit": "d43e7db9d2a98972",

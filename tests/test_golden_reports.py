@@ -150,58 +150,58 @@ GOLDEN = {
     "ancilla-tree": "e4ca421ea1da07d2",
     "ancilla-tree-shallow": "91fa61c3b5b5ad8e",
     "ancilla-tree3": "5067ca6dc105042a",
-    "auto-ancilla-expander": "50be20fefb6f0179",
-    "auto-ancilla-grid": "6c9e72d3532b1d1b",
-    "auto-ancilla-path": "8969b13bfc9a87ec",
-    "auto-ancilla-tree": "3cae1a7563b51b0d",
-    "auto-ancilla-tree-shallow": "557c015512fe0ce2",
+    "auto-ancilla-expander": "765b1d0bcba90f78",
+    "auto-ancilla-grid": "f3ca9498e7673dee",
+    "auto-ancilla-path": "a36a316d295ab19f",
+    "auto-ancilla-tree": "8da71add6a21ebc9",
+    "auto-ancilla-tree-shallow": "052baee34a160937",
     "auto-disconnected-prefix": "f220c776b7fab359",
-    "auto-expander-small": "bbcf4d73e43a34d6",
-    "auto-m0-path": "5174ea38a776c4fd",
-    "auto-no-cascade": "3518149ff846d87e",
-    "auto-no-layout-grid": "c0d7383d4cf70176",
-    "auto-no-layout-path": "20f0c25fe7b8da4d",
-    "auto-noancilla-complete": "4385414fec92707d",
-    "auto-noancilla-general": "90d6c97fa7dbdcc5",
-    "auto-noancilla-grid": "71a4150c44ac9026",
-    "auto-noancilla-path": "f567e12fb7f69103",
-    "auto-noancilla-star": "53ac1429d8fa5f57",
-    "auto-noancilla-tree3": "3ba04df467d48086",
-    "noanc-brickwall-auto": "04f0ec846df34497",
+    "auto-expander-small": "8eac3362bea74642",
+    "auto-m0-path": "afdbb2bb7295da96",
+    "auto-no-cascade": "d2333e889f14edd5",
+    "auto-no-layout-grid": "057e30c8ddedd8a7",
+    "auto-no-layout-path": "c71b89ff5329bafb",
+    "auto-noancilla-complete": "8eb7ca4254a1d882",
+    "auto-noancilla-general": "3a0d0d809755ea70",
+    "auto-noancilla-grid": "08eb15a43ab9af56",
+    "auto-noancilla-path": "71576bac96e6c380",
+    "auto-noancilla-star": "9c685aa57d213fd1",
+    "auto-noancilla-tree3": "235d46354715aa3b",
+    "noanc-brickwall-auto": "1bac3bf38f9ede7d",
     "noanc-brickwall-expander": "7cc2f3061b4470ec",
     "noanc-brickwall-general": "04f0ec846df34497",
     "noanc-brickwall-unknown": "3fd6e61f300b2ca2",
-    "noanc-complete-auto": "2cd9c71113865516",
+    "noanc-complete-auto": "7ab5f03471f19bed",
     "noanc-complete-expander": "4a56926f107d4249",
     "noanc-complete-general": "3b4fed705856080b",
     "noanc-complete-unknown": "3fd6e61f300b2ca2",
-    "noanc-cycle-auto": "fa522b504a128850",
+    "noanc-cycle-auto": "5fdeb4be51c5be57",
     "noanc-cycle-expander": "b7175023506a0190",
     "noanc-cycle-general": "fa522b504a128850",
     "noanc-cycle-unknown": "3fd6e61f300b2ca2",
-    "noanc-grid-auto": "51936c1798d13c40",
+    "noanc-grid-auto": "bbb60accf725d7e6",
     "noanc-grid-expander": "4a0945c3b5dfa498",
     "noanc-grid-general": "95ec36474ce25873",
-    "noanc-grid-point-auto": "7b3adeef08909de7",
+    "noanc-grid-point-auto": "6dd3ad7e834d5823",
     "noanc-grid-point-general": "82467cdb143598e6",
     "noanc-grid-point-unknown": "3fd6e61f300b2ca2",
     "noanc-grid-unknown": "3fd6e61f300b2ca2",
-    "noanc-path-auto": "53f53fe9c7f76321",
+    "noanc-path-auto": "dd67a66c12eaa736",
     "noanc-path-expander": "5ab98eafd9374a3b",
     "noanc-path-general": "53f53fe9c7f76321",
     "noanc-path-unknown": "3fd6e61f300b2ca2",
-    "noanc-point-auto": "3c32579045a331b2",
+    "noanc-point-auto": "41c30e9be2a566d2",
     "noanc-point-general": "d477a1c9e48f7344",
     "noanc-point-unknown": "3fd6e61f300b2ca2",
-    "noanc-star-auto": "fba19c0bb7a4d5e3",
+    "noanc-star-auto": "a3b738fcfc97ef90",
     "noanc-star-expander": "8c4f15f359c46bf9",
     "noanc-star-general": "d01f23b322cafdc6",
     "noanc-star-unknown": "3fd6e61f300b2ca2",
-    "noanc-tree2-auto": "62f27780d0df8768",
+    "noanc-tree2-auto": "1c8aae7e3df4e447",
     "noanc-tree2-expander": "d812969687a979d1",
     "noanc-tree2-general": "1c565eaec7c4ffa7",
     "noanc-tree2-unknown": "3fd6e61f300b2ca2",
-    "noanc-tree3-auto": "c6102d4e511d68c4",
+    "noanc-tree3-auto": "b539db176b1f70a3",
     "noanc-tree3-expander": "8c6d34ef55fad003",
     "noanc-tree3-general": "b5ad694dc994585a",
     "noanc-tree3-unknown": "3fd6e61f300b2ca2",

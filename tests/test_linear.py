@@ -15,7 +15,7 @@ def as_circuit(n, gates):
 
 
 def classical_out(c, basis):
-    state = sparse_run(c.expanded(), basis)
+    state = sparse_run(c, basis)
     (only,) = [b for b, a in state.items() if abs(a) > 1e-12]
     return only
 
@@ -65,7 +65,7 @@ def test_routed_cnot_restores_any_intermediate_state():
     c.add("ry", (3,), -0.71)
     c.add("h", (2,))
     for b in (0b0000, 0b1000):
-        state = sparse_run(c.expanded(), b)
+        state = sparse_run(c, b)
         want = b ^ ((b >> 3) & 1)
         assert abs(state.get(want, 0)) > 1 - 1e-10
 
@@ -113,7 +113,7 @@ def test_f2_matrix_matches_simulation(rng):
     for _ in range(15):
         u, v = rng.choice(range(1, 6), size=2, replace=False)
         c.gates.extend(route_cnot_gates(g, int(u), int(v)))
-    rows = f2_matrix(c.expanded())  # row bitmasks over input qubits
+    rows = f2_matrix(c)  # row bitmasks over input qubits
     for trial in range(8):
         b = int(rng.integers(0, 32))
         want = 0

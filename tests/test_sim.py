@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_sim as ref
-from conftest import bound_copy
+from conftest import add_gate, bound_copy
 from qgsynth import circuit, sim
 from qgsynth.circuit import Circuit, gate_matrix
 from qgsynth.graphs import path_graph, complete_graph
@@ -32,10 +32,10 @@ _CX = np.array(
 
 
 def dense_unitary(c):
-    """Independent dense oracle: multiply expanded gate matrices."""
+    """Independent dense oracle: multiply the gate matrices."""
     n = c.n
     u = np.eye(1 << n, dtype=complex)
-    for name, qs, p in c.expanded().gates:
+    for name, qs, p in c.gates:
         g = _CX if name == "cx" else gate_matrix(name, p)
         full = apply_on(g, qs, n)
         u = full @ u
@@ -99,7 +99,7 @@ def test_simulate_is_unitary_and_linear():
         if abs(v[b]) == 0:
             continue
         col = np.zeros(16, dtype=complex)
-        for k, a in sparse_run(c.expanded(), b).items():
+        for k, a in sparse_run(c, b).items():
             col[k] = a
         acc += v[b] * col
     assert np.max(np.abs(out - acc)) < 1e-12
@@ -123,7 +123,7 @@ def test_sparse_run_basis_agrees_with_dense():
     c = random_circ(rng, 3, 15)
     u = dense_unitary(c)
     for b in range(8):
-        state = sparse_run(c.expanded(), b)
+        state = sparse_run(c, b)
         col = np.zeros(8, dtype=complex)
         for k, a in state.items():
             col[k] = a
@@ -136,16 +136,13 @@ def test_f2_fast_path_matches_dense():
     c = Circuit(n)
     for _ in range(40):
         a, b = rng.choice(np.arange(1, n + 1), size=2, replace=False)
-        if rng.random() < 0.3:
-            c.add("swap", (int(a), int(b)))
-        else:
-            c.add("cx", (int(a), int(b)))
+        add_gate(c, "swap" if rng.random() < 0.3 else "cx", (int(a), int(b)))
     # the plan's row masks are the literal gate-by-gate F2 map
-    rows = ref.f2_matrix(c.expanded())
-    assert sim.Plan(c.expanded()).runs[0].rows[1:] == rows
+    rows = ref.f2_matrix(c)
+    assert sim.Plan(c).runs[0].rows[1:] == rows
     for _ in range(16):
         b = int(rng.integers(0, 1 << n))
-        state = sparse_run(c.expanded(), b)
+        state = sparse_run(c, b)
         assert len(state) == 1
         (out,) = state
         want = 0
@@ -280,7 +277,7 @@ def circuits(draw, names=_ALL_GATES, max_gates=24):
         if name in ("cx", "swap"):
             a = draw(st.integers(1, nq))
             b = draw(st.integers(1, nq - 1))
-            c.add(name, (a, b if b < a else b + 1))
+            add_gate(c, name, (a, b if b < a else b + 1))
         else:
             q = draw(st.integers(1, nq))
             p = (draw(st.floats(-math.pi, math.pi))
@@ -290,10 +287,10 @@ def circuits(draw, names=_ALL_GATES, max_gates=24):
 
 
 def _diagonal_closure(c):
-    """c followed by its CNOT/SWAP/X gates in reverse: a diagonal circuit
+    """c followed by its CNOT and X gates in reverse: a diagonal circuit
     whenever c is phase-type."""
     d = Circuit(c.n, c.ancilla, c.gates)
-    d.extend([g for g in reversed(c.gates) if g[0] in ("cx", "swap", "x")])
+    d.extend([g for g in reversed(c.gates) if g[0] in ("cx", "x")])
     return d
 
 
@@ -414,7 +411,7 @@ def branching_circuits(draw):
         if name in ("cx", "swap"):
             a = draw(st.integers(1, nq))
             b = draw(st.integers(1, nq - 1))
-            c.add(name, (a, b if b < a else b + 1))
+            add_gate(c, name, (a, b if b < a else b + 1))
             continue
         q = focus if name in ("h", "ry") and draw(st.booleans()) else draw(st.integers(1, nq))
         p = None
