@@ -165,16 +165,25 @@ class Template(Circuit):
         self.gates.extend([self._empty.setdefault(("r", q), ("r", (q,), None))
                            for q in qubits])
 
-    def splice(self, t, base, swap=0):
+    def splice(self, t, base, swap=0, odd=False):
         """Append sealed template t, its slots reading params from base on,
-        with index bits 0 and `swap` exchanged if swap (see states.py)."""
-        idx = t.idx
+        with index bits 0 and `swap` exchanged if swap (see states.py); if
+        odd, only the slots whose index then has bit 0 set, the others'
+        gates left out."""
+        idx, pos, gates = t.idx, t.pos, t.gates
         if swap:
             flip = (idx ^ idx >> swap) & 1
             idx = idx ^ (flip | flip << swap)
-        self.pos.extend((t.pos + len(self.gates)).tolist())
+        if odd:
+            keep = (idx & 1).astype(bool)
+            mask = np.ones(len(gates), dtype=bool)
+            mask[pos[~keep]] = False
+            gates = list(compress(gates, mask.tolist()))
+            # each kept slot moves back by the slots dropped before it
+            pos, idx = pos[keep] - np.cumsum(~keep)[keep], idx[keep]
+        self.pos.extend((pos + len(self.gates)).tolist())
         self.idx.extend((idx + base).tolist())
-        self.gates.extend(t.gates)
+        self.gates.extend(gates)
 
     def scan(self, g):
         """`_scan` of this sealed template against g's edges, kept with
@@ -290,9 +299,9 @@ def _cancelled(gates, ends, n):
                                 continue
                             hit = _clear_target(gates, lb, j)  # j is cx(a, b)
                         break
-                    if hit:
-                        la.remove(j)
-                        lb.remove(j)
+                    if hit:  # j is near the ends of lists up to a chunk long
+                        del la[len(la) - 1 - la[::-1].index(j)]
+                        del lb[len(lb) - 1 - lb[::-1].index(j)]
                         if keep is None:
                             keep = bytearray(b"\1") * len(gates)
                         keep[i] = keep[j] = 0

@@ -43,6 +43,8 @@ def _load_graph(path):
 
 def _complex(obj):
     """obj["re"] + i obj["im"], the imaginary part zero when absent."""
+    if not isinstance(obj, dict):
+        raise ValueError("expected an object with fields 're' and 'im'")
     re = np.asarray(obj["re"], dtype=float)
     return re + 1j * np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
 
@@ -80,13 +82,28 @@ _SYNTH = {
 }
 
 
+def _load_spec(path, spec_of):
+    """spec_of the JSON object in the file at path; a file holding no
+    object, one without a field spec_of reads or with a field of the wrong
+    type, or a spec it refuses, is an error that names the file."""
+    obj = _load_json(path)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    try:
+        return spec_of(obj)
+    except KeyError as e:
+        raise ValueError(f"{path}: missing field {e}") from None
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
 def _cmd_synth(args):
     g = _load_graph(args.graph)
     flag, spec_of, synth = _SYNTH[args.what]
     path = getattr(args, flag)
     if path is None:
         raise ValueError(f"missing --{flag}")
-    spec = spec_of(_load_json(path))
+    spec = _load_spec(path, spec_of)
     if args.what == "diag" and args.strategy:
         if args.m:
             raise ValueError("--strategy needs -m 0: with ancilla the "
@@ -97,7 +114,7 @@ def _cmd_synth(args):
 
 def _cmd_verify(args):
     # the first of --angles, --state, --unitary given (verify has no --target)
-    target = next((spec_of(_load_json(path))
+    target = next((_load_spec(path, spec_of)
                    for flag, spec_of, _ in _SYNTH.values()
                    if (path := getattr(args, flag, None))), None)
     if target is None:

@@ -58,12 +58,19 @@ class DiagonalSpec:
     theta: np.ndarray
 
     def __post_init__(self):
+        _check_width(self.n)
         theta = np.asarray(self.theta, dtype=float)
         if theta.shape != (2**self.n,):
             raise ValueError(f"expected {2 ** self.n} angles, got {theta.shape}")
         if not np.all(np.isfinite(theta)):
             raise ValueError("angles must be finite")
         _freeze(self, "theta", np.mod(theta - theta[0], 2 * math.pi))
+
+
+def _check_width(n):
+    """Refuse a spec on fewer than one qubit."""
+    if n < 1:
+        raise ValueError(f"n = {n}: a spec needs at least one qubit")
 
 
 def _freeze(spec, name, value):

@@ -80,16 +80,19 @@ def fwht(a, widths=None):
 
 
 @lru_cache(maxsize=None)
-def _run_scales(widths):
+def _run_scales(widths, odd=0):
     """(scale, starts) of a run of rows of 2^w entries, w in widths: each
-    entry's factor -2^(1 - w) and each row's first index, read-only."""
+    entry's factor -2^(1 - w), -2^(-w) in the first `odd` rows, and the
+    first index of every later row, read-only."""
     lens = 1 << np.array(widths)
-    scale, starts = np.repeat(-2.0 / lens, lens), np.cumsum(lens) - lens
+    per_row = -2.0 / lens
+    per_row[:odd] /= 2.0
+    scale, starts = np.repeat(per_row, lens), (np.cumsum(lens) - lens)[odd:]
     scale.flags.writeable = starts.flags.writeable = False
     return scale, starts
 
 
-def solve_phase_coefficients(theta, widths=None):
+def solve_phase_coefficients(theta, widths=None, odd=0):
     """Coefficients alpha with sum_s alpha_s <s,x> = theta(x) for all x.
 
     theta is a length-2^n array with theta[0] = 0; returns alpha of the same
@@ -98,7 +101,10 @@ def solve_phase_coefficients(theta, widths=None):
     Given `widths` (non-decreasing), the last axis of theta is a run of
     such rows of 2^widths[i] angles each, not checked, all solved by one
     transform (leading axes are a stack of such runs); the run's scales and
-    row starts are computed once per widths.
+    row starts are computed once per widths.  The first `odd` rows of the
+    run may instead hold the stage-1 differences theta[0::2] - theta[1::2]
+    of rows one bit wider: their entry s' is then the wider row's alpha at
+    s = 2s' + 1, with the same float operations, and none is zeroed.
     """
     theta = np.asarray(theta, dtype=float)
     if widths is None:
@@ -110,7 +116,7 @@ def solve_phase_coefficients(theta, widths=None):
             raise ValueError("theta[0] must be 0 (phase normalization)")
         scale, starts = -(2.0 ** (1 - n)), 0
     else:
-        scale, starts = _run_scales(tuple(widths))
+        scale, starts = _run_scales(tuple(widths), odd)
     alpha = scale * fwht(theta, widths)
     alpha[..., starts] = 0.0
     return alpha

@@ -20,8 +20,9 @@ cascades put the branches of all their UCGs through one ZYZ batch and
 their factors through one FWHT.  QSP takes stages 1..n-1, real Ry
 multiplexors, straight from the amplitude tree; stage n, which carries
 the phases, runs the ZYZ column kernel straight on its amplitude pairs,
-and one FWHT solves just the rows a template reads.  The gates, up to
-the angles, follow from the graph, n, m and which pieces each UCG
+and one FWHT solves just the coefficients a template reads: the odd half
+of every lam2, whose even half vanishes, and lam3 of stage n.  The gates,
+up to the angles, follow from the graph, n, m and which pieces each UCG
 emitted, its skeletons (see `synth_ucg`): g's memo keeps its template,
 which keeps its scan and plan, so a warm call gathers one angle vector,
 builds no gate and scans nothing.
@@ -37,7 +38,8 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import Template
-from .diag import DiagonalSpec, _as_spec, _check_ancilla, _compile, _freeze
+from .diag import (DiagonalSpec, _as_spec, _check_ancilla, _check_width,
+                   _compile, _freeze)
 from .diag_ancilla import _auto_template
 from .graphs import explicit_graph
 from .gray import solve_phase_coefficients
@@ -65,6 +67,7 @@ class UcgSpec:
     target: int = 0
 
     def __post_init__(self):
+        _check_width(self.n)
         if self.target == 0:
             object.__setattr__(self, "target", self.n)
         if not 1 <= self.target <= self.n:
@@ -109,6 +112,7 @@ class StateSpec:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        _check_width(self.n)
         amp = np.array(self.amplitudes, dtype=complex)
         if amp.shape != (1 << self.n,):
             raise ValueError(f"expected {1 << self.n} amplitudes")
@@ -127,6 +131,7 @@ class UnitarySpec:
     matrix: np.ndarray
 
     def __post_init__(self):
+        _check_width(self.n)
         mat = np.array(self.matrix, dtype=complex)
         size = 1 << self.n
         if mat.shape != (size, size):
@@ -211,7 +216,9 @@ def ucg_to_diagonals(V):
     H Rz H = Rx and S Rx S+ = Ry to turn the middle diagonal into the
     branch Y-rotations (the factors are the module docstring's).  lam3
     carries the branch phase: a per-branch scalar commutes with the
-    target-only mid gates.
+    target-only mid gates.  lam2 sums to c of the first branch over the
+    target bit, so its Walsh coefficients at even indices (bit 0 clear)
+    are zero to rounding: a cascade template reads only the odd ones.
     """
     if V.target != V.n:
         raise ValueError("ucg_to_diagonals expects target on the last qubit")
@@ -237,7 +244,8 @@ def _cascade_template(g, skeletons, ms, backend, **extra):
     marked ucg_k.  Width 1 is rz(d) ry(c) rz(b) on qubit 1; wider UCGs
     splice the automatic diagonal template for (g, n, m) per factor, solved
     for target n, with Walsh index bits n - target and 0 exchanged (qubits
-    target and n trade places); the mid gates go on the target."""
+    target and n trade places), lam2 at its odd indices alone (see
+    `ucg_to_diagonals`); the mid gates go on the target."""
     counts = [1 << (n - 1) for n, _, _ in skeletons]
     size = sum(counts)
     t = Template(g.n, None)
@@ -254,7 +262,7 @@ def _cascade_template(g, skeletons, ms, backend, **extra):
                 if emitted[f]:
                     t.extend(mid1 if f == 1 else ())
                     t.splice(_auto_template(g, n, m), 2 * (f * size + first),
-                             n - target)
+                             n - target, odd=f == 1)
                     t.extend(mid2 if f == 1 else ())
         t.mark(f"ucg_{k + 1}")
     t.backend, t.extra = backend, extra
@@ -326,13 +334,14 @@ def _state_branches(v):
 
 @lru_cache(maxsize=None)
 def _qsp_layout(n):
-    """`_qsp_params`' constants for n qubits: the FWHT row widths (lam2 of
-    every stage, then lam3 of stage n), each branch's stage head and the
-    offsets of the stages' lam2 rows, read-only."""
+    """`_qsp_params`' constants for n qubits: the FWHT row widths (the
+    stage-1 differences of every stage's lam2, then lam3 of stage n), each
+    branch's stage head and the offsets of the stages' lam2 rows,
+    read-only."""
     counts = 1 << np.arange(n)  # branches per stage, from counts - 1 on
     head, starts = np.repeat(counts - 1, counts), 2 * (counts - 1)
     head.flags.writeable = starts.flags.writeable = False
-    return (*range(1, n + 1), n), head, starts
+    return (*range(n), n), head, starts
 
 
 def _qsp_params(v):
@@ -343,8 +352,10 @@ def _qsp_params(v):
     floats: these stages build no table, run no ZYZ and emit lam2 alone.
     Stage n's ZYZ reads its pairs (p, q) as the columns of
     [[p, -q*], [q, p*]], the identity where dead, as `_table` builds them.
-    One FWHT solves the rows a template reads, lam2 of every stage and lam3
-    of stage n."""
+    One FWHT solves the coefficients a template reads: the odd half of
+    every stage's lam2 (the even half vanishes, see `ucg_to_diagonals`),
+    from its stage-1 differences lam2[0::2] - lam2[1::2] at width j - 1,
+    and lam3 of stage n; the even half of lam2 stays 0."""
     n, tree = v.n, _tree(v)
     size, last = (1 << n) - 1, (1 << (n - 1)) - 1  # branches; stage n's first
     widths, head, starts = _qsp_layout(n)
@@ -364,11 +375,13 @@ def _qsp_params(v):
         raise ValueError(f"branch {ok.argmin()} is not unitary")
     a, b, c, d = _zyz_columns(det, u)
     half = np.concatenate([np.arctan2(q, p), c / 2.0])  # c / 2 of every branch
-    theta = np.empty(2 * size + (1 << n))  # lam2 of every stage, lam3 of stage n
-    lam2, lam3 = theta[:2 * size], theta[2 * size:]
+    lam2 = np.empty(2 * size)
     rise = half[head]  # less each stage's head entry, -c/2 of its first branch
     np.subtract(rise, half, out=lam2[0::2])
     np.add(half, rise, out=lam2[1::2])
+    theta = np.empty(size + (1 << n))  # lam2's differences, lam3 of stage n
+    np.subtract(lam2[0::2], lam2[1::2], out=theta[:size])
+    lam3 = theta[size:]
     phase = a - (b + d) / 2.0
     np.subtract(phase, phase[0], out=lam3[0::2])
     np.add(phase, b, out=lam3[1::2])
@@ -376,10 +389,10 @@ def _qsp_params(v):
     np.mod(lam3, 2 * math.pi, out=lam3)
     on = np.logical_or.reduceat(np.abs(lam2) > 1e-14, starts).tolist()
     on3 = bool((np.abs(lam3 if n > 1 else b) > 1e-14).any())  # rz(b) at n = 1
-    coef = solve_phase_coefficients(theta, widths)
+    coef = solve_phase_coefficients(theta, widths, n)
     params = np.zeros(9 * size)  # `_ucg_params`' rows lam1, lam2, lam3, d, c, b
-    params[2 * size:4 * size] = coef[:2 * size]
-    params[4 * size + 2 * last:6 * size] = coef[2 * size:]
+    params[2 * size + 1:4 * size:2] = coef[:size]
+    params[4 * size + 2 * last:6 * size] = coef[size:]
     np.multiply(half, 2.0, out=params[7 * size:8 * size])
     params[8 * size + last:] = b
     return params, tuple((j, j, (False, on[j - 1], j == n and on3))

@@ -112,14 +112,16 @@ def kernel_state(kind, n, seed):
 @settings(max_examples=80, deadline=None)
 def test_stage_n_kernel_equals_reference(n, kind, seed):
     # stage n's ZYZ, taken straight from its amplitude pairs, must give the
-    # bits of the reference's branch table through zyz_angles_batch in
-    # every row it feeds: lam2 of every stage, stage n's lam3, c and b
+    # bits of the reference's branch table through zyz_angles_batch at
+    # every slot a template reads: the odd half of every stage's lam2 (its
+    # even half vanishes and is never read), stage n's lam3, c and b
     v = StateSpec(n, kernel_state(kind, n, seed))
     size, last = (1 << n) - 1, (1 << (n - 1)) - 1
     heads = [(j, j) for j in range(1, n + 1)]
     params, skeletons = states._qsp_params(v)
     want, want_skeletons = ref.cascade_params(heads, ref.state_branches(v), clean=True)
-    for row in (slice(2 * size, 4 * size), slice(4 * size + 2 * last, 6 * size),
+    for row in (slice(2 * size + 1, 4 * size, 2),
+                slice(4 * size + 2 * last, 6 * size),
                 slice(7 * size, 8 * size), slice(8 * size + last, 9 * size)):
         same_bits(params[row], want[row])
     assert skeletons == want_skeletons

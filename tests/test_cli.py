@@ -242,6 +242,55 @@ def test_missing_input_flag_exits_2(files, argv, flag, capsys):
     assert err.startswith("error: missing ") and flag in err
 
 
+@pytest.mark.parametrize("what, flag, body, message", [
+    ("diag", "--angles", [0.0, 1.0], "expected a JSON object"),
+    ("qsp", "--state", "state", "expected a JSON object"),
+    ("qsp", "--state", {"n": 3, "im": [0.0] * 8}, "missing field 're'"),
+    ("diag", "--angles", {"n": 3}, "missing field 'theta'"),
+    ("gus", "--unitary", {"re": [[1.0]]}, "missing field 'n'"),
+    ("ucg", "--target", {"n": 1, "branches": [[[1, 0], [0, 1]]]},
+     "expected an object with fields 're' and 'im'"),
+    ("diag", "--angles", {"n": None, "theta": [0.0, 1.0]}, "int() argument"),
+])
+def test_spec_file_of_the_wrong_shape_exits_2(files, what, flag, body, message,
+                                              capsys):
+    # one error line naming the file, from synth and from verify alike; a
+    # non-object or a field of the wrong type was a TypeError traceback and
+    # a missing field "error: 're'"
+    spec = write(files["tmp"] / "spec.json", body)
+    out = str(files["tmp"] / "c.json")
+    assert run_command(["synth", "diag", "--graph", files["path3"], "--angles",
+                        files["angles"], "--out", out]) == 0
+    capsys.readouterr()
+    runs = [["synth", what, "--graph", files["path3"], flag, spec]]
+    if what != "ucg":  # verify takes no --target
+        runs.append(["verify", "--graph", files["path3"], "--circuit", out,
+                     flag, spec])
+    for argv in runs:
+        assert run_command(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {spec}: {message}")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_zero_qubit_spec_exits_2(files, capsys):
+    # n = 0 once ended in an IndexError traceback inside synth_diag_auto
+    graph = write(files["tmp"] / "path1.json", {"kind": "path", "n": 1})
+    angles = write(files["tmp"] / "a0.json", {"n": 0, "theta": [0.0]})
+    assert run_command(["synth", "diag", "--graph", graph, "--angles", angles,
+                        "-m", "1"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {angles}: n = 0: a spec needs at least one qubit\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgsynth.cli", "synth", "diag", "--graph", graph,
+         "--angles", angles, "-m", "1"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"error: {angles}: n = 0: a spec needs at least one qubit"]
+
+
 def test_bench_is_deterministic(files, capsys):
     out1 = files["tmp"] / "b1.csv"
     out2 = files["tmp"] / "b2.csv"
@@ -270,10 +319,10 @@ _BENCH_CSV = {
              "diag,path,4,12,42,53,38,4.0,10.5,5",
              "diag,path,5,15,116,151,120,5.656854,20.506097,5"],
     "qsp": ["task,graph_kind,n,m,depth,size,two_qubit,bound_max,ratio,seed",
-            "qsp,path,2,6,12,15,4,2.0,6.0,5",
-            "qsp,path,3,9,39,52,26,3.0,13.0,5",
-            "qsp,path,4,12,99,135,82,4.0,24.75,5",
-            "qsp,path,5,15,284,386,282,5.656854,50.204581,5"],
+            "qsp,path,2,6,12,14,4,2.0,6.0,5",
+            "qsp,path,3,9,38,48,26,3.0,12.666667,5",
+            "qsp,path,4,12,93,122,80,4.0,23.25,5",
+            "qsp,path,5,15,244,320,242,5.656854,43.133514,5"],
 }
 
 

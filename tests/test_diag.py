@@ -143,6 +143,19 @@ def test_size_stays_within_linear_blowup():
         assert report["size"] <= 16 * (1 << n)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_spec_on_no_qubit_is_refused(n):
+    # n = 0 once reached synth_diag_auto and failed there with IndexError
+    with pytest.raises(ValueError, match=f"^n = {n}: a spec needs at least one qubit$"):
+        DiagonalSpec(n, [0.0])
+
+
+def test_one_angle_is_refused_as_no_qubit():
+    # a bare array of one angle is a spec with n = 0
+    with pytest.raises(ValueError, match="^n = 0: a spec needs at least one qubit$"):
+        synth_diag_auto(path_graph(1), np.zeros(1), 1)
+
+
 def test_theta_normalization_is_global_phase_only():
     rng = np.random.default_rng(26)
     theta = rng.uniform(0, 2 * np.pi, size=8)

@@ -105,9 +105,9 @@ GOLDEN = {
     "noanc-path": "678413f788ce2db3",
     "noanc-star-walk": "0711440b9dfef710",
     "noanc-tree2": "c86bad06e8389bc1",
-    "qsp-bfs-relabel": "90fd7af9a3dd4421",
-    "qsp-path": "bef6ccc8af47b9a2",
-    "qsp-star": "82b152e6015905a0",
+    "qsp-bfs-relabel": "e76939e2b27fe22d",
+    "qsp-path": "a17631e368082f1d",
+    "qsp-star": "34acaeef479afa35",
 }
 
 # the backend of the template that ran: for auto, its core backend

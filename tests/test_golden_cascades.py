@@ -110,42 +110,42 @@ REQUESTS.update({
 })
 
 GOLDEN = {
-    "gus-complete-n2-m0": "6e4375d8ffa6754a",
-    "gus-complete-n2-m2": "781d784a1605a21e",
-    "gus-complete-n3-m0": "09498230af24b88a",
-    "gus-complete-n3-m2": "bb2ae05c73d56f42",
-    "gus-complete-n4-m0": "18f54f9c4f7ad5ab",
-    "gus-complete-n4-m2": "cde9f709be801f46",
-    "gus-complete-permutation": "783845205481d261",
+    "gus-complete-n2-m0": "425c55e4df44ac25",
+    "gus-complete-n2-m2": "581a6eb70f5148ce",
+    "gus-complete-n3-m0": "060046b4905c6f49",
+    "gus-complete-n3-m2": "89bb8e4a27387eb5",
+    "gus-complete-n4-m0": "4c81abe572d081f2",
+    "gus-complete-n4-m2": "981c4b33d8369cf6",
+    "gus-complete-permutation": "07a79bd37217352e",
     "gus-path-diagonal": "b64f8425265459a5",
     "gus-path-identity": "ce93159e69a63742",
-    "gus-path-n2-m0": "6e4375d8ffa6754a",
-    "gus-path-n2-m2": "781d784a1605a21e",
-    "gus-path-n3-m0": "f361651f3b37a2ce",
-    "gus-path-n3-m2": "b5785a26c9416940",
-    "gus-path-n4-m0": "fe5ce8aae4401a1d",
-    "gus-path-n4-m2": "a33b8d6fbd6cc5ff",
+    "gus-path-n2-m0": "425c55e4df44ac25",
+    "gus-path-n2-m2": "581a6eb70f5148ce",
+    "gus-path-n3-m0": "934448b1ea5818ae",
+    "gus-path-n3-m2": "da19e9c8eb567c0c",
+    "gus-path-n4-m0": "9d993396b1a7781d",
+    "gus-path-n4-m2": "1a907b36a70123c9",
     "gus-path-one-qubit": "cce1ad97d81af474",
-    "gus-path-permutation": "0fdefe900eea00a9",
-    "qsp-brickwall-n6": "443dc9a1271906da",
-    "qsp-brickwall-n8": "cd0d8d76dc2d7f38",
-    "qsp-complete-n3": "7c4e4826e429684d",
-    "qsp-complete-n5": "0bab29c7b5d509f4",
-    "qsp-path-basis": "3b64698d85a114e0",
-    "qsp-path-n4": "f6743771753d7514",
-    "qsp-path-n6": "c89b9dd9749015b4",
-    "qsp-path-real": "99d2f7a42ac356a9",
-    "qsp-path-sparse": "01b2560e920c5b09",
+    "gus-path-permutation": "66cba4cfa336f328",
+    "qsp-brickwall-n6": "dee1e4d536ec263f",
+    "qsp-brickwall-n8": "7afeeb53055beb45",
+    "qsp-complete-n3": "a80dfc1bd7567a67",
+    "qsp-complete-n5": "2ec4c773e9ea2810",
+    "qsp-path-basis": "d9f8a1023111b867",
+    "qsp-path-n4": "cf9a0cf9a56d2a3a",
+    "qsp-path-n6": "4c98236bbe46a507",
+    "qsp-path-real": "9135bd83b6e6ebfa",
+    "qsp-path-sparse": "d97e281e5daaefc3",
     "qsp-path-zero": "4d367e3be4946c45",
-    "qsp-relabelled-basis": "dec2dcf43d8d086d",
-    "qsp-relabelled-n6": "f24a8f0f6b4eb398",
-    "qsp-relabelled-n8": "f79697bdce6e0bcb",
-    "qsp-relabelled-sparse": "b05f989cf1bd0cb9",
-    "qsp-star-n4": "757f952a8fdadcd2",
-    "qsp-star-n6": "2c23d6157af656d7",
+    "qsp-relabelled-basis": "5cafc7bf2e960805",
+    "qsp-relabelled-n6": "1e2350bde1463f04",
+    "qsp-relabelled-n8": "6db48a700602075e",
+    "qsp-relabelled-sparse": "407aa39ef39ed9d6",
+    "qsp-star-n4": "a5d1148f26a6ae93",
+    "qsp-star-n6": "ff21329ae28c2a8b",
     "qsp-star-one-qubit": "d43e7db9d2a98972",
-    "qsp-tree2-n5": "8081344bf1c5e6d1",
-    "qsp-tree2-n7": "71e307405212ccfa",
+    "qsp-tree2-n5": "e1f7a918e2c1c3f3",
+    "qsp-tree2-n7": "59cebdbb6fa628c6",
 }
 
 

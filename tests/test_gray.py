@@ -121,3 +121,23 @@ def test_run_of_rows_solves_like_each_row(rng):
     for at, n in zip(starts, widths):
         row = slice(at, at + (1 << n))
         assert np.array_equal(alpha[row], solve_phase_coefficients(run[row]))
+
+
+def test_odd_rows_solve_the_odd_half_of_the_wider_rows(rng):
+    # rows of stage-1 differences at width w give the odd coefficients of
+    # the rows of width w + 1 they came from, with the same bits; the rows
+    # after them solve as before
+    wide = np.array([1, 2, 3, 3])
+    tail = np.array([3, 4])
+    rows = rng.uniform(0, 2 * math.pi, size=int(sum(1 << wide)))
+    rest = rng.uniform(0, 2 * math.pi, size=int(sum(1 << tail)))
+    rows[np.cumsum(1 << wide) - (1 << wide)] = 0.0
+    rest[np.cumsum(1 << tail) - (1 << tail)] = 0.0
+    full = solve_phase_coefficients(np.concatenate([rows, rest]),
+                                    np.concatenate([wide, tail]))
+    got = solve_phase_coefficients(
+        np.concatenate([rows[0::2] - rows[1::2], rest]),
+        np.concatenate([wide - 1, tail]), len(wide))
+    odd = len(rows) // 2
+    assert np.array_equal(got[:odd].view(np.int64), full[1:len(rows):2].view(np.int64))
+    assert np.array_equal(got[odd:], full[len(rows):])

@@ -263,6 +263,24 @@ def test_qsp_refuses_an_infinite_amplitude_set_after_the_checks(n):
         qsp_synthesize(path_graph(n), v, 0)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_specs_on_no_qubit_are_refused(n):
+    # these once failed on "negative shift count", or passed the spec and
+    # failed in synthesis
+    message = f"^n = {n}: a spec needs at least one qubit$"
+    with pytest.raises(ValueError, match=message):
+        StateSpec(n, [1.0])
+    with pytest.raises(ValueError, match=message):
+        UnitarySpec(n, [[1.0]])
+    with pytest.raises(ValueError, match=message):  # was "target 0 out of range"
+        UcgSpec(n, [np.eye(2)])
+    if n == 0:  # a bare amplitude or matrix of one entry has n = 0
+        with pytest.raises(ValueError, match=message):
+            qsp_synthesize(path_graph(1), np.ones(1), 1)
+        with pytest.raises(ValueError, match=message):
+            gus_synthesize(path_graph(1), np.eye(1), 1)
+
+
 def test_gus_rejects_non_unitary_and_large_n():
     with pytest.raises(DecompositionFailure):
         UnitarySpec(2, np.ones((4, 4)))

@@ -1,4 +1,4 @@
-"""Which diagonal factors a UCG emits.
+"""Which diagonal factors a UCG emits, and which of their slots.
 
 A last-target UCG is lam3 . (I x SH) . lam2 . (I x HS+) . lam1
 (`ucg_to_diagonals`).  Per branch e^{ia} Rz(b) Ry(c) Rz(d), the middle
@@ -6,7 +6,9 @@ factor is Rz(c) = (-c/2, c/2) with no phase of its own, so a UCG of real
 rotations Ry(c), c in [0, pi] (QSP stages below n, cosine-sine
 multiplexors), emits it alone.  lam1 = (0, d) fixes |0> on the target, so a
 QSP stage, whose target still holds |0>, never emits it, and a GUS cascade,
-whose targets hold anything, keeps it.
+whose targets hold anything, keeps it.  lam2 less its head sums to a
+constant over the target bit, so its Walsh coefficients whose index leaves
+out the target bit vanish, and a cascade template reads only the others.
 """
 import math
 
@@ -15,7 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_angles as ref
 from conftest import distance_up_to_phase, random_unitary
+from qgsynth import states
 from qgsynth.circuit import gate_matrix
 from qgsynth.graphs import (
     brickwall_graph,
@@ -35,7 +39,9 @@ from qgsynth.states import (
     synth_ucg,
     ucg_to_diagonals,
 )
-from test_cascade_scan import STATE_KINDS, make_state
+from qgsynth.gray import solve_phase_coefficients
+from test_cascade_scan import GRAPHS as SCAN_GRAPHS
+from test_cascade_scan import STATE_KINDS, make_state, make_unitary
 from test_templates import recording_skeletons
 from test_ucg_reference import u2
 
@@ -142,4 +148,123 @@ def test_gus_keeps_the_first_factor(n, m):
     with recording_skeletons() as skeletons:
         _, report = gus_synthesize(path_graph(n + m), U, m)
     assert any(emitted[0] for _, _, emitted in skeletons)
+    assert report["residual"] <= 1e-8
+
+
+# -- the even Walsh half of lam2 ---------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def assert_even_lam2_vanishes(heads, lam2, alpha):
+    """Every UCG's lam2 Walsh coefficients at even indices are zero to
+    rounding: at most 2 (n + 1) eps max|lam2|, n rounded FWHT stages of
+    2^n entries scaled by 2^(1 - n), plus the rounding of the entries."""
+    at = 0
+    for n, _ in heads:
+        row = slice(at, at + (1 << n))
+        bound = 2 * (n + 1) * EPS * np.abs(lam2[row]).max()
+        assert np.abs(alpha[row][0::2]).max() <= bound
+        at += 1 << n
+
+
+def assert_factors_lose_the_even_half(heads, branches, ref_branches=None):
+    widths = [n for n, _ in heads]
+    theta = states._factors(heads, branches)[0]
+    assert_even_lam2_vanishes(heads, theta[1],
+                              solve_phase_coefficients(theta[1], widths))
+    want = ref.factor_major(
+        ref.factors(heads, branches if ref_branches is None else ref_branches)[0],
+        heads)[1]
+    lens = 1 << np.array(widths)
+    alpha = np.repeat(-2.0 / lens, lens) * ref.fwht(want, widths)
+    alpha[np.cumsum(lens) - lens] = 0.0
+    assert_even_lam2_vanishes(heads, want, alpha)
+
+
+@given(n=st.integers(1, 10), kind=st.sampled_from(STATE_KINDS), seed=SEEDS)
+@settings(max_examples=40, deadline=None)
+def test_state_lam2_has_no_even_walsh_half(n, kind, seed):
+    v = StateSpec(n, make_state(kind, n, seed))
+    assert_factors_lose_the_even_half([(j, j) for j in range(1, n + 1)],
+                                      states._state_branches(v),
+                                      ref.state_branches(v))
+
+
+@given(n=st.integers(2, 4), seed=SEEDS)
+@settings(max_examples=20, deadline=None)
+def test_haar_unitary_lam2_has_no_even_walsh_half(n, seed):
+    heads, blocks = states._demux(UnitarySpec(n, make_unitary("generic", n, seed)))
+    assert_factors_lose_the_even_half(heads, np.concatenate(
+        [states._last_target_branches(br, *h) for h, br in zip(heads, blocks)]))
+
+
+@given(ns=st.lists(st.integers(1, 7), min_size=1, max_size=4).map(sorted),
+       data=st.data(), seed=SEEDS)
+@settings(max_examples=40, deadline=None)
+def test_ucg_stack_lam2_has_no_even_walsh_half(ns, data, seed):
+    rng = np.random.default_rng(seed)
+    heads = [(n, data.draw(st.integers(1, n))) for n in ns]
+    branches = [states._last_target_branches(
+        np.array([random_unitary(rng, 2) for _ in range(1 << (n - 1))]), n, t)
+        for n, t in heads]
+    assert_factors_lose_the_even_half(heads, np.concatenate(branches))
+
+
+def template_skeletons(g, t):
+    """The skeletons of cascade template t, the last item of its key in g's
+    memo."""
+    return next(k for k, v in g._memo.items() if v is t)[-1]
+
+
+def assert_odd_lam2_slots(t, skeletons):
+    """Each wider UCG's lam2 splice reads every odd Walsh index of its row
+    once and no even one; a width-1 UCG reads no lam2 slot."""
+    counts = [1 << (n - 1) for n, _, _ in skeletons]
+    size = sum(counts)
+    idx = np.asarray(t.idx)
+    first = 0
+    for (n, _, emitted), count in zip(skeletons, counts):
+        base = 2 * (size + first)
+        read = np.sort(idx[(idx >= base) & (idx < base + 2 * count)] - base)
+        odd = list(range(1, 1 << n, 2)) if n > 1 and emitted[1] else []
+        assert read.tolist() == odd
+        first += count
+
+
+def _ucg_target_2():
+    rng = np.random.default_rng(61)
+    V = UcgSpec(4, [random_unitary(rng, 2) for _ in range(8)], 2)
+    g = path_graph(5)
+    c, report = synth_ucg(g, V, 1)
+    return g, c, report, (c.meta["skeleton"],)
+
+
+def _cascade(call, g, spec):
+    def run():
+        c, report = call(g, spec, g.n - spec.n)
+        return g, c, report, template_skeletons(g, c.template)
+    return run
+
+
+ODD_CASES = {
+    "qsp-path": _cascade(qsp_synthesize, path_graph(6),
+                         StateSpec(6, make_state("generic", 6, 62))),
+    "qsp-star-ancilla": _cascade(qsp_synthesize, star_graph(8),
+                                 StateSpec(5, make_state("real", 5, 63))),
+    "qsp-relabelled-host": _cascade(qsp_synthesize, SCAN_GRAPHS["relabelled"](6),
+                                    StateSpec(5, make_state("generic", 5, 64))),
+    "gus-path": _cascade(gus_synthesize, path_graph(3),
+                         UnitarySpec(3, make_unitary("generic", 3, 65))),
+    "gus-complete-ancilla": _cascade(gus_synthesize, complete_graph(4),
+                                     UnitarySpec(3, make_unitary("generic", 3, 66))),
+    "ucg-target-2": _ucg_target_2,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ODD_CASES))
+def test_cascade_templates_read_only_odd_lam2_slots(case):
+    g, c, report, skeletons = ODD_CASES[case]()
+    assert any(n > 1 and emitted[1] for n, _, emitted in skeletons)
+    assert_odd_lam2_slots(c.template, skeletons)
     assert report["residual"] <= 1e-8
